@@ -8,7 +8,7 @@
 //! single backend-specific branch.
 
 use crate::{GlobalKnob, LocalKnob, PidController};
-use sstd_obs::{ControlTick, ControlTrace, EventStore};
+use sstd_obs::{ControlTick, EventStore};
 use sstd_runtime::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, ExecutionReport, FastAbort, FaultPlan,
     FaultStats, JobId, RetryPolicy, TaskSpec,
@@ -292,8 +292,8 @@ pub struct DtmOutcome {
     pub faults: FaultStats,
     /// Control-loop telemetry: one [`ControlTick`] per job per sampling
     /// epoch (empty when `control_enabled` is off or no epoch had pending
-    /// work). Deterministic on the DES backend.
-    pub control: ControlTrace,
+    /// work), in order. Deterministic on the DES backend.
+    pub control: Vec<ControlTick>,
 }
 
 impl DtmOutcome {
@@ -337,13 +337,8 @@ impl DynamicTaskManager {
     /// Routes control ticks into a shared [`EventStore`], so the control
     /// trace interleaves with task/stream/recovery events in one
     /// causally-linked log. Without a store the DTM records into a
-    /// private per-run one; either way the outcome's [`ControlTrace`]
-    /// is materialized from the store through the query layer.
-    pub fn set_event_store(&mut self, store: Arc<EventStore>) {
-        self.store = Some(store);
-    }
-
-    /// Builder form of [`set_event_store`](Self::set_event_store).
+    /// private per-run one; either way [`DtmOutcome::control`] is read
+    /// back from the store through the query layer.
     #[must_use]
     pub fn with_event_store(mut self, store: Arc<EventStore>) -> Self {
         self.store = Some(store);
@@ -409,9 +404,9 @@ impl DynamicTaskManager {
     /// Each sampling epoch with pending work records one [`ControlTick`]
     /// per job — what the PID saw (predicted finish vs. deadline) and
     /// what it actuated (priority, pool size) — through the trace store
-    /// (shared via [`set_event_store`](Self::set_event_store), private
-    /// otherwise); the outcome's [`ControlTrace`] is materialized from
-    /// the store, scoped to this run.
+    /// (shared via [`with_event_store`](Self::with_event_store), private
+    /// otherwise); [`DtmOutcome::control`] is read back from the store,
+    /// scoped to this run.
     ///
     /// # Errors
     ///
@@ -458,9 +453,9 @@ impl DynamicTaskManager {
             .collect();
         let mut gck = GlobalKnob::new(cfg.theta4, cfg.initial_workers, 1, cfg.max_workers);
         // Ticks go through the trace store (a shared one when installed
-        // via `set_event_store`, else a private per-run one); the
-        // outcome's `ControlTrace` is read back from it, scoped to this
-        // run by the sequence watermark.
+        // via `with_event_store`, else a private per-run one); the
+        // outcome's ticks are read back from it, scoped to this run by
+        // the sequence watermark.
         let store = self.store.clone().unwrap_or_else(|| Arc::new(EventStore::new()));
         let control_since = store.next_seq();
         // Ticks of the current epoch, buffered so `workers` can reflect
@@ -570,7 +565,14 @@ impl DynamicTaskManager {
             report,
             job_completion,
             job_met_deadline,
-            control: ControlTrace::from_store_since(&store, control_since),
+            control: store
+                .query()
+                .control()
+                .since_seq(control_since)
+                .events()
+                .iter()
+                .filter_map(|e| e.control_tick().copied())
+                .collect(),
         })
     }
 
@@ -685,9 +687,16 @@ mod tests {
     fn control_trace_first_tick_matches_pid_hand_computation() {
         let cfg = DtmConfig::default();
         let jobs = vec![DtmJob::new(JobId::new(0), 20_000.0, 20.0, 8)];
-        let outcome = dtm(cfg).run(&jobs).expect("valid config");
-        let ticks = outcome.control.ticks();
+        let store = Arc::new(EventStore::new());
+        let outcome =
+            dtm(cfg).with_event_store(Arc::clone(&store)).run(&jobs).expect("valid config");
+        let ticks = &outcome.control;
         assert!(!ticks.is_empty(), "an active run must record control ticks");
+        assert_eq!(
+            store.query().control().count(),
+            ticks.len() as u64,
+            "the shared store saw them"
+        );
         let k = ticks[0];
         assert_eq!(k.job, JobId::new(0));
         assert_eq!(k.setpoint, 20.0, "setpoint is the job deadline");

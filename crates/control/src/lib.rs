@@ -50,4 +50,4 @@ pub use dtm::{DtmConfig, DtmConfigBuilder, DtmJob, DtmOutcome, DynamicTaskManage
 pub use ilp::IlpAllocator;
 pub use knobs::{GlobalKnob, LocalKnob};
 pub use pid::PidController;
-pub use sstd_obs::{ControlTick, ControlTrace};
+pub use sstd_obs::ControlTick;

@@ -166,11 +166,9 @@ impl SstdConfig {
 
     /// Validates every field, naming the first invalid one.
     ///
-    /// [`SstdConfigBuilder::build`] and [`StreamingSstd::builder`] both
-    /// funnel through this, so a config assembled from raw struct fields
-    /// is held to the same invariants as a built one.
-    ///
-    /// [`StreamingSstd::builder`]: crate::StreamingSstd::builder
+    /// [`SstdConfigBuilder::build`] funnels through this, so a config
+    /// assembled from raw struct fields can be held to the same
+    /// invariants as a built one.
     ///
     /// # Errors
     ///

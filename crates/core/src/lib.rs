@@ -86,6 +86,6 @@ pub use recovery::{
     chaos_stream, crash_positions, CheckpointPolicy, IngestRecord, JournalEntry, ReportJournal,
     Supervisor, SupervisorError,
 };
-pub use sstd_obs::{RecoveryEvent, RecoveryTelemetry, StreamTelemetry, StreamTick};
-pub use streaming::{IngestOutcome, StreamingSstd, StreamingSstdBuilder};
+pub use sstd_obs::{RecoveryEvent, StreamTick};
+pub use streaming::{IngestOutcome, StreamingSstd};
 pub use workspace::ClaimWorkspace;

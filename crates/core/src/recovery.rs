@@ -26,13 +26,14 @@
 
 use crate::checkpoint::{fnv1a, push_f64, push_u64, Reader, RecoveryError, StreamCheckpoint};
 use crate::{IngestOutcome, SstdConfig, StreamingSstd, TruthEstimates};
-use sstd_obs::{RecoveryEvent, RecoveryTelemetry};
+use sstd_obs::{EventStore, RecoveryEvent};
 use sstd_runtime::{FaultPlan, IngestFault, RetryPolicy};
 use sstd_types::{
     Attitude, ClaimId, Independence, Report, SourceId, SstdError, Timeline, Timestamp, Uncertainty,
 };
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The 8-byte magic prefixing an encoded journal.
@@ -451,10 +452,10 @@ impl From<SupervisorError> for SstdError {
 /// let mut sup = Supervisor::new(
 ///     SstdConfig::default(), timeline, CheckpointPolicy::every_reports(16));
 /// sup.run(&records, &[30], 3).unwrap();   // crash after record 30, redeliver 3
-/// let (estimates, telemetry) = sup.finish();
-/// assert_eq!(telemetry.crashes_observed(), 1);
-/// assert_eq!(telemetry.restores_completed(), 1);
-/// assert!(estimates.num_claims() > 0);
+/// let recovery = sup.store().query().recovery();
+/// assert_eq!(recovery.clone().label("crash").count(), 1);
+/// assert_eq!(recovery.label("restored").count(), 1);
+/// assert!(sup.finish().num_claims() > 0);
 /// ```
 #[derive(Debug)]
 pub struct Supervisor {
@@ -469,7 +470,7 @@ pub struct Supervisor {
     reports_since_checkpoint: u64,
     intervals_at_checkpoint: usize,
     crashes: u32,
-    telemetry: RecoveryTelemetry,
+    store: Arc<EventStore>,
 }
 
 impl Supervisor {
@@ -489,7 +490,7 @@ impl Supervisor {
             reports_since_checkpoint: 0,
             intervals_at_checkpoint: 0,
             crashes: 0,
-            telemetry: RecoveryTelemetry::new(),
+            store: Arc::new(EventStore::new()),
         }
     }
 
@@ -507,14 +508,14 @@ impl Supervisor {
         self
     }
 
-    /// Routes recovery telemetry into a shared
-    /// [`sstd_obs::EventStore`], so checkpoint/crash/restore events
+    /// Routes recovery telemetry into a shared [`EventStore`] instead of
+    /// the supervisor's private one, so checkpoint/crash/restore events
     /// interleave with the other telemetry domains in one causally-linked
     /// log (the store chains each crash to its covering checkpoint and
     /// each restore to its crash).
     #[must_use]
-    pub fn with_event_store(mut self, store: std::sync::Arc<sstd_obs::EventStore>) -> Self {
-        self.telemetry = RecoveryTelemetry::with_store(store);
+    pub fn with_event_store(mut self, store: Arc<EventStore>) -> Self {
+        self.store = store;
         self
     }
 
@@ -525,10 +526,11 @@ impl Supervisor {
         &self.engine
     }
 
-    /// The recovery event stream and counters so far.
+    /// The trace store holding the recovery event stream so far; count
+    /// through it, e.g. `store().query().recovery().label("restored").count()`.
     #[must_use]
-    pub const fn telemetry(&self) -> &RecoveryTelemetry {
-        &self.telemetry
+    pub const fn store(&self) -> &Arc<EventStore> {
+        &self.store
     }
 
     /// Crashes observed so far.
@@ -573,7 +575,7 @@ impl Supervisor {
     /// that checkpoints and a run that never does decode identically.
     pub fn checkpoint_now(&mut self) {
         let bytes = encode_durable(&self.engine.checkpoint(), &self.applied);
-        self.telemetry.record(RecoveryEvent::CheckpointWritten {
+        self.store.record_recovery(RecoveryEvent::CheckpointWritten {
             interval: self.engine.current_interval(),
             journal_len: self.journal.len() as u64,
             bytes: bytes.len(),
@@ -598,8 +600,9 @@ impl Supervisor {
     /// the durable bytes fail to decode.
     pub fn crash_and_recover(&mut self) -> Result<u64, SupervisorError> {
         self.crashes += 1;
-        self.telemetry
-            .record(RecoveryEvent::CrashObserved { reports_ingested: self.engine.reports_seen() });
+        self.store.record_recovery(RecoveryEvent::CrashObserved {
+            reports_ingested: self.engine.reports_seen(),
+        });
         if self.crashes > self.retry.max_attempts {
             return Err(SupervisorError::CrashBudgetExhausted {
                 crashes: self.crashes,
@@ -625,8 +628,10 @@ impl Supervisor {
         self.applied = applied;
         self.reports_since_checkpoint = journal.len() as u64;
         self.journal = journal;
-        self.telemetry
-            .record(RecoveryEvent::Restored { replayed, latency: started.elapsed().as_secs_f64() });
+        self.store.record_recovery(RecoveryEvent::Restored {
+            replayed,
+            latency: started.elapsed().as_secs_f64(),
+        });
         Ok(replayed)
     }
 
@@ -660,11 +665,10 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Finalizes: closes remaining intervals and returns the estimates
-    /// plus the recovery telemetry.
+    /// Finalizes: closes remaining intervals and returns the estimates.
     #[must_use]
-    pub fn finish(self) -> (TruthEstimates, RecoveryTelemetry) {
-        (self.engine.finish(), self.telemetry)
+    pub fn finish(self) -> TruthEstimates {
+        self.engine.finish()
     }
 }
 
@@ -936,15 +940,17 @@ mod tests {
         let mut sup =
             Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::every_reports(64));
         sup.run(&records, &[], 0).expect("no crashes");
-        let (estimates, telemetry) = sup.finish();
+        let recovery = Arc::clone(sup.store());
+        let estimates = sup.finish();
 
         let mut bare = StreamingSstd::new(SstdConfig::default(), timeline());
         for r in &reports {
             bare.push(r);
         }
         assert_eq!(estimates, bare.finish(), "supervision must not change decisions");
-        assert!(telemetry.checkpoints_written() > 0, "policy fired");
-        assert_eq!(telemetry.crashes_observed(), 0);
+        let recovery = recovery.query().recovery();
+        assert!(recovery.clone().label("checkpoint").count() > 0, "policy fired");
+        assert_eq!(recovery.label("crash").count(), 0);
     }
 
     #[test]
@@ -961,17 +967,18 @@ mod tests {
         let mut reference =
             Supervisor::new(config, timeline(), CheckpointPolicy::every_reports(40));
         reference.run(&records, &[], 0).expect("uninterrupted");
-        let (expected, _) = reference.finish();
+        let expected = reference.finish();
 
         let mut crashed = Supervisor::new(config, timeline(), CheckpointPolicy::every_reports(40));
         let cuts = [3usize, 97, 240, records.len() - 2];
         crashed.run(&records, &cuts, 5).expect("all recoveries succeed");
-        let (got, telemetry) = crashed.finish();
+        let recovery = Arc::clone(crashed.store());
 
-        assert_eq!(got, expected, "recovery must be invisible in the estimates");
-        assert_eq!(telemetry.crashes_observed(), 4);
-        assert_eq!(telemetry.restores_completed(), 4);
-        assert!(telemetry.checkpoints_written() > 0);
+        assert_eq!(crashed.finish(), expected, "recovery must be invisible in the estimates");
+        let recovery = recovery.query().recovery();
+        assert_eq!(recovery.clone().label("crash").count(), 4);
+        assert_eq!(recovery.clone().label("restored").count(), 4);
+        assert!(recovery.label("checkpoint").count() > 0);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::checkpoint::{
 };
 use crate::{ClaimTruthModel, ClaimWorkspace, SstdConfig, TruthEstimates};
 use sstd_hmm::{EmWorkspace, Hmm, StreamingViterbi, SymmetricGaussianEmission};
-use sstd_obs::{EventStore, StreamTelemetry, StreamTick};
-use sstd_types::{ClaimId, ConfigError, Report, Timeline, TruthLabel};
+use sstd_obs::{EventStore, StreamTick};
+use sstd_types::{ClaimId, Report, Timeline, TruthLabel};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -220,8 +220,9 @@ pub struct StreamingSstd {
     current_interval: usize,
     claims: BTreeMap<ClaimId, ClaimStream>,
     reports_seen: u64,
-    /// Per-interval telemetry, opt-in via [`with_telemetry`](Self::with_telemetry).
-    telemetry: Option<StreamTelemetry>,
+    /// Per-interval telemetry sink, opt-in via
+    /// [`with_telemetry_store`](Self::with_telemetry_store).
+    telemetry: Option<Arc<EventStore>>,
     /// Reports ingested into the currently open interval.
     interval_reports: u64,
     /// Far-past reports folded into the currently open interval.
@@ -237,12 +238,9 @@ pub struct StreamingSstd {
 }
 
 impl StreamingSstd {
-    /// Creates a streaming engine over `timeline`.
-    ///
-    /// A thin wrapper over [`builder`](Self::builder) for the common
-    /// no-telemetry case; assumes `config` came from a validated source
-    /// (the builder rejects invalid raw configs with a typed error
-    /// instead).
+    /// Creates a streaming engine over `timeline`, without telemetry.
+    /// Assumes `config` came from a validated source
+    /// ([`SstdConfig::validate`] is the checked entry point).
     #[must_use]
     pub fn new(config: SstdConfig, timeline: Timeline) -> Self {
         Self {
@@ -261,57 +259,16 @@ impl StreamingSstd {
         }
     }
 
-    /// Starts a validating builder — the preferred construction path,
-    /// replacing the `new(...)` + `with_telemetry()` /
-    /// `with_telemetry_store(...)` chain with one fallible call,
-    /// consistent with [`SstdConfig::builder`] and `DtmConfig::builder`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sstd_core::StreamingSstd;
-    /// use sstd_types::{Timeline, Timestamp};
-    ///
-    /// let engine = StreamingSstd::builder()
-    ///     .timeline(Timeline::new(Timestamp::from_secs(100), 10))
-    ///     .telemetry(true)
-    ///     .build()
-    ///     .expect("valid");
-    /// assert!(engine.telemetry().is_some());
-    ///
-    /// let err = StreamingSstd::builder().build().unwrap_err();
-    /// assert_eq!(err.field(), "timeline");
-    /// ```
-    #[must_use]
-    pub fn builder() -> StreamingSstdBuilder {
-        StreamingSstdBuilder::default()
-    }
-
     /// Enables per-interval telemetry: ingest rate, ACS window occupancy,
-    /// wall-clock decode latency and decision flips, one
-    /// [`StreamTick`] per closed interval. Read it back with
-    /// [`telemetry`](Self::telemetry) or
-    /// [`finish_with_telemetry`](Self::finish_with_telemetry).
+    /// wall-clock decode latency, decision flips and late/rejected counts,
+    /// one [`StreamTick`] per closed interval, recorded into `store` — share
+    /// it with the other producers so stream intervals interleave with
+    /// task/control/recovery events in one causally-linked log, and read
+    /// it back through [`EventStore::query`].
     #[must_use]
-    pub fn with_telemetry(mut self) -> Self {
-        self.telemetry = Some(StreamTelemetry::new());
+    pub fn with_telemetry_store(mut self, store: Arc<EventStore>) -> Self {
+        self.telemetry = Some(store);
         self
-    }
-
-    /// Like [`with_telemetry`](Self::with_telemetry), but ticks land in a
-    /// shared [`sstd_obs::EventStore`], so stream intervals interleave
-    /// with task/control/recovery events in one causally-linked log.
-    #[must_use]
-    pub fn with_telemetry_store(mut self, store: std::sync::Arc<sstd_obs::EventStore>) -> Self {
-        self.telemetry = Some(StreamTelemetry::with_store(store));
-        self
-    }
-
-    /// The telemetry collected so far (`None` unless enabled via
-    /// [`with_telemetry`](Self::with_telemetry)).
-    #[must_use]
-    pub fn telemetry(&self) -> Option<&StreamTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Number of reports consumed.
@@ -398,12 +355,6 @@ impl StreamingSstd {
         IngestOutcome::Rejected
     }
 
-    /// Records an externally rejected report.
-    #[deprecated(since = "0.1.0", note = "use `record_rejected`, which returns the typed outcome")]
-    pub fn note_rejected_report(&mut self) {
-        let _ = self.record_rejected();
-    }
-
     /// Lifetime count of far-past reports folded into an open interval.
     #[must_use]
     pub const fn late_reports_seen(&self) -> u64 {
@@ -450,7 +401,7 @@ impl StreamingSstd {
                 }
             }
         }
-        if let Some(tel) = &mut self.telemetry {
+        if let Some(store) = &self.telemetry {
             let active = self
                 .claims
                 .values()
@@ -462,7 +413,7 @@ impl StreamingSstd {
                 self.claims.values().map(|s| s.window.len() as f64).sum::<f64>()
                     / self.claims.len() as f64
             };
-            tel.push(StreamTick {
+            store.record_stream(StreamTick {
                 interval: self.current_interval as u64,
                 reports: self.interval_reports,
                 active_claims: active,
@@ -487,8 +438,9 @@ impl StreamingSstd {
     /// deterministically by replaying the history.
     ///
     /// Telemetry ticks are not part of the snapshot (they were already
-    /// exported downstream); a restored engine starts a fresh collector if
-    /// [`with_telemetry`](Self::with_telemetry) is chained onto it.
+    /// exported downstream); a restored engine records again once
+    /// [`with_telemetry_store`](Self::with_telemetry_store) is chained
+    /// onto it.
     #[must_use]
     pub fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
@@ -601,15 +553,7 @@ impl StreamingSstd {
     /// Intervals before a claim's first report are labeled `False`
     /// (no evidence — same convention as the batch engine).
     #[must_use]
-    pub fn finish(self) -> TruthEstimates {
-        self.finish_with_telemetry().0
-    }
-
-    /// Like [`finish`](Self::finish), additionally handing back the
-    /// collected telemetry (`None` unless enabled via
-    /// [`with_telemetry`](Self::with_telemetry)).
-    #[must_use]
-    pub fn finish_with_telemetry(mut self) -> (TruthEstimates, Option<StreamTelemetry>) {
+    pub fn finish(mut self) -> TruthEstimates {
         let n = self.timeline.num_intervals();
         while self.current_interval < n {
             self.close_current_interval();
@@ -621,96 +565,7 @@ impl StreamingSstd {
             debug_assert_eq!(labels.len(), n);
             out.insert(claim, labels);
         }
-        (out, self.telemetry)
-    }
-}
-
-/// A validating builder for [`StreamingSstd`]: set the timeline (required),
-/// the engine config, and the telemetry sink, then [`build`](Self::build)
-/// validates everything at once with a typed [`ConfigError`] instead of
-/// the old panicking `new(...)` + `with_telemetry*` chain.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_core::{SstdConfig, StreamingSstd};
-/// use sstd_types::{Timeline, Timestamp};
-/// use std::sync::Arc;
-///
-/// let store = Arc::new(sstd_obs::EventStore::new());
-/// let engine = StreamingSstd::builder()
-///     .config(SstdConfig::default())
-///     .timeline(Timeline::new(Timestamp::from_secs(60), 6))
-///     .telemetry_store(store)
-///     .build()
-///     .expect("valid");
-/// assert!(engine.telemetry().is_some());
-/// ```
-#[derive(Debug, Default)]
-pub struct StreamingSstdBuilder {
-    config: SstdConfig,
-    timeline: Option<Timeline>,
-    telemetry: bool,
-    store: Option<Arc<EventStore>>,
-}
-
-impl StreamingSstdBuilder {
-    /// Sets the engine configuration (defaults to [`SstdConfig::default`]).
-    /// The config is re-validated in [`build`](Self::build), so a struct
-    /// assembled from raw fields cannot smuggle invalid knobs past the
-    /// builder convention.
-    #[must_use]
-    pub fn config(mut self, config: SstdConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the timeline the stream is decoded over. Required.
-    #[must_use]
-    pub fn timeline(mut self, timeline: Timeline) -> Self {
-        self.timeline = Some(timeline);
-        self
-    }
-
-    /// Enables per-interval telemetry into a fresh private store (see
-    /// [`StreamingSstd::with_telemetry`]).
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
-    /// Enables per-interval telemetry into a shared [`EventStore`]
-    /// (see [`StreamingSstd::with_telemetry_store`]); implies
-    /// [`telemetry(true)`](Self::telemetry).
-    #[must_use]
-    pub fn telemetry_store(mut self, store: Arc<EventStore>) -> Self {
-        self.store = Some(store);
-        self.telemetry = true;
-        self
-    }
-
-    /// Validates the configuration and assembles the engine.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the offending field: `timeline` when none
-    /// was provided or it has zero intervals, plus every invariant of
-    /// [`SstdConfig::validate`].
-    pub fn build(self) -> Result<StreamingSstd, ConfigError> {
-        self.config.validate()?;
-        let timeline = self
-            .timeline
-            .ok_or_else(|| ConfigError::new("timeline", "required: call `.timeline(...)`"))?;
-        if timeline.num_intervals() == 0 {
-            return Err(ConfigError::new("timeline", "must have at least one interval"));
-        }
-        let mut engine = StreamingSstd::new(self.config, timeline);
-        engine.telemetry = match self.store {
-            Some(store) => Some(StreamTelemetry::with_store(store)),
-            None => self.telemetry.then(StreamTelemetry::new),
-        };
-        Ok(engine)
+        out
     }
 }
 
@@ -802,31 +657,32 @@ mod tests {
         assert_eq!(est.num_intervals(), 10);
     }
 
-    #[test]
-    fn telemetry_is_opt_in_and_counts_every_interval() {
-        let off = StreamingSstd::new(SstdConfig::default(), timeline());
-        assert!(off.telemetry().is_none(), "telemetry must be opt-in");
-        let (_, tel) = off.finish_with_telemetry();
-        assert!(tel.is_none());
+    fn ticks(store: &EventStore) -> Vec<StreamTick> {
+        store.query().stream().events().iter().filter_map(|e| e.stream_tick().copied()).collect()
+    }
 
-        let mut s = StreamingSstd::new(SstdConfig::default(), timeline()).with_telemetry();
+    #[test]
+    fn telemetry_counts_every_interval() {
+        let store = Arc::new(EventStore::new());
+        let mut s = StreamingSstd::new(SstdConfig::default(), timeline())
+            .with_telemetry_store(Arc::clone(&store));
         for t in 0..100 {
             s.push(&report(0, t, Attitude::Agree));
         }
-        let (est, tel) = s.finish_with_telemetry();
-        let tel = tel.expect("enabled");
-        assert_eq!(est.num_claims(), 1);
-        assert_eq!(tel.ticks().len(), 10, "one tick per closed interval");
-        assert_eq!(tel.total_reports(), 100, "every report lands in some interval");
-        assert_eq!(tel.ticks()[3].interval, 3);
-        assert_eq!(tel.ticks()[0].reports, 10, "10 reports per interval");
-        assert!(tel.ticks().iter().all(|k| k.active_claims <= 1));
+        assert_eq!(s.finish().num_claims(), 1);
+        let ticks = ticks(&store);
+        assert_eq!(ticks.len(), 10, "one tick per closed interval");
+        assert_eq!(ticks.iter().map(|k| k.reports).sum::<u64>(), 100, "every report lands");
+        assert_eq!(ticks[3].interval, 3);
+        assert_eq!(ticks[0].reports, 10, "10 reports per interval");
+        assert!(ticks.iter().all(|k| k.active_claims <= 1));
     }
 
     #[test]
     fn telemetry_sees_decision_flips() {
-        let mut s =
-            StreamingSstd::new(SstdConfig::default().with_window(1), timeline()).with_telemetry();
+        let store = Arc::new(EventStore::new());
+        let mut s = StreamingSstd::new(SstdConfig::default().with_window(1), timeline())
+            .with_telemetry_store(Arc::clone(&store));
         for t in 0..100u64 {
             let att = if t < 50 { Attitude::Agree } else { Attitude::Disagree };
             for src in 0..4 {
@@ -838,9 +694,9 @@ mod tests {
                 ));
             }
         }
-        let (_, tel) = s.finish_with_telemetry();
-        let tel = tel.expect("enabled");
-        assert!(tel.total_flips() >= 1, "the truth flip at t = 50 must register");
+        let _ = s.finish();
+        let flips: usize = ticks(&store).iter().map(|k| k.decision_flips).sum();
+        assert!(flips >= 1, "the truth flip at t = 50 must register");
     }
 
     #[test]
@@ -1017,7 +873,9 @@ mod checkpoint_tests {
 
     #[test]
     fn late_reports_are_counted_not_dropped() {
-        let mut s = StreamingSstd::new(SstdConfig::default(), timeline()).with_telemetry();
+        let store = Arc::new(EventStore::new());
+        let mut s = StreamingSstd::new(SstdConfig::default(), timeline())
+            .with_telemetry_store(Arc::clone(&store));
         s.push(&Report::plain(
             SourceId::new(0),
             ClaimId::new(0),
@@ -1034,15 +892,18 @@ mod checkpoint_tests {
         ));
         assert_eq!(s.late_reports_seen(), 1);
         assert_eq!(s.reports_seen(), 2, "a late report still counts as ingested");
-        let (_, tel) = s.finish_with_telemetry();
-        let tel = tel.expect("enabled");
-        assert_eq!(tel.total_late_reports(), 1);
-        assert_eq!(tel.ticks()[4].late_reports, 1, "counted into the open interval's tick");
+        let _ = s.finish();
+        let late =
+            store.query().stream().collect(|e| e.stream_tick().map(|t| t.late_reports as f64));
+        assert_eq!(late.iter().sum::<f64>(), 1.0);
+        assert_eq!(late[4], 1.0, "counted into the open interval's tick");
     }
 
     #[test]
     fn rejected_reports_surface_in_telemetry() {
-        let mut s = StreamingSstd::new(SstdConfig::default(), timeline()).with_telemetry();
+        let store = Arc::new(EventStore::new());
+        let mut s = StreamingSstd::new(SstdConfig::default(), timeline())
+            .with_telemetry_store(Arc::clone(&store));
         s.push(&Report::plain(
             SourceId::new(0),
             ClaimId::new(0),
@@ -1053,8 +914,10 @@ mod checkpoint_tests {
         let _ = s.record_rejected();
         assert_eq!(s.rejected_reports_seen(), 2);
         assert_eq!(s.reports_seen(), 1, "rejected reports are not ingested");
-        let (_, tel) = s.finish_with_telemetry();
-        assert_eq!(tel.expect("enabled").total_rejected_reports(), 2);
+        let _ = s.finish();
+        let rejected =
+            store.query().stream().sum(|e| e.stream_tick().map(|t| t.rejected_reports as f64));
+        assert_eq!(rejected, 2.0);
     }
 }
 

@@ -12,7 +12,7 @@
 //! run's — the sweep measures the *price* of the guarantee, never a
 //! relaxation of it.
 
-use sstd_core::{chaos_stream, CheckpointPolicy, SstdConfig, Supervisor};
+use sstd_core::{chaos_stream, CheckpointPolicy, RecoveryEvent, SstdConfig, Supervisor};
 use sstd_data::{Scenario, TraceBuilder};
 use sstd_runtime::{FaultPlan, RetryPolicy};
 
@@ -86,25 +86,32 @@ pub fn run(cadences: &[u64], crash_counts: &[usize]) -> Vec<RecoveryPoint> {
             let mut reference =
                 Supervisor::new(config, trace.timeline().clone(), policy).with_retry(retry);
             reference.run(&records, &[], 0).expect("reference run cannot crash");
-            let (want, _) = reference.finish();
+            let want = reference.finish();
 
             for &n in crash_counts {
                 let crashes = crash_schedule(n, records.len());
                 let mut sup =
                     Supervisor::new(config, trace.timeline().clone(), policy).with_retry(retry);
                 sup.run(&records, &crashes, 4).expect("crash budget is generous");
-                let applied = sup.applied_reports();
-                let (got, telemetry) = sup.finish();
+                let recovery = sup.store().query().recovery();
+                let replayed = |e: &sstd_obs::Event| match e.recovery_event() {
+                    Some(RecoveryEvent::Restored { replayed, .. }) => Some(*replayed as f64),
+                    _ => None,
+                };
+                let checkpoint_bytes = recovery.sum(|e| match e.recovery_event() {
+                    Some(RecoveryEvent::CheckpointWritten { bytes, .. }) => Some(*bytes as f64),
+                    _ => None,
+                });
                 out.push(RecoveryPoint {
                     checkpoint_every: cadence,
                     num_crashes: n,
                     chaos,
-                    applied_reports: applied,
-                    checkpoints: telemetry.checkpoints_written(),
-                    checkpoint_bytes: telemetry.checkpoint_bytes(),
-                    replayed: telemetry.reports_replayed(),
-                    mean_replay: telemetry.mean_replay_len(),
-                    identical: got == want,
+                    applied_reports: sup.applied_reports(),
+                    checkpoints: recovery.clone().label("checkpoint").count(),
+                    checkpoint_bytes: checkpoint_bytes as u64,
+                    replayed: recovery.sum(replayed) as u64,
+                    mean_replay: recovery.mean(replayed).unwrap_or(0.0),
+                    identical: sup.finish() == want,
                 });
             }
         }

@@ -1,6 +1,8 @@
-//! Control-loop telemetry: one sample per PID tick.
+//! Control-loop telemetry: the per-PID-tick sample the Dynamic Task
+//! Manager records with
+//! [`EventStore::record_control`](crate::EventStore::record_control) and
+//! readers reduce through [`Query::control`](crate::Query::control).
 
-use crate::json_f64;
 use sstd_runtime::JobId;
 
 /// One sample of the Dynamic Task Manager's control loop (paper §IV-C):
@@ -26,205 +28,4 @@ pub struct ControlTick {
     pub workers: usize,
     /// Pending tasks of the job after actuation.
     pub pending: usize,
-}
-
-/// The control-loop history of one run: every [`ControlTick`] in order.
-///
-/// Deterministic on the DES backend, so two runs of the same seeded
-/// workload produce equal traces (`PartialEq` compares every field of
-/// every tick).
-///
-/// # Examples
-///
-/// ```
-/// use sstd_obs::{ControlTick, ControlTrace};
-/// use sstd_runtime::JobId;
-///
-/// let mut trace = ControlTrace::default();
-/// trace.push(ControlTick {
-///     t: 1.0,
-///     job: JobId::new(0),
-///     setpoint: 10.0,
-///     measured: 14.0,
-///     error: 4.0,
-///     signal: 4.8,
-///     priority: 1.0,
-///     workers: 8,
-///     pending: 14,
-/// });
-/// assert_eq!(trace.len(), 1);
-/// assert!(trace.to_csv().contains("1,0,10,14,4,4.8,1,8,14"));
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ControlTrace {
-    ticks: Vec<ControlTick>,
-}
-
-impl ControlTrace {
-    /// Appends one tick.
-    pub fn push(&mut self, tick: ControlTick) {
-        self.ticks.push(tick);
-    }
-
-    /// Materializes the control trace from a trace store: every control
-    /// tick with sequence id `>= since`, in append order. Capture `since`
-    /// with [`EventStore::next_seq`](crate::EventStore::next_seq) before a
-    /// run to scope the trace to it on a shared store.
-    #[must_use]
-    pub fn from_store_since(store: &crate::EventStore, since: u64) -> Self {
-        let ticks = store
-            .query()
-            .control()
-            .since_seq(since)
-            .events()
-            .iter()
-            .filter_map(|e| e.control_tick().copied())
-            .collect();
-        Self { ticks }
-    }
-
-    /// The recorded ticks, in order.
-    #[must_use]
-    pub fn ticks(&self) -> &[ControlTick] {
-        &self.ticks
-    }
-
-    /// Number of ticks recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    /// Whether no tick was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
-
-    /// Mean absolute control error across all ticks (0 when empty).
-    #[must_use]
-    pub fn mean_abs_error(&self) -> f64 {
-        if self.ticks.is_empty() {
-            return 0.0;
-        }
-        self.ticks.iter().map(|t| t.error.abs()).sum::<f64>() / self.ticks.len() as f64
-    }
-
-    /// Renders the trace as a JSON array of tick objects.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .ticks
-            .iter()
-            .map(|k| {
-                format!(
-                    "{{\"t\":{},\"job\":{},\"setpoint\":{},\"measured\":{},\"error\":{},\"signal\":{},\"priority\":{},\"workers\":{},\"pending\":{}}}",
-                    json_f64(k.t),
-                    k.job.index(),
-                    json_f64(k.setpoint),
-                    json_f64(k.measured),
-                    json_f64(k.error),
-                    json_f64(k.signal),
-                    json_f64(k.priority),
-                    k.workers,
-                    k.pending,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("[{rows}]")
-    }
-
-    /// Renders the trace as CSV rows
-    /// `t,job,setpoint,measured,error,signal,priority,workers,pending`.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("t,job,setpoint,measured,error,signal,priority,workers,pending\n");
-        for k in &self.ticks {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                k.t,
-                k.job.index(),
-                k.setpoint,
-                k.measured,
-                k.error,
-                k.signal,
-                k.priority,
-                k.workers,
-                k.pending,
-            ));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tick(t: f64, error: f64) -> ControlTick {
-        ControlTick {
-            t,
-            job: JobId::new(1),
-            setpoint: 5.0,
-            measured: 5.0 + error,
-            error,
-            signal: error * 1.2,
-            priority: 2.0,
-            workers: 4,
-            pending: 3,
-        }
-    }
-
-    #[test]
-    fn trace_accumulates_and_summarizes() {
-        let mut tr = ControlTrace::default();
-        assert!(tr.is_empty());
-        assert_eq!(tr.mean_abs_error(), 0.0);
-        tr.push(tick(0.0, 2.0));
-        tr.push(tick(1.0, -4.0));
-        assert_eq!(tr.len(), 2);
-        assert!((tr.mean_abs_error() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equal_traces_compare_equal() {
-        let mut a = ControlTrace::default();
-        let mut b = ControlTrace::default();
-        a.push(tick(0.0, 1.0));
-        b.push(tick(0.0, 1.0));
-        assert_eq!(a, b);
-        b.push(tick(1.0, 1.0));
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn from_store_since_scopes_to_a_run() {
-        let store = crate::EventStore::new();
-        store.record_control(tick(0.0, 1.0));
-        let mark = store.next_seq();
-        store.record_control(tick(1.0, 2.0));
-        store.record_control(tick(2.0, 3.0));
-        let trace = ControlTrace::from_store_since(&store, mark);
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.ticks()[0].t, 1.0);
-        let full = ControlTrace::from_store_since(&store, 0);
-        assert_eq!(full.len(), 3);
-    }
-
-    #[test]
-    fn exports_include_every_field() {
-        let mut tr = ControlTrace::default();
-        tr.push(tick(2.5, 1.5));
-        let json = tr.to_json();
-        assert!(json.contains("\"setpoint\":5"), "{json}");
-        assert!(
-            json.contains("\"signal\":1.7999999999999998") || json.contains("\"signal\":1.8"),
-            "{json}"
-        );
-        let csv = tr.to_csv();
-        assert!(csv.starts_with("t,job,"), "{csv}");
-        assert!(csv.lines().count() == 2);
-    }
 }

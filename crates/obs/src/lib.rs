@@ -1,5 +1,5 @@
-//! Observability for SSTD: a write-optimized, queryable trace store with
-//! metrics, task-timeline, control-loop, streaming and recovery views.
+//! Observability for SSTD: a write-optimized, queryable trace store for
+//! task, control-loop, streaming and recovery events, plus metrics.
 //!
 //! The paper evaluates SSTD by *measuring* it — per-interval decision
 //! latency, task turnaround on the Work Queue pool, PID-controlled
@@ -22,34 +22,29 @@
 //!   [`Gauge`]s and fixed-bucket [`HistogramHandle`]s (uniform bucket
 //!   geometry from [`sstd_stats::Histogram`], or validated explicit
 //!   edges), snapshotted to JSON or CSV;
-//! - [`TimelineRecorder`] — a [`sstd_runtime::Recorder`] adapter over the
-//!   store collecting the per-attempt [`TimelineEvent`] stream both
-//!   execution backends emit, so a DES run and a threaded run of the same
-//!   seeded `FaultPlan` produce
-//!   [structurally comparable](Timeline::structurally_equal) traces;
-//! - [`ControlTick`] / [`ControlTrace`] — one sample per PID tick
-//!   (setpoint, measured workload, error, actuation) from the Dynamic
-//!   Task Manager;
-//! - [`StreamTick`] / [`StreamTelemetry`] — per-interval streaming
-//!   telemetry (report counts, ACS window occupancy, decode latency,
-//!   decision flips, late/rejected ingest counts);
-//! - [`RecoveryEvent`] / [`RecoveryTelemetry`] — the checkpoint/restore
-//!   event stream from the crash-recovery subsystem (checkpoints written,
-//!   crashes observed, journal replay lengths, recovery latency);
+//! - [`ControlTick`], [`StreamTick`], [`RecoveryEvent`] — the payloads
+//!   the Dynamic Task Manager (one sample per PID tick: setpoint,
+//!   measured workload, error, actuation), the streaming engine (one per
+//!   closed interval: report counts, ACS window occupancy, decode
+//!   latency, decision flips, late/rejected ingest counts) and the
+//!   crash-recovery supervisor (checkpoints written, crashes observed,
+//!   journal replay lengths, recovery latency) record; task lifecycle
+//!   events arrive through the store's [`sstd_runtime::Recorder`] impl,
+//!   so a DES run and a threaded run of the same seeded `FaultPlan`
+//!   produce [structurally comparable](EventStore::structurally_equal)
+//!   traces;
 //! - [`BenchReport`] — the `BENCH_*.json`-compatible trajectory exporter
 //!   the evaluation binaries write.
 //!
-//! The per-domain views (`TimelineRecorder`, `StreamTelemetry`,
-//! `RecoveryTelemetry`, `ControlTrace::from_store_since`) are thin
-//! adapters: each writes into an [`EventStore`] — a private one by
-//! default, or a shared one so a whole run lands in a single
-//! causally-linked log — and reads back through [`Query`].
+//! There is one telemetry path: every producer takes an
+//! `Arc<EventStore>` — share one so a whole run lands in a single
+//! causally-linked log — and every reader asks through [`Query`].
 //!
 //! Everything here is pull-based and allocation-light: recording an event
 //! is an atomic increment or a short `Mutex`-guarded push into the open
 //! segment, and the runtime's default recorder is a no-op, so
 //! instrumentation costs nothing until a sink is installed (the
-//! `obs_overhead` bench guards exactly this).
+//! benchmark's `obs.telemetry_share` measures exactly this).
 //!
 //! # Examples
 //!
@@ -80,19 +75,17 @@ mod query;
 mod recovery;
 mod store;
 mod stream;
-mod timeline;
 
-pub use control::{ControlTick, ControlTrace};
+pub use control::ControlTick;
 pub use event::{Event, EventClass, EventKind};
 pub use export::BenchReport;
 pub use metrics::{
     Counter, Gauge, HistogramHandle, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use query::{Attempt, AttemptChain, Query};
-pub use recovery::{RecoveryEvent, RecoveryTelemetry};
+pub use recovery::RecoveryEvent;
 pub use store::{EventStore, StoreConfig};
-pub use stream::{StreamTelemetry, StreamTick};
-pub use timeline::{Timeline, TimelineRecorder};
+pub use stream::StreamTick;
 
 pub use sstd_runtime::{LossCause, TaskPhase, TimelineEvent};
 

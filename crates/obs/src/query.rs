@@ -11,10 +11,9 @@
 //!
 //! Chain reconstruction ([`EventStore::attempt_chains`]) folds a task's
 //! causally-linked event stream into its [`AttemptChain`]: queued once,
-//! then one [`Attempt`] per dispatch with its outcome and latency. This
-//! is the store-backed replacement for the legacy
-//! `Timeline::per_task_sequences` / `structurally_equal` pair, which now
-//! delegate here.
+//! then one [`Attempt`] per dispatch with its outcome and latency.
+//! [`EventStore::task_sequences`] / [`EventStore::structurally_equal`]
+//! compare two runs on the backend-independent shape of that stream.
 
 use crate::event::{Event, EventClass, EventKind};
 use crate::store::EventStore;
@@ -442,7 +441,7 @@ impl Attempt {
 }
 
 /// The causal task → attempt → retry chain of one task, rebuilt from the
-/// store: the store-backed replacement for per-task event sequences.
+/// store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptChain {
     /// The task.
@@ -729,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn task_sequences_match_the_legacy_projection() {
+    fn task_sequences_group_by_task_in_stream_order() {
         let store = retry_store();
         let seqs = store.task_sequences();
         assert_eq!(
@@ -751,6 +750,24 @@ mod tests {
     }
 
     #[test]
+    fn structural_equality_ignores_workers_times_and_id_gaps() {
+        let a = EventStore::new();
+        a.record_task(&ev(7, 0, 0.0, TaskPhase::Queued, None));
+        a.record_task(&ev(0, 0, 0.0, TaskPhase::Queued, None));
+        a.record_task(&ev(7, 1, 1.0, TaskPhase::Completed, Some(0)));
+        let shifted = EventStore::new();
+        shifted.record_task(&ev(0, 0, 100.0, TaskPhase::Queued, None));
+        shifted.record_task(&ev(7, 0, 100.0, TaskPhase::Queued, None));
+        shifted.record_task(&ev(7, 1, 101.0, TaskPhase::Completed, Some(9)));
+        assert!(a.structurally_equal(&shifted));
+        let seqs = a.task_sequences();
+        assert_eq!(seqs.len(), 2, "the dense-bucket pass copes with gaps in the id space");
+        assert_eq!(seqs[&TaskId::new(7)], vec![(0, "queued"), (1, "completed")]);
+        shifted.record_task(&ev(0, 1, 102.0, TaskPhase::Exhausted, None));
+        assert!(!a.structurally_equal(&shifted));
+    }
+
+    #[test]
     fn since_seq_scopes_to_a_run_suffix() {
         let store = EventStore::new();
         store.record_task(&ev(0, 0, 0.0, TaskPhase::Queued, None));
@@ -758,6 +775,112 @@ mod tests {
         store.record_task(&ev(1, 0, 1.0, TaskPhase::Queued, None));
         assert_eq!(store.query().since_seq(mark).count(), 1);
         assert_eq!(store.query().since_seq(0).count(), 2);
+    }
+
+    fn stream_tick(interval: u64, reports: u64, decode_latency: f64) -> crate::StreamTick {
+        crate::StreamTick {
+            interval,
+            reports,
+            active_claims: 4,
+            window_occupancy: 2.5,
+            decode_latency,
+            decision_flips: usize::from(interval == 1),
+            late_reports: 2 * interval,
+            rejected_reports: interval,
+        }
+    }
+
+    #[test]
+    fn stream_ticks_chain_sum_and_the_latency_quantile_skips_timing_off() {
+        let timed = |e: &Event| e.stream_tick().map(|t| t.decode_latency).filter(|&l| l > 0.0);
+        let store = EventStore::new();
+        store.record_stream(stream_tick(0, 10, 0.0));
+        assert_eq!(
+            store.query().stream().p2_percentile(0.95, timed),
+            None,
+            "zero latency means timing was off"
+        );
+        store.record_task(&ev(0, 0, 0.0, TaskPhase::Queued, None));
+        store.record_stream(stream_tick(1, 30, 0.0));
+        let q = store.query().stream();
+        let events = q.events();
+        assert_eq!(events[0].cause, None);
+        assert_eq!(events[1].cause, Some(events[0].seq), "intervals chain past other domains");
+        assert_eq!(q.sum(|e| e.stream_tick().map(|t| t.reports as f64)), 40.0);
+        assert_eq!(q.sum(|e| e.stream_tick().map(|t| t.decision_flips as f64)), 1.0);
+        assert_eq!(q.sum(|e| e.stream_tick().map(|t| t.late_reports as f64)), 2.0);
+        assert_eq!(q.sum(|e| e.stream_tick().map(|t| t.rejected_reports as f64)), 1.0);
+        assert_eq!(q.mean(|e| e.stream_tick().map(|t| t.reports as f64)), Some(20.0));
+        for i in 1..=20 {
+            store.record_stream(stream_tick(1 + i, 1, 0.001 * i as f64));
+        }
+        let p95 = store.query().stream().p2_percentile(0.95, timed).expect("warm");
+        assert!(p95 > 0.01, "p95 in the upper tail: {p95}");
+    }
+
+    #[test]
+    fn recovery_reductions_count_by_label_and_sum_payloads() {
+        use crate::RecoveryEvent;
+        let store = EventStore::new();
+        assert_eq!(store.query().recovery().count(), 0);
+        store.record_recovery(RecoveryEvent::CheckpointWritten {
+            interval: 0,
+            journal_len: 10,
+            bytes: 100,
+        });
+        store.record_recovery(RecoveryEvent::CheckpointWritten {
+            interval: 5,
+            journal_len: 20,
+            bytes: 150,
+        });
+        store.record_recovery(RecoveryEvent::CrashObserved { reports_ingested: 42 });
+        store.record_recovery(RecoveryEvent::Restored { replayed: 12, latency: 0.5 });
+        store.record_recovery(RecoveryEvent::CrashObserved { reports_ingested: 80 });
+        store.record_recovery(RecoveryEvent::Restored { replayed: 8, latency: 0.0 });
+        let q = store.query().recovery();
+        assert_eq!(q.clone().label("checkpoint").count(), 2);
+        assert_eq!(q.clone().label("crash").count(), 2);
+        assert_eq!(q.clone().label("restored").count(), 2);
+        let bytes = q.sum(|e| match e.recovery_event() {
+            Some(RecoveryEvent::CheckpointWritten { bytes, .. }) => Some(*bytes as f64),
+            _ => None,
+        });
+        assert_eq!(bytes, 250.0);
+        let replayed = |e: &Event| match e.recovery_event() {
+            Some(RecoveryEvent::Restored { replayed, .. }) => Some(*replayed as f64),
+            _ => None,
+        };
+        assert_eq!(q.sum(replayed), 20.0);
+        assert_eq!(q.mean(replayed), Some(10.0), "mean replay length per restore");
+    }
+
+    #[test]
+    fn control_ticks_scope_by_watermark_and_job() {
+        let tick = |t: f64, job: u32, error: f64| crate::ControlTick {
+            t,
+            job: JobId::new(job),
+            setpoint: 5.0,
+            measured: 5.0 + error,
+            error,
+            signal: error * 1.2,
+            priority: 2.0,
+            workers: 4,
+            pending: 3,
+        };
+        let store = EventStore::new();
+        store.record_control(tick(0.0, 0, 1.0));
+        let mark = store.next_seq();
+        store.record_control(tick(1.0, 1, 2.0));
+        store.record_control(tick(2.0, 1, -4.0));
+        let run = store.query().control().since_seq(mark);
+        assert_eq!(run.count(), 2);
+        assert_eq!(run.events()[0].control_tick().unwrap().t, 1.0);
+        assert_eq!(run.mean(|e| e.control_tick().map(|k| k.error.abs())), Some(3.0));
+        assert_eq!(store.query().control().count(), 3);
+        assert_eq!(store.query().control().job(JobId::new(0)).count(), 1);
+        let events = store.query().control().events();
+        assert_eq!(events[1].cause, None, "job 1 starts its own chain");
+        assert_eq!(events[2].cause, Some(events[1].seq), "ticks chain per job");
     }
 
     #[test]

@@ -1,19 +1,14 @@
 //! Recovery telemetry: what the checkpoint/restore machinery did and what
 //! it cost.
 //!
-//! The crash-recovery subsystem (see DESIGN.md §13) emits one
+//! The crash-recovery subsystem (see DESIGN.md §13) records one
 //! [`RecoveryEvent`] per checkpoint written, crash observed and restore
-//! completed. [`RecoveryTelemetry`] is an adapter over the unified
-//! [`EventStore`]: events land in the store's recovery log (chained
-//! checkpoint → crash → restore), and every aggregate counter a
-//! long-running ingest service would alert on — checkpoints written,
-//! crashes survived, reports replayed, recovery latency — is computed
-//! through the [`Query`](crate::Query) layer.
-
-use crate::event::Event;
-use crate::json_f64;
-use crate::store::EventStore;
-use std::sync::Arc;
+//! completed with
+//! [`EventStore::record_recovery`](crate::EventStore::record_recovery)
+//! (chained checkpoint → crash → restore). The counters a long-running
+//! ingest service would alert on — checkpoints written, crashes
+//! survived, reports replayed, recovery latency — are
+//! [`Query::recovery`](crate::Query::recovery) reductions.
 
 /// One event in the life of a supervised, checkpointed ingest loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,227 +54,9 @@ impl std::fmt::Display for RecoveryEvent {
     }
 }
 
-/// The recovery event stream plus aggregate counters, read from the
-/// backing trace store.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_obs::{RecoveryEvent, RecoveryTelemetry};
-///
-/// let mut tel = RecoveryTelemetry::new();
-/// tel.record(RecoveryEvent::CheckpointWritten { interval: 3, journal_len: 40, bytes: 512 });
-/// tel.record(RecoveryEvent::CrashObserved { reports_ingested: 55 });
-/// tel.record(RecoveryEvent::Restored { replayed: 15, latency: 0.002 });
-/// assert_eq!(tel.checkpoints_written(), 1);
-/// assert_eq!(tel.crashes_observed(), 1);
-/// assert_eq!(tel.reports_replayed(), 15);
-/// ```
-#[derive(Debug)]
-pub struct RecoveryTelemetry {
-    store: Arc<EventStore>,
-}
-
-impl Default for RecoveryTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RecoveryTelemetry {
-    /// Creates a collector over a fresh private unbounded [`EventStore`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self { store: Arc::new(EventStore::new()) }
-    }
-
-    /// Creates a collector writing into an existing (possibly shared)
-    /// store, so recovery events interleave with the other telemetry
-    /// domains in one causally-linked log.
-    #[must_use]
-    pub fn with_store(store: Arc<EventStore>) -> Self {
-        Self { store }
-    }
-
-    /// The backing trace store.
-    #[must_use]
-    pub fn store(&self) -> &Arc<EventStore> {
-        &self.store
-    }
-
-    /// Appends one event; the store links it to its causal predecessor
-    /// (a crash to the covering checkpoint, a restore to the crash).
-    pub fn record(&mut self, event: RecoveryEvent) {
-        self.store.record_recovery(event);
-    }
-
-    /// A point-in-time copy of the recorded events, in order.
-    #[must_use]
-    pub fn events(&self) -> Vec<RecoveryEvent> {
-        self.store
-            .query()
-            .recovery()
-            .events()
-            .iter()
-            .filter_map(|e| e.recovery_event().copied())
-            .collect()
-    }
-
-    fn count(&self, label: &'static str) -> u64 {
-        self.store.query().recovery().label(label).count()
-    }
-
-    /// Checkpoints written so far.
-    #[must_use]
-    pub fn checkpoints_written(&self) -> u64 {
-        self.count("checkpoint")
-    }
-
-    /// Total encoded bytes across all checkpoints.
-    #[must_use]
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.events()
-            .iter()
-            .map(|e| match e {
-                RecoveryEvent::CheckpointWritten { bytes, .. } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Crashes observed so far.
-    #[must_use]
-    pub fn crashes_observed(&self) -> u64 {
-        self.count("crash")
-    }
-
-    /// Restores completed so far.
-    #[must_use]
-    pub fn restores_completed(&self) -> u64 {
-        self.count("restored")
-    }
-
-    /// Reports replayed from the journal across all restores.
-    #[must_use]
-    pub fn reports_replayed(&self) -> u64 {
-        self.events()
-            .iter()
-            .map(|e| match e {
-                RecoveryEvent::Restored { replayed, .. } => *replayed,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Mean replay length per completed restore (0 with no restores).
-    #[must_use]
-    pub fn mean_replay_len(&self) -> f64 {
-        let restores = self.restores_completed();
-        if restores == 0 {
-            return 0.0;
-        }
-        self.reports_replayed() as f64 / restores as f64
-    }
-
-    /// Total wall-clock seconds spent recovering (0 when timing was
-    /// disabled; non-positive or non-finite samples are ignored, matching
-    /// the "zero means timing off" convention).
-    #[must_use]
-    pub fn total_recovery_latency(&self) -> f64 {
-        self.store.query().recovery().sum(|e: &Event| match e.recovery_event() {
-            Some(RecoveryEvent::Restored { latency, .. })
-                if latency.is_finite() && *latency > 0.0 =>
-            {
-                Some(*latency)
-            }
-            _ => None,
-        })
-    }
-
-    /// Renders the aggregate counters plus the event stream as JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let events = self
-            .events()
-            .iter()
-            .map(|e| match e {
-                RecoveryEvent::CheckpointWritten { interval, journal_len, bytes } => format!(
-                    "{{\"event\":\"checkpoint\",\"interval\":{interval},\"journal_len\":{journal_len},\"bytes\":{bytes}}}"
-                ),
-                RecoveryEvent::CrashObserved { reports_ingested } => {
-                    format!("{{\"event\":\"crash\",\"reports_ingested\":{reports_ingested}}}")
-                }
-                RecoveryEvent::Restored { replayed, latency } => format!(
-                    "{{\"event\":\"restored\",\"replayed\":{replayed},\"latency\":{}}}",
-                    json_f64(*latency)
-                ),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"checkpoints_written\":{},\"checkpoint_bytes\":{},\"crashes_observed\":{},\"restores_completed\":{},\"reports_replayed\":{},\"total_recovery_latency\":{},\"events\":[{events}]}}",
-            self.checkpoints_written(),
-            self.checkpoint_bytes(),
-            self.crashes_observed(),
-            self.restores_completed(),
-            self.reports_replayed(),
-            json_f64(self.total_recovery_latency()),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_aggregate_the_event_stream() {
-        let mut tel = RecoveryTelemetry::new();
-        tel.record(RecoveryEvent::CheckpointWritten { interval: 0, journal_len: 10, bytes: 100 });
-        tel.record(RecoveryEvent::CheckpointWritten { interval: 5, journal_len: 20, bytes: 150 });
-        tel.record(RecoveryEvent::CrashObserved { reports_ingested: 42 });
-        tel.record(RecoveryEvent::Restored { replayed: 12, latency: 0.5 });
-        tel.record(RecoveryEvent::CrashObserved { reports_ingested: 80 });
-        tel.record(RecoveryEvent::Restored { replayed: 8, latency: 0.25 });
-        assert_eq!(tel.checkpoints_written(), 2);
-        assert_eq!(tel.checkpoint_bytes(), 250);
-        assert_eq!(tel.crashes_observed(), 2);
-        assert_eq!(tel.restores_completed(), 2);
-        assert_eq!(tel.reports_replayed(), 20);
-        assert!((tel.mean_replay_len() - 10.0).abs() < 1e-12);
-        assert!((tel.total_recovery_latency() - 0.75).abs() < 1e-12);
-        assert_eq!(tel.events().len(), 6);
-    }
-
-    #[test]
-    fn empty_telemetry_is_all_zeros() {
-        let tel = RecoveryTelemetry::new();
-        assert_eq!(tel.checkpoints_written(), 0);
-        assert_eq!(tel.mean_replay_len(), 0.0, "no restores must not divide by zero");
-        assert!(tel.events().is_empty());
-    }
-
-    #[test]
-    fn recovery_chains_link_in_the_store() {
-        let mut tel = RecoveryTelemetry::new();
-        tel.record(RecoveryEvent::CheckpointWritten { interval: 0, journal_len: 1, bytes: 10 });
-        tel.record(RecoveryEvent::CrashObserved { reports_ingested: 5 });
-        tel.record(RecoveryEvent::Restored { replayed: 5, latency: 0.0 });
-        let events = tel.store().query().recovery().events();
-        assert_eq!(events[1].cause, Some(events[0].seq), "crash caused by checkpoint");
-        assert_eq!(events[2].cause, Some(events[1].seq), "restore caused by crash");
-    }
-
-    #[test]
-    fn json_lists_counters_and_events() {
-        let mut tel = RecoveryTelemetry::new();
-        tel.record(RecoveryEvent::CheckpointWritten { interval: 1, journal_len: 5, bytes: 64 });
-        tel.record(RecoveryEvent::Restored { replayed: 5, latency: 0.0 });
-        let json = tel.to_json();
-        assert!(json.contains("\"checkpoints_written\":1"), "{json}");
-        assert!(json.contains("\"event\":\"checkpoint\""), "{json}");
-        assert!(json.contains("\"replayed\":5"), "{json}");
-    }
 
     #[test]
     fn display_formats() {

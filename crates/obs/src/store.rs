@@ -395,13 +395,6 @@ impl EventStore {
         out
     }
 
-    /// Resets the store to empty: retained events, drop accounting,
-    /// interners, causality state *and* sequence numbering all restart
-    /// from zero.
-    pub fn clear(&self) {
-        *self.inner.lock() = StoreInner::default();
-    }
-
     /// Starts a query over the retained events.
     #[must_use]
     pub fn query(&self) -> Query<'_> {
@@ -535,18 +528,5 @@ mod tests {
         assert!(cfg.max_segments * cfg.segment_capacity >= 1000);
         assert!((cfg.max_segments - 1) * cfg.segment_capacity <= 1000);
         assert!(StoreConfig { segment_capacity: 0, max_segments: 0 }.validate().is_err());
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let store = EventStore::new();
-        store.record_task(&task_event(0, 0.0, TaskPhase::Queued));
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.total_appended(), 0);
-        assert_eq!(store.num_tasks(), 0);
-        let seq = store.record_task(&task_event(0, 0.0, TaskPhase::Queued));
-        assert_eq!(seq, 0, "sequence numbering restarts");
-        assert_eq!(store.events()[0].cause, None, "causality state restarts");
     }
 }

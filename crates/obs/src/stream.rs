@@ -1,14 +1,7 @@
-//! Streaming telemetry: per-interval samples from the streaming engine.
-//!
-//! [`StreamTelemetry`] is an adapter over the unified
-//! [`EventStore`]: pushed ticks land in the store's stream-event log
-//! (chained interval → interval), and every aggregate is computed
-//! through the [`Query`](crate::Query) layer.
-
-use crate::event::Event;
-use crate::json_f64;
-use crate::store::EventStore;
-use std::sync::Arc;
+//! Streaming telemetry: the per-interval sample the streaming engine
+//! records with [`EventStore::record_stream`](crate::EventStore::record_stream)
+//! (chained interval → interval) and readers reduce through
+//! [`Query::stream`](crate::Query::stream).
 
 /// One closed streaming interval as the engine saw it (paper §V measures
 /// exactly these: ingest rate, window occupancy, decision latency).
@@ -34,250 +27,4 @@ pub struct StreamTick {
     /// Reports rejected at ingest for failing integrity checks (e.g. a
     /// non-finite contribution score from a corrupted payload).
     pub rejected_reports: u64,
-}
-
-/// Per-interval streaming telemetry backed by the trace store; the
-/// decode-latency quantile is the store query's P² estimate
-/// (`sstd_stats`) over positive latencies.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_obs::{StreamTelemetry, StreamTick};
-///
-/// let mut tel = StreamTelemetry::new();
-/// for i in 0..5 {
-///     tel.push(StreamTick {
-///         interval: i,
-///         reports: 100 + i,
-///         active_claims: 10,
-///         window_occupancy: 3.0,
-///         decode_latency: 0.01 * (i + 1) as f64,
-///         decision_flips: usize::from(i == 2),
-///         late_reports: 0,
-///         rejected_reports: 0,
-///     });
-/// }
-/// assert_eq!(tel.total_reports(), 510);
-/// assert_eq!(tel.total_flips(), 1);
-/// assert!(tel.latency_p95().is_some());
-/// ```
-#[derive(Debug)]
-pub struct StreamTelemetry {
-    store: Arc<EventStore>,
-}
-
-impl Default for StreamTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamTelemetry {
-    /// Creates a collector over a fresh private unbounded [`EventStore`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self { store: Arc::new(EventStore::new()) }
-    }
-
-    /// Creates a collector writing into an existing (possibly shared)
-    /// store, so stream ticks interleave with the other telemetry
-    /// domains in one causally-linked log.
-    #[must_use]
-    pub fn with_store(store: Arc<EventStore>) -> Self {
-        Self { store }
-    }
-
-    /// The backing trace store.
-    #[must_use]
-    pub fn store(&self) -> &Arc<EventStore> {
-        &self.store
-    }
-
-    /// Appends one interval sample.
-    pub fn push(&mut self, tick: StreamTick) {
-        self.store.record_stream(tick);
-    }
-
-    /// A point-in-time copy of the recorded ticks, in interval order.
-    #[must_use]
-    pub fn ticks(&self) -> Vec<StreamTick> {
-        self.store
-            .query()
-            .stream()
-            .events()
-            .iter()
-            .filter_map(|e| e.stream_tick().copied())
-            .collect()
-    }
-
-    /// Whether no interval was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.store.query().stream().count() == 0
-    }
-
-    /// Total reports ingested across all intervals.
-    #[must_use]
-    pub fn total_reports(&self) -> u64 {
-        self.ticks().iter().map(|t| t.reports).sum()
-    }
-
-    /// Total decision flips across all intervals.
-    #[must_use]
-    pub fn total_flips(&self) -> usize {
-        self.ticks().iter().map(|t| t.decision_flips).sum()
-    }
-
-    /// Mean reports per interval (0 when empty).
-    #[must_use]
-    pub fn reports_per_interval(&self) -> f64 {
-        let intervals = self.store.query().stream().count();
-        if intervals == 0 {
-            return 0.0;
-        }
-        self.total_reports() as f64 / intervals as f64
-    }
-
-    /// The online p95 of per-interval decode latency (`None` until a
-    /// positive latency was recorded — zero means timing was disabled).
-    #[must_use]
-    pub fn latency_p95(&self) -> Option<f64> {
-        self.store.query().stream().p2_percentile(0.95, |e: &Event| {
-            e.stream_tick().map(|t| t.decode_latency).filter(|&l| l > 0.0)
-        })
-    }
-
-    /// Total far-past reports folded into an already-open interval.
-    #[must_use]
-    pub fn total_late_reports(&self) -> u64 {
-        self.ticks().iter().map(|t| t.late_reports).sum()
-    }
-
-    /// Total reports rejected at ingest for failing integrity checks.
-    #[must_use]
-    pub fn total_rejected_reports(&self) -> u64 {
-        self.ticks().iter().map(|t| t.rejected_reports).sum()
-    }
-
-    /// Renders the telemetry as a JSON array of interval objects.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .ticks()
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"interval\":{},\"reports\":{},\"active_claims\":{},\"window_occupancy\":{},\"decode_latency\":{},\"decision_flips\":{},\"late_reports\":{},\"rejected_reports\":{}}}",
-                    t.interval,
-                    t.reports,
-                    t.active_claims,
-                    json_f64(t.window_occupancy),
-                    json_f64(t.decode_latency),
-                    t.decision_flips,
-                    t.late_reports,
-                    t.rejected_reports,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("[{rows}]")
-    }
-
-    /// Renders the telemetry as CSV rows
-    /// `interval,reports,active_claims,window_occupancy,decode_latency,decision_flips,late_reports,rejected_reports`.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "interval,reports,active_claims,window_occupancy,decode_latency,decision_flips,late_reports,rejected_reports\n",
-        );
-        for t in &self.ticks() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}\n",
-                t.interval,
-                t.reports,
-                t.active_claims,
-                t.window_occupancy,
-                t.decode_latency,
-                t.decision_flips,
-                t.late_reports,
-                t.rejected_reports,
-            ));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tick(i: u64, reports: u64, latency: f64, flips: usize) -> StreamTick {
-        StreamTick {
-            interval: i,
-            reports,
-            active_claims: 4,
-            window_occupancy: 2.5,
-            decode_latency: latency,
-            decision_flips: flips,
-            late_reports: 0,
-            rejected_reports: 0,
-        }
-    }
-
-    #[test]
-    fn aggregates_reports_and_flips() {
-        let mut tel = StreamTelemetry::new();
-        tel.push(tick(0, 10, 0.0, 0));
-        tel.push(tick(1, 30, 0.0, 2));
-        assert_eq!(tel.total_reports(), 40);
-        assert_eq!(tel.total_flips(), 2);
-        assert!((tel.reports_per_interval() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_quantile_ignores_disabled_timing() {
-        let mut tel = StreamTelemetry::new();
-        tel.push(tick(0, 1, 0.0, 0));
-        assert_eq!(tel.latency_p95(), None, "zero latency means timing was off");
-        for i in 1..=20 {
-            tel.push(tick(i, 1, 0.001 * i as f64, 0));
-        }
-        let p95 = tel.latency_p95().expect("warm");
-        assert!(p95 > 0.01, "p95 in the upper tail: {p95}");
-    }
-
-    #[test]
-    fn ticks_chain_in_the_backing_store() {
-        let mut tel = StreamTelemetry::new();
-        tel.push(tick(0, 1, 0.0, 0));
-        tel.push(tick(1, 1, 0.0, 0));
-        let events = tel.store().query().stream().events();
-        assert_eq!(events[0].cause, None);
-        assert_eq!(events[1].cause, Some(events[0].seq), "intervals chain");
-    }
-
-    #[test]
-    fn exports_list_every_interval() {
-        let mut tel = StreamTelemetry::new();
-        tel.push(tick(0, 5, 0.25, 1));
-        let json = tel.to_json();
-        assert!(json.contains("\"decode_latency\":0.25"), "{json}");
-        assert!(json.contains("\"decision_flips\":1"), "{json}");
-        assert!(json.contains("\"late_reports\":0"), "{json}");
-        let csv = tel.to_csv();
-        assert!(csv.contains("0,5,4,2.5,0.25,1,0,0\n"), "{csv}");
-    }
-
-    #[test]
-    fn late_and_rejected_reports_aggregate() {
-        let mut tel = StreamTelemetry::new();
-        tel.push(StreamTick { late_reports: 2, rejected_reports: 1, ..tick(0, 5, 0.0, 0) });
-        tel.push(StreamTick { late_reports: 3, rejected_reports: 0, ..tick(1, 5, 0.0, 0) });
-        assert_eq!(tel.total_late_reports(), 5);
-        assert_eq!(tel.total_rejected_reports(), 1);
-        let json = tel.to_json();
-        assert!(json.contains("\"late_reports\":2"), "{json}");
-        assert!(json.contains("\"rejected_reports\":1"), "{json}");
-    }
 }

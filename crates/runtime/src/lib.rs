@@ -19,9 +19,9 @@
 //!   clock. The paper evaluates on a 1,900-machine HTCondor pool; the DES
 //!   reproduces its queueing/scheduling dynamics deterministically on one
 //!   machine (see DESIGN.md §3 for the substitution argument);
-//! - [`ThreadedWorkQueue`] / [`ThreadedEngine`] — real master/worker
-//!   backends on OS threads, proving the same scheduler executes real
-//!   closures (the engine adds retries, timeouts and speculation);
+//! - [`ThreadedEngine`] — the real master/worker backend on OS threads,
+//!   proving the same scheduler executes real closures, with retries,
+//!   timeouts and speculation;
 //! - [`FaultPlan`] / [`RetryPolicy`] / [`FastAbort`] — a unified fault
 //!   model shared by both backends: seeded deterministic injection of
 //!   transient failures, worker crashes and stragglers, retry with
@@ -82,7 +82,7 @@ pub use resources::ResourceVector;
 pub use sched::{AttemptLedger, AttemptLoss, LossVerdict};
 pub use task::TaskSpec;
 pub use telemetry::{LossCause, NoopRecorder, Recorder, SharedRecorder, TaskPhase, TimelineEvent};
-pub use threaded::{ThreadedEngine, ThreadedWorkQueue};
+pub use threaded::ThreadedEngine;
 pub use wcet::ExecutionModel;
 
 /// The one-import surface for programming against the execution substrate:
@@ -113,6 +113,6 @@ pub mod prelude {
     pub use crate::telemetry::{
         LossCause, NoopRecorder, Recorder, SharedRecorder, TaskPhase, TimelineEvent,
     };
-    pub use crate::threaded::{ThreadedEngine, ThreadedWorkQueue};
+    pub use crate::threaded::ThreadedEngine;
     pub use crate::wcet::ExecutionModel;
 }

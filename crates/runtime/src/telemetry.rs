@@ -13,8 +13,8 @@
 //!
 //! Recording is strictly opt-in: backends hold `Option<SharedRecorder>`
 //! defaulting to `None`, so the disabled path costs one branch per event
-//! site (verified by the `obs_overhead` bench guard). [`NoopRecorder`]
-//! exists to measure exactly that hook overhead with the branch taken.
+//! site. [`NoopRecorder`] exists to measure exactly that hook overhead
+//! with the branch taken.
 
 use crate::{JobId, TaskId, WorkerId};
 use std::sync::Arc;
@@ -124,10 +124,9 @@ pub struct TimelineEvent {
 ///
 /// Implementations must be cheap and non-blocking where possible: the
 /// threaded engine records from worker threads while holding its state
-/// lock. `sstd-obs` provides the standard sinks — the unified
-/// `EventStore` trace log implements this trait directly, and its
-/// `TimelineRecorder` adapter wraps one; [`NoopRecorder`] is the
-/// do-nothing baseline.
+/// lock. `sstd-obs` provides the standard sink — the unified
+/// `EventStore` trace log implements this trait directly;
+/// [`NoopRecorder`] is the do-nothing baseline.
 pub trait Recorder: Send + Sync + std::fmt::Debug {
     /// Accepts one event. Called in backend event order.
     fn record(&self, event: &TimelineEvent);

@@ -7,24 +7,21 @@
 //! design runs real computations (the streaming benchmarks use them to
 //! execute actual truth-discovery jobs).
 //!
-//! Two layers live here:
-//!
-//! - [`ThreadedWorkQueue`] — the minimal prioritized queue. Hardened so a
-//!   panicking task closure is caught ([`std::panic::catch_unwind`]),
-//!   surfaced as a task failure, and never wedges `wait()` or `Drop`
-//!   (the `parking_lot` mutexes do not poison, and the worker thread
-//!   survives to keep draining).
-//! - [`ThreadedEngine`] — the fault-tolerant engine. Its retry, backoff,
-//!   quarantine, fast-abort and fault-accounting decisions are delegated
-//!   to the shared [`AttemptLedger`] (the same state machine the DES
-//!   uses), so this module only supplies the execution mechanism: threads,
-//!   condvars and the wall clock. The engine implements
-//!   [`ExecutionBackend`] and [`JobBackend`], making it a drop-in for the
-//!   DES in the control loop and the evaluation experiments. Tasks
-//!   submitted through the trait as bare [`TaskSpec`]s run *simulated*
-//!   (a sleep shaped by the engine's [`ExecutionModel`], scaled by
-//!   [`set_simulation`](ThreadedEngine::set_simulation)); tasks submitted
-//!   with a payload execute the real closure.
+//! [`ThreadedEngine`] is the fault-tolerant engine. Its retry, backoff,
+//! quarantine, fast-abort and fault-accounting decisions are delegated
+//! to the shared [`AttemptLedger`] (the same state machine the DES
+//! uses), so this module only supplies the execution mechanism: threads,
+//! condvars and the wall clock. A panicking task closure is caught
+//! ([`std::panic::catch_unwind`]), counted as a transient failure and
+//! retried; it never wedges `wait()` or `Drop` (the `parking_lot`
+//! mutexes do not poison, and the worker thread survives to keep
+//! draining). The engine implements [`ExecutionBackend`] and
+//! [`JobBackend`], making it a drop-in for the DES in the control loop
+//! and the evaluation experiments. Tasks submitted through the trait as
+//! bare [`TaskSpec`]s run *simulated* (a sleep shaped by the engine's
+//! [`ExecutionModel`], scaled by
+//! [`set_simulation`](ThreadedEngine::set_simulation)); tasks submitted
+//! with a payload execute the real closure.
 
 use crate::telemetry::{LossCause, SharedRecorder, TaskPhase, TimelineEvent};
 use crate::{
@@ -37,12 +34,10 @@ use sstd_types::error::SstdError;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-type TaskFn<R> = Box<dyn FnOnce() -> R + Send + 'static>;
 
 /// Renders a caught panic payload as a human-readable message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -52,201 +47,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "task panicked".to_string())
 }
-
-struct QueuedTask<R> {
-    job: JobId,
-    priority: f64,
-    seq: u64,
-    run: TaskFn<R>,
-}
-
-impl<R> PartialEq for QueuedTask<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl<R> Eq for QueuedTask<R> {}
-impl<R> PartialOrd for QueuedTask<R> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<R> Ord for QueuedTask<R> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: higher priority first; FIFO (lower seq) within a tier.
-        self.priority
-            .partial_cmp(&other.priority)
-            .unwrap_or(Ordering::Equal)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct Shared<R> {
-    queue: Mutex<BinaryHeap<QueuedTask<R>>>,
-    results: Mutex<Vec<(JobId, R)>>,
-    /// Tasks whose closure panicked: `(job, panic message)`.
-    failures: Mutex<Vec<(JobId, String)>>,
-    work_available: Condvar,
-    all_done: Condvar,
-    pending: AtomicUsize,
-    shutdown: AtomicBool,
-}
-
-impl<R> std::fmt::Debug for Shared<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("pending", &self.pending.load(AtomicOrdering::Relaxed))
-            .field("shutdown", &self.shutdown.load(AtomicOrdering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-/// A threaded master/worker queue executing prioritized closures.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_runtime::{JobId, ThreadedWorkQueue};
-///
-/// let queue = ThreadedWorkQueue::new(2);
-/// for i in 0..4u32 {
-///     let id = queue.submit(JobId::new(i % 2), 1.0, move || i * 10);
-///     assert_eq!(id.index(), i as usize);
-/// }
-/// let mut results = queue.wait();
-/// results.sort_by_key(|&(_, v)| v);
-/// assert_eq!(results.len(), 4);
-/// assert_eq!(results[3].1, 30);
-/// ```
-#[derive(Debug)]
-pub struct ThreadedWorkQueue<R: Send + 'static> {
-    shared: Arc<Shared<R>>,
-    workers: Vec<JoinHandle<()>>,
-    next_seq: AtomicUsize,
-}
-
-impl<R: Send + 'static> ThreadedWorkQueue<R> {
-    /// Spawns `num_workers` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_workers` is zero.
-    #[must_use]
-    pub fn new(num_workers: usize) -> Self {
-        assert!(num_workers > 0, "need at least one worker");
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(BinaryHeap::new()),
-            results: Mutex::new(Vec::new()),
-            failures: Mutex::new(Vec::new()),
-            work_available: Condvar::new(),
-            all_done: Condvar::new(),
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let workers = (0..num_workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker_loop(&shared))
-            })
-            .collect();
-        Self { shared, workers, next_seq: AtomicUsize::new(0) }
-    }
-
-    fn worker_loop(shared: &Shared<R>) {
-        loop {
-            let task = {
-                let mut queue = shared.queue.lock();
-                loop {
-                    if let Some(t) = queue.pop() {
-                        break t;
-                    }
-                    if shared.shutdown.load(AtomicOrdering::Acquire) {
-                        return;
-                    }
-                    shared.work_available.wait(&mut queue);
-                }
-            };
-            // A panicking closure must not kill the worker (which would
-            // strand queued tasks and hang `wait`): catch it, record the
-            // failure, and keep draining. `parking_lot` mutexes do not
-            // poison, so the shared state stays usable.
-            match catch_unwind(AssertUnwindSafe(task.run)) {
-                Ok(result) => shared.results.lock().push((task.job, result)),
-                Err(payload) => {
-                    shared.failures.lock().push((task.job, panic_message(payload.as_ref())));
-                }
-            }
-            if shared.pending.fetch_sub(1, AtomicOrdering::AcqRel) == 1 {
-                shared.all_done.notify_all();
-            }
-        }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits a closure as a task of `job` with the given priority
-    /// (higher runs earlier), returning the task's identity — the same
-    /// accessor shape as every other submit in this crate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `priority` is finite.
-    pub fn submit<F>(&self, job: JobId, priority: f64, f: F) -> TaskId
-    where
-        F: FnOnce() -> R + Send + 'static,
-    {
-        assert!(priority.is_finite(), "priority must be finite");
-        let seq = self.next_seq.fetch_add(1, AtomicOrdering::Relaxed) as u64;
-        self.shared.pending.fetch_add(1, AtomicOrdering::AcqRel);
-        self.shared.queue.lock().push(QueuedTask { job, priority, seq, run: Box::new(f) });
-        self.shared.work_available.notify_one();
-        TaskId::new(u32::try_from(seq).expect("task ids fit in u32"))
-    }
-
-    /// Number of submitted-but-unfinished tasks.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.shared.pending.load(AtomicOrdering::Acquire)
-    }
-
-    /// Blocks until every submitted task finished (successfully or by
-    /// panicking), draining the collected `(job, result)` pairs
-    /// (completion order). Panicked tasks produce no result; inspect
-    /// [`take_failures`](Self::take_failures).
-    #[must_use]
-    pub fn wait(&self) -> Vec<(JobId, R)> {
-        let mut results = self.shared.results.lock();
-        while self.shared.pending.load(AtomicOrdering::Acquire) > 0 {
-            self.shared.all_done.wait(&mut results);
-        }
-        std::mem::take(&mut *results)
-    }
-
-    /// Drains the recorded task failures: `(job, panic message)` for each
-    /// closure that panicked.
-    #[must_use]
-    pub fn take_failures(&self) -> Vec<(JobId, String)> {
-        std::mem::take(&mut *self.shared.failures.lock())
-    }
-}
-
-impl<R: Send + 'static> Drop for ThreadedWorkQueue<R> {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, AtomicOrdering::Release);
-        self.shared.work_available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault-tolerant engine
-// ---------------------------------------------------------------------------
 
 /// An attempt waiting in the ready heap.
 struct ReadyAttempt {
@@ -1365,7 +1165,13 @@ impl<R: Send + 'static> JobBackend<R> for ThreadedEngine<R> {
 
 impl<R: Send + 'static> Drop for ThreadedEngine<R> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, AtomicOrdering::Release);
+        // Raise the flag while holding `state`: a worker checks it under
+        // that lock before it waits, so it either sees the flag or is
+        // already parked when the notify below arrives.
+        {
+            let _st = self.shared.state.lock();
+            self.shared.shutdown.store(true, AtomicOrdering::Release);
+        }
         self.shared.work_available.notify_all();
         // Respawn threads may still push handles while we join; drain
         // until the list stays empty.
@@ -1382,113 +1188,6 @@ impl<R: Send + 'static> Drop for ThreadedEngine<R> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn executes_all_tasks() {
-        let q = ThreadedWorkQueue::new(3);
-        let counter = Arc::new(AtomicU32::new(0));
-        for _ in 0..50 {
-            let c = Arc::clone(&counter);
-            let _ = q.submit(JobId::new(0), 1.0, move || c.fetch_add(1, AtomicOrdering::Relaxed));
-        }
-        let results = q.wait();
-        assert_eq!(results.len(), 50);
-        assert_eq!(counter.load(AtomicOrdering::Relaxed), 50);
-        assert_eq!(q.pending(), 0);
-    }
-
-    #[test]
-    fn results_carry_job_ids() {
-        let q = ThreadedWorkQueue::new(2);
-        let first = q.submit(JobId::new(7), 1.0, || "seven");
-        let second = q.submit(JobId::new(8), 1.0, || "eight");
-        assert_ne!(first, second, "submissions get distinct task ids");
-        let mut results = q.wait();
-        results.sort_by_key(|&(j, _)| j);
-        assert_eq!(results, vec![(JobId::new(7), "seven"), (JobId::new(8), "eight")]);
-    }
-
-    #[test]
-    fn priority_orders_queued_work() {
-        // Single worker; first task blocks briefly so the rest queue up.
-        let q = ThreadedWorkQueue::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        {
-            let o = Arc::clone(&order);
-            let _ = q.submit(JobId::new(0), 1.0, move || {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                o.lock().push(0u32);
-            });
-        }
-        // Give the worker a moment to take the blocking task.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        for (i, prio) in [(1u32, 1.0), (2, 5.0), (3, 3.0)] {
-            let o = Arc::clone(&order);
-            let _ = q.submit(JobId::new(i), prio, move || o.lock().push(i));
-        }
-        let _ = q.wait();
-        let seen = order.lock().clone();
-        assert_eq!(seen, vec![0, 2, 3, 1], "high priority first after the head task");
-    }
-
-    #[test]
-    fn wait_on_empty_queue_returns_immediately() {
-        let q: ThreadedWorkQueue<u32> = ThreadedWorkQueue::new(2);
-        assert!(q.wait().is_empty());
-    }
-
-    #[test]
-    fn reusable_after_wait() {
-        let q = ThreadedWorkQueue::new(2);
-        let _ = q.submit(JobId::new(0), 1.0, || 1);
-        assert_eq!(q.wait().len(), 1);
-        let _ = q.submit(JobId::new(0), 1.0, || 2);
-        assert_eq!(q.wait().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let _: ThreadedWorkQueue<()> = ThreadedWorkQueue::new(0);
-    }
-
-    #[test]
-    fn panicking_task_does_not_hang_wait() {
-        let q = ThreadedWorkQueue::new(2);
-        let _ = q.submit(JobId::new(0), 1.0, || 1u32);
-        let _ = q.submit(JobId::new(1), 2.0, || panic!("task exploded"));
-        let _ = q.submit(JobId::new(0), 1.0, || 2u32);
-        let results = q.wait(); // must return despite the panic
-        assert_eq!(results.len(), 2, "surviving tasks still deliver results");
-        let failures = q.take_failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, JobId::new(1));
-        assert!(failures[0].1.contains("task exploded"), "{}", failures[0].1);
-        // The worker survived the panic and keeps draining.
-        let _ = q.submit(JobId::new(2), 1.0, || 3u32);
-        assert_eq!(q.wait().len(), 1);
-    }
-
-    #[test]
-    fn single_worker_survives_repeated_panics() {
-        let q = ThreadedWorkQueue::new(1);
-        for i in 0..10u32 {
-            let _ = q.submit(JobId::new(i), 1.0, move || {
-                assert!(i % 2 == 0, "odd tasks fail");
-                i
-            });
-        }
-        let results = q.wait();
-        assert_eq!(results.len(), 5);
-        assert_eq!(q.take_failures().len(), 5);
-        assert_eq!(q.pending(), 0);
-    }
-}
-
-#[cfg(test)]
 mod engine_tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
@@ -1496,6 +1195,81 @@ mod engine_tests {
     /// A retry policy with sub-millisecond backoffs so tests run fast.
     fn fast_retry() -> RetryPolicy {
         RetryPolicy { backoff_base: 0.0005, backoff_cap: 0.005, ..RetryPolicy::default() }
+    }
+
+    /// Regression: `drop` used to raise `shutdown` without holding
+    /// `state`, so a worker between its check and its wait missed the
+    /// notify and `join` hung.
+    #[test]
+    fn dropping_a_fresh_engine_never_hangs() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                drop(ThreadedEngine::<()>::new(4));
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a worker missed the shutdown wake-up and drop hung");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_workers_rejected() {
+        let _: ThreadedEngine<()> = ThreadedEngine::new(0);
+    }
+
+    #[test]
+    fn results_carry_job_ids_and_the_engine_is_reusable_after_wait() {
+        let engine = ThreadedEngine::new(2);
+        assert!(engine.wait().is_empty(), "waiting on an idle engine returns immediately");
+        let first = engine.submit(JobId::new(7), 1.0, || "seven");
+        let second = engine.submit(JobId::new(8), 1.0, || "eight");
+        assert_ne!(first, second, "submissions get distinct task ids");
+        let mut results = engine.wait();
+        results.sort_by_key(|&(j, _)| j);
+        assert_eq!(results, vec![(JobId::new(7), "seven"), (JobId::new(8), "eight")]);
+        engine.submit(JobId::new(9), 1.0, || "nine");
+        assert_eq!(engine.wait(), vec![(JobId::new(9), "nine")]);
+    }
+
+    #[test]
+    fn priority_orders_queued_work() {
+        // Single worker; first task blocks briefly so the rest queue up.
+        let engine = ThreadedEngine::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        {
+            let o = Arc::clone(&order);
+            engine.submit(JobId::new(0), 1.0, move || {
+                std::thread::sleep(Duration::from_millis(50));
+                o.lock().push(0u32);
+            });
+        }
+        // Give the worker a moment to take the blocking task.
+        std::thread::sleep(Duration::from_millis(10));
+        for (i, prio) in [(1u32, 1.0), (2, 5.0), (3, 3.0)] {
+            let o = Arc::clone(&order);
+            engine.submit(JobId::new(i), prio, move || o.lock().push(i));
+        }
+        let _ = engine.wait();
+        let seen = order.lock().clone();
+        assert_eq!(seen, vec![0, 2, 3, 1], "high priority first after the head task");
+    }
+
+    #[test]
+    fn single_worker_survives_repeated_panics() {
+        let engine = ThreadedEngine::new(1);
+        engine.set_retry_policy(RetryPolicy { max_attempts: 1, ..fast_retry() });
+        for i in 0..10u32 {
+            engine.submit(JobId::new(i), 1.0, move || {
+                assert!(i % 2 == 0, "odd tasks fail");
+                i
+            });
+        }
+        assert_eq!(engine.wait().len(), 5, "the lone worker outlives every panic");
+        assert_eq!(engine.failed().len(), 5);
+        assert_eq!(engine.outstanding(), 0);
     }
 
     #[test]

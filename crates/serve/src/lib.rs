@@ -11,7 +11,7 @@
 //!   backpressure. The reference the differential suite trusts.
 //! - [`IngestServer`] / [`IngestClient`] — one worker thread per shard
 //!   behind a bounded channel; the ingest hot path is a `try_send` plus
-//!   a few atomics. What `load_gen` measures.
+//!   a few atomics. What the benchmark's streaming workloads measure.
 //!
 //! Reports route to shards by [`ClaimId`](sstd_types::ClaimId) hash, so
 //! a claim's reports always land on the same shard in submission order

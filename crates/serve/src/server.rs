@@ -41,8 +41,8 @@ struct Inner {
 ///
 /// Same shard type, same routing, and same change-stream semantics as
 /// the deterministic [`IngestService`](crate::IngestService); the
-/// differential suite pins the two to identical results, and `load_gen`
-/// measures this one.
+/// differential suite pins the two to identical results, and the
+/// benchmark's streaming workloads measure this one.
 ///
 /// # Examples
 ///

@@ -19,8 +19,9 @@
 //!   voting heuristics.
 //! - [`runtime`] — a Work Queue / HTCondor-style master–worker execution
 //!   substrate with threaded and discrete-event-simulated backends.
-//! - [`obs`] — observability: metrics registry, task timelines, control
-//!   and streaming telemetry, `BENCH_*.json` exporters.
+//! - [`obs`] — observability: the `EventStore` trace log every producer
+//!   records into and its `Query` layer, a metrics registry, and the
+//!   `BENCH_*.json` exporter.
 //! - [`control`] — PID feedback control and the deadline-driven Dynamic
 //!   Task Manager.
 //! - [`data`] — synthetic social-sensing trace generators (Boston Bombing /

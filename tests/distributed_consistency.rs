@@ -17,13 +17,13 @@ use sstd::core::{claim_partition, run_distributed, ClaimFit, SstdConfig, SstdEng
 use sstd::data::{Scenario, TraceBuilder};
 use sstd::runtime::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, FaultStats, JobId,
-    RetryPolicy, SimBackend, TaskSpec, ThreadedEngine, ThreadedWorkQueue,
+    RetryPolicy, SimBackend, TaskSpec, ThreadedEngine,
 };
 use sstd::types::{ClaimId, TruthLabel};
 use std::sync::Arc;
 
 #[test]
-fn threaded_work_queue_matches_central_engine() {
+fn threaded_engine_matches_central_engine() {
     let trace =
         Arc::new(TraceBuilder::scenario(Scenario::ParisShooting).scale(0.005).seed(21).build());
     let engine = SstdEngine::new(SstdConfig::default());
@@ -32,7 +32,7 @@ fn threaded_work_queue_matches_central_engine() {
     let central = engine.run(&trace);
 
     // Distributed run: one TD job per claim on 4 workers.
-    let queue: ThreadedWorkQueue<(ClaimId, Vec<TruthLabel>)> = ThreadedWorkQueue::new(4);
+    let queue: ThreadedEngine<(ClaimId, Vec<TruthLabel>)> = ThreadedEngine::new(4);
     for (claim, _) in claim_partition(&trace) {
         let trace = Arc::clone(&trace);
         let engine = engine.clone();
@@ -58,7 +58,7 @@ fn job_priorities_do_not_change_results() {
     let engine = SstdEngine::new(SstdConfig::default());
     let central = engine.run(&trace);
 
-    let queue: ThreadedWorkQueue<(ClaimId, Vec<TruthLabel>)> = ThreadedWorkQueue::new(3);
+    let queue: ThreadedEngine<(ClaimId, Vec<TruthLabel>)> = ThreadedEngine::new(3);
     for (claim, reports) in claim_partition(&trace) {
         let trace = Arc::clone(&trace);
         let engine = engine.clone();

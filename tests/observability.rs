@@ -1,10 +1,11 @@
 //! Acceptance test for the observability subsystem (ISSUE 3): a DES run
 //! and a threaded run of the same seeded `FaultPlan` produce structurally
-//! identical task timelines, and the collected telemetry exports in the
-//! repository's `BENCH_*.json`-compatible formats.
+//! identical task traces in the `EventStore`, the trace answers tail and
+//! retry questions through `Query`, and sweeps export in the repository's
+//! `BENCH_*.json`-compatible format.
 
 use sstd::eval::exp::fig7;
-use sstd::obs::{AttemptChain, EventStore, Timeline, TimelineRecorder};
+use sstd::obs::{AttemptChain, EventStore};
 use sstd::runtime::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, JobId, TaskSpec,
     ThreadedEngine,
@@ -22,26 +23,26 @@ fn model() -> ExecutionModel {
     ExecutionModel::new(0.0, 0.01, 0.01)
 }
 
-/// Runs the seeded workload on `backend` with a fresh recorder installed
-/// and returns the collected timeline.
-fn run_instrumented<B: ExecutionBackend>(mut backend: B) -> Timeline {
-    let rec = Arc::new(TimelineRecorder::new());
-    backend.set_recorder(Some(rec.clone()));
+/// Runs the seeded workload on `backend` with a fresh store installed as
+/// its recorder and returns the store.
+fn run_instrumented<B: ExecutionBackend>(mut backend: B) -> Arc<EventStore> {
+    let store = Arc::new(EventStore::new());
+    backend.set_recorder(Some(store.clone()));
     for i in 0..TASKS {
         backend.submit(TaskSpec::new(JobId::new(i % 3), 100.0));
     }
     let report = backend.run_to_completion();
     assert_eq!(report.completed.len(), TASKS as usize, "no lost tasks");
-    rec.snapshot()
+    store
 }
 
-fn des_timeline() -> Timeline {
+fn des_store() -> Arc<EventStore> {
     let mut des = DesEngine::new(Cluster::homogeneous(WORKERS, 1.0), model(), WORKERS);
     des.set_fault_plan(plan(2024));
     run_instrumented(des)
 }
 
-fn threaded_timeline() -> Timeline {
+fn threaded_store() -> Arc<EventStore> {
     let engine: ThreadedEngine<()> = ThreadedEngine::new(WORKERS);
     engine.set_fault_plan(plan(2024));
     // 1 engine-second per 100-tweet task compressed to 1ms real time.
@@ -51,8 +52,8 @@ fn threaded_timeline() -> Timeline {
 
 #[test]
 fn des_and_threaded_timelines_are_structurally_identical() {
-    let des = des_timeline();
-    let threaded = threaded_timeline();
+    let des = des_store();
+    let threaded = threaded_store();
 
     // Without speculation or timeouts, fault verdicts are a pure function
     // of (seed, task, attempt), so both substrates walk every task through
@@ -61,11 +62,11 @@ fn des_and_threaded_timelines_are_structurally_identical() {
     assert!(
         des.structurally_equal(&threaded),
         "per-task sequences diverged:\nDES: {:?}\nthreaded: {:?}",
-        des.per_task_sequences(),
-        threaded.per_task_sequences(),
+        des.task_sequences(),
+        threaded.task_sequences(),
     );
 
-    let seqs = des.per_task_sequences();
+    let seqs = des.task_sequences();
     assert_eq!(seqs.len(), TASKS as usize, "every task appears in the timeline");
     for seq in seqs.values() {
         assert_eq!(seq.first().unwrap(), &(0, "queued"));
@@ -75,21 +76,6 @@ fn des_and_threaded_timelines_are_structurally_identical() {
     let phases: Vec<&str> = seqs.values().flatten().map(|&(_, p)| p).collect();
     assert!(phases.contains(&"failed:transient"), "plan(2024) injects transients");
     assert!(phases.contains(&"failed:crash"), "plan(2024) injects crashes");
-}
-
-/// Same workload, but captured through a shared [`EventStore`] and
-/// audited through the query layer instead of the legacy projections.
-fn des_store() -> Arc<EventStore> {
-    let store = Arc::new(EventStore::new());
-    let mut des = DesEngine::new(Cluster::homogeneous(WORKERS, 1.0), model(), WORKERS);
-    des.set_fault_plan(plan(2024));
-    des.set_recorder(Some(store.clone()));
-    for i in 0..TASKS {
-        des.submit(TaskSpec::new(JobId::new(i % 3), 100.0));
-    }
-    let report = des.run_to_completion();
-    assert_eq!(report.completed.len(), TASKS as usize, "no lost tasks");
-    store
 }
 
 #[test]
@@ -123,18 +109,6 @@ fn store_backed_runs_are_structurally_identical_and_queryable() {
         .percentile(0.99, |e| e.timeline_event().map(|t| t.at))
         .expect("completions exist");
     assert!(p50 > 0.0 && p99 >= p50, "p50 {p50} vs p99 {p99}");
-}
-
-#[test]
-fn timelines_export_as_json_and_csv() {
-    let tl = des_timeline();
-    let json = tl.to_json();
-    assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
-    assert!(json.contains("\"phase\":\"queued\""), "{json}");
-    assert!(json.contains("\"phase\":\"completed\""), "{json}");
-    let csv = tl.to_csv();
-    assert!(csv.starts_with("task,job,attempt,worker,at,phase\n"), "{csv}");
-    assert_eq!(csv.lines().count(), tl.events().len() + 1);
 }
 
 #[test]

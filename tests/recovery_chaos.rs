@@ -54,7 +54,7 @@ fn crashed_recovered_run_is_bit_identical_to_uninterrupted_run() {
             reference
                 .run(&records, &[], 0)
                 .map_err(|e| format!("uninterrupted run failed: {e}"))?;
-            let (want, _) = reference.finish();
+            let want = reference.finish();
 
             let mut subject = supervisor(config, trace.timeline(), case.policy());
             subject
@@ -67,15 +67,11 @@ fn crashed_recovered_run_is_bit_identical_to_uninterrupted_run() {
                     subject.crashes_observed()
                 ));
             }
-            let (got, telemetry) = subject.finish();
-            if telemetry.restores_completed() != crashes.len() as u64 {
-                return Err(format!(
-                    "{} crashes but {} completed restores",
-                    crashes.len(),
-                    telemetry.restores_completed()
-                ));
+            let restores = subject.store().query().recovery().label("restored").count();
+            if restores != crashes.len() as u64 {
+                return Err(format!("{} crashes but {restores} completed restores", crashes.len()));
             }
-            if got != want {
+            if subject.finish() != want {
                 return Err("recovered estimates diverged from the uninterrupted run".into());
             }
             Ok(())
@@ -120,8 +116,7 @@ fn supervised_chaos_run_matches_bare_streaming_on_the_applied_subset() {
                     sup.applied_reports()
                 ));
             }
-            let (got, _) = sup.finish();
-            if got != want {
+            if sup.finish() != want {
                 return Err("supervised estimates diverged from bare streaming".into());
             }
             Ok(())

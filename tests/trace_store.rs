@@ -7,10 +7,10 @@
 //! Every failure prints a `TESTKIT_SEED=… TESTKIT_CASES=1` line that
 //! replays the exact minimized counterexample.
 
-use sstd::obs::{EventClass, EventStore, RecoveryEvent, StoreConfig, StreamTick, TimelineRecorder};
+use sstd::obs::{EventClass, EventStore, RecoveryEvent, StoreConfig, StreamTick};
 use sstd::runtime::{
-    Cluster, DesEngine, ExecutionModel, JobId, LossCause, Recorder, RetryPolicy, TaskId, TaskPhase,
-    TaskSpec, TimelineEvent, WorkerId,
+    Cluster, DesEngine, ExecutionModel, JobId, LossCause, RetryPolicy, TaskId, TaskPhase, TaskSpec,
+    TimelineEvent, WorkerId,
 };
 use sstd_testkit::{check, domain, Gen};
 use std::collections::BTreeMap;
@@ -307,7 +307,7 @@ fn eviction_accounting_is_exact_for_any_bounded_geometry() {
 }
 
 // ---------------------------------------------------------------------
-// Store-backed adapters vs legacy projections, across real backends
+// Store projections vs naive folds, across real backend runs
 // ---------------------------------------------------------------------
 
 const TASKS: u32 = 12;
@@ -335,22 +335,22 @@ fn run_des(case: &domain::FaultPlanCase) -> Arc<EventStore> {
 }
 
 #[test]
-fn store_projection_matches_the_legacy_timeline_adapter() {
+fn task_sequences_match_a_naive_fold_and_seeded_runs_agree() {
     check(
-        "store_projection_matches_the_legacy_timeline_adapter",
+        "task_sequences_match_a_naive_fold_and_seeded_runs_agree",
         CASES,
         &domain::fault_plan_case(),
         |case| {
             let store = run_des(case);
-            // The same events through the legacy adapter path.
-            let rec = TimelineRecorder::new();
+            // The dense-bucket pass against a per-event map walk.
+            let mut naive: BTreeMap<TaskId, Vec<(u32, &'static str)>> = BTreeMap::new();
             for e in store.events() {
                 if let Some(t) = e.timeline_event() {
-                    rec.record(t);
+                    naive.entry(t.task).or_default().push((t.attempt, t.phase.label()));
                 }
             }
-            if rec.snapshot().per_task_sequences() != store.task_sequences() {
-                return Err("legacy per_task_sequences != store task_sequences".into());
+            if naive != store.task_sequences() {
+                return Err("naive per-task fold != store task_sequences".into());
             }
             // Determinism: a second run of the same seeded plan is
             // structurally identical through the store comparison.
