@@ -2,11 +2,21 @@
 //!
 //! A [`StreamCheckpoint`] captures everything [`StreamingSstd`] needs to
 //! continue a stream bit-identically after a crash: the interval cursor,
-//! ingest counters, and per-claim window/open-CS/history/decisions. The
-//! decoder and model state are deliberately *not* serialized — they are a
-//! pure deterministic function of `(config, ACS history)`, so
-//! [`StreamingSstd::restore`] rebuilds them by replaying the history
-//! through the exact code path the live engine used (see DESIGN.md §13).
+//! ingest counters, and per claim the contribution-score window, the
+//! retained ACS ring (the last `REFIT_HORIZON + streaming_refit − 1`
+//! values at most) and the decisions. Its size is one byte per closed
+//! interval plus a term bounded by the refit horizon, whatever the age of
+//! the stream.
+//!
+//! The decoder and model are deliberately *not* serialized when the
+//! engine refits: they are a pure deterministic function of `(config,
+//! retained ring)`, so [`StreamingSstd::restore`] rebuilds them by
+//! re-running the last refit on the slice it saw and pushing the values
+//! that arrived since through the exact code path the live engine used
+//! (see DESIGN.md §13). An engine that never refits (`streaming_refit ==
+//! 0` or `train == false`) never resets its decoder, whose forward row
+//! then depends on the whole stream; for it the snapshot carries that row
+//! and the initial model's scale bit-exactly, and no ring.
 //!
 //! The byte encoding is self-describing and tamper-evident:
 //!
@@ -26,8 +36,10 @@ use crate::SstdConfig;
 use sstd_types::{ClaimId, SstdError, Timeline, TruthLabel};
 use std::fmt;
 
-/// Snapshot format version written by this build.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Snapshot format version written by this build. Version 2 replaced the
+/// full per-claim ACS history of version 1 with the bounded ring and the
+/// optional decoder forward state; version 1 snapshots are refused.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The 8-byte magic prefixing every encoded checkpoint.
 const MAGIC: &[u8; 8] = b"SSTDCKP1";
@@ -121,6 +133,16 @@ pub fn config_fingerprint(config: &SstdConfig, timeline: &Timeline) -> u64 {
     fnv1a(&bytes)
 }
 
+/// The forward state of a decoder that is never reset: what a
+/// never-refitting engine cannot rebuild from any bounded ring.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ForwardState {
+    /// Emission scale of the initial model (set by the claim's first ACS).
+    pub(crate) scale: f64,
+    /// The decoder's forward row after the last closed interval.
+    pub(crate) delta: [f64; 2],
+}
+
 /// One claim's streaming state inside a [`StreamCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClaimCheckpoint {
@@ -128,7 +150,11 @@ pub(crate) struct ClaimCheckpoint {
     pub(crate) start_interval: usize,
     pub(crate) open_cs: f64,
     pub(crate) window: Vec<f64>,
+    /// The retained ACS ring, oldest value first.
     pub(crate) history: Vec<f64>,
+    /// Present exactly when the engine never refits and the claim has
+    /// closed an interval.
+    pub(crate) forward: Option<ForwardState>,
     pub(crate) decisions: Vec<TruthLabel>,
 }
 
@@ -227,6 +253,15 @@ impl StreamCheckpoint {
             for &v in &c.history {
                 push_f64(&mut out, v);
             }
+            match &c.forward {
+                None => out.push(0),
+                Some(f) => {
+                    out.push(1);
+                    push_f64(&mut out, f.scale);
+                    push_f64(&mut out, f.delta[0]);
+                    push_f64(&mut out, f.delta[1]);
+                }
+            }
             push_u64(&mut out, c.decisions.len() as u64);
             for &d in &c.decisions {
                 out.push(u8::from(d.as_bool()));
@@ -283,8 +318,9 @@ impl StreamCheckpoint {
         let total_rejected = r.u64()?;
         let num_claims = r.usize()?;
         // A length prefix cannot promise more entries than there are bytes
-        // left; each claim needs at least its fixed-size header.
-        if num_claims > r.remaining() / 32 {
+        // left; each claim needs at least its fixed-size fields (three
+        // words, three length prefixes and the forward-state flag).
+        if num_claims > r.remaining() / 49 {
             return Err(corrupt(format!("claim count {num_claims} exceeds payload size")));
         }
         let mut claims = Vec::with_capacity(num_claims);
@@ -302,6 +338,11 @@ impl StreamCheckpoint {
             let open_cs = r.f64()?;
             let window = r.f64_vec()?;
             let history = r.f64_vec()?;
+            let forward = match r.u8()? {
+                0 => None,
+                1 => Some(ForwardState { scale: r.f64()?, delta: [r.f64()?, r.f64()?] }),
+                b => return Err(corrupt(format!("invalid forward-state flag {b}"))),
+            };
             let num_decisions = r.usize()?;
             if num_decisions > r.remaining() {
                 return Err(corrupt(format!(
@@ -322,6 +363,7 @@ impl StreamCheckpoint {
                 open_cs,
                 window,
                 history,
+                forward,
                 decisions,
             });
         }
@@ -438,6 +480,7 @@ mod tests {
                     open_cs: 1.25,
                     window: vec![0.5, -0.25],
                     history: vec![1.0, 0.25, -0.5, 0.75],
+                    forward: None,
                     decisions: vec![
                         TruthLabel::True,
                         TruthLabel::True,
@@ -450,7 +493,8 @@ mod tests {
                     start_interval: 2,
                     open_cs: -0.5,
                     window: vec![],
-                    history: vec![-1.0, -2.0],
+                    history: vec![],
+                    forward: Some(ForwardState { scale: 1.5, delta: [-7.25, -0.5] }),
                     decisions: vec![TruthLabel::False, TruthLabel::False],
                 },
             ],
@@ -516,6 +560,34 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum);
         let err = StreamCheckpoint::from_bytes(&bytes).expect_err("future version");
         assert_eq!(err, RecoveryError::VersionMismatch { found: 99, expected: CHECKPOINT_VERSION });
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused() {
+        // Magic and checksum of a version-1 snapshot are valid; the
+        // version word is read before any of its payload.
+        let mut bytes = sample().to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&sum);
+        let err = StreamCheckpoint::from_bytes(&bytes).expect_err("version 1");
+        assert_eq!(err, RecoveryError::VersionMismatch { found: 1, expected: 2 });
+    }
+
+    #[test]
+    fn invalid_forward_state_flag_is_a_typed_corruption() {
+        let ckp = sample();
+        let mut bytes = ckp.to_bytes();
+        // The first claim's flag follows its header, window and ring.
+        let flag = 8 + 4 + 8 * 9 + 8 * 3 + (8 + 8 * 2) + (8 + 8 * 4);
+        assert_eq!(bytes[flag], 0, "offset arithmetic");
+        bytes[flag] = 2;
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&sum);
+        let err = StreamCheckpoint::from_bytes(&bytes).expect_err("bad flag");
+        assert!(err.to_string().contains("forward-state flag"), "{err}");
     }
 
     #[test]

@@ -87,5 +87,5 @@ pub use recovery::{
     Supervisor, SupervisorError,
 };
 pub use sstd_obs::{RecoveryEvent, StreamTick};
-pub use streaming::{IngestOutcome, StreamingSstd};
+pub use streaming::{IngestOutcome, StreamingSstd, REFIT_HORIZON};
 pub use workspace::ClaimWorkspace;

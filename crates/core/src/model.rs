@@ -42,17 +42,14 @@ impl ClaimTruthModel {
     #[must_use]
     pub fn initial(config: &SstdConfig, acs: &[f64]) -> Self {
         let scale = spread(acs).max(1.0);
-        let stay = config.stay_probability;
-        let hmm = Hmm::new(
-            vec![0.5, 0.5],
-            vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]],
+        let hmm = sticky_hmm(
+            config.stay_probability,
             SymmetricGaussianEmission::new(scale, scale)
                 .expect("positive scale yields a valid emission")
                 // Variance floor at a quarter of the data scale: stops EM
                 // from collapsing the shared variance onto outliers.
                 .with_min_std((0.25 * scale).max(GaussianEmission::DEFAULT_MIN_STD)),
-        )
-        .expect("hand-built parameters are stochastic");
+        );
         Self { hmm, true_state: 0, trained: false }
     }
 
@@ -99,6 +96,13 @@ impl ClaimTruthModel {
     #[must_use]
     pub fn hmm(&self) -> &Hmm<SymmetricGaussianEmission> {
         &self.hmm
+    }
+
+    /// Gives up the underlying HMM, for a caller that keeps decoding with
+    /// it (the streaming engine moves it into its online decoder).
+    #[must_use]
+    pub fn into_hmm(self) -> Hmm<SymmetricGaussianEmission> {
+        self.hmm
     }
 
     /// The hidden-state index representing `True`.
@@ -176,6 +180,17 @@ impl ClaimTruthModel {
             );
         }
     }
+}
+
+/// The two-state truth chain every claim model starts from: a uniform
+/// initial distribution and symmetric transitions that stay with
+/// probability `stay`.
+pub(crate) fn sticky_hmm(
+    stay: f64,
+    emission: SymmetricGaussianEmission,
+) -> Hmm<SymmetricGaussianEmission> {
+    Hmm::new(vec![0.5, 0.5], vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]], emission)
+        .expect("hand-built parameters are stochastic")
 }
 
 /// Standard deviation of `xs` (0 when fewer than 2 values).

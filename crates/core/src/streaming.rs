@@ -8,16 +8,32 @@
 //! dynamically spawned when new claims are generated").
 
 use crate::checkpoint::{
-    config_fingerprint, corrupt, ClaimCheckpoint, RecoveryError, StreamCheckpoint,
+    config_fingerprint, corrupt, ClaimCheckpoint, ForwardState, RecoveryError, StreamCheckpoint,
 };
+use crate::model::sticky_hmm;
 use crate::{ClaimTruthModel, ClaimWorkspace, SstdConfig, TruthEstimates};
-use sstd_hmm::{EmWorkspace, Hmm, StreamingViterbi, SymmetricGaussianEmission};
+use sstd_hmm::{EmWorkspace, StreamingViterbi, SymmetricGaussianEmission};
 use sstd_obs::{EventStore, StreamTick};
 use sstd_types::{ClaimId, Report, Timeline, TruthLabel};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// How many of a claim's most recent ACS values a streaming refit trains
+/// on and replays through the decoder. It bounds what a claim pays per
+/// refit and carries in memory, in a checkpoint and through a restore,
+/// whatever the age of the stream; a claim with at most this many closed
+/// intervals is decided exactly as if the refit saw its whole history.
+///
+/// 128 is two decoder lags (the fixed-lag bound below) and holds about
+/// five truth flips at a flip rate of 0.04 per interval.
+pub const REFIT_HORIZON: usize = 128;
+
+/// Fixed-lag bound of the per-claim online decoder: keeps its memory
+/// O(64) even on evidence-free streams whose paths never coalesce.
+const DECODER_LAG: usize = 64;
 
 /// What an ingest path did with one report — the shared vocabulary of
 /// [`StreamingSstd::push`], the recovery [`Supervisor`], and the
@@ -52,6 +68,36 @@ impl IngestOutcome {
     }
 }
 
+/// Whether the engine refits at all under `config`. When it does not, the
+/// decoder is never reset and nothing is retained for a refit.
+const fn refits(config: &SstdConfig) -> bool {
+    config.train && config.streaming_refit > 0
+}
+
+/// Capacity of a claim's ACS ring: the slice the last refit saw
+/// (`REFIT_HORIZON` values at most) plus what can arrive before the next
+/// one (`streaming_refit − 1`). That is what a restore needs to re-run
+/// the last refit and replay the decisions made since.
+const fn ring_capacity(config: &SstdConfig) -> usize {
+    if refits(config) {
+        REFIT_HORIZON.saturating_add(config.streaming_refit - 1)
+    } else {
+        0
+    }
+}
+
+/// State → label mapping of the untrained initial model: state 0 has the
+/// positive emission mean by construction.
+const INITIAL_LABELS: [TruthLabel; 2] = [TruthLabel::True, TruthLabel::False];
+
+/// The online decoder over the untrained initial model, whose emission
+/// scale adapts to the claim's first observation.
+fn initial_decoder(config: &SstdConfig, scale: f64) -> StreamingViterbi<SymmetricGaussianEmission> {
+    let emission = SymmetricGaussianEmission::new(scale, scale).expect("positive scale");
+    StreamingViterbi::new(sticky_hmm(config.stay_probability, emission))
+        .with_max_pending(DECODER_LAG)
+}
+
 /// Per-claim streaming state: windowed ACS aggregation plus an online
 /// decoder. Spawned lazily when a claim's first report arrives.
 #[derive(Debug)]
@@ -65,11 +111,13 @@ struct ClaimStream {
     /// Online decoder; created on the first closed interval so its
     /// emission scale can adapt to the first observation.
     decoder: Option<StreamingViterbi<SymmetricGaussianEmission>>,
-    /// The trained model behind the decoder, once a refit has run
-    /// (carries the state→label mapping).
-    model: Option<ClaimTruthModel>,
-    /// Full ACS history of closed intervals — the refit training data.
-    history: Vec<f64>,
+    /// Truth label of each hidden state under the decoder's model: the
+    /// sign of its emission mean. The fitted model itself is moved into
+    /// the decoder; this is all the decision path needs beside it.
+    labels: [TruthLabel; 2],
+    /// Ring of the most recent [`ring_capacity`] ACS values of closed
+    /// intervals — the refit training data.
+    history: VecDeque<f64>,
     /// One decision per closed interval since `start_interval`.
     decisions: Vec<TruthLabel>,
 }
@@ -81,41 +129,35 @@ impl ClaimStream {
             open_cs: 0.0,
             window: VecDeque::new(),
             decoder: None,
-            model: None,
-            history: Vec::new(),
+            labels: INITIAL_LABELS,
+            history: VecDeque::new(),
             decisions: Vec::new(),
         }
     }
 
-    /// Periodically refits the claim HMM on the accumulated ACS history
-    /// (paper deployments retrain offline as the stream accumulates) and
-    /// rebuilds the online decoder by replaying history through it.
-    /// Past decisions stay frozen — they were already emitted.
+    /// Refits the claim HMM on `seen`, a range of the ring, and rebuilds
+    /// the online decoder by replaying that range through it (paper
+    /// deployments retrain offline as the stream accumulates). Past
+    /// decisions stay frozen — they were already emitted.
     ///
     /// `em` is the engine-wide EM scratch arena; an existing decoder is
     /// [`reset`](StreamingViterbi::reset) rather than rebuilt, so its
     /// pending-window columns are recycled across refits.
-    fn maybe_refit(&mut self, config: &SstdConfig, em: &mut EmWorkspace) {
-        if !config.train || config.streaming_refit == 0 {
-            return;
-        }
-        if !self.history.len().is_multiple_of(config.streaming_refit) || self.history.is_empty() {
-            return;
-        }
-        let model = ClaimTruthModel::fit_with(config, &self.history, em);
+    fn refit(&mut self, seen: Range<usize>, config: &SstdConfig, em: &mut EmWorkspace) {
+        let seen = &self.history.make_contiguous()[seen];
+        let model = ClaimTruthModel::fit_with(config, seen, em);
+        self.labels = [model.label_of(0), model.label_of(1)];
+        let hmm = model.into_hmm();
         let decoder = match &mut self.decoder {
             Some(dec) => {
-                dec.reset(model.hmm().clone());
+                dec.reset(hmm);
                 dec
             }
-            None => {
-                self.decoder.insert(StreamingViterbi::new(model.hmm().clone()).with_max_pending(64))
-            }
+            None => self.decoder.insert(StreamingViterbi::new(hmm).with_max_pending(DECODER_LAG)),
         };
-        for &obs in &self.history {
+        for &obs in seen {
             let _ = decoder.push(obs);
         }
-        self.model = Some(model);
     }
 
     fn close_interval(&mut self, config: &SstdConfig, em: &mut EmWorkspace) {
@@ -128,67 +170,91 @@ impl ClaimStream {
         self.open_cs = 0.0;
     }
 
-    /// Feeds one windowed ACS observation through the decoder, commits the
-    /// decision, and refits when due. This is the *entire* decision path:
-    /// [`close_interval`](Self::close_interval) calls it live, and restore
-    /// replays a checkpointed history through it, which is what makes a
-    /// restored engine's continuation bit-identical to the uninterrupted
-    /// run (decoder and model state are a pure function of
-    /// `(config, history)`).
-    fn advance(&mut self, acs: f64, config: &SstdConfig, em: &mut EmWorkspace) {
-        let decoder = self.decoder.get_or_insert_with(|| {
-            let scale = acs.abs().max(1.0);
-            let stay = config.stay_probability;
-            let hmm = Hmm::new(
-                vec![0.5, 0.5],
-                vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]],
-                SymmetricGaussianEmission::new(scale, scale).expect("positive scale"),
-            )
-            .expect("stochastic by construction");
-            // Fixed-lag bound keeps memory O(64) per claim even on
-            // evidence-free streams whose paths never coalesce.
-            StreamingViterbi::new(hmm).with_max_pending(64)
-        });
-        let state = decoder.push(acs);
-        // With a trained model, the state→label mapping follows its
-        // emission-mean signs; the untrained initial model has state 0
-        // positive by construction.
-        let label = match &self.model {
-            Some(m) => m.label_of(state),
-            None => {
-                if state == 0 {
-                    TruthLabel::True
-                } else {
-                    TruthLabel::False
-                }
-            }
-        };
-        self.decisions.push(label);
-
-        self.history.push(acs);
-        self.maybe_refit(config, em);
+    /// Feeds one windowed ACS observation through the decoder and returns
+    /// the filtering decision. [`advance`](Self::advance) calls it live
+    /// and [`restore`](Self::restore) replays the retained suffix through
+    /// it, so both decide by the same code.
+    fn decide(&mut self, acs: f64, config: &SstdConfig) -> TruthLabel {
+        let decoder =
+            self.decoder.get_or_insert_with(|| initial_decoder(config, acs.abs().max(1.0)));
+        self.labels[decoder.push(acs)]
     }
 
-    /// Rebuilds a claim's full streaming state from checkpointed data by
-    /// replaying the ACS history through [`advance`](Self::advance).
-    fn replay(
+    /// Commits the decision for one closed interval, retains its ACS in
+    /// the ring, and refits when due: every `streaming_refit` closes, on
+    /// the last [`REFIT_HORIZON`] values.
+    fn advance(&mut self, acs: f64, config: &SstdConfig, em: &mut EmWorkspace) {
+        let label = self.decide(acs, config);
+        self.decisions.push(label);
+        if !refits(config) {
+            return;
+        }
+        if self.history.len() == ring_capacity(config) {
+            self.history.pop_front();
+        }
+        self.history.push_back(acs);
+        if self.decisions.len().is_multiple_of(config.streaming_refit) {
+            let len = self.history.len();
+            self.refit(len.saturating_sub(REFIT_HORIZON)..len, config, em);
+        }
+    }
+
+    /// Rebuilds a claim's streaming state from a structurally valid
+    /// checkpoint entry (see [`StreamingSstd::restore`]).
+    ///
+    /// With refits on, decoder and model are a pure function of the ring:
+    /// the last refit is re-run on exactly the slice it saw, and the
+    /// values retained after it are pushed through
+    /// [`decide`](Self::decide) — which also validates the decisions made
+    /// since that refit. Without refits the decoder resumes from the
+    /// checkpointed forward state.
+    fn restore(
         checkpoint: &ClaimCheckpoint,
         config: &SstdConfig,
         em: &mut EmWorkspace,
     ) -> Result<Self, RecoveryError> {
         let mut stream = Self::new(checkpoint.start_interval);
-        for &acs in &checkpoint.history {
-            stream.advance(acs, config, em);
+        stream.history = checkpoint.history.iter().copied().collect();
+        let closed = checkpoint.decisions.len();
+        if let Some(forward) = &checkpoint.forward {
+            let decoder =
+                initial_decoder(config, forward.scale).with_forward_row(&forward.delta, closed);
+            if checkpoint.decisions.last() != Some(&stream.labels[decoder.best_state()]) {
+                return Err(corrupt(format!(
+                    "claim {}: the last decision does not match the decoder's forward state",
+                    checkpoint.claim
+                )));
+            }
+            stream.decoder = Some(decoder);
+        } else if refits(config) {
+            let since_refit = closed % config.streaming_refit;
+            let refit_at = closed - since_refit;
+            let suffix = stream.history.len() - since_refit;
+            if refit_at > 0 {
+                stream.refit(suffix - refit_at.min(REFIT_HORIZON)..suffix, config, em);
+            }
+            for i in 0..since_refit {
+                let acs = stream.history[suffix + i];
+                if stream.decide(acs, config) != checkpoint.decisions[refit_at + i] {
+                    return Err(corrupt(format!(
+                        "claim {}: the decisions since the last refit do not replay from the \
+                         retained ACS ring",
+                        checkpoint.claim
+                    )));
+                }
+            }
         }
-        if stream.decisions != checkpoint.decisions {
-            return Err(corrupt(format!(
-                "claim {}: checkpointed decisions do not replay from the ACS history",
-                checkpoint.claim
-            )));
-        }
+        stream.decisions.clone_from(&checkpoint.decisions);
         stream.window = checkpoint.window.iter().copied().collect();
         stream.open_cs = checkpoint.open_cs;
         Ok(stream)
+    }
+
+    /// The decoder's forward state, for an engine that never refits.
+    fn forward_state(&self) -> Option<ForwardState> {
+        let decoder = self.decoder.as_ref()?;
+        let delta = decoder.forward_row();
+        Some(ForwardState { scale: decoder.model().emission().mu(), delta: [delta[0], delta[1]] })
     }
 }
 
@@ -432,10 +498,13 @@ impl StreamingSstd {
 
     /// Snapshots the engine into a versioned, serializable
     /// [`StreamCheckpoint`]: interval cursor, ingest counters, and
-    /// per-claim window/open-CS/history/decisions, stamped with the
-    /// `(config, timeline)` fingerprint. Decoder and model state are not
-    /// captured — [`restore`](Self::restore) rebuilds them
-    /// deterministically by replaying the history.
+    /// per-claim window/open-CS/ACS ring/decisions, stamped with the
+    /// `(config, timeline)` fingerprint. Per claim that is one byte per
+    /// closed interval plus at most `REFIT_HORIZON + streaming_refit − 1`
+    /// ring values. Decoder and model state are not captured when the
+    /// engine refits — [`restore`](Self::restore) rebuilds them
+    /// deterministically from the ring; a never-refitting engine's
+    /// snapshot carries the decoder's forward state instead.
     ///
     /// Telemetry ticks are not part of the snapshot (they were already
     /// exported downstream); a restored engine records again once
@@ -443,6 +512,7 @@ impl StreamingSstd {
     /// onto it.
     #[must_use]
     pub fn checkpoint(&self) -> StreamCheckpoint {
+        let refits = refits(&self.config);
         StreamCheckpoint {
             fingerprint: config_fingerprint(&self.config, &self.timeline),
             current_interval: self.current_interval,
@@ -460,7 +530,8 @@ impl StreamingSstd {
                     start_interval: s.start_interval,
                     open_cs: s.open_cs,
                     window: s.window.iter().copied().collect(),
-                    history: s.history.clone(),
+                    history: s.history.iter().copied().collect(),
+                    forward: if refits { None } else { s.forward_state() },
                     decisions: s.decisions.clone(),
                 })
                 .collect(),
@@ -472,20 +543,29 @@ impl StreamingSstd {
     /// bit-identical to the engine the snapshot was taken from: same
     /// decisions, same [`TruthEstimates`], report for report.
     ///
-    /// Decoders are rebuilt by replaying each claim's checkpointed ACS
-    /// history through the live decision path — their state is a pure
-    /// deterministic function of `(config, history)`, which is the same
-    /// argument that makes the periodic refit sound (see
-    /// DESIGN.md §13).
+    /// With refits on, each claim's decoder and model are a pure
+    /// deterministic function of `(config, retained ring)`: the last
+    /// refit is re-run on exactly the slice of the ring it saw and the
+    /// values that arrived since are pushed through the live decision
+    /// path, so a restore costs one refit per claim whatever the age of
+    /// the stream (see DESIGN.md §13). That replay **validates the
+    /// decisions made since the last refit** — fewer than
+    /// `streaming_refit` per claim; a snapshot whose decisions there
+    /// disagree with its ring is refused. Older decisions cannot be
+    /// replayed from a bounded ring and rest on the snapshot's FNV-1a
+    /// seal alone. A never-refitting engine resumes its decoder from the
+    /// checkpointed forward state, which must agree with the last
+    /// decision; all its other decisions rest on the seal.
     ///
     /// # Errors
     ///
     /// [`RecoveryError::ConfigMismatch`] when the checkpoint fingerprint
     /// does not match `config`/`timeline`, and
     /// [`RecoveryError::Corrupt`] when the snapshot is structurally
-    /// inconsistent (cursor/history/decision lengths disagree, non-finite
-    /// state, or decisions that do not replay from the history). Never
-    /// panics on any input that decodes.
+    /// inconsistent (cursor/ring/window/decision lengths disagree, a
+    /// forward state where the configuration has none or the reverse,
+    /// non-finite state, or decisions that do not replay from the ring).
+    /// Never panics on any input that decodes.
     pub fn restore(
         config: SstdConfig,
         timeline: Timeline,
@@ -518,13 +598,15 @@ impl StreamingSstd {
                         c.claim, c.start_interval, checkpoint.current_interval
                     ))
                 })?;
-            if c.history.len() != closed || c.decisions.len() != closed {
+            let expected_ring = closed.min(ring_capacity(&engine.config));
+            if c.decisions.len() != closed || c.history.len() != expected_ring {
                 return Err(corrupt(format!(
-                    "claim {}: {} closed intervals but {} history entries and {} decisions",
+                    "claim {}: {} closed intervals but {} decisions and {} ring entries \
+                     (expected {expected_ring})",
                     c.claim,
                     closed,
-                    c.history.len(),
-                    c.decisions.len()
+                    c.decisions.len(),
+                    c.history.len()
                 )));
             }
             let expected_window = closed.min(engine.config.window.saturating_sub(1));
@@ -536,13 +618,26 @@ impl StreamingSstd {
                     expected_window
                 )));
             }
+            if c.forward.is_some() != (closed > 0 && !refits(&engine.config)) {
+                return Err(corrupt(format!(
+                    "claim {}: decoder forward state {} under this configuration",
+                    c.claim,
+                    if c.forward.is_some() { "present" } else { "missing" }
+                )));
+            }
+            // A forward row holds log-probabilities: −∞ is a value (an
+            // observation beyond the emission's range), NaN is not.
+            let forward_ok = c.forward.is_none_or(|f| {
+                f.scale.is_finite() && f.scale >= 1.0 && !f.delta.iter().any(|d| d.is_nan())
+            });
             if !c.open_cs.is_finite()
                 || c.window.iter().any(|v| !v.is_finite())
                 || c.history.iter().any(|v| !v.is_finite())
+                || !forward_ok
             {
                 return Err(corrupt(format!("claim {}: non-finite streaming state", c.claim)));
             }
-            let stream = ClaimStream::replay(c, &engine.config, &mut engine.workspace.em)?;
+            let stream = ClaimStream::restore(c, &engine.config, &mut engine.workspace.em)?;
             engine.claims.insert(c.claim, stream);
         }
         Ok(engine)
@@ -818,57 +913,217 @@ mod checkpoint_tests {
         assert!(matches!(err, RecoveryError::ConfigMismatch { .. }), "{err}");
     }
 
-    #[test]
-    fn tampered_decisions_fail_replay_validation() {
-        let mut s = StreamingSstd::new(SstdConfig::default(), timeline());
-        for r in reports().iter().take(200) {
+    /// `intervals` one-second intervals of two claims, three reports per
+    /// interval, with truth flipping every 30 intervals and one report
+    /// in three dissenting on a schedule of its own.
+    fn long_stream(intervals: u64) -> (Timeline, Vec<Report>) {
+        let reports = (0..intervals)
+            .flat_map(|t| {
+                (0..3u32).map(move |src| {
+                    let claim = src % 2;
+                    let honest = (t * 7 + u64::from(src) * 5) % 11 != 0;
+                    let truth = (t / 30 + u64::from(claim)) % 2 == 0;
+                    let att = if truth == honest { Attitude::Agree } else { Attitude::Disagree };
+                    Report::plain(
+                        SourceId::new(src),
+                        ClaimId::new(claim),
+                        Timestamp::from_secs(t),
+                        att,
+                    )
+                })
+            })
+            .collect();
+        (Timeline::new(Timestamp::from_secs(intervals), intervals as usize), reports)
+    }
+
+    fn run(cfg: SstdConfig, timeline: &Timeline, reports: &[Report]) -> StreamingSstd {
+        let mut s = StreamingSstd::new(cfg, timeline.clone());
+        for r in reports {
             s.push(r);
         }
-        let mut snap = s.checkpoint();
-        let d = &mut snap.claims[0].decisions;
-        assert!(!d.is_empty());
-        d[0] = if d[0] == TruthLabel::True { TruthLabel::False } else { TruthLabel::True };
-        let err = StreamingSstd::restore(SstdConfig::default(), timeline(), &snap)
-            .expect_err("tampered decisions must be refused");
-        assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
+        s
+    }
+
+    #[test]
+    fn restore_is_bit_identical_before_at_and_after_the_ring_wraps() {
+        let (tl, all) = long_stream(400);
+        let configs = [
+            SstdConfig::default().with_streaming_refit(3),
+            SstdConfig::default().with_streaming_refit(1),
+            SstdConfig::default(),
+            SstdConfig::default().with_streaming_refit(0),
+            SstdConfig::default().with_training(false),
+        ];
+        for cfg in configs {
+            let expected = run(cfg, &tl, &all).finish();
+            let cap = ring_capacity(&cfg);
+            // Closed-interval counts around the first refit, the horizon,
+            // the wrap (the ring is full at `cap` closes) and late in the
+            // stream.
+            let refit = cfg.streaming_refit.max(1);
+            let cuts = [1, refit, refit + 1, REFIT_HORIZON, cap.max(2) - 1, cap, cap + 1, 300, 399];
+            for closed in cuts.into_iter().filter(|&c| c > 0 && c < 400) {
+                // The first report of interval `closed` closes the one before.
+                let cut = closed * 3 + 1;
+                let first = run(cfg, &tl, &all[..cut]);
+                assert_eq!(first.current_interval(), closed);
+                let bytes = first.checkpoint().to_bytes();
+                drop(first);
+                let snap = StreamCheckpoint::from_bytes(&bytes).expect("snapshot decodes");
+                let mut resumed = StreamingSstd::restore(cfg, tl.clone(), &snap).expect("restores");
+                assert_eq!(resumed.checkpoint(), snap, "re-snapshot differs at {closed}");
+                for r in &all[cut..] {
+                    resumed.push(r);
+                }
+                assert_eq!(
+                    resumed.finish(),
+                    expected,
+                    "refit {} train {} cut at {closed} closed intervals",
+                    cfg.streaming_refit,
+                    cfg.train
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ring_and_snapshot_growth_are_bounded_by_the_horizon() {
+        let cfg = SstdConfig::default();
+        let cap = ring_capacity(&cfg);
+        assert_eq!(cap, REFIT_HORIZON + cfg.streaming_refit - 1);
+        let timeline = Timeline::new(Timestamp::from_secs(5_001), 5_001);
+        let mut s = StreamingSstd::new(cfg, timeline);
+        let mut bytes_at = BTreeMap::new();
+        for t in 0..=5_000u64 {
+            let att = if (t / 40) % 2 == 0 { Attitude::Agree } else { Attitude::Disagree };
+            s.push(&Report::plain(SourceId::new(0), ClaimId::new(0), Timestamp::from_secs(t), att));
+            let stream = &s.claims[&ClaimId::new(0)];
+            assert_eq!(stream.decisions.len(), t as usize);
+            assert_eq!(stream.history.len(), stream.decisions.len().min(cap), "interval {t}");
+            if t == 1_000 || t == 5_000 {
+                bytes_at.insert(t, s.checkpoint().to_bytes().len());
+            }
+        }
+        assert_eq!(
+            bytes_at[&5_000] - bytes_at[&1_000],
+            4_000,
+            "a snapshot grows by one decision byte per closed interval and nothing else"
+        );
+    }
+
+    #[test]
+    fn a_never_refitting_engine_retains_no_ring() {
+        for cfg in [
+            SstdConfig::default().with_streaming_refit(0),
+            SstdConfig::default().with_training(false),
+        ] {
+            let (tl, all) = long_stream(200);
+            let s = run(cfg, &tl, &all);
+            assert!(s.claims.values().all(|c| c.history.is_empty()));
+            let snap = s.checkpoint();
+            assert!(snap.claims.iter().all(|c| c.forward.is_some() && c.history.is_empty()));
+        }
+    }
+
+    #[test]
+    fn tampered_decisions_fail_replay_validation() {
+        // Replay covers the decisions made since the last refit: with a
+        // refit every 7 closes and 200 closed, those are the last 4.
+        let cfg = SstdConfig::default().with_streaming_refit(7);
+        let (tl, all) = long_stream(400);
+        let s = run(cfg, &tl, &all[..200 * 3 + 1]);
+        let snap = s.checkpoint();
+        assert_eq!(snap.claims[0].decisions.len(), 200);
+        for back in 1..=200 % 7 {
+            let mut tampered = snap.clone();
+            let d = &mut tampered.claims[0].decisions;
+            let i = d.len() - back;
+            d[i] = d[i].flipped();
+            let err = StreamingSstd::restore(cfg, tl.clone(), &tampered)
+                .expect_err("tampered decisions must be refused");
+            assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("replay"), "{err}");
+        }
+        let mut tampered_ring = snap.clone();
+        let ring = &mut tampered_ring.claims[0].history;
+        let last = ring.len() - 1;
+        ring[last] = -ring[last] - 40.0;
+        let err = StreamingSstd::restore(cfg, tl.clone(), &tampered_ring)
+            .expect_err("a ring that contradicts the decisions must be refused");
         assert!(err.to_string().contains("replay"), "{err}");
+
+        // Without refits nothing can be replayed; the forward state must
+        // still agree with the last decision.
+        let cfg = SstdConfig::default().with_streaming_refit(0);
+        let mut snap = run(cfg, &tl, &all[..200 * 3 + 1]).checkpoint();
+        let d = &mut snap.claims[0].decisions;
+        let last = d.len() - 1;
+        d[last] = d[last].flipped();
+        let err = StreamingSstd::restore(cfg, tl, &snap).expect_err("contradicts forward state");
+        assert!(err.to_string().contains("forward state"), "{err}");
     }
 
     #[test]
     fn structurally_inconsistent_snapshots_are_rejected() {
-        let mut s = StreamingSstd::new(SstdConfig::default(), timeline());
-        for r in reports().iter().take(120) {
-            s.push(r);
-        }
-        let good = s.checkpoint();
+        let (tl, all) = long_stream(400);
+        let cfg = SstdConfig::default();
+        let good = run(cfg, &tl, &all[..250 * 3]).checkpoint();
+        assert_eq!(good.claims[0].history.len(), ring_capacity(&cfg), "the ring has wrapped");
+        let refused = |cfg: SstdConfig, snap: &StreamCheckpoint| {
+            matches!(
+                StreamingSstd::restore(cfg, tl.clone(), snap),
+                Err(RecoveryError::Corrupt { .. })
+            )
+        };
+        assert!(StreamingSstd::restore(cfg, tl.clone(), &good).is_ok());
 
         let mut cursor_overflow = good.clone();
-        cursor_overflow.current_interval = 99;
-        assert!(matches!(
-            StreamingSstd::restore(SstdConfig::default(), timeline(), &cursor_overflow),
-            Err(RecoveryError::Corrupt { .. })
-        ));
+        cursor_overflow.current_interval = 999;
+        assert!(refused(cfg, &cursor_overflow));
 
-        let mut short_history = good.clone();
-        short_history.claims[0].history.pop();
-        assert!(matches!(
-            StreamingSstd::restore(SstdConfig::default(), timeline(), &short_history),
-            Err(RecoveryError::Corrupt { .. })
-        ));
+        let mut short_ring = good.clone();
+        short_ring.claims[0].history.pop();
+        assert!(refused(cfg, &short_ring));
+
+        let mut long_ring = good.clone();
+        long_ring.claims[0].history.push(0.5);
+        assert!(refused(cfg, &long_ring));
+
+        let mut short_decisions = good.clone();
+        short_decisions.claims[0].decisions.pop();
+        assert!(refused(cfg, &short_decisions));
 
         let mut nan_state = good.clone();
         nan_state.claims[0].open_cs = f64::NAN;
-        assert!(matches!(
-            StreamingSstd::restore(SstdConfig::default(), timeline(), &nan_state),
-            Err(RecoveryError::Corrupt { .. })
-        ));
+        assert!(refused(cfg, &nan_state));
 
-        let mut bad_window = good;
+        let mut nan_ring = good.clone();
+        nan_ring.claims[0].history[3] = f64::INFINITY;
+        assert!(refused(cfg, &nan_ring));
+
+        let mut bad_window = good.clone();
         bad_window.claims[0].window.push(0.5);
-        assert!(matches!(
-            StreamingSstd::restore(SstdConfig::default(), timeline(), &bad_window),
-            Err(RecoveryError::Corrupt { .. })
-        ));
+        assert!(refused(cfg, &bad_window));
+
+        let mut stray_forward = good;
+        stray_forward.claims[0].forward = Some(ForwardState { scale: 1.0, delta: [0.0, -1.0] });
+        assert!(refused(cfg, &stray_forward));
+
+        let never = SstdConfig::default().with_streaming_refit(0);
+        let good = run(never, &tl, &all[..250 * 3]).checkpoint();
+        assert!(StreamingSstd::restore(never, tl.clone(), &good).is_ok());
+
+        let mut missing_forward = good.clone();
+        missing_forward.claims[0].forward = None;
+        assert!(refused(never, &missing_forward));
+
+        let mut nan_forward = good.clone();
+        nan_forward.claims[0].forward.as_mut().expect("present").delta[1] = f64::NAN;
+        assert!(refused(never, &nan_forward));
+
+        let mut bad_scale = good;
+        bad_scale.claims[0].forward.as_mut().expect("present").scale = 0.0;
+        assert!(refused(never, &bad_scale));
     }
 
     #[test]

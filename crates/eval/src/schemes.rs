@@ -121,7 +121,7 @@ fn run_batch<S: TruthDiscovery>(scheme: S, trace: &Trace) -> TruthEstimates {
 
 /// Builds the interval-by-interval form of a baseline scheme as one
 /// uniform trait object — native streamers directly, batch solvers
-/// wrapped in the same [`BATCH_WINDOW`]-interval [`SlidingWindow`] that
+/// wrapped in the same `BATCH_WINDOW`-interval [`SlidingWindow`] that
 /// [`run_scheme`] uses. This is the adapter the tournament runner drives
 /// so that every baseline is timed under an identical per-interval
 /// protocol.

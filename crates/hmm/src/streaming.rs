@@ -117,6 +117,42 @@ impl<E: Emission> StreamingViterbi<E> {
         &self.hmm
     }
 
+    /// The forward row δ: the best log-probability of any state path
+    /// ending in each state at the current time (all zeros before the
+    /// first observation). Together with the model it is everything the
+    /// filtering decisions of later [`push`](Self::push) calls depend on,
+    /// so a snapshot that carries it can resume a decoder that has
+    /// consumed an unbounded stream — see
+    /// [`with_forward_row`](Self::with_forward_row).
+    #[must_use]
+    pub fn forward_row(&self) -> &[f64] {
+        &self.delta
+    }
+
+    /// Resumes decoding from a [`forward_row`](Self::forward_row) exported
+    /// by a decoder over the same model that had consumed `len`
+    /// observations: every later [`push`](Self::push) returns bit-for-bit
+    /// what the exporting decoder would have returned.
+    ///
+    /// The committed prefix and the pending window are *not* carried
+    /// over: [`committed`](Self::committed) and
+    /// [`current_path`](Self::current_path) of the resumed decoder cover
+    /// only the observations pushed after the import.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` does not have one entry per state or `len` is
+    /// zero (a decoder that has seen nothing has no forward row to
+    /// import; use [`new`](Self::new)).
+    #[must_use]
+    pub fn with_forward_row(mut self, delta: &[f64], len: usize) -> Self {
+        assert_eq!(delta.len(), self.hmm.num_states(), "forward row needs one entry per state");
+        assert!(len > 0, "an empty decoder has no forward row");
+        self.delta.copy_from_slice(delta);
+        self.len = len;
+        self
+    }
+
     /// Number of observations consumed so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -386,6 +422,42 @@ mod tests {
         assert_eq!(reused.current_path(), fresh.current_path());
         assert_eq!(reused.committed(), fresh.committed());
         assert_eq!(reused.len(), fresh.len());
+    }
+
+    #[test]
+    fn imported_forward_row_continues_bit_identically() {
+        // The live decoder carries a pending window the resumed one
+        // lacks: decisions must agree regardless. Observations this large
+        // trigger the common-shift rescale, which must carry across too.
+        let obs: Vec<f64> = (0..400)
+            .map(|t| match t % 7 {
+                0..=2 => 3.0e5,
+                3 => 0.0,
+                _ => -2.5e5,
+            })
+            .collect();
+        for cut in [1usize, 2, 65, 200, 399] {
+            let mut live = StreamingViterbi::new(gaussian_hmm(0.9)).with_max_pending(64);
+            for &o in &obs[..cut] {
+                live.push(o);
+            }
+            let mut resumed = StreamingViterbi::new(gaussian_hmm(0.9))
+                .with_max_pending(64)
+                .with_forward_row(live.forward_row(), live.len());
+            assert_eq!(resumed.len(), cut);
+            assert_eq!(resumed.best_state(), live.best_state());
+            for &o in &obs[cut..] {
+                assert_eq!(resumed.push(o), live.push(o), "cut {cut}");
+                let (a, b) = (resumed.forward_row(), live.forward_row());
+                assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()), "cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per state")]
+    fn forward_row_of_the_wrong_width_is_rejected() {
+        let _ = StreamingViterbi::new(gaussian_hmm(0.9)).with_forward_row(&[0.0], 3);
     }
 
     proptest! {

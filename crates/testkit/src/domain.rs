@@ -252,13 +252,26 @@ impl TraceCase {
     /// the constructor).
     #[must_use]
     pub fn trace(&self) -> Trace {
-        let horizon = Timestamp::from_secs(self.num_intervals as u64 * Self::SECS_PER_INTERVAL);
-        let timeline = Timeline::new(horizon, self.num_intervals);
         let mut gt = GroundTruth::new(self.num_intervals);
         for (c, labels) in self.truth.iter().enumerate() {
             gt.insert(ClaimId::new(c as u32), labels.clone());
         }
-        Trace::new("testkit", self.reports.clone(), self.num_sources, self.num_claims, timeline, gt)
+        Trace::new(
+            "testkit",
+            self.reports.clone(),
+            self.num_sources,
+            self.num_claims,
+            self.timeline(),
+            gt,
+        )
+    }
+
+    /// The trace's timeline: `num_intervals` intervals of
+    /// [`SECS_PER_INTERVAL`](Self::SECS_PER_INTERVAL) seconds.
+    #[must_use]
+    pub fn timeline(&self) -> Timeline {
+        let horizon = Timestamp::from_secs(self.num_intervals as u64 * Self::SECS_PER_INTERVAL);
+        Timeline::new(horizon, self.num_intervals)
     }
 }
 
@@ -608,9 +621,7 @@ impl ServiceCase {
     /// The trace's timeline.
     #[must_use]
     pub fn timeline(&self) -> Timeline {
-        let horizon =
-            Timestamp::from_secs(self.trace.num_intervals as u64 * TraceCase::SECS_PER_INTERVAL);
-        Timeline::new(horizon, self.trace.num_intervals)
+        self.trace.timeline()
     }
 
     /// Resolves the crash fractions against a stream of `len` reports:
@@ -666,6 +677,157 @@ pub fn service_case(shape: TraceShape) -> Gen<ServiceCase> {
             let mut half = case.trace.clone();
             half.reports.truncate(k / 2);
             out.push(ServiceCase { trace: half, ..case.clone() });
+        }
+        out
+    })
+}
+
+// ---------------------------------------------------------------------
+// Long streams: the refit ring wraps
+// ---------------------------------------------------------------------
+
+/// A stream long enough that the streaming engine's refit ring wraps —
+/// which the 2–8 interval traces of [`trace_case`] never reach — with the
+/// engine configuration to run it under and the places to cut it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LongStreamCase {
+    /// Engine configuration; `streaming_refit` spans 0–8 (0 = never
+    /// refit: the decoder's forward state is checkpointed instead of a
+    /// ring).
+    pub config: SstdConfig,
+    /// The stream: reports in time order, every claim reported in every
+    /// interval.
+    pub trace: TraceCase,
+    /// Closed-interval counts at which to cut the run (checkpoint, crash,
+    /// restore), ascending and below `trace.num_intervals`: just before
+    /// the ring first fills, when it is exactly full, after its first
+    /// eviction, on a refit boundary past that, and one drawn anywhere.
+    pub cuts: Vec<usize>,
+    /// Shards for the sharded-service properties (1–3).
+    pub shards: usize,
+    /// Checkpoint cadence in applied reports besides the forced cuts
+    /// (0 = only at the cuts).
+    pub checkpoint_every: usize,
+}
+
+impl LongStreamCase {
+    /// The trace's timeline.
+    #[must_use]
+    pub fn timeline(&self) -> Timeline {
+        self.trace.timeline()
+    }
+
+    /// For each of [`cuts`](Self::cuts), the index of the first report of
+    /// that interval: an engine that has consumed the stream up to and
+    /// including it has closed exactly that many intervals.
+    #[must_use]
+    pub fn cut_positions(&self) -> Vec<usize> {
+        let timeline = self.timeline();
+        self.cuts
+            .iter()
+            .map(|&cut| {
+                self.trace.reports.partition_point(|r| timeline.interval_of(r.time()) < cut)
+            })
+            .collect()
+    }
+}
+
+/// Generates [`LongStreamCase`]s of `min_intervals..=max_intervals`
+/// intervals × 1–3 claims × 1–2 reports per claim and interval, under a
+/// [`sstd_config`] draw with EM capped at three iterations (what is
+/// retained does not depend on how long EM runs; how long a thousand
+/// cases take does). Shrinking drops cuts, then claims, then cuts the
+/// stream short after the last remaining cut.
+///
+/// # Panics
+///
+/// Panics unless `2 <= min_intervals <= max_intervals`.
+#[must_use]
+pub fn long_stream_case(min_intervals: usize, max_intervals: usize) -> Gen<LongStreamCase> {
+    assert!(2 <= min_intervals && min_intervals <= max_intervals, "bad interval range");
+    let configs = sstd_config();
+    Gen::new(move |rng| {
+        let mut config = configs.generate(rng);
+        config.em_iterations = config.em_iterations.min(3);
+        let num_claims = rng.usize_in(1, 3);
+        let num_sources = rng.usize_in(2, 6);
+        let num_intervals = rng.usize_in(min_intervals, max_intervals);
+        let honest_rate = rng.f64_in(0.6, 1.0);
+        let mut label: Vec<TruthLabel> =
+            (0..num_claims).map(|_| TruthLabel::from_bool(rng.chance(0.5))).collect();
+        let mut truth = vec![Vec::with_capacity(num_intervals); num_claims];
+        let mut reports = Vec::new();
+        for iv in 0..num_intervals {
+            let from = reports.len();
+            for c in 0..num_claims {
+                if rng.chance(0.04) {
+                    label[c] = label[c].flipped();
+                }
+                truth[c].push(label[c]);
+                for _ in 0..rng.usize_in(1, 2) {
+                    let t = iv as u64 * TraceCase::SECS_PER_INTERVAL
+                        + rng.usize_in(0, TraceCase::SECS_PER_INTERVAL as usize - 1) as u64;
+                    let honest = label[c].honest_attitude();
+                    reports.push(Report::new(
+                        SourceId::new(rng.usize_in(0, num_sources - 1) as u32),
+                        ClaimId::new(c as u32),
+                        Timestamp::from_secs(t),
+                        if rng.chance(honest_rate) { honest } else { honest.flipped() },
+                        Uncertainty::saturating(rng.f64_in(0.0, 0.5)),
+                        Independence::saturating(rng.f64_in(0.5, 1.0)),
+                    ));
+                }
+            }
+            reports[from..].sort_by_key(Report::time);
+        }
+        // The ring holds the horizon plus what arrives between two
+        // refits; a never-refitting engine has none, and is cut at the
+        // same places.
+        let refit = if config.train { config.streaming_refit.max(1) } else { 1 };
+        let full = sstd_core::REFIT_HORIZON + refit - 1;
+        let boundary = (full + 2).next_multiple_of(refit);
+        let mut cuts = vec![full - 1, full, full + 1, boundary, rng.usize_in(1, num_intervals - 1)];
+        cuts.retain(|&c| c < num_intervals);
+        cuts.sort_unstable();
+        cuts.dedup();
+        LongStreamCase {
+            config,
+            trace: TraceCase { num_claims, num_sources, num_intervals, truth, reports },
+            cuts,
+            shards: rng.usize_in(1, 3),
+            checkpoint_every: if rng.chance(0.5) { 0 } else { rng.usize_in(1, 400) },
+        }
+    })
+    .with_shrink(move |case: &LongStreamCase| {
+        let mut out = Vec::new();
+        for i in 0..case.cuts.len() {
+            let mut cuts = case.cuts.clone();
+            cuts.remove(i);
+            out.push(LongStreamCase { cuts, ..case.clone() });
+        }
+        if case.trace.num_claims > 1 {
+            let mut trace = case.trace.clone();
+            trace.num_claims = 1;
+            trace.truth.truncate(1);
+            trace.reports.retain(|r| r.claim().index() == 0);
+            out.push(LongStreamCase { trace, ..case.clone() });
+        }
+        let keep = (case.cuts.last().map_or(0, |c| c + 2)).max(min_intervals);
+        if keep < case.trace.num_intervals {
+            let mut trace = case.trace.clone();
+            trace.num_intervals = keep;
+            for labels in &mut trace.truth {
+                labels.truncate(keep);
+            }
+            let end = keep as u64 * TraceCase::SECS_PER_INTERVAL;
+            trace.reports.retain(|r| r.time().as_secs() < end);
+            out.push(LongStreamCase { trace, ..case.clone() });
+        }
+        if case.shards > 1 {
+            out.push(LongStreamCase { shards: 1, ..case.clone() });
+        }
+        if case.checkpoint_every != 0 {
+            out.push(LongStreamCase { checkpoint_every: 0, ..case.clone() });
         }
         out
     })
@@ -873,6 +1035,51 @@ mod tests {
         for s in g.shrink(&case) {
             assert!(s.shards >= 1);
             let _ = s.timeline();
+        }
+    }
+
+    #[test]
+    fn long_stream_cases_cut_around_the_first_wrap_and_shrink_validly() {
+        let g = long_stream_case(150, 400);
+        let n = check_with(CheckConfig::new(50), &g, |case| {
+            let n = case.trace.num_intervals;
+            if !(150..=400).contains(&n) || case.config.streaming_refit > 8 {
+                return Err(format!("{n} intervals, refit {}", case.config.streaming_refit));
+            }
+            if case.trace.reports.windows(2).any(|w| w[0].time() > w[1].time()) {
+                return Err("reports are not time-ordered".into());
+            }
+            let refit = if case.config.train { case.config.streaming_refit.max(1) } else { 1 };
+            let full = sstd_core::REFIT_HORIZON + refit - 1;
+            for wanted in [full - 1, full, full + 1] {
+                if !case.cuts.contains(&wanted) {
+                    return Err(format!("no cut at {wanted} closed intervals"));
+                }
+            }
+            if !case.cuts.iter().any(|&c| c > full + 1 && c % refit == 0) {
+                return Err("no cut on a refit boundary past the wrap".into());
+            }
+            let timeline = case.timeline();
+            for (&cut, &pos) in case.cuts.iter().zip(&case.cut_positions()) {
+                let here = timeline.interval_of(case.trace.reports[pos].time());
+                let before =
+                    pos.checked_sub(1).map(|p| timeline.interval_of(case.trace.reports[p].time()));
+                if here != cut || before.is_some_and(|b| b >= cut) {
+                    return Err(format!("cut {cut} resolves to report {pos} of interval {here}"));
+                }
+            }
+            Ok(())
+        })
+        .expect("every long-stream case is valid");
+        assert_eq!(n, 50);
+
+        let mut rng = TestRng::new(29);
+        let case = g.generate(&mut rng);
+        for s in g.shrink(&case) {
+            assert!(s.cuts.iter().all(|&c| c < s.trace.num_intervals));
+            assert_eq!(s.cut_positions().len(), s.cuts.len());
+            let _ = s.trace.trace();
+            assert_ne!(s, case, "every proposal is a different case");
         }
     }
 

@@ -113,6 +113,146 @@ where
     Ok(())
 }
 
+/// The streaming engine with the **full-history refit** it had before the
+/// refit horizon: every `streaming_refit` closed intervals each claim's
+/// HMM is fitted on *every* ACS value since the claim appeared, and the
+/// whole history is replayed through the reset decoder. Cost per claim is
+/// quadratic in stream age, which is why the engine no longer does this;
+/// decisions are the reference for the bounded engine on any stream it
+/// must not change — at most [`sstd_core::REFIT_HORIZON`] closed
+/// intervals per claim — and locate the first divergence on longer ones.
+///
+/// The per-claim state and its three methods are the engine's former
+/// `ClaimStream`, kept as it was; around them is only what it takes to
+/// feed them a time-ordered report stream and collect
+/// [`TruthEstimates`](sstd_core::TruthEstimates) (no late or rejected
+/// reports, telemetry or checkpoints).
+#[must_use]
+pub fn full_history_streaming(
+    config: &sstd_core::SstdConfig,
+    timeline: &sstd_types::Timeline,
+    reports: &[sstd_types::Report],
+) -> sstd_core::TruthEstimates {
+    use sstd_core::{ClaimTruthModel, SstdConfig};
+    use sstd_hmm::{EmWorkspace, Hmm, StreamingViterbi, SymmetricGaussianEmission};
+    use sstd_types::{ClaimId, TruthLabel};
+    use std::collections::{BTreeMap, VecDeque};
+
+    struct ClaimStream {
+        start_interval: usize,
+        open_cs: f64,
+        window: VecDeque<f64>,
+        decoder: Option<StreamingViterbi<SymmetricGaussianEmission>>,
+        model: Option<ClaimTruthModel>,
+        history: Vec<f64>,
+        decisions: Vec<TruthLabel>,
+    }
+
+    impl ClaimStream {
+        fn maybe_refit(&mut self, config: &SstdConfig, em: &mut EmWorkspace) {
+            if !config.train || config.streaming_refit == 0 {
+                return;
+            }
+            if !self.history.len().is_multiple_of(config.streaming_refit) || self.history.is_empty()
+            {
+                return;
+            }
+            let model = ClaimTruthModel::fit_with(config, &self.history, em);
+            let decoder = match &mut self.decoder {
+                Some(dec) => {
+                    dec.reset(model.hmm().clone());
+                    dec
+                }
+                None => self
+                    .decoder
+                    .insert(StreamingViterbi::new(model.hmm().clone()).with_max_pending(64)),
+            };
+            for &obs in &self.history {
+                let _ = decoder.push(obs);
+            }
+            self.model = Some(model);
+        }
+
+        fn close_interval(&mut self, config: &SstdConfig, em: &mut EmWorkspace) {
+            let acs: f64 = self.open_cs + self.window.iter().sum::<f64>();
+            self.advance(acs, config, em);
+            self.window.push_back(self.open_cs);
+            if self.window.len() >= config.window {
+                self.window.pop_front();
+            }
+            self.open_cs = 0.0;
+        }
+
+        fn advance(&mut self, acs: f64, config: &SstdConfig, em: &mut EmWorkspace) {
+            let decoder = self.decoder.get_or_insert_with(|| {
+                let scale = acs.abs().max(1.0);
+                let stay = config.stay_probability;
+                let hmm = Hmm::new(
+                    vec![0.5, 0.5],
+                    vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]],
+                    SymmetricGaussianEmission::new(scale, scale).expect("positive scale"),
+                )
+                .expect("stochastic by construction");
+                StreamingViterbi::new(hmm).with_max_pending(64)
+            });
+            let state = decoder.push(acs);
+            let label = match &self.model {
+                Some(m) => m.label_of(state),
+                None => {
+                    if state == 0 {
+                        TruthLabel::True
+                    } else {
+                        TruthLabel::False
+                    }
+                }
+            };
+            self.decisions.push(label);
+
+            self.history.push(acs);
+            self.maybe_refit(config, em);
+        }
+    }
+
+    let mut em = EmWorkspace::new();
+    let mut claims: BTreeMap<ClaimId, ClaimStream> = BTreeMap::new();
+    let mut close = |claims: &mut BTreeMap<ClaimId, ClaimStream>| {
+        for stream in claims.values_mut() {
+            stream.close_interval(config, &mut em);
+        }
+    };
+    let mut current = 0;
+    for report in reports {
+        let interval = timeline.interval_of(report.time());
+        assert!(interval >= current, "the full-history reference takes time-ordered reports");
+        while current < interval {
+            close(&mut claims);
+            current += 1;
+        }
+        let stream = claims.entry(report.claim()).or_insert_with(|| ClaimStream {
+            start_interval: current,
+            open_cs: 0.0,
+            window: VecDeque::new(),
+            decoder: None,
+            model: None,
+            history: Vec::new(),
+            decisions: Vec::new(),
+        });
+        stream.open_cs += report.contribution_score().value();
+    }
+    let n = timeline.num_intervals();
+    while current < n {
+        close(&mut claims);
+        current += 1;
+    }
+    let mut out = sstd_core::TruthEstimates::new(n);
+    for (claim, stream) in claims {
+        let mut labels = vec![TruthLabel::False; stream.start_interval];
+        labels.extend(&stream.decisions);
+        out.insert(claim, labels);
+    }
+    out
+}
+
 /// Naive sliding-window ACS recomputation (paper Eq. 4, from the
 /// definition): `ACS_u^t = Σ_{max(0, t−sw+1)}^{t} cs_i`, one windowed
 /// sum per interval, each computed from scratch in O(window).

@@ -7,13 +7,16 @@
 //! raise the case count (CI's extended run does) and
 //! `TESTKIT_ARTIFACT_DIR` to persist counterexamples to disk.
 
-use sstd::core::{run_distributed, AcsAggregator, ClaimFit, SstdConfig, SstdEngine, StreamingSstd};
+use sstd::core::{
+    run_distributed, AcsAggregator, ClaimFit, SstdConfig, SstdEngine, StreamingSstd,
+    TruthEstimates, REFIT_HORIZON,
+};
 use sstd::runtime::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, JobId, RetryPolicy, SimBackend,
     ThreadedEngine,
 };
 use sstd::stats::{Histogram, P2Quantile};
-use sstd::types::{ClaimId, Report, SourceId, Timestamp, TruthLabel};
+use sstd::types::{ClaimId, Report, SourceId, Timeline, Timestamp, TruthLabel};
 use sstd_testkit::domain::{TraceCase, TraceShape};
 use sstd_testkit::{check, domain, gens, oracle, Gen, TestRng};
 
@@ -247,6 +250,69 @@ fn streaming_matches_batch_on_decisive_traces() {
         }
         Ok(())
     });
+}
+
+// ---------------------------------------------------------------------
+// Streaming engine: the refit horizon changes nothing within the horizon
+// ---------------------------------------------------------------------
+
+fn stream(config: SstdConfig, timeline: &Timeline, reports: &[Report]) -> TruthEstimates {
+    let mut s = StreamingSstd::new(config, timeline.clone());
+    for r in reports {
+        s.push(r);
+    }
+    s.finish()
+}
+
+#[test]
+fn streams_within_the_refit_horizon_decide_as_with_the_full_history_refit() {
+    // Sparse traces: claims appear late and skip intervals.
+    let shape = TraceShape { max_intervals: REFIT_HORIZON, ..TraceShape::default() };
+    check(
+        "streams_within_the_refit_horizon_decide_as_with_the_full_history_refit",
+        CASES,
+        &gens::pair(domain::sstd_config(), domain::trace_case(shape)),
+        |(config, case)| {
+            let trace = case.trace();
+            let engine = stream(*config, trace.timeline(), trace.reports());
+            let reference =
+                oracle::full_history_streaming(config, trace.timeline(), trace.reports());
+            if engine != reference {
+                return Err(format!(
+                    "{} intervals, refit every {}: the engine diverged from the full-history \
+                     reference",
+                    case.num_intervals, config.streaming_refit
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn the_first_decision_the_refit_horizon_changes_lies_past_the_horizon() {
+    // Dense streams a little longer than the horizon (the reference is
+    // quadratic in their length).
+    check(
+        "the_first_decision_the_refit_horizon_changes_lies_past_the_horizon",
+        CASES,
+        &domain::long_stream_case(REFIT_HORIZON + 1, 200),
+        |case| {
+            let reports = &case.trace.reports;
+            let engine = stream(case.config, &case.timeline(), reports);
+            let reference = oracle::full_history_streaming(&case.config, &case.timeline(), reports);
+            for (claim, labels) in engine.iter() {
+                let want = reference.labels(claim).ok_or("claim missing from the reference")?;
+                let first = labels.iter().zip(want).position(|(a, b)| a != b);
+                if first.is_some_and(|i| i <= REFIT_HORIZON) {
+                    return Err(format!(
+                        "claim {claim}: decisions differ at interval {first:?}, inside the horizon"
+                    ));
+                }
+            }
+            Ok(())
+        },
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -12,12 +12,12 @@
 use std::collections::BTreeSet;
 
 use sstd::core::{
-    chaos_stream, config_fingerprint, CheckpointPolicy, IngestOutcome, RecoveryError,
-    ReportJournal, SstdConfig, StreamCheckpoint, StreamingSstd, Supervisor,
+    chaos_stream, config_fingerprint, CheckpointPolicy, IngestOutcome, IngestRecord, RecoveryError,
+    ReportJournal, SstdConfig, StreamCheckpoint, StreamingSstd, Supervisor, TruthEstimates,
 };
 use sstd::runtime::RetryPolicy;
 use sstd::types::Timeline;
-use sstd_testkit::domain::TraceShape;
+use sstd_testkit::domain::{LongStreamCase, TraceShape};
 use sstd_testkit::{check, domain, gens};
 
 /// Cases per property (override with `TESTKIT_CASES`).
@@ -80,6 +80,106 @@ fn crashed_recovered_run_is_bit_identical_to_uninterrupted_run() {
 }
 
 // ---------------------------------------------------------------------
+// Long streams: the same guarantee once the refit ring has wrapped
+// ---------------------------------------------------------------------
+//
+// The cases above run 2–8 intervals, so a snapshot there still holds a
+// claim's whole history. These run 150–400 under `streaming_refit` 0–8
+// and are cut just before the ring first fills, when it is exactly full,
+// after its first eviction, on a refit boundary past that and at one
+// random point (`domain::long_stream_case`).
+
+fn uninterrupted(case: &LongStreamCase) -> TruthEstimates {
+    let mut engine = StreamingSstd::new(case.config, case.timeline());
+    for r in &case.trace.reports {
+        engine.push(r);
+    }
+    engine.finish()
+}
+
+#[test]
+fn long_stream_restored_at_every_cut_is_bit_identical_to_uninterrupted() {
+    check(
+        "long_stream_restored_at_every_cut_is_bit_identical_to_uninterrupted",
+        CASES,
+        &domain::long_stream_case(150, 400),
+        |case| {
+            let reports = &case.trace.reports;
+            let mut engine = StreamingSstd::new(case.config, case.timeline());
+            let mut next = 0;
+            for (&cut, &pos) in case.cuts.iter().zip(&case.cut_positions()) {
+                for r in &reports[next..=pos] {
+                    engine.push(r);
+                }
+                next = pos + 1;
+                if engine.current_interval() != cut {
+                    return Err(format!(
+                        "cut {cut} reached with {} intervals closed",
+                        engine.current_interval()
+                    ));
+                }
+                let bytes = engine.checkpoint().to_bytes();
+                let snap = StreamCheckpoint::from_bytes(&bytes)
+                    .map_err(|e| format!("decode at cut {cut} failed: {e}"))?;
+                engine = StreamingSstd::restore(case.config, case.timeline(), &snap)
+                    .map_err(|e| format!("restore at cut {cut} failed: {e}"))?;
+                if engine.checkpoint() != snap {
+                    return Err(format!("the engine restored at cut {cut} snapshots differently"));
+                }
+            }
+            for r in &reports[next..] {
+                engine.push(r);
+            }
+            if engine.finish() != uninterrupted(case) {
+                return Err("restored run diverged from the uninterrupted run".into());
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn long_stream_crashed_recovered_supervisor_is_bit_identical_to_uninterrupted() {
+    check(
+        "long_stream_crashed_recovered_supervisor_is_bit_identical_to_uninterrupted",
+        CASES,
+        &domain::long_stream_case(150, 400),
+        |case| {
+            let policy = match case.checkpoint_every {
+                0 => CheckpointPolicy::DISABLED,
+                n => CheckpointPolicy::every_reports(n as u64),
+            };
+            let mut subject = supervisor(&case.config, &case.timeline(), policy);
+            let positions = case.cut_positions();
+            let mut crashes = 0;
+            for (i, report) in case.trace.reports.iter().enumerate() {
+                subject.ingest(&IngestRecord::new(i as u64, *report));
+                if positions.get(crashes) == Some(&i) {
+                    // Every other crash finds a checkpoint taken at the
+                    // cut itself; the rest recover from whatever the
+                    // cadence left, replaying the journal across the cut.
+                    if crashes % 2 == 0 {
+                        subject.checkpoint_now();
+                    }
+                    subject.crash_and_recover().map_err(|e| {
+                        format!("recovery at cut {} failed: {e}", case.cuts[crashes])
+                    })?;
+                    crashes += 1;
+                }
+            }
+            let restores = subject.store().query().recovery().label("restored").count();
+            if restores != case.cuts.len() as u64 {
+                return Err(format!("{} cuts but {restores} completed restores", case.cuts.len()));
+            }
+            if subject.finish() != uninterrupted(case) {
+                return Err("recovered estimates diverged from the uninterrupted run".into());
+            }
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
 // Oracle: the supervisor ≡ bare streaming over the clean unique subset
 // ---------------------------------------------------------------------
 
@@ -134,7 +234,7 @@ fn resume_through_bytes(
     config: &SstdConfig,
     case: &domain::TraceCase,
     k: usize,
-) -> Result<sstd::core::TruthEstimates, String> {
+) -> Result<TruthEstimates, String> {
     let trace = case.trace();
     let reports = trace.reports();
     let mut first = StreamingSstd::new(*config, trace.timeline().clone());

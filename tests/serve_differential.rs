@@ -119,6 +119,69 @@ fn sharded_service_is_bit_identical_to_a_single_engine() {
     );
 }
 
+/// The same guarantee on streams of 150–400 intervals under
+/// `streaming_refit` 0–8, where each shard's snapshots hold a wrapped
+/// refit ring instead of the claim's whole history: every shard is
+/// checkpointed and crashed at each of the case's cuts (around the first
+/// wrap, on a refit boundary, at one random point).
+#[test]
+fn sharded_service_is_bit_identical_to_a_single_engine_on_long_streams() {
+    check(
+        "sharded_service_is_bit_identical_to_a_single_engine_on_long_streams",
+        CASES,
+        &domain::long_stream_case(150, 400),
+        |case| {
+            let config = ServeConfig::builder()
+                .shards(case.shards)
+                .queue_capacity(64)
+                .checkpoint_every(case.checkpoint_every)
+                .engine(case.config)
+                .timeline_from(case.timeline())
+                .build()
+                .expect("generated long-stream cases are valid");
+            let mut service = IngestService::new(config).expect("valid config");
+            let mut solo = StreamingSstd::new(case.config, case.timeline());
+            let positions = case.cut_positions();
+            let mut crashes = 0;
+            for (i, report) in case.trace.reports.iter().enumerate() {
+                let _ = solo.push(report);
+                while let Err(e) = service.try_ingest(report) {
+                    match e {
+                        IngestError::Backpressure { shard, .. }
+                            if service.pump_shard(shard) > 0 => {}
+                        e => return Err(format!("unexpected ingest error: {e}")),
+                    }
+                }
+                if positions.get(crashes) == Some(&i) {
+                    service.pump();
+                    for shard in 0..service.num_shards() {
+                        // Every other crash restores a snapshot taken at
+                        // the cut itself.
+                        if crashes % 2 == 0 {
+                            service.checkpoint_shard(shard);
+                        }
+                        service.crash_shard(shard).map_err(|e| {
+                            format!(
+                                "shard {shard} failed to recover at cut {}: {e}",
+                                case.cuts[crashes]
+                            )
+                        })?;
+                    }
+                    crashes += 1;
+                }
+            }
+            if service.finish() != solo.finish() {
+                return Err(format!(
+                    "sharded service diverged from the single engine across {} shard(s), \
+                     cuts {:?}, refit {}",
+                    case.shards, case.cuts, case.config.streaming_refit
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
 #[test]
 fn every_time_ordered_report_is_accepted_and_applied() {
     check(
