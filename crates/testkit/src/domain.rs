@@ -1,14 +1,17 @@
 //! Arbitrary-but-valid SSTD domain values: report streams, claim
-//! windows, ACS sequences, HMM parameter sets, fault plans, and engine
-//! configurations — each with a shrinker that only proposes *still
-//! valid* simpler cases.
+//! windows, ACS sequences, HMM parameter sets, fault plans, engine
+//! configurations, and raw-post streams — each with a shrinker that only
+//! proposes *still valid* simpler cases.
 //!
 //! Validity is the point: every value these generators produce satisfies
 //! the constructor invariants of the production types (stochastic rows,
 //! in-range intervals, claims below `num_claims`, …), so a property
 //! failure is always a real finding, never a malformed input.
 
+mod post_stream;
 pub mod scenario;
+
+pub use post_stream::{post_stream_case, PostStreamCase};
 
 use crate::gen::{gens, Gen};
 use crate::rng::TestRng;

@@ -8,12 +8,12 @@
 //! - [`TestRng`] — a SplitMix64 PRNG, so every case is a 64-bit seed;
 //! - [`Gen`] — seeded generators of arbitrary-but-valid domain values
 //!   ([`domain`]: report streams, ACS sequences, HMM parameter sets,
-//!   fault plans, engine configs, and the adversarial truth-discovery
-//!   scenarios of [`domain::scenario`]) with integrated greedy
-//!   shrinking;
+//!   fault plans, engine configs, raw-post streams, and the adversarial
+//!   truth-discovery scenarios of [`domain::scenario`]) with integrated
+//!   greedy shrinking;
 //! - [`oracle`] — brute-force reference implementations (exhaustive
 //!   Viterbi, direct-sum likelihood, naive sliding-window ACS, sorted
-//!   quantiles, scanned histogram bins);
+//!   quantiles, scanned histogram bins, the linear-scan text stages);
 //! - [`check`] — the runner: on failure it shrinks the case and prints a
 //!   `TESTKIT_SEED=… TESTKIT_CASES=1` line that replays it exactly.
 //!

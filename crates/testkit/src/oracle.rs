@@ -6,7 +6,10 @@
 //! The HMM oracles (exhaustive Viterbi over all `N^T` sequences,
 //! direct-sum likelihood, enumerated posteriors) live in
 //! [`sstd_hmm::exhaustive`] and are re-exported here under [`hmm`] so the
-//! testkit is a one-stop import for every oracle.
+//! testkit is a one-stop import for every oracle; the linear-scan text
+//! stages are under [`text`].
+
+pub mod text;
 
 /// Exhaustive-enumeration HMM oracles (`best_path`, `log_likelihood`,
 /// `posteriors`, `log_joint`), re-exported from `sstd_hmm`.

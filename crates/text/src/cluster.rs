@@ -6,7 +6,8 @@
 //! some pre-specified threshold" (paper §V-A2). Each cluster is one claim;
 //! cluster indices become [`ClaimId`]s.
 
-use crate::{jaccard_distance, TokenSet};
+use crate::index::{min_overlap, TokenId, TokenIndex};
+use crate::jaccard::distance_of_counts;
 use sstd_types::ClaimId;
 use std::collections::VecDeque;
 
@@ -30,40 +31,88 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Jaccard distance of two sets of `a` and `b` tokens, `shared` by both.
+fn distance(shared: usize, a: usize, b: usize) -> f64 {
+    distance_of_counts(shared, a + b - shared)
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    /// How many of `Cluster::sample_tokens` are this member's.
+    len: usize,
+    /// The largest distance to a member admitted later. The earlier member
+    /// of a pair leaves the sample first, so the pair's distance leaves
+    /// with it.
+    reach: f64,
+}
+
 #[derive(Debug, Clone)]
 struct Cluster {
-    /// Representative token set (the founding post; refreshed on split).
-    representative: TokenSet,
-    /// Recent member token sets, bounded by `sample_size`.
-    sample: VecDeque<TokenSet>,
+    /// Representative token set: the founding post, never changed.
+    representative: Vec<TokenId>,
+    /// Recent members, bounded by `sample_size`, oldest first.
+    sample: VecDeque<Member>,
+    /// The members' token sets, back to back in `sample` order: an admit
+    /// walks all of them, so they are kept where one walk finds them.
+    sample_tokens: Vec<TokenId>,
     size: usize,
 }
 
+/// The token sets laid back to back in `tokens`, one per member.
+fn member_sets<'a>(
+    sample: &'a VecDeque<Member>,
+    mut tokens: &'a [TokenId],
+) -> impl Iterator<Item = &'a [TokenId]> {
+    sample.iter().map(move |member| {
+        let (theirs, later) = tokens.split_at(member.len);
+        tokens = later;
+        theirs
+    })
+}
+
 impl Cluster {
-    fn new(seed: TokenSet, sample_size: usize) -> Self {
+    /// A cluster founded on `seed`, which is both its representative and
+    /// its first member.
+    fn new(seed: &[TokenId], sample_size: usize) -> Self {
         let mut sample = VecDeque::with_capacity(sample_size);
-        sample.push_back(seed.clone());
-        Self { representative: seed, sample, size: 1 }
+        sample.push_back(Member { len: seed.len(), reach: 0.0 });
+        Self { representative: seed.to_vec(), sample, sample_tokens: seed.to_vec(), size: 1 }
     }
 
-    fn admit(&mut self, tokens: TokenSet, sample_size: usize) {
+    /// Adds a member — `tokens`, which must be `index`'s marked set —
+    /// taking over the caller's hold on them and releasing the member
+    /// that is pushed out. `counts` is scratch.
+    fn admit(
+        &mut self,
+        tokens: &[TokenId],
+        sample_size: usize,
+        index: &mut TokenIndex,
+        counts: &mut Vec<u32>,
+    ) {
+        debug_assert_eq!(index.count_marked(tokens), tokens.len());
         if self.sample.len() == sample_size {
-            self.sample.pop_front();
+            let oldest = self.sample.pop_front().expect("a sample holds two or more");
+            index.release(&self.sample_tokens[..oldest.len]);
+            self.sample_tokens.drain(..oldest.len);
         }
-        self.sample.push_back(tokens);
+        // The new member's distance to each of the others, from one walk
+        // over all their tokens that does not care where a member ends.
+        index.count_marked_prefixes(&self.sample_tokens, counts);
+        let mut start = 0;
+        for member in &mut self.sample {
+            let end = start + member.len;
+            let shared = (counts[end] - counts[start]) as usize;
+            member.reach = member.reach.max(distance(shared, member.len, tokens.len()));
+            start = end;
+        }
+        self.sample_tokens.extend_from_slice(tokens);
+        self.sample.push_back(Member { len: tokens.len(), reach: 0.0 });
         self.size += 1;
     }
 
     /// Max pairwise Jaccard distance within the retained sample.
     fn diameter(&self) -> f64 {
-        let mut d: f64 = 0.0;
-        let v: Vec<&TokenSet> = self.sample.iter().collect();
-        for i in 0..v.len() {
-            for j in i + 1..v.len() {
-                d = d.max(jaccard_distance(v[i], v[j]));
-            }
-        }
-        d
+        self.sample.iter().fold(0.0, |d, member| d.max(member.reach))
     }
 }
 
@@ -85,6 +134,17 @@ impl Cluster {
 pub struct ClaimClusterer {
     config: ClusterConfig,
     clusters: Vec<Cluster>,
+    /// Token ids of everything the clusters store; cluster indices are
+    /// posted under their representative's tokens.
+    index: TokenIndex,
+    /// The first cluster founded by a post without tokens.
+    first_empty: Option<usize>,
+    /// Scratch: the current post's tokens.
+    tokens: Vec<TokenId>,
+    /// Scratch: the clusters the current post is compared with.
+    candidates: Vec<u64>,
+    /// Scratch of `Cluster::admit`.
+    counts: Vec<u32>,
 }
 
 impl ClaimClusterer {
@@ -104,7 +164,15 @@ impl ClaimClusterer {
             "split diameter must be in (0, 1]"
         );
         assert!(config.sample_size >= 2, "diameter needs at least two samples");
-        Self { config, clusters: Vec::new() }
+        Self {
+            config,
+            clusters: Vec::new(),
+            index: TokenIndex::default(),
+            first_empty: None,
+            tokens: Vec::new(),
+            candidates: Vec::new(),
+            counts: Vec::new(),
+        }
     }
 
     /// Number of claims discovered so far.
@@ -127,62 +195,121 @@ impl ClaimClusterer {
     /// enough, and splitting the target cluster afterwards if its diameter
     /// exceeded the threshold.
     pub fn assign(&mut self, text: &str) -> ClaimId {
-        let tokens = TokenSet::from_text(text);
+        let mut tokens = std::mem::take(&mut self.tokens);
+        self.index.intern_text(text, &mut tokens);
+        let claim = match self.nearest(&tokens) {
+            Some((i, d)) if d <= self.config.assign_threshold => {
+                self.clusters[i].admit(
+                    &tokens,
+                    self.config.sample_size,
+                    &mut self.index,
+                    &mut self.counts,
+                );
+                if self.clusters[i].diameter() > self.config.split_diameter {
+                    self.split(i);
+                }
+                i
+            }
+            _ => self.open(&tokens),
+        };
+        self.tokens = tokens;
+        ClaimId::new(claim as u32)
+    }
 
-        // Nearest cluster by distance to representative.
+    /// The cluster whose representative is nearest to `tokens` (the
+    /// index's marked set), the lowest index among equals, and its
+    /// distance. That is what comes back whenever the distance is within
+    /// the assign threshold; when no cluster is that near, what comes back
+    /// is some cluster beyond the threshold or none, and the caller opens
+    /// a new one either way.
+    fn nearest(&mut self, tokens: &[TokenId]) -> Option<(usize, f64)> {
+        let threshold = self.config.assign_threshold;
+        let needed = min_overlap(tokens.len(), |shared, union| {
+            distance_of_counts(shared, union) <= threshold
+        });
+        self.index.candidates(tokens, needed, &mut self.candidates);
         let mut best: Option<(usize, f64)> = None;
-        for (i, c) in self.clusters.iter().enumerate() {
-            let d = jaccard_distance(&tokens, &c.representative);
+        for &i in &self.candidates {
+            let i = i as usize;
+            let theirs = &self.clusters[i].representative;
+            let d = distance(self.index.count_marked(theirs), theirs.len(), tokens.len());
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
             }
         }
+        // No candidate: every cluster within the threshold, if there is
+        // one, shares no token with the post. That is distance 0 between a
+        // token-free post and a token-free representative, and distance 1
+        // — within a threshold of 1 only — for any other pair.
+        best.or_else(|| {
+            let identical = if tokens.is_empty() { self.first_empty } else { None };
+            identical.map(|i| (i, 0.0)).or((!self.clusters.is_empty()).then_some((0, 1.0)))
+        })
+    }
 
-        match best {
-            Some((i, d)) if d <= self.config.assign_threshold => {
-                self.clusters[i].admit(tokens, self.config.sample_size);
-                if self.clusters[i].diameter() > self.config.split_diameter {
-                    self.split(i);
-                }
-                ClaimId::new(i as u32)
-            }
-            _ => {
-                self.clusters.push(Cluster::new(tokens, self.config.sample_size));
-                ClaimId::new((self.clusters.len() - 1) as u32)
-            }
+    /// Founds a cluster on `tokens` and returns its index. The caller's
+    /// hold on `tokens` passes to the cluster's first member.
+    fn open(&mut self, tokens: &[TokenId]) -> usize {
+        let i = self.clusters.len();
+        // The representative is a second stored copy, and the one posted.
+        self.index.hold(tokens);
+        self.index.post(tokens, i as u64);
+        if tokens.is_empty() && self.first_empty.is_none() {
+            self.first_empty = Some(i);
         }
+        self.clusters.push(Cluster::new(tokens, self.config.sample_size));
+        i
     }
 
     /// Splits cluster `i`: the sampled member farthest from the
     /// representative seeds a new cluster and pulls the sample members
     /// closer to it than to the old representative.
     fn split(&mut self, i: usize) {
-        let (far_idx, _) = {
-            let c = &self.clusters[i];
-            let mut far = (0usize, -1.0f64);
-            for (k, m) in c.sample.iter().enumerate() {
-                let d = jaccard_distance(m, &c.representative);
-                if d > far.1 {
-                    far = (k, d);
-                }
+        let sample_size = self.config.sample_size;
+        let old = &self.clusters[i];
+        self.index.mark(&old.representative);
+        let to_old: Vec<f64> = member_sets(&old.sample, &old.sample_tokens)
+            .map(|m| distance(self.index.count_marked(m), m.len(), old.representative.len()))
+            .collect();
+        let mut far = (0usize, -1.0f64);
+        for (k, &d) in to_old.iter().enumerate() {
+            if d > far.1 {
+                far = (k, d);
             }
-            far
-        };
-        let seed = self.clusters[i].sample[far_idx].clone();
-        let mut new_cluster = Cluster::new(seed.clone(), self.config.sample_size);
+        }
+        let seed = member_sets(&old.sample, &old.sample_tokens)
+            .nth(far.0)
+            .expect("a cluster that is split has members")
+            .to_vec();
+        self.index.hold(&seed);
+        let new = self.open(&seed);
+        let sample = std::mem::take(&mut self.clusters[i].sample);
+        let sample_tokens = std::mem::take(&mut self.clusters[i].sample_tokens);
+        self.index.mark(&seed);
+        let to_seed: Vec<f64> = member_sets(&sample, &sample_tokens)
+            .map(|m| distance(self.index.count_marked(m), m.len(), seed.len()))
+            .collect();
 
-        let old_rep = self.clusters[i].representative.clone();
-        let mut retained = VecDeque::new();
+        let Self { clusters, index, counts, .. } = self;
+        let (before, after) = clusters.split_at_mut(new);
+        let (old_cluster, new_cluster) = (&mut before[i], &mut after[0]);
+        let old_size = old_cluster.size;
         let mut moved = 0usize;
-        let drained: Vec<TokenSet> = self.clusters[i].sample.drain(..).collect();
-        for m in drained {
-            if jaccard_distance(&m, &seed) < jaccard_distance(&m, &old_rep) {
+        // Both samples are rebuilt member by member, which also rebuilds
+        // their reaches; the old one only shrinks, so it pushes nothing out.
+        for (m, (d_seed, d_old)) in
+            member_sets(&sample, &sample_tokens).zip(to_seed.into_iter().zip(to_old))
+        {
+            index.mark(m);
+            if d_seed < d_old {
                 moved += 1;
-                if m != seed {
-                    new_cluster.admit(m, self.config.sample_size);
+                if m == seed {
+                    index.release(m);
+                } else {
+                    new_cluster.admit(m, sample_size, index, counts);
                 }
             } else {
-                retained.push_back(m);
+                old_cluster.admit(m, sample_size, index, counts);
             }
         }
         // Transfer the head-count with the members: posts that left must
@@ -190,10 +317,8 @@ impl ClaimClusterer {
         // summing to the number of posts seen. Unsampled history stays
         // attributed to the old cluster (we cannot know which side it
         // would have chosen).
-        self.clusters[i].size -= moved;
+        old_cluster.size = old_size - moved;
         new_cluster.size = moved;
-        self.clusters[i].sample = retained;
-        self.clusters.push(new_cluster);
     }
 }
 

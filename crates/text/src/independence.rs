@@ -8,7 +8,8 @@
 //! similarity to a recent post) get a low score, everything else is
 //! treated as an original observation.
 
-use crate::{jaccard_similarity, TokenSet};
+use crate::index::{min_overlap, TokenId, TokenIndex};
+use crate::jaccard::similarity_of_counts;
 use sstd_types::{Independence, RawPost, Timestamp};
 use std::collections::VecDeque;
 
@@ -41,7 +42,20 @@ pub struct RetweetIndependenceScorer {
     similarity_threshold: f64,
     retweet_score: f64,
     duplicate_score: f64,
-    recent: VecDeque<(Timestamp, TokenSet)>,
+    /// The window, oldest first, as sorted token ids.
+    recent: VecDeque<(Timestamp, Vec<TokenId>)>,
+    /// Ids of the window's tokens. Each entry is posted under its tokens by
+    /// sequence number and taken back when it leaves, so a token no entry
+    /// carries any more is forgotten: the index is as large as the window.
+    index: TokenIndex,
+    /// Sequence number of `recent`'s front.
+    front_seq: u64,
+    /// Entries without a token: what a token-free post is a copy of.
+    empty_entries: usize,
+    /// Buffers of entries that left, for the ones to come.
+    spare: Vec<Vec<TokenId>>,
+    /// Scratch: the entries the current post is compared with.
+    candidates: Vec<u64>,
 }
 
 impl RetweetIndependenceScorer {
@@ -64,6 +78,11 @@ impl RetweetIndependenceScorer {
             retweet_score: 0.1,
             duplicate_score: 0.3,
             recent: VecDeque::new(),
+            index: TokenIndex::default(),
+            front_seq: 0,
+            empty_entries: 0,
+            spare: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -91,31 +110,54 @@ impl RetweetIndependenceScorer {
     fn evict_expired(&mut self, now: Timestamp) {
         while let Some((t, _)) = self.recent.front() {
             if now.secs_since(*t) > self.window_secs {
-                self.recent.pop_front();
+                let (_, tokens) = self.recent.pop_front().expect("front was just seen");
+                self.index.unpost_oldest(&tokens, self.front_seq);
+                self.index.release(&tokens);
+                self.front_seq += 1;
+                self.empty_entries -= usize::from(tokens.is_empty());
+                self.spare.push(tokens);
             } else {
                 break;
             }
         }
+    }
+
+    /// Whether an entry of the window is at least `similarity_threshold`
+    /// similar to `tokens`, the index's marked set.
+    fn has_near_duplicate(&mut self, tokens: &[TokenId]) -> bool {
+        // Sharing nothing is similarity 0, under any threshold — except
+        // between two token-free posts, which are identical.
+        if tokens.is_empty() {
+            return self.empty_entries > 0;
+        }
+        let threshold = self.similarity_threshold;
+        let meets = |shared, union| similarity_of_counts(shared, union) >= threshold;
+        let needed = min_overlap(tokens.len(), meets);
+        self.index.candidates(tokens, needed, &mut self.candidates);
+        self.candidates.iter().any(|&seq| {
+            let prev = &self.recent[(seq - self.front_seq) as usize].1;
+            let shared = self.index.count_marked(prev);
+            meets(shared, prev.len() + tokens.len() - shared)
+        })
     }
 }
 
 impl IndependenceScorer for RetweetIndependenceScorer {
     fn independence(&mut self, post: &RawPost) -> Independence {
         self.evict_expired(post.time());
-        let tokens = TokenSet::from_text(post.text());
+        let mut tokens = self.spare.pop().unwrap_or_default();
+        self.index.intern_text(post.text(), &mut tokens);
 
         let score = if post.retweet_of().is_some() {
             self.retweet_score
-        } else if self
-            .recent
-            .iter()
-            .any(|(_, prev)| jaccard_similarity(prev, &tokens) >= self.similarity_threshold)
-        {
+        } else if self.has_near_duplicate(&tokens) {
             self.duplicate_score
         } else {
             1.0
         };
 
+        self.index.post(&tokens, self.front_seq + self.recent.len() as u64);
+        self.empty_entries += usize::from(tokens.is_empty());
         self.recent.push_back((post.time(), tokens));
         Independence::saturating(score)
     }

@@ -3,6 +3,22 @@
 
 use crate::TokenSet;
 
+/// The similarity of two sets from the sizes of their intersection and
+/// union. Every Jaccard value in the crate is this expression, so a stage
+/// that counts overlaps over token ids gets the bits the string-level
+/// functions below give.
+pub(crate) fn similarity_of_counts(intersection: usize, union: usize) -> f64 {
+    if union == 0 {
+        return 1.0;
+    }
+    intersection as f64 / union as f64
+}
+
+/// `1 − similarity`, from the same counts.
+pub(crate) fn distance_of_counts(intersection: usize, union: usize) -> f64 {
+    1.0 - similarity_of_counts(intersection, union)
+}
+
 /// Jaccard similarity `|A ∩ B| / |A ∪ B|` in `[0, 1]`.
 ///
 /// Two empty sets are defined to have similarity 1 (they are identical).
@@ -18,11 +34,7 @@ use crate::TokenSet;
 /// ```
 #[must_use]
 pub fn jaccard_similarity(a: &TokenSet, b: &TokenSet) -> f64 {
-    let union = a.union_size(b);
-    if union == 0 {
-        return 1.0;
-    }
-    a.intersection_size(b) as f64 / union as f64
+    similarity_of_counts(a.intersection_size(b), a.union_size(b))
 }
 
 /// Jaccard distance `1 − similarity` in `[0, 1]`.

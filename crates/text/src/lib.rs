@@ -15,6 +15,12 @@
 //! 5. **independence scoring** down-weights retweets and near-duplicates
 //!    ([`RetweetIndependenceScorer`]).
 //!
+//! Stages 2 and 5 are the stateful ones. Both find the few clusters or
+//! recent posts a new post can be close to through token postings
+//! instead of comparing it with all of them, and decide exactly as the
+//! comparison with all of them would (DESIGN.md §12, "Exact indexed text
+//! stages").
+//!
 //! [`ReportPipeline`] chains all five stages. Every stage is behind a trait
 //! (the paper's §VII explicitly calls for pluggable classifiers), so a
 //! downstream user can swap in a real NLP model without touching the rest
@@ -26,6 +32,7 @@
 mod attitude;
 mod cluster;
 mod independence;
+mod index;
 mod jaccard;
 mod keywords;
 mod nb;

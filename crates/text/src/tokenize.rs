@@ -3,12 +3,45 @@
 use std::collections::BTreeSet;
 
 /// Common English stopwords excluded from token sets so Jaccard distances
-/// reflect content words, not glue.
+/// reflect content words, not glue. Sorted, for the binary search.
 const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "has", "have", "he",
     "her", "his", "i", "in", "is", "it", "its", "of", "on", "or", "our", "she", "so", "that",
     "the", "their", "there", "they", "this", "to", "was", "we", "were", "will", "with", "you",
 ];
+
+/// The one tokenisation rule: calls `f` with each token of `text`, in
+/// order. A token is a run of characters that are alphanumeric or an
+/// apostrophe, with the apostrophes dropped and the rest lowercased as
+/// one string (so context-sensitive mappings such as the final sigma see
+/// the whole token); empty results and stopwords are skipped.
+///
+/// Lowercase ASCII runs are handed over as slices of `text`; anything else
+/// goes through `buf`, which a caller that tokenises repeatedly keeps.
+/// Only a run with non-ASCII characters allocates (`str::to_lowercase`).
+pub(crate) fn for_each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    for run in text.split(|c: char| !c.is_alphanumeric() && c != '\'') {
+        let token = if run.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
+            run
+        } else {
+            buf.clear();
+            if run.is_ascii() {
+                buf.extend(
+                    run.bytes()
+                        .filter(u8::is_ascii_alphanumeric)
+                        .map(|b| char::from(b.to_ascii_lowercase())),
+                );
+            } else {
+                buf.extend(run.chars().filter(|c| c.is_alphanumeric()));
+                *buf = buf.to_lowercase();
+            }
+            buf.as_str()
+        };
+        if !token.is_empty() && STOPWORDS.binary_search(&token).is_err() {
+            f(token);
+        }
+    }
+}
 
 /// Splits text into lowercase alphanumeric tokens, dropping stopwords.
 ///
@@ -28,17 +61,9 @@ const STOPWORDS: &[&str] = &[
 /// ```
 #[must_use]
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric() && c != '\'')
-        .filter_map(|raw| {
-            let t: String =
-                raw.chars().filter(|c| c.is_alphanumeric()).collect::<String>().to_lowercase();
-            if t.is_empty() || STOPWORDS.contains(&t.as_str()) {
-                None
-            } else {
-                Some(t)
-            }
-        })
-        .collect()
+    let mut tokens = Vec::new();
+    for_each_token(text, &mut String::new(), |token| tokens.push(token.to_owned()));
+    tokens
 }
 
 /// An owned set of distinct tokens — the unit the Jaccard metric and the
@@ -62,7 +87,13 @@ impl TokenSet {
     /// Builds the token set of `text`.
     #[must_use]
     pub fn from_text(text: &str) -> Self {
-        Self { tokens: tokenize(text).into_iter().collect() }
+        let mut tokens = BTreeSet::new();
+        for_each_token(text, &mut String::new(), |token| {
+            if !tokens.contains(token) {
+                tokens.insert(token.to_owned());
+            }
+        });
+        Self { tokens }
     }
 
     /// Number of distinct tokens.
@@ -125,6 +156,46 @@ mod tests {
     fn lowercases_and_strips_punctuation() {
         let toks = tokenize("BREAKING: Explosion!!! Near finish-line.");
         assert_eq!(toks, vec!["breaking", "explosion", "near", "finish", "line"]);
+    }
+
+    #[test]
+    fn stopword_table_is_sorted() {
+        assert!(STOPWORDS.windows(2).all(|w| w[0] < w[1]), "binary search needs the order");
+    }
+
+    /// `tokenize` as it was defined before the walker, one expression.
+    fn tokenize_by_definition(text: &str) -> Vec<String> {
+        text.split(|c: char| !c.is_alphanumeric() && c != '\'')
+            .filter_map(|raw| {
+                let t: String =
+                    raw.chars().filter(|c| c.is_alphanumeric()).collect::<String>().to_lowercase();
+                if t.is_empty() || STOPWORDS.contains(&t.as_str()) {
+                    None
+                } else {
+                    Some(t)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_walker_keeps_the_definition() {
+        for text in [
+            "BREAKING: Explosion!!! Near finish-line.",
+            "it's THE end, don't panic — I'll be there'",
+            "'' ' a'b'c 'tis",
+            "ΣΑΣ ΌΣΟΣ Σ σας ΑΣ'",
+            "İstanbul İSTANBUL ıI Straße STRAßE ǅungla",
+            "Café 日本語 서울 москва ①② x² ½",
+            "bridge🔥closed #Hash_tag @user_name https://t.co/AbC123",
+            "ΤΗΣ'Σ ΤΗΣ' ΣΑΣthe THEΣ",
+            "",
+            "   ",
+        ] {
+            assert_eq!(tokenize(text), tokenize_by_definition(text), "{text:?}");
+            let set: BTreeSet<String> = tokenize_by_definition(text).into_iter().collect();
+            assert_eq!(TokenSet::from_text(text).tokens, set, "{text:?}");
+        }
     }
 
     #[test]
