@@ -61,18 +61,6 @@ impl Catd {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Overrides the significance level.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `alpha` is in `(0, 1)`.
-    #[must_use]
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-        self.alpha = alpha;
-        self
-    }
 }
 
 impl TruthDiscovery for Catd {

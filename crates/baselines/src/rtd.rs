@@ -61,19 +61,6 @@ impl Rtd {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Sets how much historical accuracy dominates originality in the
-    /// source weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `w` is in `[0, 1]`.
-    #[must_use]
-    pub fn with_accuracy_weight(mut self, w: f64) -> Self {
-        assert!((0.0..=1.0).contains(&w), "mix weight must be in [0, 1]");
-        self.accuracy_weight = w;
-        self
-    }
 }
 
 impl TruthDiscovery for Rtd {

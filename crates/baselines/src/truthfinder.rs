@@ -66,18 +66,6 @@ impl TruthFinder {
         Self::default()
     }
 
-    /// Overrides the dampening factor `γ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `gamma > 0`.
-    #[must_use]
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        assert!(gamma > 0.0, "gamma must be positive");
-        self.gamma = gamma;
-        self
-    }
-
     /// Overrides the iteration cap.
     ///
     /// # Panics

@@ -229,47 +229,66 @@ impl StreamCheckpoint {
     /// Encodes the snapshot: magic, version, payload, FNV-1a checksum.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.claims.len() * 64);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Exact length of the encoding, so a buffer sized by it never grows.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let per_claim = |c: &ClaimCheckpoint| {
+            8 * 6
+                + 8 * (c.window.len() + c.history.len())
+                + 1
+                + c.forward.map_or(0, |_| 24)
+                + c.decisions.len()
+        };
+        MAGIC.len() + 4 + 8 * 9 + self.claims.iter().map(per_claim).sum::<usize>() + 8
+    }
+
+    /// Appends the encoding to `out`; the checksum covers the appended
+    /// bytes only, so the snapshot can sit inside a larger blob.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         out.extend_from_slice(MAGIC);
-        push_u32(&mut out, CHECKPOINT_VERSION);
-        push_u64(&mut out, self.fingerprint);
-        push_u64(&mut out, self.current_interval as u64);
-        push_u64(&mut out, self.reports_seen);
-        push_u64(&mut out, self.interval_reports);
-        push_u64(&mut out, self.interval_late);
-        push_u64(&mut out, self.interval_rejected);
-        push_u64(&mut out, self.total_late);
-        push_u64(&mut out, self.total_rejected);
-        push_u64(&mut out, self.claims.len() as u64);
+        push_u32(out, CHECKPOINT_VERSION);
+        push_u64(out, self.fingerprint);
+        push_u64(out, self.current_interval as u64);
+        push_u64(out, self.reports_seen);
+        push_u64(out, self.interval_reports);
+        push_u64(out, self.interval_late);
+        push_u64(out, self.interval_rejected);
+        push_u64(out, self.total_late);
+        push_u64(out, self.total_rejected);
+        push_u64(out, self.claims.len() as u64);
         for c in &self.claims {
-            push_u64(&mut out, c.claim.index() as u64);
-            push_u64(&mut out, c.start_interval as u64);
-            push_f64(&mut out, c.open_cs);
-            push_u64(&mut out, c.window.len() as u64);
+            push_u64(out, c.claim.index() as u64);
+            push_u64(out, c.start_interval as u64);
+            push_f64(out, c.open_cs);
+            push_u64(out, c.window.len() as u64);
             for &v in &c.window {
-                push_f64(&mut out, v);
+                push_f64(out, v);
             }
-            push_u64(&mut out, c.history.len() as u64);
+            push_u64(out, c.history.len() as u64);
             for &v in &c.history {
-                push_f64(&mut out, v);
+                push_f64(out, v);
             }
             match &c.forward {
                 None => out.push(0),
                 Some(f) => {
                     out.push(1);
-                    push_f64(&mut out, f.scale);
-                    push_f64(&mut out, f.delta[0]);
-                    push_f64(&mut out, f.delta[1]);
+                    push_f64(out, f.scale);
+                    push_f64(out, f.delta[0]);
+                    push_f64(out, f.delta[1]);
                 }
             }
-            push_u64(&mut out, c.decisions.len() as u64);
+            push_u64(out, c.decisions.len() as u64);
             for &d in &c.decisions {
                 out.push(u8::from(d.as_bool()));
             }
         }
-        let checksum = fnv1a(&out);
-        push_u64(&mut out, checksum);
-        out
+        let checksum = fnv1a(&out[start..]);
+        push_u64(out, checksum);
     }
 
     /// Decodes a snapshot, verifying magic, version and checksum.
@@ -505,6 +524,7 @@ mod tests {
     fn roundtrip_is_identity() {
         let ckp = sample();
         let bytes = ckp.to_bytes();
+        assert_eq!(bytes.len(), ckp.encoded_len(), "the buffer is sized exactly");
         let back = StreamCheckpoint::from_bytes(&bytes).expect("intact bytes decode");
         assert_eq!(back, ckp);
         assert_eq!(back.num_claims(), 2);

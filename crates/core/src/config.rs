@@ -105,13 +105,6 @@ impl SstdConfig {
         self
     }
 
-    /// Enables or disables the evidence-density-adaptive window.
-    #[must_use]
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> Self {
-        self.adaptive_window = adaptive;
-        self
-    }
-
     /// Picks the window for a claim given how many of its `intervals`
     /// carry evidence: dense claims get `1`, sparse claims roughly one
     /// window per evidence-bearing interval, capped at `max_window`.

@@ -17,20 +17,25 @@
 //!   exactly-once sequence-number dedupe, checkpoints under the policy,
 //!   and recovers from a crash by restoring the last checkpoint and
 //!   replaying the journal. Repeated crashes beyond the
-//!   [`RetryPolicy`] attempt budget escalate as a typed error.
+//!   [`RetryPolicy`] attempt budget escalate as a typed error. It is the
+//!   one recovery state machine of the tree: a `sstd-serve` shard is a
+//!   supervisor plus change-stream cursors.
 //!
 //! The headline guarantee — checked by the `recovery_chaos` differential
 //! suite — is that a crashed-and-recovered run produces
 //! [`TruthEstimates`] bit-identical to an uninterrupted run over the same
 //! delivered stream, including under chaos.
 
-use crate::checkpoint::{fnv1a, push_f64, push_u64, Reader, RecoveryError, StreamCheckpoint};
+use crate::checkpoint::{
+    corrupt, fnv1a, push_f64, push_u64, Reader, RecoveryError, StreamCheckpoint,
+};
 use crate::{IngestOutcome, SstdConfig, StreamingSstd, TruthEstimates};
 use sstd_obs::{EventStore, RecoveryEvent};
 use sstd_runtime::{FaultPlan, IngestFault, RetryPolicy};
 use sstd_types::{
     Attitude, ClaimId, Independence, Report, SourceId, SstdError, Timeline, Timestamp, Uncertainty,
 };
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -424,6 +429,51 @@ impl From<SupervisorError> for SstdError {
     }
 }
 
+/// The set of applied sequence numbers as sorted, non-overlapping,
+/// non-adjacent `(start, len)` runs — the wire form of the durable
+/// checkpoint, kept in memory as is. Drops are the only holes in an
+/// otherwise contiguous range, so its size follows the number of holes,
+/// not the number of reports, and in-order traffic extends the last run.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct SeqSet {
+    runs: Vec<(u64, u64)>,
+    count: u64,
+}
+
+impl SeqSet {
+    /// Inserts `seq`; `false` if it was already a member.
+    fn insert(&mut self, seq: u64) -> bool {
+        // Runs before `at` start at or below `seq`, runs from `at` above it.
+        let at = match self.runs.last() {
+            Some(&(start, _)) if start <= seq => self.runs.len(),
+            _ => self.runs.partition_point(|&(start, _)| start <= seq),
+        };
+        let mut joins_prev = false;
+        if let Some(&(start, len)) = at.checked_sub(1).map(|prev| &self.runs[prev]) {
+            match (seq - start).cmp(&len) {
+                Ordering::Less => return false,
+                Ordering::Equal => joins_prev = true,
+                Ordering::Greater => {}
+            }
+        }
+        let joins_next = self.runs.get(at).is_some_and(|&(start, _)| start - 1 == seq);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.runs[at - 1].1 += 1 + self.runs[at].1;
+                self.runs.remove(at);
+            }
+            (true, false) => self.runs[at - 1].1 += 1,
+            (false, true) => {
+                self.runs[at].0 = seq;
+                self.runs[at].1 += 1;
+            }
+            (false, false) => self.runs.insert(at, (seq, 1)),
+        }
+        self.count += 1;
+        true
+    }
+}
+
 /// A crash-consistent ingest loop around [`StreamingSstd`].
 ///
 /// The supervisor applies [`IngestRecord`]s with exactly-once
@@ -434,6 +484,12 @@ impl From<SupervisorError> for SstdError {
 /// else from them, so an injected crash loses only volatile state.
 /// Because restore is replay through the live decision path, the
 /// recovered engine continues bit-identically.
+///
+/// One [`EventStore`] holds everything the supervisor observes: its own
+/// checkpoint/crash/restore events and the engine's per-interval
+/// [`StreamTick`](sstd_obs::StreamTick)s. The engine is detached from it
+/// while the journal replays — the intervals a replay re-closes were
+/// recorded before the crash — and re-attached after.
 ///
 /// # Examples
 ///
@@ -464,7 +520,7 @@ pub struct Supervisor {
     policy: CheckpointPolicy,
     retry: RetryPolicy,
     engine: StreamingSstd,
-    applied: BTreeSet<u64>,
+    applied: SeqSet,
     journal: ReportJournal,
     durable: Option<Vec<u8>>,
     reports_since_checkpoint: u64,
@@ -477,20 +533,22 @@ impl Supervisor {
     /// Creates a supervisor over a fresh streaming engine.
     #[must_use]
     pub fn new(config: SstdConfig, timeline: Timeline, policy: CheckpointPolicy) -> Self {
-        let engine = StreamingSstd::new(config, timeline.clone());
+        let store = Arc::new(EventStore::new());
+        let engine =
+            StreamingSstd::new(config, timeline.clone()).with_telemetry_store(Arc::clone(&store));
         Self {
             config,
             timeline,
             policy,
             retry: RetryPolicy::default(),
             engine,
-            applied: BTreeSet::new(),
+            applied: SeqSet::default(),
             journal: ReportJournal::new(),
             durable: None,
             reports_since_checkpoint: 0,
             intervals_at_checkpoint: 0,
             crashes: 0,
-            store: Arc::new(EventStore::new()),
+            store,
         }
     }
 
@@ -508,26 +566,28 @@ impl Supervisor {
         self
     }
 
-    /// Routes recovery telemetry into a shared [`EventStore`] instead of
-    /// the supervisor's private one, so checkpoint/crash/restore events
-    /// interleave with the other telemetry domains in one causally-linked
-    /// log (the store chains each crash to its covering checkpoint and
-    /// each restore to its crash).
+    /// Routes the supervisor's telemetry — recovery events and the
+    /// engine's stream ticks — into a shared [`EventStore`] instead of its
+    /// private one, so they interleave with the other telemetry domains in
+    /// one causally-linked log (the store chains each crash to its
+    /// covering checkpoint and each restore to its crash).
     #[must_use]
     pub fn with_event_store(mut self, store: Arc<EventStore>) -> Self {
+        self.engine = self.engine.with_telemetry_store(Arc::clone(&store));
         self.store = store;
         self
     }
 
     /// The supervised engine (read-only; all mutation goes through
-    /// [`ingest`](Self::ingest)).
+    /// [`ingest`](Self::ingest) or [`apply`](Self::apply)).
     #[must_use]
     pub const fn engine(&self) -> &StreamingSstd {
         &self.engine
     }
 
-    /// The trace store holding the recovery event stream so far; count
-    /// through it, e.g. `store().query().recovery().label("restored").count()`.
+    /// The trace store holding the recovery events and stream ticks so
+    /// far; count through it, e.g.
+    /// `store().query().recovery().label("restored").count()`.
     #[must_use]
     pub const fn store(&self) -> &Arc<EventStore> {
         &self.store
@@ -542,24 +602,37 @@ impl Supervisor {
     /// Distinct sequence numbers applied so far.
     #[must_use]
     pub fn applied_reports(&self) -> u64 {
-        self.applied.len() as u64
+        self.applied.count
     }
 
-    /// Applies one record: integrity check, exactly-once dedupe, engine
-    /// push, journal append, then a policy-driven checkpoint.
+    /// Applies one record as the transport delivered it: the integrity
+    /// check, then [`apply`](Self::apply).
     pub fn ingest(&mut self, record: &IngestRecord) -> IngestOutcome {
+        if !record.is_intact() {
+            return self.engine.record_rejected();
+        }
+        self.apply(record.seq(), record.report())
+    }
+
+    /// Applies `report` under sequence number `seq` without an integrity
+    /// check: exactly-once dedupe, engine push, journal append, then a
+    /// policy-driven checkpoint. The entry for a caller that mints its
+    /// sequence numbers in-process and so has no transport to distrust;
+    /// anything that arrives over one goes through
+    /// [`ingest`](Self::ingest).
+    pub fn apply(&mut self, seq: u64, report: &Report) -> IngestOutcome {
         // The contribution-score check mirrors the engine's own guard;
         // doing it here keeps the applied set in lockstep with the
         // engine's report count (an invariant the restore path verifies).
-        if !record.is_intact() || !record.report().contribution_score().value().is_finite() {
+        if !report.contribution_score().value().is_finite() {
             return self.engine.record_rejected();
         }
-        if !self.applied.insert(record.seq()) {
+        if !self.applied.insert(seq) {
             return IngestOutcome::Duplicate;
         }
-        let outcome = self.engine.push(record.report());
-        debug_assert!(outcome.was_ingested(), "sealed, deduped records always ingest");
-        self.journal.append(record.seq(), *record.report());
+        let outcome = self.engine.push(report);
+        debug_assert!(outcome.was_ingested(), "finite, deduped reports always ingest");
+        self.journal.append(seq, *report);
         self.reports_since_checkpoint += 1;
         let intervals_since =
             self.engine.current_interval().saturating_sub(self.intervals_at_checkpoint);
@@ -574,7 +647,7 @@ impl Supervisor {
     /// Checkpointing reads the engine without perturbing it, so a run
     /// that checkpoints and a run that never does decode identically.
     pub fn checkpoint_now(&mut self) {
-        let bytes = encode_durable(&self.engine.checkpoint(), &self.applied);
+        let bytes = encode_durable(&self.engine, &self.applied);
         self.store.record_recovery(RecoveryEvent::CheckpointWritten {
             interval: self.engine.current_interval(),
             journal_len: self.journal.len() as u64,
@@ -615,8 +688,11 @@ impl Supervisor {
         let journal = ReportJournal::from_bytes(&self.journal.to_bytes())?;
         let (mut engine, mut applied) = match &self.durable {
             Some(bytes) => decode_durable(bytes, &self.config, &self.timeline)?,
-            None => (StreamingSstd::new(self.config, self.timeline.clone()), BTreeSet::new()),
+            None => (StreamingSstd::new(self.config, self.timeline.clone()), SeqSet::default()),
         };
+        // `engine` has no telemetry store yet: the intervals the replay
+        // re-closes were recorded before the crash, and ticking them again
+        // would double-count their reports in the trace.
         let mut replayed = 0u64;
         for entry in journal.entries() {
             if applied.insert(entry.seq) {
@@ -624,7 +700,7 @@ impl Supervisor {
                 replayed += 1;
             }
         }
-        self.engine = engine;
+        self.engine = engine.with_telemetry_store(Arc::clone(&self.store));
         self.applied = applied;
         self.reports_since_checkpoint = journal.len() as u64;
         self.journal = journal;
@@ -672,28 +748,16 @@ impl Supervisor {
     }
 }
 
-/// Merges a sorted sequence set into `(start, len)` runs — compact
-/// because drops are the only holes in an otherwise contiguous range.
-fn to_ranges(applied: &BTreeSet<u64>) -> Vec<(u64, u64)> {
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for &seq in applied {
-        match ranges.last_mut() {
-            Some((start, len)) if *start + *len == seq => *len += 1,
-            _ => ranges.push((seq, 1)),
-        }
-    }
-    ranges
-}
-
-fn encode_durable(snapshot: &StreamCheckpoint, applied: &BTreeSet<u64>) -> Vec<u8> {
-    let snap = snapshot.to_bytes();
-    let ranges = to_ranges(applied);
-    let mut out = Vec::with_capacity(DURABLE_MAGIC.len() + 16 + snap.len() + ranges.len() * 16 + 8);
+fn encode_durable(engine: &StreamingSstd, applied: &SeqSet) -> Vec<u8> {
+    let snapshot = engine.checkpoint();
+    let snap_len = snapshot.encoded_len();
+    let mut out =
+        Vec::with_capacity(DURABLE_MAGIC.len() + 8 + snap_len + 8 + applied.runs.len() * 16 + 8);
     out.extend_from_slice(DURABLE_MAGIC);
-    push_u64(&mut out, snap.len() as u64);
-    out.extend_from_slice(&snap);
-    push_u64(&mut out, ranges.len() as u64);
-    for (start, len) in ranges {
+    push_u64(&mut out, snap_len as u64);
+    snapshot.encode_into(&mut out);
+    push_u64(&mut out, applied.runs.len() as u64);
+    for &(start, len) in &applied.runs {
         push_u64(&mut out, start);
         push_u64(&mut out, len);
     }
@@ -706,63 +770,62 @@ fn decode_durable(
     bytes: &[u8],
     config: &SstdConfig,
     timeline: &Timeline,
-) -> Result<(StreamingSstd, BTreeSet<u64>), RecoveryError> {
+) -> Result<(StreamingSstd, SeqSet), RecoveryError> {
     let min = DURABLE_MAGIC.len() + 16 + 8;
     if bytes.len() < min {
-        return Err(RecoveryError::Corrupt {
-            detail: format!("{} bytes is too short for a supervisor checkpoint", bytes.len()),
-        });
+        return Err(corrupt(format!(
+            "{} bytes is too short for a supervisor checkpoint",
+            bytes.len()
+        )));
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
     if fnv1a(body) != stored {
-        return Err(RecoveryError::Corrupt {
-            detail: "supervisor checkpoint checksum mismatch".into(),
-        });
+        return Err(corrupt("supervisor checkpoint checksum mismatch".into()));
     }
     let mut r = Reader { bytes: body, pos: 0 };
     if r.take(DURABLE_MAGIC.len())? != DURABLE_MAGIC {
-        return Err(RecoveryError::Corrupt { detail: "bad supervisor checkpoint magic".into() });
+        return Err(corrupt("bad supervisor checkpoint magic".into()));
     }
     let snap_len = r.usize()?;
     let snapshot = StreamCheckpoint::from_bytes(r.take(snap_len)?)?;
-    let engine = StreamingSstd::restore(*config, timeline.clone(), &snapshot)?;
-    let range_count = r.usize()?;
-    if range_count > r.remaining() / 16 {
-        return Err(RecoveryError::Corrupt {
-            detail: format!("range count {range_count} exceeds the encoded payload"),
-        });
+    let run_count = r.usize()?;
+    if run_count.checked_mul(16) != Some(r.remaining()) {
+        return Err(corrupt(format!(
+            "run count {run_count} disagrees with the {} bytes that follow it",
+            r.remaining()
+        )));
     }
-    let mut applied = BTreeSet::new();
-    for _ in 0..range_count {
+    // The runs are validated as runs, never member by member: a length is
+    // outside input, and `(0, u64::MAX)` fits in sixteen bytes.
+    let mut applied = SeqSet { runs: Vec::with_capacity(run_count), count: 0 };
+    let mut prev_last: Option<u64> = None;
+    for _ in 0..run_count {
         let start = r.u64()?;
         let len = r.u64()?;
-        if len == 0 || start.checked_add(len).is_none() {
-            return Err(RecoveryError::Corrupt {
-                detail: format!("invalid applied-sequence range ({start}, {len})"),
-            });
-        }
-        for seq in start..start + len {
-            applied.insert(seq);
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(RecoveryError::Corrupt {
-            detail: format!("{} trailing bytes after ranges", r.remaining()),
-        });
+        let last = len.checked_sub(1).and_then(|l| start.checked_add(l));
+        let count = applied.count.checked_add(len);
+        // Canonical form: ascending, and a gap of at least one sequence
+        // number between neighbours (adjacent runs would have merged).
+        let canonical = prev_last.is_none_or(|p| start > p && start - p > 1);
+        let (Some(last), Some(count), true) = (last, count, canonical) else {
+            return Err(corrupt(format!("invalid applied-sequence run ({start}, {len})")));
+        };
+        applied.runs.push((start, len));
+        applied.count = count;
+        prev_last = Some(last);
     }
     // Every applied record is exactly one engine push (dedupe and
     // integrity rejection both happen above the engine), so the two
     // counts must agree.
-    if applied.len() as u64 != snapshot.reports_seen() {
-        return Err(RecoveryError::Corrupt {
-            detail: format!(
-                "applied-sequence count {} disagrees with snapshot report count {}",
-                applied.len(),
-                snapshot.reports_seen()
-            ),
-        });
+    if applied.count != snapshot.reports_seen() {
+        return Err(corrupt(format!(
+            "applied-sequence count {} disagrees with snapshot report count {}",
+            applied.count,
+            snapshot.reports_seen()
+        )));
     }
+    let engine = StreamingSstd::restore(*config, timeline.clone(), &snapshot)?;
     Ok((engine, applied))
 }
 
@@ -1069,11 +1132,88 @@ mod tests {
     }
 
     #[test]
-    fn applied_ranges_compact_and_roundtrip() {
-        let applied: BTreeSet<u64> = [0, 1, 2, 5, 6, 9].into_iter().collect();
-        assert_eq!(to_ranges(&applied), vec![(0, 3), (5, 2), (9, 1)]);
-        let empty: BTreeSet<u64> = BTreeSet::new();
-        assert!(to_ranges(&empty).is_empty());
+    fn sequence_set_merges_runs_like_a_set() {
+        // Out of order, with repeats, closing gaps from both sides.
+        let inserts = [5u64, 0, 1, 9, 6, 2, 5, 4, 3, 9, u64::MAX, 0, 7];
+        let mut set = SeqSet::default();
+        let mut model = BTreeSet::new();
+        for seq in inserts {
+            assert_eq!(set.insert(seq), model.insert(seq), "insert {seq}");
+            assert_eq!(set.count, model.len() as u64);
+            for pair in set.runs.windows(2) {
+                assert!(pair[0].0 + pair[0].1 < pair[1].0, "runs stay apart: {:?}", set.runs);
+            }
+        }
+        assert_eq!(set.runs, vec![(0, 8), (9, 1), (u64::MAX, 1)]);
+        let mut in_order = SeqSet::default();
+        for seq in 0..1_000 {
+            assert!(in_order.insert(seq));
+        }
+        assert_eq!(in_order.runs, vec![(0, 1_000)], "in-order traffic is one run");
+    }
+
+    /// `durable` with its run table replaced and the outer checksum
+    /// recomputed; the embedded snapshot and its own checksum are intact.
+    fn with_runs(durable: &[u8], runs: &[(u64, u64)]) -> Vec<u8> {
+        let snap_len = u64::from_le_bytes(durable[8..16].try_into().unwrap()) as usize;
+        let mut out = durable[..16 + snap_len].to_vec();
+        push_u64(&mut out, runs.len() as u64);
+        for &(start, len) in runs {
+            push_u64(&mut out, start);
+            push_u64(&mut out, len);
+        }
+        let sum = fnv1a(&out);
+        push_u64(&mut out, sum);
+        out
+    }
+
+    #[test]
+    fn hostile_run_tables_are_refused_without_being_walked() {
+        let records = chaos_stream(&FaultPlan::new(0), &reports());
+        let mut sup =
+            Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::DISABLED);
+        for record in records.iter().take(40) {
+            sup.ingest(record);
+        }
+        sup.checkpoint_now();
+        let written = sup.durable.as_ref().expect("checkpoint written");
+        assert_eq!(written.capacity(), written.len(), "encoded in place into an exact buffer");
+        let good = written.clone();
+        assert_eq!(with_runs(&good, &[(0, 40)]), good, "the helper rebuilds the real blob");
+
+        // The first table is 2^64 − 1 members in sixteen bytes; a decoder
+        // that expands runs never returns from it.
+        let hostile: [&[(u64, u64)]; 6] = [
+            &[(0, u64::MAX)],
+            &[(0, 30), (25, 10)],
+            &[(0, 20), (20, 20)],
+            &[(20, 20), (0, 20)],
+            &[(0, 40), (50, 0)],
+            &[(0, 39), (u64::MAX, 2)],
+        ];
+        let decode = |blob: &[u8]| decode_durable(blob, &SstdConfig::default(), &timeline());
+        for runs in hostile {
+            let err = decode(&with_runs(&good, runs)).expect_err("hostile run table");
+            assert!(matches!(err, RecoveryError::Corrupt { .. }), "{runs:?}: {err}");
+        }
+        // A holed but canonical table of the right size still decodes.
+        let (_, applied) = decode(&with_runs(&good, &[(0, 39), (u64::MAX, 1)])).expect("canonical");
+        assert_eq!(applied.count, 40);
+    }
+
+    #[test]
+    fn stream_ticks_and_recovery_events_share_the_store() {
+        let records = chaos_stream(&FaultPlan::new(0), &reports());
+        let shared = Arc::new(EventStore::new());
+        let mut sup =
+            Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::every_reports(64))
+                .with_event_store(Arc::clone(&shared));
+        sup.run(&records, &[130, 260], 3).expect("recovers");
+        let _ = sup.finish();
+        let ticked = shared.query().stream().sum(|e| e.stream_tick().map(|t| t.reports as f64));
+        assert_eq!(ticked as usize, records.len(), "replay and redelivery tick nothing twice");
+        assert_eq!(shared.query().stream().count(), 10, "one tick per interval");
+        assert_eq!(shared.query().recovery().label("restored").count(), 2);
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl TraceBuilder {
         Self { config: scenario.config(), seed: 0 }
     }
 
-    /// Starts from an explicit configuration.
-    #[must_use]
-    pub fn from_config(config: TraceConfig) -> Self {
-        Self { config, seed: 0 }
-    }
-
     /// Sets the RNG seed; identical seeds produce identical traces.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {

@@ -25,9 +25,15 @@ fn main() {
     };
     let pts = fig7::run(&sizes, &workers);
     print!("{}", fig7::format(&pts));
-
+    // One trajectory point per (size, workers) pair — six under
+    // `--quick`; a sweep that lost one fails here, not in whoever reads
+    // the JSON.
+    let report = fig7::bench_report(&pts);
+    if report.len() != sizes.len() * workers.len() {
+        eprintln!("{} points for a {}x{} sweep", report.len(), sizes.len(), workers.len());
+        std::process::exit(1);
+    }
     if let Some(path) = json_path {
-        let report = fig7::bench_report(&pts);
         std::fs::write(&path, report.to_json()).expect("write bench JSON");
         eprintln!("wrote {} points to {path}", report.len());
     }

@@ -22,7 +22,6 @@ use crate::SchemeKind;
 use sstd_control::{DtmConfig, DtmJob, DynamicTaskManager};
 use sstd_data::{Scenario, TraceBuilder};
 use sstd_runtime::{Cluster, ExecutionModel, JobId};
-use sstd_types::Trace;
 
 /// One measured point of Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,13 +178,6 @@ pub fn format(title: &str, points: &[HitRatePoint]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Exposes the per-trace interval volumes (useful to pick sensible
-/// deadline sweeps in the binaries).
-#[must_use]
-pub fn interval_volumes(trace: &Trace) -> Vec<usize> {
-    (0..trace.timeline().num_intervals()).map(|iv| trace.reports_in_interval(iv).len()).collect()
 }
 
 #[cfg(test)]

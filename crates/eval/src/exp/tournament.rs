@@ -380,6 +380,20 @@ pub fn run_with_probe(config: &TournamentConfig, probe: Option<&MemProbe>) -> Le
         .collect();
 
     let mut board = Leaderboard { seed: config.seed, cells, degradation, violations };
+    // One level of the families × schemes grid is 35 cells; fewer than
+    // this is not a leaderboard, and a family whose degradation row has
+    // no SSTD cell at either end has no profile.
+    if board.cells.len() < 30 {
+        board.violations.push(format!("the grid has {} cells, fewer than 30", board.cells.len()));
+    }
+    for d in &board.degradation {
+        if !(d.paper_like.is_finite() && d.adversarial.is_finite()) {
+            board.violations.push(format!(
+                "{}: no SSTD cell at the paper-like or the most adversarial level",
+                d.family
+            ));
+        }
+    }
     let paper_like = board.sstd_paper_like_accuracy();
     // NaN must trip the gate too, so test for "holds" and negate.
     let floor_holds = paper_like >= SSTD_PAPER_FLOOR;
@@ -561,6 +575,19 @@ mod tests {
         let text = board.format();
         assert!(text.contains("SSTD degradation"));
         assert!(text.contains("collusion"));
+    }
+
+    #[test]
+    fn an_incomplete_grid_is_a_violation() {
+        let board = run(&TournamentConfig { levels: Vec::new(), ..tiny() });
+        assert!(board.violations.iter().any(|v| v.contains("fewer than 30")), "{board:?}");
+        assert!(board.violations.iter().any(|v| v.contains("no SSTD cell")), "{board:?}");
+        let complete = run(&tiny());
+        assert!(
+            !complete.violations.iter().any(|v| v.contains("fewer than") || v.contains("no SSTD")),
+            "the complete grid trips neither: {:?}",
+            complete.violations
+        );
     }
 
     #[test]

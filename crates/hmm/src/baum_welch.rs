@@ -212,7 +212,6 @@ fn floor_and_normalize(row: &mut [f64], floor: f64) {
 mod tests {
     use super::*;
     use crate::emission::{CategoricalEmission, GaussianEmission};
-    use crate::forward::forward_backward;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -299,7 +298,7 @@ mod tests {
     fn trained_model_beats_initial_likelihood() {
         let (obs, _) = simulate(500, 0.9, 2.5, 77);
         let initial = two_state_gaussian(0.5);
-        let before = forward_backward(&initial, &obs).log_likelihood;
+        let before = forward_backward_into(&initial, &obs, &mut EmWorkspace::new());
         let out = BaumWelch::default().train(initial, &obs);
         assert!(out.log_likelihood > before);
         assert!(out.iterations >= 1);

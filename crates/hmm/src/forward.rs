@@ -9,11 +9,9 @@
 //! arbitrarily long sequences (raw forward probabilities underflow after a
 //! few hundred steps).
 //!
-//! Two entry points share one implementation: [`forward_backward_into`]
-//! writes every table into a caller-owned [`EmWorkspace`] and allocates
-//! nothing once the workspace has warmed up to the sequence shape;
-//! [`forward_backward`] is the allocating convenience wrapper returning
-//! [`Posteriors`].
+//! [`forward_backward_into`] writes every table into a caller-owned
+//! [`EmWorkspace`] and allocates nothing once the workspace has warmed up
+//! to the sequence shape.
 
 // Index-based loops are kept deliberately in this module: the math is
 // written against matrix subscripts (states i/j, claims u, sources s,
@@ -23,19 +21,6 @@
 
 use crate::mat::Mat;
 use crate::{Emission, Hmm};
-
-/// Output of [`forward_backward`]: posteriors and the sequence likelihood.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Posteriors {
-    /// `gamma[t][i] = P(s_t = i | O, λ)`; each row sums to 1.
-    pub gamma: Vec<Vec<f64>>,
-    /// Summed pairwise posteriors `Σ_t ξ_t(i,j)` — exactly the statistic
-    /// the Baum–Welch transition update needs. (Keeping only the sum
-    /// avoids materializing `T·N²` floats.)
-    pub xi_sum: Vec<Vec<f64>>,
-    /// Log-likelihood `ln P(O | λ)`.
-    pub log_likelihood: f64,
-}
 
 /// Reusable scratch tables for forward–backward and Baum–Welch.
 ///
@@ -83,15 +68,17 @@ impl EmWorkspace {
         Self::default()
     }
 
-    /// State posteriors `γ` of the most recent
-    /// [`forward_backward_into`] call (`T×N`).
+    /// State posteriors of the most recent [`forward_backward_into`]
+    /// call (`T×N`): `γ[(t, i)] = P(s_t = i | O, λ)`; each row sums to 1.
     #[must_use]
     pub fn gamma(&self) -> &Mat {
         &self.gamma
     }
 
-    /// Summed pairwise posteriors `Σ_t ξ_t` of the most recent
-    /// [`forward_backward_into`] call (`N×N`).
+    /// Summed pairwise posteriors `Σ_t ξ_t(i,j)` of the most recent
+    /// [`forward_backward_into`] call (`N×N`) — exactly the statistic the
+    /// Baum–Welch transition update needs. (Keeping only the sum avoids
+    /// materializing `T·N²` floats.)
     #[must_use]
     pub fn xi_sum(&self) -> &Mat {
         &self.xi_sum
@@ -113,13 +100,12 @@ impl EmWorkspace {
 /// Runs scaled forward–backward on `observations`, storing `γ` and
 /// `Σ ξ_t` in `ws` and returning the log-likelihood `ln P(O | λ)`.
 ///
-/// Identical numerics to [`forward_backward`] (it *is* the
-/// implementation), but every table lives in the caller-owned workspace:
-/// after the first call at a given sequence shape, the hot path performs
-/// no heap allocation at all.
+/// Every table lives in the caller-owned workspace: after the first call
+/// at a given sequence shape, the hot path performs no heap allocation at
+/// all.
 ///
 /// Returns `0.0` (and a zeroed `ξ` table, an empty `γ`) for an empty
-/// observation sequence.
+/// observation sequence — the natural neutral element: no evidence.
 pub fn forward_backward_into<E: Emission>(
     hmm: &Hmm<E>,
     observations: &[E::Obs],
@@ -231,35 +217,6 @@ pub fn forward_backward_into<E: Emission>(
     log_likelihood
 }
 
-/// Runs scaled forward–backward on `observations`.
-///
-/// Allocating wrapper over [`forward_backward_into`] — same numerics,
-/// fresh output vectors. Returns uniform posteriors and
-/// `log_likelihood = 0` for an empty observation sequence (the natural
-/// neutral element: no evidence).
-///
-/// # Examples
-///
-/// ```
-/// use sstd_hmm::{forward_backward, GaussianEmission, Hmm};
-///
-/// let hmm = Hmm::new(
-///     vec![0.5, 0.5],
-///     vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-///     GaussianEmission::new(vec![(5.0, 1.0), (-5.0, 1.0)]).unwrap(),
-/// ).unwrap();
-/// let post = forward_backward(&hmm, &[5.0, 5.2, -4.9]);
-/// assert!(post.gamma[0][0] > 0.99); // clearly state 0
-/// assert!(post.gamma[2][1] > 0.99); // clearly state 1
-/// assert!(post.log_likelihood < 0.0);
-/// ```
-#[must_use]
-pub fn forward_backward<E: Emission>(hmm: &Hmm<E>, observations: &[E::Obs]) -> Posteriors {
-    let mut ws = EmWorkspace::new();
-    let log_likelihood = forward_backward_into(hmm, observations, &mut ws);
-    Posteriors { gamma: ws.gamma.to_rows(), xi_sum: ws.xi_sum.to_rows(), log_likelihood }
-}
-
 pub(crate) fn normalize(row: &mut [f64]) -> f64 {
     let sum: f64 = row.iter().sum();
     if sum > 0.0 && sum.is_finite() {
@@ -292,50 +249,44 @@ mod tests {
         .unwrap()
     }
 
+    /// Forward–backward in a fresh workspace.
+    fn fresh<E: Emission>(hmm: &Hmm<E>, obs: &[E::Obs]) -> (EmWorkspace, f64) {
+        let mut ws = EmWorkspace::new();
+        let log_likelihood = forward_backward_into(hmm, obs, &mut ws);
+        (ws, log_likelihood)
+    }
+
     #[test]
     fn gamma_rows_sum_to_one() {
         let hmm = coin_hmm();
         let obs = vec![0usize, 1, 0, 0, 1, 0, 0, 0];
-        let post = forward_backward(&hmm, &obs);
-        for row in &post.gamma {
+        let (ws, _) = fresh(&hmm, &obs);
+        for row in ws.gamma().iter() {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
-        assert_eq!(post.gamma.len(), obs.len());
+        assert_eq!(ws.gamma().rows(), obs.len());
     }
 
     #[test]
     fn log_likelihood_matches_brute_force() {
         let hmm = coin_hmm();
         let obs = vec![0usize, 1, 0, 0, 1];
-        let post = forward_backward(&hmm, &obs);
+        let (_, ll) = fresh(&hmm, &obs);
         let brute = exhaustive::log_likelihood(&hmm, &obs);
-        assert!(
-            (post.log_likelihood - brute).abs() < 1e-9,
-            "fb = {}, brute = {}",
-            post.log_likelihood,
-            brute
-        );
+        assert!((ll - brute).abs() < 1e-9, "fb = {ll}, brute = {brute}");
     }
 
     #[test]
     fn gamma_matches_brute_force() {
         let hmm = coin_hmm();
         let obs = vec![1usize, 0, 0, 1];
-        let post = forward_backward(&hmm, &obs);
+        let (ws, _) = fresh(&hmm, &obs);
         let brute = exhaustive::posteriors(&hmm, &obs);
-        for (t, (a, b)) in post.gamma.iter().zip(&brute).enumerate() {
+        for (t, (a, b)) in ws.gamma().iter().zip(&brute).enumerate() {
             for i in 0..2 {
                 assert!((a[i] - b[i]).abs() < 1e-9, "t = {t}, i = {i}");
             }
         }
-    }
-
-    #[test]
-    fn empty_sequence_is_neutral() {
-        let hmm = coin_hmm();
-        let post = forward_backward(&hmm, &[]);
-        assert_eq!(post.log_likelihood, 0.0);
-        assert!(post.gamma.is_empty());
     }
 
     #[test]
@@ -348,17 +299,17 @@ mod tests {
         .unwrap();
         let obs: Vec<f64> =
             (0..10_000).map(|t| if (t / 500) % 2 == 0 { 3.0 } else { -3.0 }).collect();
-        let post = forward_backward(&hmm, &obs);
-        assert!(post.log_likelihood.is_finite());
-        assert!(post.gamma.iter().all(|row| row.iter().all(|p| p.is_finite())));
+        let (ws, ll) = fresh(&hmm, &obs);
+        assert!(ll.is_finite());
+        assert!(ws.gamma().as_slice().iter().all(|p| p.is_finite()));
     }
 
     #[test]
     fn xi_sum_total_is_t_minus_one() {
         let hmm = coin_hmm();
         let obs = vec![0usize, 0, 1, 0, 1, 1];
-        let post = forward_backward(&hmm, &obs);
-        let total: f64 = post.xi_sum.iter().flatten().sum();
+        let (ws, _) = fresh(&hmm, &obs);
+        let total: f64 = ws.xi_sum().as_slice().iter().sum();
         assert!((total - (obs.len() as f64 - 1.0)).abs() < 1e-9);
     }
 
@@ -370,24 +321,24 @@ mod tests {
             GaussianEmission::new(vec![(10.0, 0.5), (-10.0, 0.5)]).unwrap(),
         )
         .unwrap();
-        let post = forward_backward(&hmm, &[10.0, -10.0]);
-        assert!(post.gamma[0][0] > 0.999);
-        assert!(post.gamma[1][1] > 0.999);
+        let (ws, _) = fresh(&hmm, &[10.0, -10.0]);
+        assert!(ws.gamma()[(0, 0)] > 0.999);
+        assert!(ws.gamma()[(1, 1)] > 0.999);
     }
 
     #[test]
     fn workspace_reuse_across_shapes_is_consistent() {
-        // One workspace reused across different lengths and models must
-        // give the same answers as fresh allocating calls.
+        // One workspace reused across different lengths must give the
+        // same answers as a fresh one each time.
         let hmm = coin_hmm();
         let mut ws = EmWorkspace::new();
         for obs in [vec![0usize, 1, 0, 0, 1, 0, 1, 1], vec![1usize, 0], vec![0usize, 0, 1, 0, 1, 1]]
         {
             let ll = forward_backward_into(&hmm, &obs, &mut ws);
-            let fresh = forward_backward(&hmm, &obs);
-            assert_eq!(ll, fresh.log_likelihood);
-            assert_eq!(ws.gamma().to_rows(), fresh.gamma);
-            assert_eq!(ws.xi_sum().to_rows(), fresh.xi_sum);
+            let (clean, clean_ll) = fresh(&hmm, &obs);
+            assert_eq!(ll, clean_ll);
+            assert_eq!(ws.gamma(), clean.gamma());
+            assert_eq!(ws.xi_sum(), clean.xi_sum());
         }
     }
 

@@ -7,7 +7,7 @@
 //!
 //! - [`Hmm`] — an N-state model with a pluggable [`Emission`] distribution
 //!   (Gaussian for raw ACS values, categorical for binned symbols);
-//! - [`forward_backward`] — scaled forward–backward inference and
+//! - [`forward_backward_into`] — scaled forward–backward inference and
 //!   log-likelihood (paper Eq. 5's objective);
 //! - [`BaumWelch`] — unsupervised EM parameter estimation (paper §III-C);
 //! - [`viterbi`] — maximum a posteriori state-sequence decoding (paper
@@ -65,7 +65,7 @@ pub use baum_welch::{BaumWelch, TrainOutcome, TrainStats};
 pub use emission::{
     CategoricalEmission, Emission, GaussianEmission, SymmetricGaussianEmission, TrainableEmission,
 };
-pub use forward::{forward_backward, forward_backward_into, EmWorkspace, Posteriors};
+pub use forward::{forward_backward_into, EmWorkspace};
 pub use mat::Mat;
 pub use model::{Hmm, HmmError};
 pub use streaming::StreamingViterbi;

@@ -1,6 +1,7 @@
 //! Flat row-major matrix storage for the HMM numeric kernels.
 //!
-//! The kernels in this crate ([`forward_backward`](crate::forward_backward),
+//! The kernels in this crate
+//! ([`forward_backward_into`](crate::forward_backward_into),
 //! [`BaumWelch`](crate::BaumWelch), [`viterbi`](crate::viterbi)) index
 //! dense `T×N` and `N×N` tables in tight loops. `Vec<Vec<f64>>` costs one
 //! pointer chase per row access and one heap allocation per row; [`Mat`]
@@ -63,13 +64,6 @@ impl Mat {
             data.extend_from_slice(row);
         }
         Self { data, rows: rows.len(), cols }
-    }
-
-    /// Converts back to nested rows (allocates; used by compatibility
-    /// wrappers, not by the kernels).
-    #[must_use]
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.iter().map(<[f64]>::to_vec).collect()
     }
 
     /// Number of rows.
@@ -187,7 +181,7 @@ mod tests {
     fn from_rows_roundtrip() {
         let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
         let m = Mat::from_rows(&rows);
-        assert_eq!(m.to_rows(), rows);
+        assert!(m.iter().eq(rows.iter().map(Vec::as_slice)));
         assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 

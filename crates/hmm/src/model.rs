@@ -175,13 +175,6 @@ impl<E: Emission> Hmm<E> {
     pub fn log_emit(&self, state: usize, obs: E::Obs) -> f64 {
         self.emission.log_prob(state, obs)
     }
-
-    /// Decomposes the model into `(π, A, B)` — used by the trainer, which
-    /// re-estimates parameters and rebuilds the model.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<f64>, Vec<Vec<f64>>, E) {
-        (self.init, self.trans.to_rows(), self.emission)
-    }
 }
 
 #[cfg(test)]
@@ -245,14 +238,5 @@ mod tests {
                 assert_eq!(hmm.log_trans()[(i, j)], hmm.trans_prob(i, j).ln(), "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn parts_roundtrip() {
-        let hmm =
-            Hmm::new(vec![0.5, 0.5], vec![vec![0.7, 0.3], vec![0.4, 0.6]], emission2()).unwrap();
-        let (init, trans, em) = hmm.into_parts();
-        let rebuilt = Hmm::new(init, trans, em).unwrap();
-        assert_eq!(rebuilt.num_states(), 2);
     }
 }

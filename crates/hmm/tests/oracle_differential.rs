@@ -4,7 +4,7 @@
 //! Any failure prints a `TESTKIT_SEED=… TESTKIT_CASES=1` line that
 //! replays the exact (already minimized) counterexample.
 
-use sstd_hmm::{forward_backward, viterbi, BaumWelch, CategoricalEmission, Hmm};
+use sstd_hmm::{forward_backward_into, viterbi, BaumWelch, CategoricalEmission, EmWorkspace, Hmm};
 use sstd_testkit::{check, domain, gens, oracle, Gen};
 
 /// Number of cases per differential suite (overridable via
@@ -85,7 +85,7 @@ fn viterbi_matches_oracle_on_long_two_state_chains() {
 fn forward_likelihood_matches_direct_sum() {
     check("forward_likelihood_matches_direct_sum", CASES, &domain::hmm_case(8), |case| {
         let hmm = case.hmm();
-        let scaled = forward_backward(&hmm, &case.obs).log_likelihood;
+        let scaled = forward_backward_into(&hmm, &case.obs, &mut EmWorkspace::new());
         let direct = oracle::hmm::log_likelihood(&hmm, &case.obs);
         let tol = 1e-8 * (1.0 + direct.abs());
         if (scaled - direct).abs() > tol {
@@ -100,9 +100,10 @@ fn forward_likelihood_matches_direct_sum() {
 fn posteriors_match_enumeration_and_normalize() {
     check("posteriors_match_enumeration_and_normalize", CASES, &domain::hmm_case(8), |case| {
         let hmm = case.hmm();
-        let gamma = forward_backward(&hmm, &case.obs).gamma;
+        let mut ws = EmWorkspace::new();
+        let _ = forward_backward_into(&hmm, &case.obs, &mut ws);
         let expected = oracle::hmm::posteriors(&hmm, &case.obs);
-        for (t, (got, want)) in gamma.iter().zip(&expected).enumerate() {
+        for (t, (got, want)) in ws.gamma().iter().zip(&expected).enumerate() {
             let row_sum: f64 = got.iter().sum();
             if (row_sum - 1.0).abs() > 1e-9 {
                 return Err(format!("gamma[{t}] sums to {row_sum}"));
@@ -166,9 +167,10 @@ fn baum_welch_likelihood_is_monotone_and_rows_stay_stochastic() {
 fn trained_model_never_scores_below_its_start() {
     check("trained_model_never_scores_below_its_start", 300, &domain::hmm_case(8), |case| {
         let initial = case.hmm();
-        let before = forward_backward(&initial, &case.obs).log_likelihood;
+        let mut ws = EmWorkspace::new();
+        let before = forward_backward_into(&initial, &case.obs, &mut ws);
         let out = BaumWelch::default().max_iterations(10).train(initial, &case.obs);
-        let after = forward_backward(&out.model, &case.obs).log_likelihood;
+        let after = forward_backward_into(&out.model, &case.obs, &mut ws);
         if after < before - 1e-6 {
             Err(format!("training regressed the likelihood: {before} -> {after}"))
         } else {

@@ -372,12 +372,6 @@ impl EventStore {
         self.inner.lock().tasks.len()
     }
 
-    /// Distinct jobs interned so far.
-    #[must_use]
-    pub fn num_jobs(&self) -> usize {
-        self.inner.lock().jobs.len()
-    }
-
     /// Distinct workers interned so far.
     #[must_use]
     pub fn num_workers(&self) -> usize {

@@ -214,19 +214,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the fraction of an attempt's nominal duration at which a
-    /// transient fault manifests (DES; default `0.5`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `point` is in `(0, 1)`.
-    #[must_use]
-    pub fn with_fail_point(mut self, point: f64) -> Self {
-        assert!(point > 0.0 && point < 1.0, "fail point must be in (0, 1)");
-        self.fail_point = point;
-        self
-    }
-
     /// Sets the virtual delay before a crashed worker rejoins the pool
     /// (DES; default `1.0`). The HTCondor analogue: an evicted slot comes
     /// back once its owner goes idle again.

@@ -62,11 +62,6 @@ impl TaskPool {
         self.queues.get(&job).map_or(0, VecDeque::len)
     }
 
-    /// Jobs with at least one pending task.
-    pub fn active_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.queues.iter().filter(|(_, q)| !q.is_empty()).map(|(&j, _)| j)
-    }
-
     /// Submits a task, returning its id. Tasks of the same job are served
     /// FIFO relative to each other.
     pub fn submit(&mut self, spec: TaskSpec) -> TaskId {

@@ -15,18 +15,20 @@
 //!
 //! Reports route to shards by [`ClaimId`](sstd_types::ClaimId) hash, so
 //! a claim's reports always land on the same shard in submission order
-//! and no state is shared across shards. Each shard owns:
+//! and no state is shared across shards. A shard is a
+//! [`Supervisor`](sstd_core::Supervisor) plus change-stream cursors:
 //!
-//! - a [`StreamingSstd`](sstd_core::StreamingSstd) engine,
-//! - a bounded ingest queue (overflow is the typed
-//!   [`IngestError::Backpressure`], never silent loss),
-//! - a write-ahead [`ReportJournal`](sstd_core::ReportJournal) plus
-//!   durable [`StreamCheckpoint`](sstd_core::StreamCheckpoint) bytes, so
-//!   a shard crash recovers bit-identically,
-//! - an [`EventStore`](sstd_obs::EventStore) receiving per-interval
-//!   [`StreamTick`](sstd_obs::StreamTick)s,
-//! - a versioned [`TruthUpdate`] change stream, drained through
-//!   [`ChangeStream`] handles.
+//! - the supervisor is the engine, its write-ahead journal, its durable
+//!   checkpoint and the one recovery state machine over them, so a shard
+//!   crash recovers bit-identically, and its
+//!   [`EventStore`](sstd_obs::EventStore) receives a
+//!   [`StreamTick`](sstd_obs::StreamTick) per closed interval and a
+//!   [`RecoveryEvent`](sstd_obs::RecoveryEvent) per checkpoint, crash and
+//!   restore;
+//! - in front of it, a bounded ingest queue (overflow is the typed
+//!   [`IngestError::Backpressure`], never silent loss);
+//! - behind it, a versioned [`TruthUpdate`] change stream, drained
+//!   through [`ChangeStream`] handles.
 //!
 //! The headline guarantee, checked by the `serve_differential` suite:
 //! for time-ordered streams, the sharded service's merged estimates are

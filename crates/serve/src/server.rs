@@ -1,14 +1,14 @@
 //! The threaded server: one worker thread per shard, bounded channels,
 //! lock-free ingest hot path.
 
-use crate::service::route;
+use crate::service::{merge_estimates, new_shards, predict_outcome, route};
 use crate::shard::Shard;
 use crate::update::ChangeStream;
 use crate::{IngestError, ServeConfig};
 use sstd_core::{IngestOutcome, TruthEstimates};
 use sstd_obs::EventStore;
 use sstd_types::{Report, Timeline};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -26,7 +26,7 @@ struct ShardLink {
     tx: SyncSender<Msg>,
     depth: Arc<AtomicUsize>,
     max_depth: AtomicUsize,
-    watermark: AtomicU64,
+    watermark: AtomicUsize,
 }
 
 struct Inner {
@@ -92,9 +92,7 @@ impl IngestServer {
         let mut workers = Vec::with_capacity(config.shards);
         let mut streams = Vec::with_capacity(config.shards);
         let mut stores = Vec::with_capacity(config.shards);
-        for id in 0..config.shards {
-            let shard =
-                Shard::new(id, config.engine, config.timeline.clone(), config.checkpoint_every);
+        for shard in new_shards(&config) {
             streams.push(shard.stream());
             stores.push(Arc::clone(shard.store()));
             let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
@@ -103,7 +101,7 @@ impl IngestServer {
                 tx,
                 depth: Arc::clone(&depth),
                 max_depth: AtomicUsize::new(0),
-                watermark: AtomicU64::new(0),
+                watermark: AtomicUsize::new(0),
             });
             workers.push(std::thread::spawn(move || run_shard(shard, &rx, &depth)));
         }
@@ -190,10 +188,7 @@ impl IngestServer {
         }
         let mut merged = TruthEstimates::new(self.num_intervals);
         for worker in self.workers {
-            let estimates = worker.join().expect("shard worker panicked")?;
-            for (claim, labels) in estimates.iter() {
-                merged.insert(claim, labels.to_vec());
-            }
+            merge_estimates(&mut merged, &worker.join().expect("shard worker panicked")?);
         }
         Ok(merged)
     }
@@ -223,17 +218,9 @@ impl IngestClient {
         match link.tx.try_send(Msg::Report(*report)) {
             Ok(()) => {
                 link.max_depth.fetch_max(depth.min(self.inner.capacity), Ordering::Relaxed);
-                Ok(if report.contribution_score().value().is_finite() {
-                    let interval = self.inner.timeline.interval_of(report.time()) as u64;
-                    let before = link.watermark.fetch_max(interval, Ordering::Relaxed);
-                    if interval < before {
-                        IngestOutcome::Late
-                    } else {
-                        IngestOutcome::Accepted
-                    }
-                } else {
-                    IngestOutcome::Rejected
-                })
+                Ok(predict_outcome(report, &self.inner.timeline, |interval| {
+                    link.watermark.fetch_max(interval, Ordering::Relaxed)
+                }))
             }
             Err(TrySendError::Full(_)) => {
                 link.depth.fetch_sub(1, Ordering::Relaxed);
@@ -244,12 +231,6 @@ impl IngestClient {
                 Err(IngestError::ShardUnavailable { shard })
             }
         }
-    }
-
-    /// The shard that owns `claim`.
-    #[must_use]
-    pub fn shard_of(&self, claim: sstd_types::ClaimId) -> usize {
-        route(claim, self.inner.links.len())
     }
 
     /// Current depth of `shard`'s ingest queue (racy snapshot).

@@ -6,7 +6,7 @@ use crate::update::ChangeStream;
 use crate::{IngestError, ServeConfig};
 use sstd_core::{IngestOutcome, TruthEstimates};
 use sstd_obs::EventStore;
-use sstd_types::{ClaimId, ConfigError, Report};
+use sstd_types::{ClaimId, ConfigError, Report, Timeline};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -18,6 +18,42 @@ pub(crate) fn route(claim: ClaimId, shards: usize) -> usize {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     (h % shards as u64) as usize
+}
+
+/// One shard per configured partition.
+pub(crate) fn new_shards(config: &ServeConfig) -> impl Iterator<Item = Shard> + '_ {
+    (0..config.shards).map(move |id| Shard::new(id, config))
+}
+
+/// The [`IngestOutcome`] the engine will record for `report`, decided at
+/// enqueue time: a non-finite score is rejected, and a report is late
+/// exactly when its interval is behind the shard's watermark — the
+/// highest interval enqueued before it, which a FIFO queue makes the
+/// engine's interval cursor when the report is applied.
+/// `raise_watermark` raises the shard's watermark to at least the given
+/// interval and returns the value it had before.
+pub(crate) fn predict_outcome(
+    report: &Report,
+    timeline: &Timeline,
+    raise_watermark: impl FnOnce(usize) -> usize,
+) -> IngestOutcome {
+    if !report.contribution_score().value().is_finite() {
+        return IngestOutcome::Rejected;
+    }
+    let interval = timeline.interval_of(report.time());
+    if interval < raise_watermark(interval) {
+        IngestOutcome::Late
+    } else {
+        IngestOutcome::Accepted
+    }
+}
+
+/// Folds one shard's estimates into the merged table; shards own
+/// disjoint claims, so nothing is overwritten.
+pub(crate) fn merge_estimates(merged: &mut TruthEstimates, shard: &TruthEstimates) {
+    for (claim, labels) in shard.iter() {
+        merged.insert(claim, labels.to_vec());
+    }
 }
 
 /// The sharded live-ingest service, single-threaded and deterministic.
@@ -77,11 +113,7 @@ impl IngestService {
     /// [`ServeConfig::validate`].
     pub fn new(config: ServeConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let shards = (0..config.shards)
-            .map(|id| {
-                Shard::new(id, config.engine, config.timeline.clone(), config.checkpoint_every)
-            })
-            .collect();
+        let shards = new_shards(&config).collect();
         Ok(Self {
             queues: vec![VecDeque::new(); config.shards],
             watermarks: vec![0; config.shards],
@@ -123,17 +155,10 @@ impl IngestService {
         if depth >= self.config.queue_capacity {
             return Err(IngestError::Backpressure { shard, depth });
         }
-        let outcome = if report.contribution_score().value().is_finite() {
-            let interval = self.config.timeline.interval_of(report.time());
-            if interval < self.watermarks[shard] {
-                IngestOutcome::Late
-            } else {
-                self.watermarks[shard] = interval;
-                IngestOutcome::Accepted
-            }
-        } else {
-            IngestOutcome::Rejected
-        };
+        let watermark = &mut self.watermarks[shard];
+        let outcome = predict_outcome(report, &self.config.timeline, |interval| {
+            std::mem::replace(watermark, interval.max(*watermark))
+        });
         self.queues[shard].push_back((*report, outcome));
         self.max_depth[shard] = self.max_depth[shard].max(depth + 1);
         Ok(outcome)
@@ -164,19 +189,15 @@ impl IngestService {
         self.shards[shard].stream()
     }
 
-    /// `shard`'s telemetry store (per-interval [`StreamTick`]s flow in
-    /// as its engine closes intervals).
+    /// `shard`'s telemetry store: a [`StreamTick`] per interval its
+    /// engine closes and a [`RecoveryEvent`] per checkpoint, crash and
+    /// restore.
     ///
     /// [`StreamTick`]: sstd_obs::StreamTick
+    /// [`RecoveryEvent`]: sstd_obs::RecoveryEvent
     #[must_use]
     pub fn store(&self, shard: usize) -> &Arc<EventStore> {
         self.shards[shard].store()
-    }
-
-    /// Reports applied by `shard` so far (excludes queued).
-    #[must_use]
-    pub fn applied(&self, shard: usize) -> u64 {
-        self.shards[shard].applied()
     }
 
     /// Current depth of `shard`'s ingest queue.
@@ -217,10 +238,7 @@ impl IngestService {
         let _ = self.pump();
         let mut merged = TruthEstimates::new(self.config.timeline.num_intervals());
         for shard in self.shards {
-            let estimates = shard.finish();
-            for (claim, labels) in estimates.iter() {
-                merged.insert(claim, labels.to_vec());
-            }
+            merge_estimates(&mut merged, &shard.finish());
         }
         merged
     }
@@ -286,7 +304,6 @@ mod tests {
         );
         // pump() debug-asserts every prediction against the engine.
         assert_eq!(service.pump(), 2);
-        assert_eq!(service.applied(0), 2);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! One shard: an engine, its durable state, and its change stream.
+//! One shard: a recovery supervisor plus its change-stream cursors.
 
 use crate::update::{ChangeLog, ChangeStream, TruthUpdate};
-use crate::IngestError;
-use sstd_core::{IngestOutcome, ReportJournal, StreamCheckpoint, StreamingSstd, TruthEstimates};
+use crate::{IngestError, ServeConfig};
+use sstd_core::{CheckpointPolicy, IngestOutcome, Supervisor, SupervisorError, TruthEstimates};
 use sstd_obs::EventStore;
-use sstd_types::{ClaimId, Report, Timeline, TruthLabel};
+use sstd_runtime::RetryPolicy;
+use sstd_types::{ClaimId, Report, TruthLabel};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,186 +18,141 @@ struct EmitCursor {
     last: Option<TruthLabel>,
 }
 
-/// One independent partition of the live service: its own
-/// [`StreamingSstd`], write-ahead [`ReportJournal`], durable
-/// [`StreamCheckpoint`] bytes, [`EventStore`] telemetry, and versioned
-/// change stream. Shards share nothing — no locks cross them.
+/// One independent partition of the live service: a
+/// [`Supervisor`] — engine, write-ahead journal, durable checkpoint,
+/// [`EventStore`] telemetry and the recovery state machine over them
+/// (DESIGN.md §13) — plus what only a shard has, the versioned change
+/// stream and its cursors. Shards share nothing — no locks cross them.
 ///
-/// Durability model: a crash destroys the engine (all in-memory decode
-/// state) but not the shard's durable metadata — the checkpoint bytes,
-/// the journal bytes, the change-stream cursor, and the version counter,
-/// which in a deployment live with the transport/consumer, not the
-/// process. [`crash`](Self::crash) rebuilds the engine from the
-/// checkpoint and replays the journal through the wire format, after
-/// which the shard's continuation is bit-identical to one that never
-/// crashed (the `serve_differential` suite checks exactly this).
+/// The shard mints its own sequence numbers, one per applied report, and
+/// hands them to the supervisor's trusted
+/// [`apply`](Supervisor::apply) entry. A crash destroys the engine but
+/// not the sequence counter, the change-stream cursors or the version
+/// counter, which in a deployment live with the transport/consumer, not
+/// the process; after [`crash`](Self::crash) the shard's continuation is
+/// bit-identical to one that never crashed (the `serve_differential`
+/// suite checks exactly this).
 #[derive(Debug)]
 pub(crate) struct Shard {
     id: usize,
-    engine: StreamingSstd,
-    journal: ReportJournal,
-    checkpoint_bytes: Vec<u8>,
-    checkpoint_every: usize,
-    applied_since_checkpoint: usize,
-    applied: u64,
+    supervisor: Supervisor,
     next_seq: u64,
     version: u64,
     seen_interval: usize,
     cursors: HashMap<ClaimId, EmitCursor>,
     log: ChangeLog,
-    store: Arc<EventStore>,
-    config: sstd_core::SstdConfig,
-    timeline: Timeline,
 }
 
 impl Shard {
-    pub(crate) fn new(
-        id: usize,
-        config: sstd_core::SstdConfig,
-        timeline: Timeline,
-        checkpoint_every: usize,
-    ) -> Self {
-        let store = Arc::new(EventStore::new());
-        let engine =
-            StreamingSstd::new(config, timeline.clone()).with_telemetry_store(Arc::clone(&store));
-        let checkpoint_bytes = engine.checkpoint().to_bytes();
+    pub(crate) fn new(id: usize, config: &ServeConfig) -> Self {
+        // `every_reports(0)` never checkpoints, as `checkpoint_every: 0`
+        // promises. A shard has no crash budget: it recovers every time.
+        let policy = CheckpointPolicy::every_reports(config.checkpoint_every as u64);
+        let supervisor = Supervisor::new(config.engine, config.timeline.clone(), policy)
+            .with_retry(RetryPolicy { max_attempts: u32::MAX, ..RetryPolicy::default() });
         Self {
             id,
-            engine,
-            journal: ReportJournal::new(),
-            checkpoint_bytes,
-            checkpoint_every,
-            applied_since_checkpoint: 0,
-            applied: 0,
+            supervisor,
             next_seq: 0,
             version: 0,
             seen_interval: 0,
             cursors: HashMap::new(),
             log: ChangeLog::default(),
-            store,
-            config,
-            timeline,
         }
     }
 
     pub(crate) fn store(&self) -> &Arc<EventStore> {
-        &self.store
+        self.supervisor.store()
     }
 
     pub(crate) fn stream(&self) -> ChangeStream {
         self.log.stream()
     }
 
-    pub(crate) fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Applies one report: journals it, pushes it into the engine, emits
-    /// any newly committed decisions, and checkpoints on cadence.
+    /// Applies one report through the supervisor (journal, engine push,
+    /// cadence checkpoint) and emits any newly committed decisions.
     pub(crate) fn ingest(&mut self, report: &Report) -> IngestOutcome {
-        let outcome = self.engine.push(report);
+        let outcome = self.supervisor.apply(self.next_seq, report);
         if outcome.was_ingested() {
-            self.journal.append(self.next_seq, *report);
             self.next_seq += 1;
-            self.applied += 1;
-            self.applied_since_checkpoint += 1;
         }
-        if self.engine.current_interval() > self.seen_interval {
-            self.seen_interval = self.engine.current_interval();
-            self.emit_committed();
-        }
-        if self.checkpoint_every > 0 && self.applied_since_checkpoint >= self.checkpoint_every {
-            self.checkpoint();
-        }
+        self.emit_committed();
         outcome
     }
 
     /// Snapshots the engine and truncates the journal.
     pub(crate) fn checkpoint(&mut self) {
-        self.checkpoint_bytes = self.engine.checkpoint().to_bytes();
-        self.journal.clear();
-        self.applied_since_checkpoint = 0;
+        self.supervisor.checkpoint_now();
     }
 
-    /// Kills the engine and recovers it from durable state: decode the
-    /// checkpoint, restore, replay the journal through its wire format.
+    /// Kills the engine and recovers it from durable state. On failure
+    /// the pre-crash engine stays in place. Nothing is emitted: the
+    /// recovered engine stands where the cursors last saw it.
     pub(crate) fn crash(&mut self) -> Result<(), IngestError> {
-        let recover = || -> Result<StreamingSstd, sstd_core::RecoveryError> {
-            let snapshot = StreamCheckpoint::from_bytes(&self.checkpoint_bytes)?;
-            // Replay with telemetry detached: the intervals the journal
-            // re-closes were already recorded in the store pre-crash,
-            // and double-counting them would corrupt the trace.
-            let mut engine = StreamingSstd::restore(self.config, self.timeline.clone(), &snapshot)?;
-            let journal = ReportJournal::from_bytes(&self.journal.to_bytes())?;
-            for entry in journal.entries() {
-                let outcome = engine.push(&entry.report);
-                debug_assert!(outcome.was_ingested(), "journaled reports always ingest");
+        match self.supervisor.crash_and_recover() {
+            Ok(_) => Ok(()),
+            Err(SupervisorError::Recovery(source)) => {
+                Err(IngestError::Recovery { shard: self.id, source })
             }
-            Ok(engine.with_telemetry_store(Arc::clone(&self.store)))
-        };
-        match recover() {
-            Ok(engine) => {
-                self.engine = engine;
-                // The cursor may trail the replayed engine: emit anything
-                // that committed after the last pre-crash emission.
-                if self.engine.current_interval() > self.seen_interval {
-                    self.seen_interval = self.engine.current_interval();
-                }
-                self.emit_committed();
-                Ok(())
+            Err(SupervisorError::CrashBudgetExhausted { .. }) => {
+                unreachable!("a shard's crash budget is unlimited")
             }
-            Err(source) => Err(IngestError::Recovery { shard: self.id, source }),
         }
     }
 
-    /// Emits a [`TruthUpdate`] for every committed decision past each
-    /// claim's cursor whose label differs from the last emitted one.
+    /// Emits the decisions committed since the last call, if the engine
+    /// closed an interval since then.
     fn emit_committed(&mut self) {
-        let claims: Vec<ClaimId> = self.engine.claim_ids().collect();
-        for claim in claims {
-            let Some((start, decisions)) = self.engine.decisions(claim) else { continue };
-            let cursor = self.cursors.entry(claim).or_default();
-            let skip = cursor.emitted.saturating_sub(start);
-            for (idx, &label) in decisions.iter().enumerate().skip(skip) {
-                if cursor.last != Some(label) {
-                    self.version += 1;
-                    self.log.push(TruthUpdate {
-                        shard: self.id,
-                        version: self.version,
-                        claim,
-                        interval: start + idx,
-                        old: cursor.last,
-                        new: label,
-                    });
-                    cursor.last = Some(label);
-                }
-                cursor.emitted = start + idx + 1;
-            }
+        let Self { id, supervisor, version, seen_interval, cursors, log, .. } = self;
+        let engine = supervisor.engine();
+        if engine.current_interval() <= *seen_interval {
+            return;
+        }
+        *seen_interval = engine.current_interval();
+        for claim in engine.claim_ids() {
+            let (start, labels) = engine.decisions(claim).expect("listed claims have state");
+            emit(*id, version, log, cursors.entry(claim).or_default(), claim, start, labels);
         }
     }
 
     /// Closes all remaining intervals, emits the tail of the change
     /// stream, and returns this shard's estimates.
-    pub(crate) fn finish(mut self) -> TruthEstimates {
-        let estimates = self.engine.finish();
+    pub(crate) fn finish(self) -> TruthEstimates {
+        let Self { id, supervisor, mut version, mut cursors, log, .. } = self;
+        let estimates = supervisor.finish();
         for (claim, labels) in estimates.iter() {
-            let cursor = self.cursors.entry(claim).or_default();
-            for (interval, &label) in labels.iter().enumerate().skip(cursor.emitted) {
-                if cursor.last != Some(label) {
-                    self.version += 1;
-                    self.log.push(TruthUpdate {
-                        shard: self.id,
-                        version: self.version,
-                        claim,
-                        interval,
-                        old: cursor.last,
-                        new: label,
-                    });
-                    cursor.last = Some(label);
-                }
-            }
-            cursor.emitted = labels.len();
+            emit(id, &mut version, &log, cursors.entry(claim).or_default(), claim, 0, labels);
         }
         estimates
     }
+}
+
+/// Emits a [`TruthUpdate`] for every label past `cursor` that differs
+/// from the last emitted one; `labels` are `claim`'s decisions for the
+/// intervals from `start` on.
+fn emit(
+    shard: usize,
+    version: &mut u64,
+    log: &ChangeLog,
+    cursor: &mut EmitCursor,
+    claim: ClaimId,
+    start: usize,
+    labels: &[TruthLabel],
+) {
+    let skip = cursor.emitted.saturating_sub(start);
+    for (idx, &label) in labels.iter().enumerate().skip(skip) {
+        if cursor.last != Some(label) {
+            *version += 1;
+            log.push(TruthUpdate {
+                shard,
+                version: *version,
+                claim,
+                interval: start + idx,
+                old: cursor.last,
+                new: label,
+            });
+            cursor.last = Some(label);
+        }
+    }
+    cursor.emitted = cursor.emitted.max(start + labels.len());
 }

@@ -17,12 +17,11 @@ pub mod hmm {
     pub use sstd_hmm::exhaustive::{best_path, log_joint, log_likelihood, posteriors};
 }
 
-/// Compares the allocating HMM kernels against their workspace `_into`
-/// twins on one model + observation sequence, reusing the caller's
-/// scratch arenas (the reuse is the point: a dirty workspace must not
-/// leak into the next case). The contract is *bit*-equality — the
-/// workspace kernels are refactorings of the same arithmetic, not
-/// approximations of it.
+/// Runs the HMM kernels on one model + observation sequence in the
+/// caller's reused scratch arenas and compares them with a run in fresh
+/// ones (the reuse is the point: a dirty workspace must not leak into the
+/// next case). The contract is *bit*-equality — the same arithmetic runs
+/// either way.
 ///
 /// # Errors
 ///
@@ -34,36 +33,28 @@ pub fn check_workspace_kernels<E: sstd_hmm::Emission>(
     em: &mut sstd_hmm::EmWorkspace,
     decode: &mut sstd_hmm::DecodeWorkspace,
 ) -> Result<(), String> {
-    let reference = sstd_hmm::forward_backward(hmm, obs);
+    let mut fresh = sstd_hmm::EmWorkspace::new();
+    let want_ll = sstd_hmm::forward_backward_into(hmm, obs, &mut fresh);
     let ll = sstd_hmm::forward_backward_into(hmm, obs, em);
-    if ll.to_bits() != reference.log_likelihood.to_bits() {
-        return Err(format!(
-            "log-likelihood diverged: workspace {ll} vs allocating {}",
-            reference.log_likelihood
-        ));
+    if ll.to_bits() != want_ll.to_bits() {
+        return Err(format!("log-likelihood diverged: reused {ll} vs fresh {want_ll}"));
     }
-    let gamma = em.gamma();
-    if gamma.rows() != reference.gamma.len() {
-        return Err(format!(
-            "gamma has {} rows, allocating has {}",
-            gamma.rows(),
-            reference.gamma.len()
-        ));
-    }
-    for (t, want) in reference.gamma.iter().enumerate() {
-        let got = gamma.row(t);
-        for (s, (g, w)) in got.iter().zip(want).enumerate() {
-            if g.to_bits() != w.to_bits() {
-                return Err(format!("gamma[{t}][{s}] = {g}, allocating says {w}"));
-            }
+    for (name, got, want) in
+        [("gamma", em.gamma(), fresh.gamma()), ("xi_sum", em.xi_sum(), fresh.xi_sum())]
+    {
+        if (got.rows(), got.cols()) != (want.rows(), want.cols()) {
+            return Err(format!(
+                "{name} is {}x{}, fresh is {}x{}",
+                got.rows(),
+                got.cols(),
+                want.rows(),
+                want.cols()
+            ));
         }
-    }
-    let xi = em.xi_sum();
-    for (i, want) in reference.xi_sum.iter().enumerate() {
-        let got = xi.row(i);
-        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+        for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
             if g.to_bits() != w.to_bits() {
-                return Err(format!("xi_sum[{i}][{j}] = {g}, allocating says {w}"));
+                let (r, c) = (k / got.cols(), k % got.cols());
+                return Err(format!("{name}[{r}][{c}] = {g}, fresh says {w}"));
             }
         }
     }

@@ -120,13 +120,6 @@ impl ReportPipeline {
         }
     }
 
-    /// Replaces the attitude scorer plugin.
-    #[must_use]
-    pub fn with_attitude_scorer(mut self, scorer: impl AttitudeScorer + Send + 'static) -> Self {
-        self.attitude = Box::new(scorer);
-        self
-    }
-
     /// Replaces the uncertainty scorer plugin.
     #[must_use]
     pub fn with_uncertainty_scorer(
@@ -134,16 +127,6 @@ impl ReportPipeline {
         scorer: impl UncertaintyScorer + Send + 'static,
     ) -> Self {
         self.uncertainty = Box::new(scorer);
-        self
-    }
-
-    /// Replaces the independence scorer plugin.
-    #[must_use]
-    pub fn with_independence_scorer(
-        mut self,
-        scorer: impl IndependenceScorer + Send + 'static,
-    ) -> Self {
-        self.independence = Box::new(scorer);
         self
     }
 

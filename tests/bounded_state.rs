@@ -3,14 +3,20 @@
 //! claim, a snapshot grows by its 4 000 decision bytes and nothing else,
 //! and the live heap by no more than the decision vector's own growth.
 //!
+//! The same holds one level up: what a `Supervisor` remembers about the
+//! sequence numbers it applied follows the holes in them (drops, records
+//! still delayed), not how many there were.
+//!
 //! This file is its own test binary with a single test, so the counting
 //! global allocator below sees that test's allocations only (the
 //! `MemProbe` pattern of `sstd-eval`'s `tournament` binary). No
 //! wall-clock assertions.
 
-use sstd::core::{SstdConfig, StreamingSstd};
+use sstd::core::{chaos_stream, CheckpointPolicy, SstdConfig, StreamingSstd, Supervisor};
+use sstd::runtime::FaultPlan;
 use sstd::types::{Attitude, ClaimId, Report, SourceId, Timeline, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -45,6 +51,39 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Live heap right after the checkpoints at 20 000 and at 200 000
+/// delivered records of `plan`'s perturbation of an in-order stream, and
+/// the number of sequence numbers the plan dropped. One claim in one
+/// never-closing interval and a journal truncated every 1 000 records
+/// keep everything but the dedupe state the same size at both points.
+fn supervisor_heap_at_20k_and_200k(plan: &FaultPlan) -> (u64, u64, usize) {
+    const EARLY: usize = 20_000;
+    const LATE: usize = 200_000;
+    let report =
+        Report::plain(SourceId::new(0), ClaimId::new(0), Timestamp::from_secs(1), Attitude::Agree);
+    let records = chaos_stream(plan, &vec![report; LATE + LATE / 10]);
+    let delivered: BTreeSet<u64> = records.iter().map(|r| r.seq()).collect();
+    let dropped = LATE + LATE / 10 - delivered.len();
+    drop(delivered);
+    let mut sup = Supervisor::new(
+        SstdConfig::default(),
+        Timeline::new(Timestamp::from_secs(10), 1),
+        CheckpointPolicy::every_reports(1_000),
+    );
+    let mut next = 0;
+    let mut live_after = |upto: usize| {
+        for record in &records[next..upto] {
+            let _ = sup.ingest(record);
+        }
+        next = upto;
+        sup.checkpoint_now();
+        LIVE.load(Ordering::Relaxed)
+    };
+    let early = live_after(EARLY);
+    let late = live_after(LATE);
+    (early, late, dropped)
+}
 
 #[test]
 fn a_claims_state_is_bounded_by_the_refit_horizon() {
@@ -85,5 +124,27 @@ fn a_claims_state_is_bounded_by_the_refit_horizon() {
         "live heap grew by {grown} B between interval {EARLY} and {LATE}; \
          the decision vector accounts for less than {}",
         2 * LATE - EARLY
+    );
+    drop(engine);
+
+    // In order, 180 000 more sequence numbers extend one run.
+    let (early, late, dropped) = supervisor_heap_at_20k_and_200k(&FaultPlan::new(0));
+    assert_eq!(dropped, 0);
+    let grown = late.saturating_sub(early);
+    assert!(grown < 512, "in-order dedupe state grew by {grown} B over 180 000 records");
+
+    // Under drops and bounded reorder there is at most one run per hole:
+    // a dropped number, or one of the last `DEPTH` still in flight. A run
+    // is 16 B and a doubling vector holds less than twice its length.
+    const DEPTH: u32 = 4;
+    let plan = FaultPlan::new(2017).with_ingest_drop_rate(0.0005).with_ingest_reorder(0.05, DEPTH);
+    let (early, late, dropped) = supervisor_heap_at_20k_and_200k(&plan);
+    assert!(dropped > 20, "drops fired ({dropped})");
+    let grown = late.saturating_sub(early);
+    let bound = 2 * 16 * (dropped as u64 + u64::from(DEPTH)) + 512;
+    assert!(
+        grown < bound,
+        "dedupe state grew by {grown} B under {dropped} drops and reorder depth {DEPTH}; \
+         its runs account for less than {bound}"
     );
 }

@@ -49,20 +49,45 @@ struct ServiceRun {
     streams: Vec<ChangeStream>,
     stores: Vec<Arc<EventStore>>,
     ingested: u64,
+    /// Per shard: reports applied, and the checkpoints its cadence and
+    /// the run's `checkpoint_shard` calls add up to.
+    applied: Vec<u64>,
+    checkpoints: Vec<u64>,
 }
 
 /// Runs the deterministic service over the case's time-ordered stream,
 /// crashing every shard at each scheduled position; pumps on
 /// backpressure so every report is eventually applied.
 fn run_service(case: &ServiceCase) -> Result<ServiceRun, String> {
+    run_service_checkpointing(case, false)
+}
+
+/// [`run_service`], optionally draining and snapshotting every shard
+/// just before every other crash.
+fn run_service_checkpointing(case: &ServiceCase, manual: bool) -> Result<ServiceRun, String> {
     let mut service = IngestService::new(serve_config(case)).expect("valid config");
     let reports = case.sorted_reports();
     let crashes = case.crash_positions(reports.len());
     let mut next_crash = 0;
     let mut ingested = 0u64;
+    let mut applied = vec![0u64; case.shards];
+    let mut checkpoints = vec![0u64; case.shards];
+    // Reports a shard has taken since its last checkpoint. Queues are
+    // FIFO and drained before a manual checkpoint, so counting at enqueue
+    // gives the order the shard sees.
+    let mut since = vec![0usize; case.shards];
     for (i, report) in reports.iter().enumerate() {
         while next_crash < crashes.len() && crashes[next_crash] == i {
+            let snapshot_first = manual && next_crash % 2 == 0;
+            if snapshot_first {
+                service.pump();
+            }
             for shard in 0..service.num_shards() {
+                if snapshot_first {
+                    service.checkpoint_shard(shard);
+                    checkpoints[shard] += 1;
+                    since[shard] = 0;
+                }
                 service
                     .crash_shard(shard)
                     .map_err(|e| format!("shard {shard} failed to recover: {e}"))?;
@@ -74,6 +99,13 @@ fn run_service(case: &ServiceCase) -> Result<ServiceRun, String> {
                 Ok(outcome) => {
                     if outcome.was_ingested() {
                         ingested += 1;
+                        let shard = service.shard_of(report.claim());
+                        applied[shard] += 1;
+                        since[shard] += 1;
+                        if since[shard] == case.checkpoint_every {
+                            checkpoints[shard] += 1;
+                            since[shard] = 0;
+                        }
                     }
                     break;
                 }
@@ -89,7 +121,7 @@ fn run_service(case: &ServiceCase) -> Result<ServiceRun, String> {
     let streams: Vec<_> = (0..service.num_shards()).map(|s| service.changes(s)).collect();
     let stores: Vec<_> = (0..service.num_shards()).map(|s| service.store(s).clone()).collect();
     let estimates = service.finish();
-    Ok(ServiceRun { estimates, streams, stores, ingested })
+    Ok(ServiceRun { estimates, streams, stores, ingested, applied, checkpoints })
 }
 
 // ---------------------------------------------------------------------
@@ -208,6 +240,48 @@ fn every_time_ordered_report_is_accepted_and_applied() {
                 return Err(format!(
                     "shard trace stores account for {ticked} reports, stream had {expected}"
                 ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A shard's store tells its whole recovery story: one checkpoint event
+/// per cadence or requested checkpoint, one crash and one restore per
+/// injected crash, and — because a replay records nothing — stream ticks
+/// that still add up to exactly the reports the shard applied.
+#[test]
+fn shard_stores_account_for_every_checkpoint_crash_and_restore() {
+    check(
+        "shard_stores_account_for_every_checkpoint_crash_and_restore",
+        CASES,
+        &domain::service_case(TraceShape::default()),
+        |case| {
+            let run = run_service_checkpointing(case, true)?;
+            let crashes = case.crash_positions(case.sorted_reports().len()).len() as u64;
+            for (shard, store) in run.stores.iter().enumerate() {
+                let recovery = store.query().recovery();
+                let seen = [
+                    recovery.clone().label("checkpoint").count(),
+                    recovery.clone().label("crash").count(),
+                    recovery.label("restored").count(),
+                ];
+                let want = [run.checkpoints[shard], crashes, crashes];
+                if seen != want {
+                    return Err(format!(
+                        "shard {shard}: checkpoint/crash/restored events {seen:?}, expected \
+                         {want:?} at cadence {}",
+                        case.checkpoint_every
+                    ));
+                }
+                let ticked =
+                    store.query().stream().sum(|e| e.stream_tick().map(|t| t.reports as f64));
+                if ticked as u64 != run.applied[shard] {
+                    return Err(format!(
+                        "shard {shard}: stream ticks account for {ticked} reports, {} applied",
+                        run.applied[shard]
+                    ));
+                }
             }
             Ok(())
         },
