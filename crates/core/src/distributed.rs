@@ -4,15 +4,17 @@
 //! SSTD's scalability argument is that truth discovery **partitions by
 //! claim**: each claim's EM fit + Viterbi decode depends only on that
 //! claim's own report sub-stream. This module turns that argument into
-//! running code. [`run_distributed`] partitions a trace with
-//! [`claim_partition`](crate::claim_partition), submits one real task per
-//! claim on any [`JobBackend`] — the task's payload performs the actual
-//! EM + Viterbi fit — and reassembles the per-claim label timelines into
-//! [`TruthEstimates`]. Because the decomposition is exact, the result is
-//! identical to the batch [`SstdEngine::run`], whichever backend executed
-//! the tasks and whatever faults the backend survived along the way.
+//! running code. [`run_distributed`] takes the trace's claim-major index
+//! ([`Trace::claim_index`]), submits one real task per claim on any
+//! [`JobBackend`] — the task's payload performs the actual EM + Viterbi
+//! fit on that claim's slice of the index — and reassembles the per-claim
+//! label timelines into [`TruthEstimates`]. Because the decomposition is
+//! exact, the result is identical to the batch [`SstdEngine::run`],
+//! whichever backend executed the tasks and whatever faults the backend
+//! survived along the way.
 
-use crate::{claim_partition, SstdEngine, TruthEstimates};
+use crate::engine::claim_ids;
+use crate::{SstdEngine, TruthEstimates};
 use sstd_runtime::{ExecutionReport, FailedTask, JobBackend, JobId, TaskSpec};
 use sstd_types::{ClaimId, SstdError, Trace, TruthLabel};
 use std::sync::Arc;
@@ -69,7 +71,9 @@ impl From<DistributedError> for SstdError {
 /// workload. Results are reassembled into [`TruthEstimates`] that match
 /// [`SstdEngine::run`] exactly.
 ///
-/// Each task body runs [`SstdEngine::run_claim`], which keeps one
+/// Each task body is [`SstdEngine::run_claim`]'s: it fits the claim's
+/// slice of the trace's claim-major index — built once, by the first job
+/// or engine run over this trace, and shared by every task — and keeps one
 /// [`ClaimWorkspace`](crate::ClaimWorkspace) per worker thread: however
 /// many claims a backend schedules onto a worker, that worker allocates
 /// its numeric scratch (EM tables, Viterbi lattice, ACS buffers) once.
@@ -94,41 +98,13 @@ pub fn run_distributed<B>(
 where
     B: JobBackend<ClaimFit> + ?Sized,
 {
-    let shared = Arc::new((engine.clone(), trace.clone()));
-    for (claim, reports) in claim_partition(trace) {
-        let spec = TaskSpec::new(job, reports.len() as f64);
-        let shared = Arc::clone(&shared);
-        backend.submit_job(
-            spec,
-            Arc::new(move || {
-                let (engine, trace) = &*shared;
-                (claim, engine.run_claim(trace, claim))
-            }),
-        )?;
-    }
-    let report = backend.run_to_completion();
-    let failed = backend.failed();
-    if !failed.is_empty() {
-        return Err(DistributedError::TasksFailed(failed).into());
-    }
-    let mut estimates = TruthEstimates::new(trace.timeline().num_intervals());
-    for (_, (claim, labels)) in backend.drain_results() {
-        estimates.insert(claim, labels);
-    }
-    if estimates.num_claims() != trace.num_claims() {
-        let missing: Vec<ClaimId> = (0..trace.num_claims())
-            .map(|i| ClaimId::new(i as u32))
-            .filter(|c| estimates.labels(*c).is_none())
-            .collect();
-        return Err(DistributedError::MissingClaims(missing).into());
-    }
-    Ok(DistributedRun { estimates, report })
+    fit_missing(engine, trace, backend, job, TruthEstimates::new(trace.timeline().num_intervals()))
 }
 
 /// Resumes a partially-completed distributed run: claims already present
 /// in `prior` are kept as-is, and only the missing claims are submitted
-/// as tasks. With an empty `prior` this is exactly [`run_distributed`];
-/// with a complete one it submits nothing.
+/// as tasks — the same per-claim slice fits as [`run_distributed`], which
+/// is this with an empty `prior`; with a complete one it submits nothing.
 ///
 /// This is the distributed half of crash recovery (DESIGN.md §13): a
 /// coordinator that persisted the estimates it had reassembled before
@@ -151,18 +127,31 @@ pub fn resume_distributed<B>(
 where
     B: JobBackend<ClaimFit> + ?Sized,
 {
-    let shared = Arc::new((engine.clone(), trace.clone()));
-    for (claim, reports) in claim_partition(trace) {
-        if prior.labels(claim).is_some() {
-            continue;
-        }
-        let spec = TaskSpec::new(job, reports.len() as f64);
+    fit_missing(engine, trace, backend, job, prior.clone())
+}
+
+/// The one job body: a task per claim that `estimates` lacks, their fits
+/// merged into it.
+fn fit_missing<B>(
+    engine: &SstdEngine,
+    trace: &Trace,
+    backend: &mut B,
+    job: JobId,
+    mut estimates: TruthEstimates,
+) -> Result<DistributedRun, SstdError>
+where
+    B: JobBackend<ClaimFit> + ?Sized,
+{
+    let index = trace.claim_index();
+    let shared = Arc::new((engine.clone(), trace.timeline().clone(), Arc::clone(index)));
+    for claim in claim_ids(trace).filter(|claim| estimates.labels(*claim).is_none()) {
+        let spec = TaskSpec::new(job, index.reports_for_claim(claim).len() as f64);
         let shared = Arc::clone(&shared);
         backend.submit_job(
             spec,
             Arc::new(move || {
-                let (engine, trace) = &*shared;
-                (claim, engine.run_claim(trace, claim))
+                let (engine, timeline, index) = &*shared;
+                (claim, engine.fit_claim(timeline, index.reports_for_claim(claim)))
             }),
         )?;
     }
@@ -171,15 +160,12 @@ where
     if !failed.is_empty() {
         return Err(DistributedError::TasksFailed(failed).into());
     }
-    let mut estimates = prior.clone();
     for (_, (claim, labels)) in backend.drain_results() {
         estimates.insert(claim, labels);
     }
     if estimates.num_claims() != trace.num_claims() {
-        let missing: Vec<ClaimId> = (0..trace.num_claims())
-            .map(|i| ClaimId::new(i as u32))
-            .filter(|c| estimates.labels(*c).is_none())
-            .collect();
+        let missing: Vec<ClaimId> =
+            claim_ids(trace).filter(|c| estimates.labels(*c).is_none()).collect();
         return Err(DistributedError::MissingClaims(missing).into());
     }
     Ok(DistributedRun { estimates, report })

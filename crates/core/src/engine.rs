@@ -9,8 +9,13 @@
 use crate::{
     AcsAggregator, ClaimTruthModel, ClaimWorkspace, ConfidenceEstimates, SstdConfig, TruthEstimates,
 };
-use sstd_types::{ClaimId, Report, Trace, TruthLabel};
+use sstd_types::{ClaimId, Report, Timeline, Trace, TruthLabel};
 use std::cell::RefCell;
+
+/// Every claim id of `trace`, in order.
+pub(crate) fn claim_ids(trace: &Trace) -> impl Iterator<Item = ClaimId> {
+    (0..trace.num_claims()).map(|i| ClaimId::new(i as u32))
+}
 
 /// Partitions a trace's reports by claim — the decomposition that makes
 /// SSTD scalable (paper §III-E): each claim's sub-stream is an independent
@@ -18,6 +23,11 @@ use std::cell::RefCell;
 ///
 /// Claims with no reports still appear (with an empty vector) so every
 /// claim receives an estimate.
+///
+/// This is [`Trace::reports_for_claim`] copied out claim by claim, kept for
+/// callers that take the sub-streams by value (`sstd-benchmark`'s ACS
+/// pass iterates `&Vec<Report>`); the engine and the distributed job
+/// borrow the slices instead.
 ///
 /// # Examples
 ///
@@ -40,12 +50,7 @@ use std::cell::RefCell;
 /// ```
 #[must_use]
 pub fn claim_partition(trace: &Trace) -> Vec<(ClaimId, Vec<Report>)> {
-    let mut parts: Vec<(ClaimId, Vec<Report>)> =
-        (0..trace.num_claims()).map(|i| (ClaimId::new(i as u32), Vec::new())).collect();
-    for r in trace.reports() {
-        parts[r.claim().index()].1.push(*r);
-    }
-    parts
+    claim_ids(trace).map(|claim| (claim, trace.reports_for_claim(claim).to_vec())).collect()
 }
 
 /// The batch SSTD truth-discovery engine (paper §III).
@@ -77,7 +82,16 @@ impl SstdEngine {
     /// Runs truth discovery over a whole trace.
     #[must_use]
     pub fn run(&self, trace: &Trace) -> TruthEstimates {
-        self.run_with_confidence(trace).0
+        let mut labels_out = TruthEstimates::new(trace.timeline().num_intervals());
+        // One scratch arena for the whole run: every claim reuses the same
+        // EM tables, Viterbi lattice, and ACS buffers.
+        let mut ws = ClaimWorkspace::new();
+        for claim in claim_ids(trace) {
+            let reports = trace.reports_for_claim(claim);
+            let labels = self.decode_claim_with(trace.timeline(), reports, &mut ws).0;
+            labels_out.insert(claim, labels);
+        }
+        labels_out
     }
 
     /// Runs truth discovery and also returns the per-interval posterior
@@ -88,12 +102,15 @@ impl SstdEngine {
         let num_intervals = trace.timeline().num_intervals();
         let mut labels_out = TruthEstimates::new(num_intervals);
         let mut conf_out = ConfidenceEstimates::new(num_intervals);
-        // One scratch arena for the whole run: every claim reuses the same
-        // EM tables, Viterbi lattice, and ACS buffers.
         let mut ws = ClaimWorkspace::new();
-        for (claim, reports) in claim_partition(trace) {
-            let (labels, confidence) =
-                self.decode_claim_with(trace, &reports, num_intervals, &mut ws);
+        for claim in claim_ids(trace) {
+            let reports = trace.reports_for_claim(claim);
+            let (labels, model) = self.decode_claim_with(trace.timeline(), reports, &mut ws);
+            // An evidence-free claim has no model: it is as likely true as not.
+            let mut confidence = vec![0.5; num_intervals];
+            if let Some(model) = model {
+                model.posterior_true_into(&ws.acs, &mut ws.em, &mut confidence);
+            }
             labels_out.insert(claim, labels);
             conf_out.insert(claim, confidence);
         }
@@ -101,7 +118,8 @@ impl SstdEngine {
     }
 
     /// Runs truth discovery for a single claim's reports — the body of one
-    /// distributed TD job (paper §III-E). `trace` supplies the timeline.
+    /// distributed TD job (paper §III-E). `trace` supplies the timeline and
+    /// the claim's slice of its claim-major index.
     ///
     /// Each worker thread keeps one [`ClaimWorkspace`] in thread-local
     /// storage, so the per-claim jobs a runtime backend schedules onto a
@@ -109,28 +127,33 @@ impl SstdEngine {
     /// of reallocating them per claim.
     #[must_use]
     pub fn run_claim(&self, trace: &Trace, claim: ClaimId) -> Vec<TruthLabel> {
+        self.fit_claim(trace.timeline(), trace.reports_for_claim(claim))
+    }
+
+    /// [`run_claim`](Self::run_claim) on the claim's sub-stream itself.
+    pub(crate) fn fit_claim(&self, timeline: &Timeline, reports: &[Report]) -> Vec<TruthLabel> {
         thread_local! {
             static WS: RefCell<ClaimWorkspace> = RefCell::new(ClaimWorkspace::new());
         }
-        let reports = trace.reports_for_claim(claim);
-        let num_intervals = trace.timeline().num_intervals();
-        WS.with(|ws| self.decode_claim_with(trace, &reports, num_intervals, &mut ws.borrow_mut()).0)
+        WS.with(|ws| self.decode_claim_with(timeline, reports, &mut ws.borrow_mut()).0)
     }
 
+    /// Decodes one claim's labels, leaving its ACS sequence in `ws.acs`.
+    /// The fitted model comes back too (`None` for an evidence-free claim)
+    /// for the caller that wants posteriors from it.
     fn decode_claim_with(
         &self,
-        trace: &Trace,
+        timeline: &Timeline,
         reports: &[Report],
-        num_intervals: usize,
         ws: &mut ClaimWorkspace,
-    ) -> (Vec<TruthLabel>, Vec<f64>) {
+    ) -> (Vec<TruthLabel>, Option<ClaimTruthModel>) {
+        let num_intervals = timeline.num_intervals();
         // First pass with window 1 to count evidence-bearing intervals,
         // then the real aggregation with the (possibly adaptive) window.
         ws.per_interval.clear();
         ws.per_interval.resize(num_intervals, 0.0);
         for r in reports {
-            ws.per_interval[trace.timeline().interval_of(r.time())] +=
-                r.contribution_score().value();
+            ws.per_interval[timeline.interval_of(r.time())] += r.contribution_score().value();
         }
         let evidence_intervals = ws.per_interval.iter().filter(|v| v.abs() > 1e-12).count();
         let window = self.config.window_for(num_intervals, evidence_intervals);
@@ -138,14 +161,12 @@ impl SstdEngine {
         // Evidence-free claims default to False — asserting an unreported
         // claim true has no support.
         if ws.acs.iter().map(|a| a.abs()).fold(0.0f64, f64::max) <= self.config.evidence_floor {
-            return (vec![TruthLabel::False; num_intervals], vec![0.5; num_intervals]);
+            return (vec![TruthLabel::False; num_intervals], None);
         }
         let model = ClaimTruthModel::fit_with(&self.config, &ws.acs, &mut ws.em);
         let mut labels = Vec::with_capacity(num_intervals);
         model.decode_into(&ws.acs, &mut ws.decode, &mut labels);
-        let mut confidence = Vec::with_capacity(num_intervals);
-        model.posterior_true_into(&ws.acs, &mut ws.em, &mut confidence);
-        (labels, confidence)
+        (labels, Some(model))
     }
 }
 
@@ -211,13 +232,57 @@ mod tests {
     }
 
     #[test]
+    fn run_with_confidence_keeps_runs_labels_and_its_own_posteriors() {
+        // What `run_with_confidence` returned for these fixtures while the
+        // posterior pass still ran inside every per-claim decode.
+        const CONFIDENCE: [f64; 20] = [
+            1.0,
+            1.0,
+            1.0,
+            1.0,
+            1.0,
+            1.0,
+            1.0,
+            1.0,
+            1.0,
+            0.999999999999986,
+            1.1397760391934481e-14,
+            1.2664179512350133e-21,
+            1.2664178213261005e-21,
+            1.2664178213261005e-21,
+            1.2664178213261005e-21,
+            1.2664178213261005e-21,
+            1.2664178213261005e-21,
+            1.2664178213261005e-21,
+            1.2664178213262305e-21,
+            1.2664165549095309e-20,
+        ];
+        let engine = SstdEngine::new(SstdConfig::default());
+        let claim = ClaimId::new(0);
+        for (honest, liars) in [(5, 1), (8, 2)] {
+            let trace = flip_trace(honest, liars);
+            let (labels, confidence) = engine.run_with_confidence(&trace);
+            assert_eq!(labels, engine.run(&trace));
+            let confidence = confidence.timeline(claim).unwrap();
+            assert_eq!(confidence.len(), CONFIDENCE.len());
+            for (got, want) in confidence.iter().zip(CONFIDENCE) {
+                assert!((got - want).abs() <= 1e-9 * want, "{got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
     fn unreported_claim_defaults_to_false() {
         let timeline = Timeline::new(Timestamp::from_secs(10), 2);
         let mut gt = GroundTruth::new(2);
         gt.insert(ClaimId::new(0), vec![TruthLabel::True; 2]);
         let trace = Trace::new("empty", vec![], 1, 1, timeline, gt);
-        let est = SstdEngine::new(SstdConfig::default()).run(&trace);
+        let engine = SstdEngine::new(SstdConfig::default());
+        let est = engine.run(&trace);
         assert_eq!(est.labels(ClaimId::new(0)).unwrap(), &[TruthLabel::False; 2]);
+        let (labels, confidence) = engine.run_with_confidence(&trace);
+        assert_eq!(labels, est);
+        assert_eq!(confidence.timeline(ClaimId::new(0)).unwrap(), &[0.5; 2]);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!    the truth sequence is decoded with Viterbi (paper Eq. 6–8);
 //! 4. because every step depends only on a claim's own ACS — not on
 //!    cross-claim source-reliability coupling — the work **partitions by
-//!    claim** ([`claim_partition`]), which is what the distributed runtime
-//!    exploits (paper §III-E).
+//!    claim** (`Trace::reports_for_claim` lends each claim's sub-stream as
+//!    a slice; [`claim_partition`] copies them out), which is what the
+//!    distributed runtime exploits (paper §III-E).
 //!
 //! [`SstdEngine`] is the batch entry point; [`StreamingSstd`] decodes
 //! incrementally as reports arrive, emitting a truth decision per claim

@@ -5,8 +5,8 @@
 //! Usage: `cargo run -p sstd-eval --bin ablation [-- <scale> [seed]]`
 
 use sstd_core::{
-    claim_partition, smooth_dependencies, AcsAggregator, BinnedClaimTruthModel, ClaimDependency,
-    SstdConfig, SstdEngine, TruthEstimates,
+    smooth_dependencies, AcsAggregator, BinnedClaimTruthModel, ClaimDependency, SstdConfig,
+    SstdEngine, TruthEstimates,
 };
 use sstd_data::{Scenario, TraceBuilder};
 use sstd_eval::metrics::score_estimates;
@@ -94,9 +94,9 @@ fn run_binned(trace: &Trace, bins: usize) -> TruthEstimates {
     let cfg = SstdConfig::default();
     let n = trace.timeline().num_intervals();
     let mut out = TruthEstimates::new(n);
-    for (claim, reports) in claim_partition(trace) {
+    for claim in (0..trace.num_claims()).map(|c| ClaimId::new(c as u32)) {
         let mut agg = AcsAggregator::new(n, cfg.window);
-        for r in &reports {
+        for r in trace.reports_for_claim(claim) {
             agg.add(trace.timeline().interval_of(r.time()), *r);
         }
         let acs = agg.sequence();

@@ -42,5 +42,5 @@ pub use post::RawPost;
 pub use report::Report;
 pub use score::{Attitude, ContributionScore, Independence, Uncertainty};
 pub use time::{Interval, Timeline, Timestamp};
-pub use trace::{Trace, TraceStats};
+pub use trace::{ClaimIndex, Trace, TraceError, TraceStats};
 pub use truth::{GroundTruth, TruthLabel};

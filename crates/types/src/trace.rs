@@ -5,6 +5,120 @@ use crate::{ClaimId, GroundTruth, Report, SourceId, Timeline, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+/// Why a set of trace parts is not a valid [`Trace`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// The ground truth covers a different number of intervals than the
+    /// timeline.
+    IntervalCountMismatch {
+        /// Intervals in the timeline.
+        timeline: usize,
+        /// Intervals the ground truth covers.
+        ground_truth: usize,
+    },
+    /// A report names a source `>= num_sources`.
+    UnknownSource(SourceId),
+    /// A report names a claim `>= num_claims`.
+    UnknownClaim(ClaimId),
+    /// The report at this position is earlier than its predecessor.
+    NotTimeSorted(usize),
+}
+
+impl fmt::Display for TraceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::IntervalCountMismatch { timeline, ground_truth } => write!(
+                f,
+                "ground truth and timeline must agree on interval count \
+                 ({ground_truth} vs {timeline})"
+            ),
+            Self::UnknownSource(source) => write!(f, "report references unknown source {source}"),
+            Self::UnknownClaim(claim) => write!(f, "report references unknown claim {claim}"),
+            Self::NotTimeSorted(at) => write!(f, "report {at} is earlier than its predecessor"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// The one statement of what makes trace parts a [`Trace`]: what
+/// [`Trace::new`] asserts and [`Trace::validate`] reports.
+fn check(
+    reports: &[Report],
+    num_sources: usize,
+    num_claims: usize,
+    timeline: &Timeline,
+    ground_truth: &GroundTruth,
+) -> Result<(), TraceError> {
+    if timeline.num_intervals() != ground_truth.num_intervals() {
+        return Err(TraceError::IntervalCountMismatch {
+            timeline: timeline.num_intervals(),
+            ground_truth: ground_truth.num_intervals(),
+        });
+    }
+    let mut latest = Timestamp::ZERO;
+    for (at, r) in reports.iter().enumerate() {
+        if r.source().index() >= num_sources {
+            return Err(TraceError::UnknownSource(r.source()));
+        }
+        if r.claim().index() >= num_claims {
+            return Err(TraceError::UnknownClaim(r.claim()));
+        }
+        if r.time() < latest {
+            return Err(TraceError::NotTimeSorted(at));
+        }
+        latest = r.time();
+    }
+    Ok(())
+}
+
+/// A trace's reports regrouped claim by claim: one contiguous copy in
+/// claim-major order (time order kept within a claim) plus the offset at
+/// which each claim's run starts, so a claim's sub-stream is a slice.
+///
+/// Built on first use by [`Trace::claim_index`] and shared by every clone
+/// of the trace made afterwards.
+#[derive(Debug)]
+pub struct ClaimIndex {
+    reports: Vec<Report>,
+    /// `num_claims + 1` entries: claim `c` owns `offsets[c]..offsets[c + 1]`.
+    offsets: Vec<usize>,
+}
+
+impl ClaimIndex {
+    /// A stable counting sort by claim, O(reports + claims): count, prefix
+    /// sum, scatter in trace order — so equal claims keep their time order.
+    fn build(reports: &[Report], num_claims: usize) -> Self {
+        let mut offsets = vec![0usize; num_claims + 1];
+        for r in reports {
+            offsets[r.claim().index() + 1] += 1;
+        }
+        for c in 0..num_claims {
+            offsets[c + 1] += offsets[c];
+        }
+        // Where each claim's next report goes.
+        let mut next = offsets.clone();
+        let mut sorted = reports.to_vec();
+        for r in reports {
+            let slot = &mut next[r.claim().index()];
+            sorted[*slot] = *r;
+            *slot += 1;
+        }
+        Self { reports: sorted, offsets }
+    }
+
+    /// Reports about `claim` in time order; empty for a claim without
+    /// reports or outside the trace.
+    #[must_use]
+    pub fn reports_for_claim(&self, claim: ClaimId) -> &[Report] {
+        match self.offsets.get(claim.index()..claim.index() + 2) {
+            Some(&[start, end]) => &self.reports[start..end],
+            _ => &[],
+        }
+    }
+}
 
 /// A complete social-sensing data trace.
 ///
@@ -27,7 +141,7 @@ use std::fmt;
 /// let trace = Trace::new("demo", reports, 1, 1, timeline, gt);
 /// assert_eq!(trace.stats().num_reports, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Trace {
     name: String,
     reports: Vec<Report>,
@@ -35,6 +149,25 @@ pub struct Trace {
     num_claims: usize,
     timeline: Timeline,
     ground_truth: GroundTruth,
+    /// Derived from `reports` on first use; not part of the trace's value
+    /// (skipped on the wire, ignored by `==`) and shared by clones.
+    #[serde(skip)]
+    claim_index: OnceLock<Arc<ClaimIndex>>,
+}
+
+/// Equality of the trace's contents; whether the claim index has been
+/// built yet does not matter.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        let Self { name, reports, num_sources, num_claims, timeline, ground_truth, claim_index: _ } =
+            self;
+        *name == other.name
+            && *reports == other.reports
+            && *num_sources == other.num_sources
+            && *num_claims == other.num_claims
+            && *timeline == other.timeline
+            && *ground_truth == other.ground_truth
+    }
 }
 
 impl Trace {
@@ -54,17 +187,32 @@ impl Trace {
         timeline: Timeline,
         ground_truth: GroundTruth,
     ) -> Self {
-        assert_eq!(
-            timeline.num_intervals(),
-            ground_truth.num_intervals(),
-            "ground truth and timeline must agree on interval count"
-        );
-        for r in &reports {
-            assert!(r.source().index() < num_sources, "report references unknown source");
-            assert!(r.claim().index() < num_claims, "report references unknown claim");
-        }
         reports.sort_by_key(Report::time);
-        Self { name: name.into(), reports, num_sources, num_claims, timeline, ground_truth }
+        if let Err(e) = check(&reports, num_sources, num_claims, &timeline, &ground_truth) {
+            panic!("{e}");
+        }
+        Self {
+            name: name.into(),
+            reports,
+            num_sources,
+            num_claims,
+            timeline,
+            ground_truth,
+            claim_index: OnceLock::new(),
+        }
+    }
+
+    /// Checks what [`new`](Self::new) guarantees, for a trace that did not
+    /// come through it — one deserialized from a file holds whatever the
+    /// file said.
+    ///
+    /// # Errors
+    ///
+    /// The first [`TraceError`] found: an interval-count mismatch between
+    /// timeline and ground truth, a report naming an unknown source or
+    /// claim, or reports out of time order.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        check(&self.reports, self.num_sources, self.num_claims, &self.timeline, &self.ground_truth)
     }
 
     /// Human-readable trace name (e.g. `"boston-bombing"`).
@@ -118,10 +266,24 @@ impl Trace {
         &self.reports[start..end]
     }
 
-    /// Reports about one claim, in time order.
+    /// The claim-major index of the reports, built by the first call (one
+    /// pass over the reports) and shared with every later clone of this
+    /// trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a deserialized trace that fails [`validate`](Self::validate)
+    /// by naming a claim `>= num_claims`.
     #[must_use]
-    pub fn reports_for_claim(&self, claim: ClaimId) -> Vec<Report> {
-        self.reports.iter().filter(|r| r.claim() == claim).copied().collect()
+    pub fn claim_index(&self) -> &Arc<ClaimIndex> {
+        self.claim_index.get_or_init(|| Arc::new(ClaimIndex::build(&self.reports, self.num_claims)))
+    }
+
+    /// Reports about one claim, in time order: a slice of the
+    /// [`claim_index`](Self::claim_index).
+    #[must_use]
+    pub fn reports_for_claim(&self, claim: ClaimId) -> &[Report] {
+        self.claim_index().reports_for_claim(claim)
     }
 
     /// Summary statistics (the paper's Table II row for this trace).
@@ -252,6 +414,49 @@ mod tests {
         let t = mk_trace();
         assert_eq!(t.reports_for_claim(ClaimId::new(1)).len(), 2);
         assert_eq!(t.reports_for_claim(ClaimId::new(0)).len(), 1);
+        assert!(t.reports_for_claim(ClaimId::new(2)).is_empty(), "a claim outside the trace");
+    }
+
+    #[test]
+    fn building_the_index_does_not_change_what_a_trace_equals() {
+        let built = mk_trace();
+        let unbuilt = built.clone();
+        let _ = built.claim_index();
+        assert!(unbuilt.claim_index.get().is_none(), "a clone made before the build has none");
+        assert_eq!(built, unbuilt);
+        assert_eq!(unbuilt, built);
+    }
+
+    #[test]
+    fn a_clone_made_after_the_build_shares_the_index() {
+        let t = mk_trace();
+        let index = Arc::clone(t.claim_index());
+        assert!(Arc::ptr_eq(&index, t.clone().claim_index()));
+    }
+
+    #[test]
+    fn check_names_each_violation() {
+        let t = mk_trace();
+        let check_with = |reports: &[Report], sources, claims, intervals| {
+            check(reports, sources, claims, t.timeline(), &GroundTruth::new(intervals))
+        };
+        assert_eq!(check_with(t.reports(), 3, 2, 4), Ok(()));
+        assert_eq!(t.validate(), Ok(()));
+        assert_eq!(
+            check_with(t.reports(), 3, 2, 5),
+            Err(TraceError::IntervalCountMismatch { timeline: 4, ground_truth: 5 })
+        );
+        assert_eq!(
+            check_with(t.reports(), 1, 2, 4),
+            Err(TraceError::UnknownSource(SourceId::new(1)))
+        );
+        assert_eq!(
+            check_with(t.reports(), 3, 1, 4),
+            Err(TraceError::UnknownClaim(ClaimId::new(1)))
+        );
+        let mut unsorted = t.reports().to_vec();
+        unsorted.swap(1, 2);
+        assert_eq!(check_with(&unsorted, 3, 2, 4), Err(TraceError::NotTimeSorted(2)));
     }
 
     #[test]

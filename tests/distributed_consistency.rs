@@ -13,7 +13,7 @@
 //!   engine's estimates byte-for-byte on *both* backends, including under
 //!   an injected fault load.
 
-use sstd::core::{claim_partition, run_distributed, ClaimFit, SstdConfig, SstdEngine};
+use sstd::core::{run_distributed, ClaimFit, SstdConfig, SstdEngine};
 use sstd::data::{Scenario, TraceBuilder};
 use sstd::runtime::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, FaultStats, JobId,
@@ -33,7 +33,7 @@ fn threaded_engine_matches_central_engine() {
 
     // Distributed run: one TD job per claim on 4 workers.
     let queue: ThreadedEngine<(ClaimId, Vec<TruthLabel>)> = ThreadedEngine::new(4);
-    for (claim, _) in claim_partition(&trace) {
+    for claim in (0..trace.num_claims()).map(|c| ClaimId::new(c as u32)) {
         let trace = Arc::clone(&trace);
         let engine = engine.clone();
         queue.submit(JobId::new(claim.index() as u32), 1.0, move || {
@@ -59,11 +59,11 @@ fn job_priorities_do_not_change_results() {
     let central = engine.run(&trace);
 
     let queue: ThreadedEngine<(ClaimId, Vec<TruthLabel>)> = ThreadedEngine::new(3);
-    for (claim, reports) in claim_partition(&trace) {
+    for claim in (0..trace.num_claims()).map(|c| ClaimId::new(c as u32)) {
+        // Priority by data volume — what the DTM does with LCKs.
+        let priority = (trace.reports_for_claim(claim).len() as f64).max(1.0);
         let trace = Arc::clone(&trace);
         let engine = engine.clone();
-        // Priority by data volume — what the DTM does with LCKs.
-        let priority = (reports.len() as f64).max(1.0);
         queue.submit(JobId::new(claim.index() as u32), priority, move || {
             (claim, engine.run_claim(&trace, claim))
         });

@@ -16,7 +16,7 @@ use sstd::runtime::{
     ThreadedEngine,
 };
 use sstd::stats::{Histogram, P2Quantile};
-use sstd::types::{ClaimId, Report, SourceId, Timeline, Timestamp, TruthLabel};
+use sstd::types::{ClaimId, GroundTruth, Report, SourceId, Timeline, Timestamp, Trace, TruthLabel};
 use sstd_testkit::domain::{TraceCase, TraceShape};
 use sstd_testkit::{check, domain, gens, oracle, Gen, TestRng};
 
@@ -85,6 +85,46 @@ fn acs_with_huge_window_is_the_running_total() {
         }
         Ok(())
     });
+}
+
+// ---------------------------------------------------------------------
+// Claim-major trace index ≡ filtering the time-ordered reports
+// ---------------------------------------------------------------------
+
+#[test]
+fn claim_index_slices_are_the_per_claim_filter() {
+    let timeline = Timeline::new(Timestamp::from_secs(20), 2);
+    let no_claims = Trace::new("none", Vec::new(), 1, 0, timeline, GroundTruth::new(2));
+    assert!(no_claims.reports_for_claim(ClaimId::new(0)).is_empty(), "a zero-claim trace builds");
+
+    check(
+        "claim_index_slices_are_the_per_claim_filter",
+        CASES,
+        &domain::trace_case(TraceShape::default()),
+        |case| {
+            // One more claim than the generator reported on, so every case
+            // has a claim without reports.
+            let mut case = case.clone();
+            case.num_claims += 1;
+            case.truth.push(vec![TruthLabel::False; case.num_intervals]);
+            let trace = case.trace();
+            let mut total = 0;
+            for claim in (0..case.num_claims).map(|c| ClaimId::new(c as u32)) {
+                // Trace order among equal timestamps is part of the contract.
+                let filtered: Vec<Report> =
+                    trace.reports().iter().filter(|r| r.claim() == claim).copied().collect();
+                let slice = trace.reports_for_claim(claim);
+                if slice != filtered.as_slice() {
+                    return Err(format!("{claim}: slice {slice:?} vs filter {filtered:?}"));
+                }
+                total += slice.len();
+            }
+            if total != trace.reports().len() {
+                return Err(format!("slices hold {total} of {} reports", trace.reports().len()));
+            }
+            Ok(())
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
