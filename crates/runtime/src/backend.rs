@@ -60,7 +60,8 @@ pub trait ExecutionBackend {
     /// Submits a task for execution, returning its identity.
     fn submit(&mut self, spec: TaskSpec) -> TaskId;
 
-    /// Sets a job's priority (Local Control Knob). Higher runs earlier.
+    /// Sets a job's priority (Local Control Knob): its share
+    /// `P_u = T_u / ΣT` of the workers' next picks, on every backend.
     fn set_job_priority(&mut self, job: JobId, priority: f64);
 
     /// Elastically resizes the worker pool (Global Control Knob).

@@ -7,151 +7,43 @@
 //! time vs. data size, deadline hit rates, speedup curves) regenerate
 //! deterministically on a single machine.
 //!
-//! Fault tolerance: the engine consumes the unified fault model of
-//! [`crate::fault`]. A seeded [`FaultPlan`] injects transient task
-//! failures, worker crashes (with respawn) and straggler slowdowns;
-//! a [`RetryPolicy`] re-queues faulted attempts with exponential backoff
-//! and caps; [`FastAbort`] re-queues attempts running beyond a multiple
-//! of the online mean task time. All decisions are pure functions of the
+//! The engine is one of the two drivers of the shared task-lifecycle
+//! state machine (`sched.rs`): queueing, retries, backoff, quarantine,
+//! evictions, respawns and the elastic pool are the machine's. What is
+//! left here is what is virtual — the clock, which node a worker sits on
+//! (its speed, and whether a task fits), how long an attempt takes and
+//! how it ends, and the event loop that advances the clock to whichever
+//! comes first, an attempt's end or a machine timer. A seeded
+//! [`FaultPlan`] decides every injected fault as a pure function of the
 //! seed, so fault runs replay byte-for-byte.
 
-use crate::telemetry::{LossCause, SharedRecorder, TaskPhase, TimelineEvent};
+use crate::sched::{Acquire, Attempt, Ended, Master};
+use crate::telemetry::{LossCause, SharedRecorder};
 use crate::{
-    AttemptLedger, AttemptLoss, Cluster, CompletedTask, ExecutionBackend, ExecutionModel,
-    ExecutionReport, FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, JobId, LossVerdict,
-    RetryPolicy, TaskId, TaskPool, TaskSpec, WorkerId,
+    Cluster, CompletedTask, ExecutionBackend, ExecutionModel, ExecutionReport, FailedTask,
+    FastAbort, FaultKind, FaultPlan, FaultStats, JobId, NodeSpec, RetryPolicy, TaskId, TaskSpec,
+    WorkerId,
 };
 use std::collections::BTreeMap;
 
-/// One entry of the simulator's lifecycle log — the observability stream
-/// a real Work Queue master writes to its transaction log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DesEvent {
-    /// A task began executing on a worker.
-    TaskStarted {
-        /// The task.
-        task: TaskId,
-        /// Its owning job.
-        job: JobId,
-        /// The executing worker.
-        worker: WorkerId,
-        /// Virtual start time.
-        at: f64,
-        /// Zero-based attempt number of this execution.
-        attempt: u32,
-    },
-    /// A task finished.
-    TaskCompleted {
-        /// The task.
-        task: TaskId,
-        /// Its owning job.
-        job: JobId,
-        /// The executing worker.
-        worker: WorkerId,
-        /// Virtual completion time.
-        at: f64,
-    },
-    /// A task attempt faulted (transient failure, worker loss, or a
-    /// straggler fast-abort) and was re-queued or dropped.
-    TaskFailed {
-        /// The task.
-        task: TaskId,
-        /// Its owning job.
-        job: JobId,
-        /// The worker the attempt ran on.
-        worker: WorkerId,
-        /// What went wrong.
-        kind: FaultKind,
-        /// Zero-based attempt number that faulted.
-        attempt: u32,
-        /// Virtual fault time.
-        at: f64,
-    },
-    /// A task exhausted its retry budget and was dropped.
-    TaskExhausted {
-        /// The task.
-        task: TaskId,
-        /// Its owning job.
-        job: JobId,
-        /// Attempts consumed before giving up.
-        attempts: u32,
-        /// Virtual time of the terminal failure.
-        at: f64,
-    },
-    /// A worker was evicted (HTCondor preemption). The pool shrinks; the
-    /// interrupted task, if any, is re-queued under its original id.
-    WorkerEvicted {
-        /// The evicted worker.
-        worker: WorkerId,
-        /// Virtual eviction time.
-        at: f64,
-        /// The task it was running, if any (re-queued under the same id).
-        interrupted: Option<TaskId>,
-    },
-    /// A worker crashed under the fault plan; it respawns after the
-    /// plan's restart delay.
-    WorkerCrashed {
-        /// The crashed worker.
-        worker: WorkerId,
-        /// Virtual crash time.
-        at: f64,
-        /// The task it was running (re-queued under the same id).
-        interrupted: Option<TaskId>,
-    },
-    /// A crashed worker's replacement joined the pool.
-    WorkerRespawned {
-        /// The new worker.
-        worker: WorkerId,
-        /// Virtual join time.
-        at: f64,
-    },
-    /// A worker was quarantined (blacklisted) after repeated faults.
-    WorkerQuarantined {
-        /// The quarantined worker.
-        worker: WorkerId,
-        /// Virtual quarantine time.
-        at: f64,
-    },
+/// How a virtual attempt ends; at equal times a fault fires before an
+/// abort and an abort before a completion.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+enum End {
+    /// The injected transient fault or worker crash manifests.
+    Fail,
+    /// Fast-abort kills the attempt at the threshold.
+    Abort,
+    Complete,
 }
 
-#[derive(Debug, Clone)]
-struct Running {
-    task: TaskId,
-    spec: TaskSpec,
-    submitted_at: f64,
-    started_at: f64,
-    finishes_at: f64,
-    /// Zero-based attempt number of this execution.
-    attempt: u32,
-    /// When the attempt's injected transient fault manifests, if any.
-    fails_at: Option<f64>,
+/// The virtual execution of one attempt: when it ends, and how.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    ends_at: f64,
+    end: End,
     /// Whether the injected fault takes the worker down with it.
     crashes_worker: bool,
-    /// When fast-abort kills this attempt, if armed.
-    abort_at: Option<f64>,
-}
-
-#[derive(Debug, Clone)]
-struct Worker {
-    id: WorkerId,
-    speed: f64,
-    running: Option<Running>,
-    /// A draining worker finishes its current task and accepts no more
-    /// (how the Global Control Knob shrinks the pool).
-    draining: bool,
-}
-
-/// The next simulation event, ordered deterministically: at equal times,
-/// backoff releases fire before respawns, respawns before evictions, and
-/// worker events (fault < abort < completion, then by worker index) last.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Pending {
-    Release,
-    Respawn,
-    Evict,
-    Fail(usize),
-    Abort(usize),
-    Complete(usize),
 }
 
 /// Event-driven simulator of a Work Queue master over a cluster.
@@ -187,27 +79,12 @@ enum Pending {
 pub struct DesEngine {
     cluster: Cluster,
     model: ExecutionModel,
-    pool: TaskPool,
-    workers: Vec<Worker>,
-    next_worker: u32,
     clock: f64,
-    submit_times: BTreeMap<TaskId, f64>,
-    completed: Vec<CompletedTask>,
-    /// Scheduled worker evictions (HTCondor preemption), sorted by time.
-    evictions: Vec<f64>,
-    /// Scheduled worker respawns after fault-plan crashes, sorted by time.
-    respawns: Vec<f64>,
-    /// Faulted tasks waiting out their retry backoff:
-    /// `(release_at, task, spec, original_submit_time)`, sorted.
-    delayed: Vec<(f64, TaskId, TaskSpec, f64)>,
-    /// Lifecycle log.
-    events: Vec<DesEvent>,
-    /// The shared retry/quarantine/fast-abort state machine
-    /// ([`AttemptLedger`]); this backend only supplies the virtual clock
-    /// and the event mechanics.
-    ledger: AttemptLedger,
-    /// Optional timeline sink; `None` (the default) records nothing.
-    recorder: Option<SharedRecorder>,
+    /// The shared task lifecycle; this backend drives it from `clock`.
+    master: Master,
+    /// The attempts in flight, by the worker executing them. Ids order
+    /// workers by age, which is the tie-break between simultaneous ends.
+    flights: BTreeMap<WorkerId, Flight>,
 }
 
 impl DesEngine {
@@ -219,50 +96,24 @@ impl DesEngine {
     /// Panics if `num_workers` is zero.
     #[must_use]
     pub fn new(cluster: Cluster, model: ExecutionModel, num_workers: usize) -> Self {
-        assert!(num_workers > 0, "need at least one worker");
-        let mut engine = Self {
+        Self {
             cluster,
             model,
-            pool: TaskPool::new(),
-            workers: Vec::new(),
-            next_worker: 0,
             clock: 0.0,
-            submit_times: BTreeMap::new(),
-            completed: Vec::new(),
-            evictions: Vec::new(),
-            respawns: Vec::new(),
-            delayed: Vec::new(),
-            events: Vec::new(),
-            ledger: AttemptLedger::new(),
-            recorder: None,
-        };
-        engine.grow_workers(num_workers);
-        engine
-    }
-
-    fn grow_workers(&mut self, n: usize) {
-        let speeds = self.cluster.worker_speeds(self.workers.len() + n);
-        for _ in 0..n {
-            let idx = self.next_worker as usize;
-            self.workers.push(Worker {
-                id: WorkerId::new(self.next_worker),
-                speed: speeds[idx % speeds.len()],
-                running: None,
-                draining: false,
-            });
-            self.next_worker += 1;
+            master: Master::new(num_workers),
+            flights: BTreeMap::new(),
         }
     }
 
     /// Installs a deterministic fault-injection schedule.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.ledger.set_plan(plan);
+        self.master.set_plan(plan);
     }
 
     /// Installs (or removes) a timeline recorder; see
     /// [`ExecutionBackend::set_recorder`].
     pub fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
-        self.recorder = recorder;
+        self.master.set_recorder(recorder);
     }
 
     /// The simulated cluster.
@@ -271,28 +122,13 @@ impl DesEngine {
         &self.cluster
     }
 
-    /// Emits one timeline event when a recorder is installed.
-    fn record(
-        &self,
-        task: TaskId,
-        job: JobId,
-        attempt: u32,
-        worker: Option<WorkerId>,
-        at: f64,
-        phase: TaskPhase,
-    ) {
-        if let Some(rec) = &self.recorder {
-            rec.record(&TimelineEvent { task, job, attempt, worker, at, phase });
-        }
-    }
-
     /// Sets the retry/backoff/quarantine policy.
     ///
     /// # Panics
     ///
     /// Panics if the policy is invalid (see [`RetryPolicy::validate`]).
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.ledger.set_retry(retry);
+        self.master.set_retry(retry);
     }
 
     /// Enables straggler fast-abort.
@@ -301,7 +137,7 @@ impl DesEngine {
     ///
     /// Panics if the configuration is invalid (see [`FastAbort::validate`]).
     pub fn set_fast_abort(&mut self, fast_abort: FastAbort) {
-        self.ledger.set_fast_abort(fast_abort);
+        self.master.set_fast_abort(fast_abort);
     }
 
     /// Current virtual time.
@@ -313,59 +149,52 @@ impl DesEngine {
     /// Number of workers currently accepting tasks.
     #[must_use]
     pub fn num_workers(&self) -> usize {
-        self.workers.iter().filter(|w| !w.draining).count()
+        self.master.num_workers()
     }
 
     /// Pending (not yet started) tasks, including those waiting out a
     /// retry backoff.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pool.len() + self.delayed.len()
+        self.master.pending()
     }
 
     /// Tasks currently executing.
     #[must_use]
-    pub fn running(&self) -> usize {
-        self.workers.iter().filter(|w| w.running.is_some()).count()
+    pub const fn running(&self) -> usize {
+        self.master.running()
     }
 
     /// Pending tasks of one job (queued or backing off) — the progress
     /// signal the PID controller samples.
     #[must_use]
     pub fn pending_of(&self, job: JobId) -> usize {
-        self.pool.pending_of(job)
-            + self.delayed.iter().filter(|(_, _, spec, _)| spec.job() == job).count()
+        self.master.pending_of(job)
     }
 
     /// Tasks completed so far.
     #[must_use]
     pub fn completed(&self) -> &[CompletedTask] {
-        &self.completed
+        self.master.completed()
     }
 
     /// Tasks re-queued after losing an attempt to an eviction, crash,
     /// transient fault or fast-abort.
     #[must_use]
     pub const fn retries(&self) -> u64 {
-        self.ledger.retries()
+        self.master.retries()
     }
 
     /// Failed-attempt accounting for this run.
     #[must_use]
     pub const fn fault_stats(&self) -> FaultStats {
-        self.ledger.stats()
+        self.master.stats()
     }
 
     /// Tasks dropped after exhausting their retry budget.
     #[must_use]
     pub fn failed(&self) -> Vec<FailedTask> {
-        self.ledger.failed().to_vec()
-    }
-
-    /// The lifecycle event log, in event order.
-    #[must_use]
-    pub fn events(&self) -> &[DesEvent] {
-        &self.events
+        self.master.failed().to_vec()
     }
 
     /// Schedules a worker eviction at virtual time `t` — the HTCondor
@@ -379,69 +208,12 @@ impl DesEngine {
     ///
     /// Panics unless `t` is finite and non-negative.
     pub fn schedule_eviction(&mut self, t: f64) {
-        assert!(t.is_finite() && t >= 0.0, "eviction time must be non-negative");
-        self.evictions.push(t);
-        self.evictions.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    }
-
-    /// Fires one eviction: kill a worker (preferring a busy one),
-    /// re-queue its task, and replace nothing — the pool shrinks, exactly
-    /// like a Condor machine leaving.
-    fn fire_eviction(&mut self, t: f64) {
-        self.clock = self.clock.max(t);
-        // Prefer the busy worker whose task started earliest (most sunk
-        // work lost — the adversarial case); fall back to any worker.
-        let victim = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.running.is_some())
-            .min_by(|(_, a), (_, b)| {
-                let sa = a.running.as_ref().expect("filtered busy").started_at;
-                let sb = b.running.as_ref().expect("filtered busy").started_at;
-                sa.partial_cmp(&sb).expect("finite times")
-            })
-            .map(|(i, _)| i)
-            .or_else(|| (!self.workers.is_empty()).then_some(0));
-        let Some(widx) = victim else { return };
-        let mut interrupted = None;
-        if let Some(run) = self.workers[widx].running.take() {
-            // Re-queue the interrupted task under its original id,
-            // preserving its submission time so latency accounting stays
-            // honest, and without touching the job's stride pass.
-            interrupted = Some(run.task);
-            self.record(
-                run.task,
-                run.spec.job(),
-                run.attempt,
-                Some(self.workers[widx].id),
-                t,
-                TaskPhase::Failed(LossCause::Evicted),
-            );
-            self.ledger.account_loss(AttemptLoss::Crash, t - run.started_at);
-            match self.ledger.settle_loss(run.task, run.spec.job(), AttemptLoss::Crash, "evicted") {
-                LossVerdict::Retry { .. } => {
-                    self.pool.requeue(run.task, run.spec);
-                    self.submit_times.insert(run.task, run.submitted_at);
-                }
-                LossVerdict::Exhausted => self.exhaust(&run, t),
-            }
-        }
-        self.events.push(DesEvent::WorkerEvicted {
-            worker: self.workers[widx].id,
-            at: t,
-            interrupted,
-        });
-        self.workers.remove(widx);
-        self.assign_idle_workers();
+        self.master.schedule_eviction(t);
     }
 
     /// Submits a task at the current virtual time.
     pub fn submit(&mut self, spec: TaskSpec) -> TaskId {
-        let job = spec.job();
-        let id = self.pool.submit(spec);
-        self.submit_times.insert(id, self.clock);
-        self.record(id, job, 0, None, self.clock, TaskPhase::Queued);
+        let id = self.master.submit(spec, self.clock);
         self.assign_idle_workers();
         id
     }
@@ -452,7 +224,7 @@ impl DesEngine {
     ///
     /// Panics unless `priority` is finite and positive.
     pub fn set_job_priority(&mut self, job: JobId, priority: f64) {
-        self.pool.set_priority(job, priority);
+        self.master.set_priority(job, priority);
     }
 
     /// Elastically resizes the worker pool (Global Control Knob). Growing
@@ -463,387 +235,104 @@ impl DesEngine {
     ///
     /// Panics if `n` is zero.
     pub fn set_num_workers(&mut self, n: usize) {
-        assert!(n > 0, "need at least one worker");
-        let active = self.num_workers();
-        if n > active {
-            // Reactivate draining workers first, then add new ones.
-            let mut needed = n - active;
-            for w in self.workers.iter_mut().rev() {
-                if needed == 0 {
-                    break;
-                }
-                if w.draining {
-                    w.draining = false;
-                    needed -= 1;
-                }
-            }
-            if needed > 0 {
-                self.grow_workers(needed);
-            }
-            self.assign_idle_workers();
-        } else if n < active {
-            let mut to_drain = active - n;
-            for w in self.workers.iter_mut().rev() {
-                if to_drain == 0 {
-                    break;
-                }
-                if !w.draining {
-                    w.draining = true;
-                    to_drain -= 1;
-                }
-            }
-            // Fully idle draining workers can be dropped right away.
-            self.workers.retain(|w| !(w.draining && w.running.is_none()));
-        }
+        let _ = self.master.resize(n);
+        self.assign_idle_workers();
     }
 
-    /// Assigns pool tasks to idle, non-draining workers. Tasks whose
-    /// resource requirements fit no node stay queued.
+    /// The node a worker sits on: workers land round-robin on the
+    /// cluster's nodes (how Work Queue workers land on HTCondor slots).
+    fn node(&self, worker: WorkerId) -> &NodeSpec {
+        &self.cluster.nodes()[worker.index() % self.cluster.len()]
+    }
+
+    /// Starts pool tasks on idle workers, oldest worker first. A task
+    /// whose resource requirements fit no idle worker's node stays queued
+    /// (and holds back the tasks behind it) until one frees up.
     fn assign_idle_workers(&mut self) {
-        loop {
-            let Some(widx) = self.workers.iter().position(|w| w.running.is_none() && !w.draining)
-            else {
-                return;
-            };
-            // Check the next task fits this worker's node; the worker
-            // index maps round-robin onto cluster nodes.
-            let Some((task, spec)) = self.pool.pop() else { return };
-            let node = &self.cluster.nodes()[widx % self.cluster.len()];
-            if !spec.requirements().fits_in(node.capacity()) {
-                // Find any worker whose node fits; otherwise drop the task
-                // back and stop (it will be retried on the next event).
-                if let Some(other) = self.workers.iter().position(|w| {
-                    w.running.is_none()
-                        && !w.draining
-                        && spec.requirements().fits_in(
-                            self.cluster.nodes()[w.id.index() % self.cluster.len()].capacity(),
-                        )
-                }) {
-                    self.start_on(other, task, spec);
-                    continue;
-                }
-                // Re-queue under the same id and stop trying this round.
-                self.pool.requeue(task, spec);
-                return;
-            }
-            self.start_on(widx, task, spec);
+        while let Some(spec) = self.master.peek() {
+            let fits = |w: &WorkerId| spec.requirements().fits_in(self.node(*w).capacity());
+            let Some(worker) = self.master.idle_workers().find(fits) else { return };
+            let Acquire::Run(attempt) = self.master.acquire(worker, self.clock) else { return };
+            self.launch(worker, &attempt);
         }
     }
 
-    fn start_on(&mut self, widx: usize, task: TaskId, spec: TaskSpec) {
-        let speed = self.workers[widx].speed;
-        let (attempt, fault) = self.ledger.begin_attempt(task);
-        let mut duration = self.model.task_time_on(&spec, speed);
+    /// Turns an attempt into its virtual end: the model's time on the
+    /// worker's node, stretched by an injected straggler slowdown, cut
+    /// short by an injected fault or by fast-abort.
+    fn launch(&mut self, worker: WorkerId, attempt: &Attempt) {
+        let mut duration = self.model.task_time_on(&attempt.spec, self.node(worker).speed());
         let mut fails_at = None;
-        let mut crashes_worker = false;
-        if let (Some(kind), Some(plan)) = (fault, self.ledger.plan()) {
+        if let (Some(kind), Some(plan)) = (attempt.fault, self.master.plan()) {
             match kind {
                 FaultKind::Straggler => duration *= plan.straggler_slowdown(),
-                FaultKind::Transient => {
+                FaultKind::Transient | FaultKind::WorkerCrash => {
                     fails_at = Some(self.clock + duration * plan.fail_point());
                 }
-                FaultKind::WorkerCrash => {
-                    fails_at = Some(self.clock + duration * plan.fail_point());
-                    crashes_worker = true;
-                }
             }
         }
-        // Arm fast-abort once the running mean is warm: an attempt
-        // projected past `k × mean` is killed at the threshold (the
-        // master only observes elapsed time) unless this task has used
-        // up its speculation budget.
-        let abort_at = self.ledger.fast_abort_threshold().and_then(|threshold| {
-            (duration > threshold && self.ledger.speculation_allowed(task))
-                .then_some(self.clock + threshold)
-        });
-        let submitted_at = self.submit_times.remove(&task).unwrap_or(self.clock);
-        self.events.push(DesEvent::TaskStarted {
-            task,
-            job: spec.job(),
-            worker: self.workers[widx].id,
-            at: self.clock,
-            attempt,
-        });
-        self.record(
-            task,
-            spec.job(),
-            attempt,
-            Some(self.workers[widx].id),
-            self.clock,
-            TaskPhase::Dispatched,
-        );
-        self.workers[widx].running = Some(Running {
-            task,
-            spec,
-            submitted_at,
-            started_at: self.clock,
-            finishes_at: self.clock + duration,
-            attempt,
-            fails_at,
-            crashes_worker,
-            abort_at,
-        });
+        let finishes_at = self.clock + duration;
+        // The master only observes elapsed time: an attempt still running
+        // at the threshold is killed there.
+        let abort_at =
+            attempt.abort_after.map(|limit| self.clock + limit).filter(|&t| t < finishes_at);
+        let ends = [
+            fails_at.map(|t| (t, End::Fail)),
+            abort_at.map(|t| (t, End::Abort)),
+            Some((finishes_at, End::Complete)),
+        ];
+        let (ends_at, end) = ends
+            .into_iter()
+            .flatten()
+            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
+            .expect("an attempt at least finishes");
+        let crashes_worker = attempt.fault == Some(FaultKind::WorkerCrash);
+        self.flights.insert(worker, Flight { ends_at, end, crashes_worker });
     }
 
-    /// The earliest pending event, with a deterministic tie-break order.
-    fn next_event(&self) -> Option<(f64, Pending)> {
-        let mut best: Option<(f64, u8, usize, Pending)> = None;
-        let mut consider = |t: f64, class: u8, widx: usize, p: Pending| {
-            let better = match &best {
-                None => true,
-                Some((bt, bc, bw, _)) => (t, class, widx) < (*bt, *bc, *bw),
-            };
-            if better {
-                best = Some((t, class, widx, p));
-            }
-        };
-        if let Some(&(t, ..)) = self.delayed.first() {
-            consider(t, 0, 0, Pending::Release);
-        }
-        if let Some(&t) = self.respawns.first() {
-            consider(t, 1, 0, Pending::Respawn);
-        }
-        if let Some(&t) = self.evictions.first() {
-            consider(t, 2, 0, Pending::Evict);
-        }
-        for (widx, w) in self.workers.iter().enumerate() {
-            let Some(run) = &w.running else { continue };
-            if let Some(t) = run.fails_at {
-                consider(t, 3, widx, Pending::Fail(widx));
-            }
-            if let Some(t) = run.abort_at {
-                // Only meaningful before the attempt's own fault/finish.
-                if run.fails_at.is_none_or(|f| t < f) && t < run.finishes_at {
-                    consider(t, 4, widx, Pending::Abort(widx));
-                }
-            }
-            if run.fails_at.is_none_or(|f| run.finishes_at < f) {
-                consider(run.finishes_at, 5, widx, Pending::Complete(widx));
-            }
-        }
-        best.map(|(t, _, _, p)| (t, p))
-    }
-
-    /// Handles one non-completion event.
-    fn dispatch(&mut self, sel: Pending, t: f64) {
-        match sel {
-            Pending::Release => {
-                self.clock = self.clock.max(t);
-                let (_, task, spec, submitted_at) = self.delayed.remove(0);
-                self.pool.requeue(task, spec);
-                self.submit_times.insert(task, submitted_at);
-                self.assign_idle_workers();
-            }
-            Pending::Respawn => {
-                self.clock = self.clock.max(t);
-                self.respawns.remove(0);
-                self.grow_workers(1);
-                self.events.push(DesEvent::WorkerRespawned {
-                    worker: WorkerId::new(self.next_worker - 1),
-                    at: t,
-                });
-                self.assign_idle_workers();
-            }
-            Pending::Evict => {
-                self.evictions.remove(0);
-                self.fire_eviction(t);
-            }
-            Pending::Fail(widx) => self.fail_attempt(widx, t),
-            Pending::Abort(widx) => self.abort_attempt(widx, t),
-            Pending::Complete(widx) => {
-                let _ = self.complete_attempt(widx, t);
-            }
+    /// The earliest pending event: `None` for a machine timer, or the
+    /// worker whose attempt ends. At equal times machine timers fire
+    /// first, then attempt ends in [`End`] order, oldest worker first.
+    fn next_event(&self) -> Option<(f64, Option<WorkerId>)> {
+        let flight = self
+            .flights
+            .iter()
+            .map(|(&worker, f)| (f.ends_at, f.end, worker))
+            .min_by(|a, b| a.partial_cmp(b).expect("finite times"));
+        match (self.master.next_wake(), flight) {
+            (Some(wake), Some((t, ..))) if wake <= t => Some((wake, None)),
+            (_, Some((t, _, worker))) => Some((t, Some(worker))),
+            (wake, None) => wake.map(|t| (t, None)),
         }
     }
 
-    /// An injected transient fault (or worker crash) fires on `widx`.
-    fn fail_attempt(&mut self, widx: usize, t: f64) {
+    /// Advances the clock to `t` and handles the event there; returns the
+    /// finished task when the event was a completion.
+    fn dispatch(&mut self, t: f64, who: Option<WorkerId>) -> Option<CompletedTask> {
         self.clock = self.clock.max(t);
-        let run = self.workers[widx].running.take().expect("faulting worker runs a task");
-        let worker_id = self.workers[widx].id;
-        let kind = if run.crashes_worker { FaultKind::WorkerCrash } else { FaultKind::Transient };
-        self.events.push(DesEvent::TaskFailed {
-            task: run.task,
-            job: run.spec.job(),
-            worker: worker_id,
-            kind,
-            attempt: run.attempt,
-            at: t,
-        });
-        let cause = match kind {
-            FaultKind::WorkerCrash => LossCause::Crash,
-            _ => LossCause::Transient,
-        };
-        self.record(
-            run.task,
-            run.spec.job(),
-            run.attempt,
-            Some(worker_id),
-            t,
-            TaskPhase::Failed(cause),
-        );
-        match kind {
-            FaultKind::Transient => {
-                let loss = AttemptLoss::Transient { panicked: false };
-                self.ledger.account_loss(loss, t - run.started_at);
-                match self.ledger.settle_loss(
-                    run.task,
-                    run.spec.job(),
-                    loss,
-                    "transient-fault retries exhausted",
-                ) {
-                    LossVerdict::Retry { delay } => {
-                        // Exponential backoff with deterministic jitter.
-                        self.schedule_release(t + delay, run.task, run.spec, run.submitted_at);
+        let done = match who {
+            None => {
+                let _ = self.master.tick(self.clock);
+                // An eviction killed its victim's attempt with it.
+                self.flights.retain(|&worker, _| self.master.is_busy(worker));
+                None
+            }
+            Some(worker) => {
+                let flight =
+                    self.flights.remove(&worker).expect("the selected attempt is in flight");
+                match flight.end {
+                    End::Complete => self.master.attempt_ended(worker, Ended::Success, t),
+                    End::Fail if flight.crashes_worker => {
+                        self.master.attempt_ended(worker, Ended::Crashed, t)
                     }
-                    LossVerdict::Exhausted => self.exhaust(&run, t),
-                }
-                self.note_worker_fault(widx, t);
-            }
-            FaultKind::WorkerCrash => {
-                self.ledger.account_loss(AttemptLoss::Crash, t - run.started_at);
-                // Losing the machine is not the task's fault: re-queue
-                // immediately, bounded only by the hard cap.
-                match self.ledger.settle_loss(
-                    run.task,
-                    run.spec.job(),
-                    AttemptLoss::Crash,
-                    "worker-crash retries exhausted",
-                ) {
-                    LossVerdict::Retry { .. } => {
-                        self.pool.requeue(run.task, run.spec);
-                        self.submit_times.insert(run.task, run.submitted_at);
+                    End::Fail => self.master.attempt_ended(worker, Ended::Transient, t),
+                    End::Abort => {
+                        self.master.abandon(worker, LossCause::Straggler, t);
+                        None
                     }
-                    LossVerdict::Exhausted => self.exhaust(&run, t),
                 }
-                self.events.push(DesEvent::WorkerCrashed {
-                    worker: worker_id,
-                    at: t,
-                    interrupted: Some(run.task),
-                });
-                let delay = self.ledger.plan().map_or(1.0, |p| p.worker_restart_delay());
-                self.respawns.push(t + delay);
-                self.respawns.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                self.workers.remove(widx);
             }
-            FaultKind::Straggler => unreachable!("stragglers do not fail, they abort"),
-        }
-        self.assign_idle_workers();
-    }
-
-    /// Fast-abort fires: the attempt has run `k ×` the mean task time.
-    fn abort_attempt(&mut self, widx: usize, t: f64) {
-        self.clock = self.clock.max(t);
-        let run = self.workers[widx].running.take().expect("aborting worker runs a task");
-        let worker_id = self.workers[widx].id;
-        self.ledger.account_loss(AttemptLoss::FastAbort, t - run.started_at);
-        self.ledger.note_speculation(run.task);
-        self.events.push(DesEvent::TaskFailed {
-            task: run.task,
-            job: run.spec.job(),
-            worker: worker_id,
-            kind: FaultKind::Straggler,
-            attempt: run.attempt,
-            at: t,
-        });
-        self.record(
-            run.task,
-            run.spec.job(),
-            run.attempt,
-            Some(worker_id),
-            t,
-            TaskPhase::Failed(LossCause::Straggler),
-        );
-        // Re-queue immediately: the retry usually lands on a healthy
-        // worker (the plan decides per attempt). After the speculation
-        // budget, the attempt is left to run to completion, so genuinely
-        // long tasks always finish.
-        match self.ledger.settle_loss(
-            run.task,
-            run.spec.job(),
-            AttemptLoss::FastAbort,
-            "fast-abort",
-        ) {
-            LossVerdict::Retry { .. } => {
-                self.pool.requeue(run.task, run.spec);
-                self.submit_times.insert(run.task, run.submitted_at);
-            }
-            LossVerdict::Exhausted => self.exhaust(&run, t),
-        }
-        self.note_worker_fault(widx, t);
-        if self.workers.get(widx).is_some_and(|w| w.draining && w.running.is_none()) {
-            self.workers.remove(widx);
-        }
-        self.assign_idle_workers();
-    }
-
-    /// Attributes a fault to a worker and quarantines it past the
-    /// threshold (never the last worker standing).
-    fn note_worker_fault(&mut self, widx: usize, t: f64) {
-        let Some(worker) = self.workers.get(widx) else { return };
-        let id = worker.id;
-        if self.ledger.note_worker_fault(id, self.num_workers()) {
-            self.events.push(DesEvent::WorkerQuarantined { worker: id, at: t });
-            // Anything still on it (shouldn't be: faults strip the task
-            // first) would be re-queued by the caller; just remove it.
-            self.workers.remove(widx);
-        }
-    }
-
-    /// Drops a task whose retry budget is spent. The ledger already
-    /// recorded the terminal [`FailedTask`]; this handles the DES-side
-    /// bookkeeping (latency map, event log).
-    fn exhaust(&mut self, run: &Running, t: f64) {
-        self.submit_times.remove(&run.task);
-        let attempts = self.ledger.attempts_started(run.task);
-        self.events.push(DesEvent::TaskExhausted {
-            task: run.task,
-            job: run.spec.job(),
-            attempts,
-            at: t,
-        });
-        self.record(run.task, run.spec.job(), attempts, None, t, TaskPhase::Exhausted);
-    }
-
-    /// Schedules a backoff release, keeping the queue sorted.
-    fn schedule_release(&mut self, at: f64, task: TaskId, spec: TaskSpec, submitted_at: f64) {
-        self.delayed.push((at, task, spec, submitted_at));
-        self.delayed
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times").then(a.1.cmp(&b.1)));
-    }
-
-    /// Finishes the attempt on `widx` and returns its record.
-    fn complete_attempt(&mut self, widx: usize, t: f64) -> CompletedTask {
-        let run = self.workers[widx].running.take().expect("selected running worker");
-        self.clock = self.clock.max(t);
-        self.ledger.record_success(run.task, run.finishes_at - run.started_at);
-        let done = CompletedTask {
-            task: run.task,
-            job: run.spec.job(),
-            submitted_at: run.submitted_at,
-            started_at: run.started_at,
-            finished_at: run.finishes_at,
-            worker: self.workers[widx].id,
-            deadline: run.spec.deadline(),
         };
-        self.completed.push(done);
-        self.events.push(DesEvent::TaskCompleted {
-            task: done.task,
-            job: done.job,
-            worker: done.worker,
-            at: done.finished_at,
-        });
-        self.record(
-            done.task,
-            done.job,
-            run.attempt,
-            Some(done.worker),
-            done.finished_at,
-            TaskPhase::Completed,
-        );
-        if self.workers[widx].draining {
-            self.workers.remove(widx);
-        }
         self.assign_idle_workers();
         done
     }
@@ -853,22 +342,21 @@ impl DesEngine {
     /// Returns the finished task.
     pub fn step(&mut self) -> Option<CompletedTask> {
         loop {
-            let (t, sel) = self.next_event()?;
-            if let Pending::Complete(widx) = sel {
-                return Some(self.complete_attempt(widx, t));
+            let (t, who) = self.next_event()?;
+            if let Some(done) = self.dispatch(t, who) {
+                return Some(done);
             }
-            self.dispatch(sel, t);
         }
     }
 
     /// Processes every event up to virtual time `t`, then sets the clock
     /// to `t`. Used by the feedback-control sampling loop.
     pub fn run_until(&mut self, t: f64) {
-        while let Some((time, sel)) = self.next_event() {
+        while let Some((time, who)) = self.next_event() {
             if time > t {
                 break;
             }
-            self.dispatch(sel, time);
+            let _ = self.dispatch(time, who);
         }
         self.clock = self.clock.max(t);
     }
@@ -878,9 +366,9 @@ impl DesEngine {
     pub fn run_to_completion(&mut self) -> ExecutionReport {
         while self.step().is_some() {}
         ExecutionReport {
-            completed: self.completed.clone(),
+            completed: self.master.completed().to_vec(),
             makespan: self.clock,
-            faults: self.ledger.stats(),
+            faults: self.master.stats(),
         }
     }
 }
@@ -1050,6 +538,34 @@ mod tests {
         assert_eq!(des.num_workers(), 1);
     }
 
+    /// Regression: a draining worker whose attempt ended in a transient
+    /// fault used to stay behind as an idle slot that a later grow
+    /// revived.
+    #[test]
+    fn drained_workers_are_gone_however_their_attempt_ended() {
+        let mut des = engine(2);
+        des.set_fault_plan(FaultPlan::new(0).with_transient_rate(0.5));
+        des.set_retry_policy(RetryPolicy { max_attempts: 64, ..RetryPolicy::default() });
+        for _ in 0..6 {
+            des.submit(TaskSpec::new(JobId::new(0), 100.0));
+        }
+        des.set_num_workers(1);
+        let report = des.run_to_completion();
+        assert_eq!(report.completed.len(), 6);
+        assert!(report.faults.transient_failures > 0, "{}", report.faults);
+        assert_eq!(des.num_workers(), 1);
+        assert_eq!(des.master.slots(), des.num_workers(), "no drained slot lingers");
+        // Growing back adds a new worker; it does not revive worker 1.
+        des.set_num_workers(2);
+        for _ in 0..4 {
+            des.submit(TaskSpec::new(JobId::new(0), 100.0));
+        }
+        let report = des.run_to_completion();
+        let late: std::collections::BTreeSet<WorkerId> =
+            report.completed[6..].iter().map(|c| c.worker).collect();
+        assert!(late.contains(&WorkerId::new(2)) && !late.contains(&WorkerId::new(1)), "{late:?}");
+    }
+
     #[test]
     fn run_until_advances_clock_without_events() {
         let mut des = engine(1);
@@ -1183,7 +699,6 @@ mod eviction_tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn no_task_is_ever_lost_under_eviction_storms(
             evictions in prop::collection::vec(0.0f64..20.0, 0..5),
@@ -1213,7 +728,6 @@ mod churn_tests {
     use proptest::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
         /// Work conservation under arbitrary resize churn: however the
         /// pool is grown/shrunk mid-run, every submitted task completes
         /// exactly once.
@@ -1271,8 +785,10 @@ mod churn_tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::event_log_tests::Tape;
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn engine(workers: usize) -> DesEngine {
         DesEngine::new(
@@ -1366,12 +882,9 @@ mod fault_tests {
         let stats = report.faults;
         assert!(stats.crash_failures > 0, "the plan injected crashes: {stats}");
         assert!(stats.reconciles(), "{stats}");
-        // Respawns kept the pool alive.
-        assert!(des.num_workers() >= 1);
-        let respawns =
-            des.events().iter().filter(|e| matches!(e, DesEvent::WorkerRespawned { .. })).count()
-                as u64;
-        assert_eq!(respawns, stats.crash_failures, "one respawn per crash");
+        // One respawn per crash: with every timer fired, the pool is
+        // back at full strength.
+        assert_eq!(des.num_workers(), 3);
     }
 
     #[test]
@@ -1436,11 +949,13 @@ mod fault_tests {
             );
             des.set_fast_abort(FastAbort::default());
             des.schedule_eviction(2.0);
+            let tape = Arc::new(Tape::default());
+            des.set_recorder(Some(tape.clone()));
             for i in 0..25 {
                 des.submit(TaskSpec::new(JobId::new(i % 3), 120.0));
             }
             let report = des.run_to_completion();
-            (format!("{:?}", des.events()), format!("{report:?}"), des.retries())
+            (format!("{:?}", tape.events()), format!("{report:?}"), des.retries())
         };
         let (events_a, report_a, retries_a) = run();
         let (events_b, report_b, retries_b) = run();
@@ -1469,7 +984,6 @@ mod fault_tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
         /// Under arbitrary seeded fault mixes, the books always balance
         /// and no task is both completed and failed (exactly-once).
         #[test]
@@ -1512,24 +1026,48 @@ mod fault_tests {
 #[cfg(test)]
 mod event_log_tests {
     use super::*;
+    use crate::telemetry::{Recorder, TaskPhase, TimelineEvent};
+    use std::sync::{Arc, Mutex};
+
+    /// A recorder that keeps every event, in order.
+    #[derive(Debug, Default)]
+    pub(super) struct Tape(Mutex<Vec<TimelineEvent>>);
+
+    impl Tape {
+        pub(super) fn events(&self) -> Vec<TimelineEvent> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl Recorder for Tape {
+        fn record(&self, event: &TimelineEvent) {
+            self.0.lock().unwrap().push(*event);
+        }
+    }
+
+    fn taped(workers: usize, model: ExecutionModel) -> (DesEngine, Arc<Tape>) {
+        let mut des = DesEngine::new(Cluster::homogeneous(workers, 1.0), model, workers);
+        let tape = Arc::new(Tape::default());
+        des.set_recorder(Some(tape.clone()));
+        (des, tape)
+    }
 
     #[test]
     fn starts_precede_completions_per_task() {
-        let mut des =
-            DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::new(0.0, 0.01, 0.01), 2);
+        let (mut des, tape) = taped(2, ExecutionModel::new(0.0, 0.01, 0.01));
         for _ in 0..6 {
             des.submit(TaskSpec::new(JobId::new(0), 100.0));
         }
         let _ = des.run_to_completion();
         let mut started = std::collections::BTreeSet::new();
         let mut completed = 0;
-        for e in des.events() {
-            match *e {
-                DesEvent::TaskStarted { task, .. } => {
-                    started.insert(task);
+        for e in tape.events() {
+            match e.phase {
+                TaskPhase::Dispatched => {
+                    started.insert(e.task);
                 }
-                DesEvent::TaskCompleted { task, .. } => {
-                    assert!(started.contains(&task), "completion before start for {task}");
+                TaskPhase::Completed => {
+                    assert!(started.contains(&e.task), "completion before start for {}", e.task);
                     completed += 1;
                 }
                 _ => {}
@@ -1540,60 +1078,45 @@ mod event_log_tests {
 
     #[test]
     fn evictions_appear_in_the_log() {
-        let mut des =
-            DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::new(0.0, 0.01, 0.01), 2);
+        let (mut des, tape) = taped(2, ExecutionModel::new(0.0, 0.01, 0.01));
         des.submit(TaskSpec::new(JobId::new(0), 1_000.0));
         des.schedule_eviction(1.0);
-        let _ = des.run_to_completion();
-        let evictions: Vec<&DesEvent> =
-            des.events().iter().filter(|e| matches!(e, DesEvent::WorkerEvicted { .. })).collect();
+        let report = des.run_to_completion();
+        let evictions: Vec<TimelineEvent> = tape
+            .events()
+            .into_iter()
+            .filter(|e| e.phase == TaskPhase::Failed(LossCause::Evicted))
+            .collect();
         assert_eq!(evictions.len(), 1);
-        if let DesEvent::WorkerEvicted { interrupted, at, .. } = evictions[0] {
-            assert!(interrupted.is_some(), "busy worker was interrupted");
-            assert!((at - 1.0).abs() < 1e-9);
-        }
+        assert!(evictions[0].worker.is_some(), "busy worker was interrupted");
+        assert!((evictions[0].at - 1.0).abs() < 1e-9);
+        assert_eq!(report.faults.crash_failures, 1, "{}", report.faults);
     }
 
     #[test]
     fn event_times_are_monotone() {
-        let mut des = DesEngine::new(Cluster::homogeneous(3, 1.0), ExecutionModel::default(), 3);
+        let (mut des, tape) = taped(3, ExecutionModel::default());
         for i in 0..9 {
             des.submit(TaskSpec::new(JobId::new(i % 2), 50.0 * f64::from(i + 1)));
         }
         let _ = des.run_to_completion();
-        let times: Vec<f64> = des
-            .events()
-            .iter()
-            .map(|e| match *e {
-                DesEvent::TaskStarted { at, .. }
-                | DesEvent::TaskCompleted { at, .. }
-                | DesEvent::TaskFailed { at, .. }
-                | DesEvent::TaskExhausted { at, .. }
-                | DesEvent::WorkerEvicted { at, .. }
-                | DesEvent::WorkerCrashed { at, .. }
-                | DesEvent::WorkerRespawned { at, .. }
-                | DesEvent::WorkerQuarantined { at, .. } => at,
-            })
-            .collect();
+        let times: Vec<f64> = tape.events().iter().map(|e| e.at).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1] + 1e-9), "{times:?}");
     }
 
     #[test]
     fn fault_events_carry_attempt_numbers() {
-        let mut des =
-            DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::new(0.0, 0.01, 0.01), 2);
+        let (mut des, tape) = taped(2, ExecutionModel::new(0.0, 0.01, 0.01));
         des.set_fault_plan(FaultPlan::new(13).with_transient_rate(0.5));
         for _ in 0..10 {
             des.submit(TaskSpec::new(JobId::new(0), 100.0));
         }
         let _ = des.run_to_completion();
         let mut seen_fault = false;
-        for e in des.events() {
-            if let DesEvent::TaskFailed { kind, attempt, .. } = *e {
-                seen_fault = true;
-                assert_eq!(kind, FaultKind::Transient);
-                assert!(attempt < RetryPolicy::default().max_attempts);
-            }
+        for e in tape.events().iter().filter(|e| e.phase.is_failure()) {
+            seen_fault = true;
+            assert_eq!(e.phase, TaskPhase::Failed(LossCause::Transient));
+            assert!(e.attempt < RetryPolicy::default().max_attempts);
         }
         assert!(seen_fault, "rate 0.5 over 10 tasks should fault somewhere");
     }

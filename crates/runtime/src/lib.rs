@@ -19,18 +19,20 @@
 //!   clock. The paper evaluates on a 1,900-machine HTCondor pool; the DES
 //!   reproduces its queueing/scheduling dynamics deterministically on one
 //!   machine (see DESIGN.md §3 for the substitution argument);
-//! - [`ThreadedEngine`] — the real master/worker backend on OS threads,
-//!   proving the same scheduler executes real closures, with retries,
-//!   timeouts and speculation;
+//! - [`ThreadedEngine`] — the real master/worker backend on OS threads:
+//!   the same lifecycle state machine executing real closures, with
+//!   timeouts, and speculation where the simulator kills;
 //! - [`FaultPlan`] / [`RetryPolicy`] / [`FastAbort`] — a unified fault
 //!   model shared by both backends: seeded deterministic injection of
 //!   transient failures, worker crashes and stragglers, retry with
 //!   exponential backoff, quarantine, and fast-abort straggler
 //!   mitigation, with [`FaultStats`] accounting that always reconciles
 //!   (see DESIGN.md "Fault model & recovery");
-//! - [`AttemptLedger`] — the backend-agnostic per-task attempt state
-//!   machine both backends delegate their retry/quarantine/fast-abort
-//!   decisions to, so the policy exists exactly once;
+//! - one task-lifecycle state machine (`sched.rs`, crate-private) that
+//!   both engines drive — the ready queue, retries and backoff,
+//!   quarantine, evictions, respawns, the elastic pool and the fault
+//!   accounting exist exactly once; an engine supplies only its clock and
+//!   its way of executing an attempt;
 //! - [`ExecutionBackend`] / [`JobBackend`] — the unified substrate trait
 //!   every layer above the runtime programs against, with [`SimBackend`]
 //!   adapting the DES to carry real task payloads.
@@ -71,7 +73,7 @@ mod wcet;
 
 pub use backend::{ExecutionBackend, JobBackend, SimBackend, TaskPayload};
 pub use cluster::{Cluster, NodeSpec};
-pub use des::{DesEngine, DesEvent};
+pub use des::DesEngine;
 pub use fault::{
     FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, IngestFault, RetryPolicy,
 };
@@ -79,9 +81,8 @@ pub use ids::{JobId, TaskId, WorkerId};
 pub use pool::TaskPool;
 pub use report::{CompletedTask, ExecutionReport};
 pub use resources::ResourceVector;
-pub use sched::{AttemptLedger, AttemptLoss, LossVerdict};
 pub use task::TaskSpec;
-pub use telemetry::{LossCause, NoopRecorder, Recorder, SharedRecorder, TaskPhase, TimelineEvent};
+pub use telemetry::{LossCause, Recorder, SharedRecorder, TaskPhase, TimelineEvent};
 pub use threaded::ThreadedEngine;
 pub use wcet::ExecutionModel;
 
@@ -95,7 +96,7 @@ pub use wcet::ExecutionModel;
 /// use sstd_runtime::prelude::*;
 ///
 /// let mut des = DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::default(), 2);
-/// des.set_recorder(Some(std::sync::Arc::new(NoopRecorder)));
+/// des.set_fault_plan(FaultPlan::new(7).with_transient_rate(0.1));
 /// des.submit(TaskSpec::new(JobId::new(0), 100.0));
 /// assert_eq!(des.run_to_completion().completed.len(), 1);
 /// ```
@@ -110,9 +111,7 @@ pub mod prelude {
     pub use crate::report::{CompletedTask, ExecutionReport};
     pub use crate::resources::ResourceVector;
     pub use crate::task::TaskSpec;
-    pub use crate::telemetry::{
-        LossCause, NoopRecorder, Recorder, SharedRecorder, TaskPhase, TimelineEvent,
-    };
+    pub use crate::telemetry::{LossCause, Recorder, SharedRecorder, TaskPhase, TimelineEvent};
     pub use crate::threaded::ThreadedEngine;
     pub use crate::wcet::ExecutionModel;
 }

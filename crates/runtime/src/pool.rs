@@ -148,21 +148,40 @@ impl TaskPool {
         }
     }
 
+    /// The job stride scheduling serves next: the non-empty job with the
+    /// smallest pass value; ties break toward the smaller job id
+    /// (`BTreeMap` order).
+    fn next_job(&self) -> Option<JobId> {
+        self.queues.iter().filter(|(_, q)| !q.is_empty()).map(|(&j, _)| j).min_by(|&a, &b| {
+            let pa = self.passes.get(&a).copied().unwrap_or(0.0);
+            let pb = self.passes.get(&b).copied().unwrap_or(0.0);
+            pa.partial_cmp(&pb).unwrap().then(a.cmp(&b))
+        })
+    }
+
+    /// The task [`pop`](Self::pop) would return, without taking it.
+    pub(crate) fn peek(&self) -> Option<&(TaskId, TaskSpec)> {
+        self.queues.get(&self.next_job()?)?.front()
+    }
+
     /// Pops the next task by stride scheduling.
     pub fn pop(&mut self) -> Option<(TaskId, TaskSpec)> {
-        // Pick the non-empty job with the smallest pass value;
-        // ties break toward the smaller job id (BTreeMap order).
-        let job = self.queues.iter().filter(|(_, q)| !q.is_empty()).map(|(&j, _)| j).min_by(
-            |&a, &b| {
-                let pa = self.passes.get(&a).copied().unwrap_or(0.0);
-                let pb = self.passes.get(&b).copied().unwrap_or(0.0);
-                pa.partial_cmp(&pb).unwrap().then(a.cmp(&b))
-            },
-        )?;
+        let job = self.next_job()?;
         let entry = self.queues.get_mut(&job)?.pop_front()?;
         *self.passes.entry(job).or_insert(0.0) += 1.0 / self.priority(job);
         self.len -= 1;
         Some(entry)
+    }
+
+    /// Withdraws a queued task of `job` (a speculative duplicate whose
+    /// sibling attempt already finished the task). Returns whether it was
+    /// queued.
+    pub(crate) fn remove(&mut self, job: JobId, id: TaskId) -> bool {
+        let Some(queue) = self.queues.get_mut(&job) else { return false };
+        let Some(pos) = queue.iter().position(|&(t, _)| t == id) else { return false };
+        queue.remove(pos);
+        self.len -= 1;
+        true
     }
 }
 

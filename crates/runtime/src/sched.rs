@@ -1,452 +1,1005 @@
-//! Backend-agnostic scheduling policy: the shared per-task attempt state
-//! machine.
+//! The task-lifecycle state machine both execution backends drive.
 //!
-//! Both execution backends — the virtual-clock [`crate::DesEngine`] and
-//! the OS-thread [`crate::ThreadedEngine`] — must make the *same*
-//! decisions about a faulted attempt: whether to retry it, how long to
-//! back off, when a task's budget is exhausted, when a flaky worker gets
-//! quarantined, and how every started attempt is reconciled in
-//! [`FaultStats`]. Before this module each backend carried its own copy of
-//! that machinery; now the policy lives once in [`AttemptLedger`] and each
-//! backend supplies only its clock and execution mechanism (event
-//! dispatching in the DES, threads and condvars in the threaded engine).
+//! A Work Queue master does the same bookkeeping whatever executes the
+//! tasks: queue them by job priority, hand the next one to a free worker,
+//! decide what a lost attempt costs (retry now, back off, give up),
+//! blacklist flaky workers, replace crashed ones, shrink and grow the
+//! pool, and keep [`FaultStats`] balanced. [`Master`] is that bookkeeping,
+//! written once. It owns the task table, the one ready queue
+//! ([`TaskPool`], so job priorities are stride shares on every backend),
+//! the timer queue (backoff releases, respawns, evictions), the worker
+//! set with each slot's running attempt, the retry / quarantine /
+//! fast-abort policy, the recorder and the completed list.
 //!
-//! The ledger is deliberately passive: it never schedules anything itself.
-//! A backend reports lifecycle transitions (`begin_attempt`,
-//! `record_success`, `account_loss` + `settle_loss`) and acts on the
-//! returned [`LossVerdict`] with its own re-queue/backoff mechanics, so
-//! time stays backend-native (virtual seconds in the DES, scaled real
-//! seconds in the threaded engine).
+//! The machine has no clock and executes nothing. A driver passes the
+//! time (engine seconds) into every call and supplies the physics:
+//! [`crate::DesEngine`] turns an [`Attempt`] into a virtual end time,
+//! [`crate::ThreadedEngine`] runs it on an OS thread. The driver reports
+//! how the attempt ended ([`Master::attempt_ended`]), or takes it away
+//! from the worker ([`Master::abandon`]), and calls [`Master::tick`] when
+//! [`Master::next_wake`] falls due. Every lost attempt, whoever reports
+//! it, is settled by the one private `settle_loss`.
 
 use crate::fault::splitmix64;
+use crate::telemetry::{LossCause, SharedRecorder, TaskPhase, TimelineEvent};
 use crate::{
-    FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, JobId, RetryPolicy, TaskId, WorkerId,
+    CompletedTask, FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, JobId, RetryPolicy,
+    TaskId, TaskPool, TaskSpec, WorkerId,
 };
 use sstd_stats::OnlineStats;
-use std::collections::BTreeMap;
 
-/// Why a started attempt ended without a recorded success. Maps one-to-one
-/// onto the failure/abort counters of [`FaultStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptLoss {
-    /// A transient failure: injected by the [`FaultPlan`], or a panic
-    /// caught in the threaded backend (`panicked` distinguishes the two).
-    Transient {
-        /// Whether the loss was a caught panic (threaded backend).
-        panicked: bool,
-    },
-    /// The executing worker died mid-attempt (injected crash or scheduled
-    /// eviction); the machine is at fault, not the task.
-    Crash,
-    /// The attempt was killed by straggler fast-abort.
-    FastAbort,
-    /// The attempt was abandoned after exceeding the wall-clock timeout
-    /// (threaded backend).
-    Timeout,
+/// An attempt the machine handed to a worker.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attempt {
+    pub(crate) task: TaskId,
+    pub(crate) spec: TaskSpec,
+    /// The fault the plan injects into this attempt, if any.
+    pub(crate) fault: Option<FaultKind>,
+    /// The fast-abort threshold in force for this attempt: set when the
+    /// running mean is warm and the task has speculation budget left. How
+    /// to act on it is the driver's business (the DES kills the attempt at
+    /// the threshold; threads cannot be killed and speculate instead).
+    pub(crate) abort_after: Option<f64>,
 }
 
-/// The ledger's verdict on a lost attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LossVerdict {
-    /// Re-queue the task after `delay` backend-native seconds (`0` means
-    /// immediately). The retry has already been counted.
-    Retry {
-        /// Backoff before the task becomes runnable again.
-        delay: f64,
-    },
-    /// The retry budget is spent: the task has been recorded in
-    /// [`AttemptLedger::failed`] and must not be re-queued.
-    Exhausted,
+/// The machine's answer to a worker asking for work.
+#[derive(Debug)]
+pub(crate) enum Acquire {
+    /// Execute this attempt, then report it with [`Master::attempt_ended`].
+    Run(Attempt),
+    /// The worker is no longer part of the pool (drained, quarantined,
+    /// crashed or evicted): stop.
+    Retire,
+    /// Nothing is runnable; a timer falls due at the given time, if any.
+    Idle(Option<f64>),
 }
 
-/// The shared attempt state machine: retry bookkeeping, backoff,
-/// quarantine counting, fast-abort budgets and [`FaultStats`]
-/// reconciliation, factored out of both backends.
+/// How an attempt ended on its worker.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Ended<'a> {
+    Success,
+    /// The injected transient fault manifested.
+    Transient,
+    /// The injected worker crash manifested: the worker is gone.
+    Crashed,
+    /// The task closure panicked with this message (threads only).
+    Panicked(&'a str),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Running {
+    task: TaskId,
+    attempt: u32,
+    started_at: f64,
+}
+
+#[derive(Debug)]
+struct Slot {
+    id: WorkerId,
+    running: Option<Running>,
+    /// A draining worker finishes its attempt and accepts no more (how
+    /// the Global Control Knob shrinks the pool). A draining slot without
+    /// a running attempt does not exist.
+    draining: bool,
+    /// Faults attributed to this worker (for quarantine).
+    faults: u32,
+}
+
+#[derive(Debug)]
+struct TaskEntry {
+    spec: TaskSpec,
+    submitted_at: f64,
+    /// Attempts started (also the next attempt's zero-based index).
+    attempts: u32,
+    /// Fast-aborts or speculative duplicates consumed.
+    speculations: u32,
+    /// Attempts executing right now (two under speculation).
+    running: u32,
+    /// Whether an attempt waits in the pool or the backoff queue.
+    queued: bool,
+    /// Completed or exhausted.
+    terminal: bool,
+}
+
+/// What the timer queue holds; at equal times backoff releases fire
+/// before respawns and respawns before evictions.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+enum Timer {
+    Release(TaskId),
+    Respawn,
+    Evict,
+}
+
+/// The clock-agnostic Work Queue master (see the module docs).
 ///
-/// Invariant: every attempt opened with [`begin_attempt`] is closed by
-/// exactly one of [`record_success`], [`record_lost_duplicate`] or
-/// [`account_loss`], which is what keeps
-/// [`FaultStats::reconciles`] true on both backends.
-///
-/// [`begin_attempt`]: AttemptLedger::begin_attempt
-/// [`record_success`]: AttemptLedger::record_success
-/// [`record_lost_duplicate`]: AttemptLedger::record_lost_duplicate
-/// [`account_loss`]: AttemptLedger::account_loss
-#[derive(Debug, Default)]
-pub struct AttemptLedger {
-    /// Injected fault schedule, if any.
+/// Invariant: every attempt [`acquire`](Self::acquire) starts is closed
+/// exactly once — as the task's success, as a speculative duplicate that
+/// lost the race, or by `settle_loss` — which is what keeps
+/// [`FaultStats::reconciles`] true. An attempt that ends after the master
+/// already took it away is recognised by its empty (or missing) slot and
+/// ignored.
+#[derive(Debug)]
+pub(crate) struct Master {
+    pool: TaskPool,
+    /// Indexed by [`TaskId`]: the pool mints ids densely.
+    tasks: Vec<TaskEntry>,
+    /// Sorted by `(time, timer)`.
+    timers: Vec<(f64, Timer)>,
+    /// Sorted by id: ids only grow, and removal keeps the order.
+    workers: Vec<Slot>,
+    next_worker: u32,
     plan: Option<FaultPlan>,
-    /// Retry/backoff/quarantine policy.
     retry: RetryPolicy,
-    /// Straggler mitigation, if enabled.
     fast_abort: Option<FastAbort>,
-    /// Started attempts per live task (also the next attempt's zero-based
-    /// index).
-    attempts: BTreeMap<TaskId, u32>,
-    /// Fast-aborts / speculations consumed per live task.
-    speculations: BTreeMap<TaskId, u32>,
-    /// Faults attributed to each worker (for quarantine).
-    worker_faults: BTreeMap<WorkerId, u32>,
-    /// Failed-attempt accounting.
+    /// Per-attempt time limit in engine seconds; `None` never times out.
+    timeout: Option<f64>,
     stats: FaultStats,
-    /// Online mean/variance of successful attempt durations (drives
-    /// fast-abort).
+    /// Durations of successful attempts (drives fast-abort).
     durations: OnlineStats,
-    /// Tasks dropped after exhausting their retry budget.
+    completed: Vec<CompletedTask>,
     failed: Vec<FailedTask>,
-    /// Tasks re-queued after losing an attempt (any cause).
     retries: u64,
+    /// Tasks neither completed nor exhausted.
+    live: usize,
+    /// Attempts executing across all workers.
+    running: usize,
+    recorder: Option<SharedRecorder>,
 }
 
-impl AttemptLedger {
-    /// Creates an empty ledger with the default [`RetryPolicy`], no fault
-    /// plan and no fast-abort.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+impl Master {
+    pub(crate) fn new(num_workers: usize) -> Self {
+        assert!(num_workers > 0, "need at least one worker");
+        let mut master = Self {
+            pool: TaskPool::new(),
+            tasks: Vec::new(),
+            timers: Vec::new(),
+            workers: Vec::new(),
+            next_worker: 0,
+            plan: None,
+            retry: RetryPolicy::default(),
+            fast_abort: None,
+            timeout: None,
+            stats: FaultStats::default(),
+            durations: OnlineStats::new(),
+            completed: Vec::new(),
+            failed: Vec::new(),
+            retries: 0,
+            live: 0,
+            running: 0,
+            recorder: None,
+        };
+        for _ in 0..num_workers {
+            master.add_worker();
+        }
+        master
     }
 
-    /// Installs a deterministic fault-injection schedule.
-    pub fn set_plan(&mut self, plan: FaultPlan) {
+    pub(crate) fn set_plan(&mut self, plan: FaultPlan) {
         self.plan = Some(plan);
     }
 
-    /// The installed fault schedule, if any.
-    #[must_use]
-    pub const fn plan(&self) -> Option<FaultPlan> {
+    pub(crate) const fn plan(&self) -> Option<FaultPlan> {
         self.plan
     }
 
-    /// Sets the retry/backoff/quarantine policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid (see [`RetryPolicy::validate`]).
-    /// This setter cannot propagate — both engines call it mid-setup on an
-    /// already-constructed backend — so it uses the panicking wrapper.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
+    /// Panics if the policy is invalid: the engines call this on an
+    /// already-constructed backend and cannot propagate.
+    pub(crate) fn set_retry(&mut self, retry: RetryPolicy) {
         retry.assert_valid();
         self.retry = retry;
     }
 
-    /// The active retry policy.
-    #[must_use]
-    pub const fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Enables straggler fast-abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`FastAbort::validate`]).
-    /// Like [`set_retry`](Self::set_retry), this setter cannot propagate
-    /// and uses the panicking wrapper.
-    pub fn set_fast_abort(&mut self, fast_abort: FastAbort) {
+    /// Panics if the configuration is invalid, like
+    /// [`set_retry`](Self::set_retry).
+    pub(crate) fn set_fast_abort(&mut self, fast_abort: FastAbort) {
         fast_abort.assert_valid();
         self.fast_abort = Some(fast_abort);
     }
 
-    /// The active fast-abort configuration, if enabled.
-    #[must_use]
-    pub const fn fast_abort(&self) -> Option<FastAbort> {
-        self.fast_abort
+    pub(crate) fn set_timeout(&mut self, timeout: Option<f64>) {
+        self.timeout = timeout;
     }
 
-    /// Opens an attempt: bumps the task's attempt counter and the global
-    /// attempt count, and returns the zero-based attempt index together
-    /// with the fault the plan injects into it (if any).
-    pub fn begin_attempt(&mut self, task: TaskId) -> (u32, Option<FaultKind>) {
-        let counter = self.attempts.entry(task).or_insert(0);
-        let attempt = *counter;
-        *counter += 1;
-        self.stats.attempts += 1;
-        let fault = self.plan.and_then(|p| p.decide(task, attempt));
-        (attempt, fault)
+    pub(crate) const fn timeout(&self) -> Option<f64> {
+        self.timeout
     }
 
-    /// Attempts started so far for `task`.
-    #[must_use]
-    pub fn attempts_started(&self, task: TaskId) -> u32 {
-        self.attempts.get(&task).copied().unwrap_or(0)
+    pub(crate) fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
+        self.recorder = recorder;
     }
 
-    /// Closes an attempt as the task's recorded success: feeds the online
-    /// duration mean and clears the task's per-attempt bookkeeping.
-    pub fn record_success(&mut self, task: TaskId, duration: f64) {
-        self.stats.successes += 1;
-        self.durations.push(duration);
-        self.attempts.remove(&task);
-        self.speculations.remove(&task);
+    /// Sets a job's stride share (Local Control Knob); panics unless
+    /// `priority` is finite and positive.
+    pub(crate) fn set_priority(&mut self, job: JobId, priority: f64) {
+        self.pool.set_priority(job, priority);
     }
 
-    /// Closes an attempt that completed *after* its task was already done
-    /// — a speculative duplicate that lost the race. The work is wasted
-    /// and accounted as a straggler abort.
-    pub fn record_lost_duplicate(&mut self, elapsed: f64) {
-        self.stats.straggler_aborts += 1;
-        self.stats.wasted_time += elapsed;
+    /// Workers accepting tasks (draining ones no longer do).
+    pub(crate) fn num_workers(&self) -> usize {
+        self.workers.iter().filter(|s| !s.draining).count()
     }
 
-    /// Closes a lost attempt in the stats: counts the loss by kind and the
-    /// `elapsed` backend-native seconds it burned. Separate from
-    /// [`settle_loss`](Self::settle_loss) because a backend may account a
-    /// loss whose task is still covered by a sibling attempt (speculative
-    /// duplicate or queued retry) and therefore needs no verdict.
-    pub fn account_loss(&mut self, loss: AttemptLoss, elapsed: f64) {
-        self.stats.wasted_time += elapsed;
-        match loss {
-            AttemptLoss::Transient { panicked } => {
-                self.stats.transient_failures += 1;
-                if panicked {
-                    self.stats.panics += 1;
-                }
+    /// Worker slots, draining ones included.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Tasks waiting for a worker, in the pool or backing off.
+    pub(crate) fn pending(&self) -> usize {
+        self.pool.len() + self.timers.iter().filter(|(_, t)| matches!(t, Timer::Release(_))).count()
+    }
+
+    pub(crate) fn pending_of(&self, job: JobId) -> usize {
+        let backing_off = self.timers.iter().filter(|(_, t)| {
+            matches!(t, Timer::Release(task) if self.tasks[task.index()].spec.job() == job)
+        });
+        self.pool.pending_of(job) + backing_off.count()
+    }
+
+    pub(crate) const fn running(&self) -> usize {
+        self.running
+    }
+
+    /// Tasks neither completed nor exhausted.
+    pub(crate) const fn live(&self) -> usize {
+        self.live
+    }
+
+    pub(crate) const fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    pub(crate) fn completed(&self) -> &[CompletedTask] {
+        &self.completed
+    }
+
+    pub(crate) fn failed(&self) -> &[FailedTask] {
+        &self.failed
+    }
+
+    pub(crate) const fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// Mean duration of the successful attempts so far.
+    pub(crate) fn mean_duration(&self) -> Option<f64> {
+        (self.durations.count() > 0).then(|| self.durations.mean())
+    }
+
+    /// The spec [`acquire`](Self::acquire) would hand out next.
+    pub(crate) fn peek(&self) -> Option<TaskSpec> {
+        self.pool.peek().map(|&(_, spec)| spec)
+    }
+
+    /// Workers without a running attempt, oldest first.
+    pub(crate) fn idle_workers(&self) -> impl Iterator<Item = WorkerId> + '_ {
+        self.workers.iter().filter(|s| s.running.is_none()).map(|s| s.id)
+    }
+
+    /// Whether `worker` is in the pool and executing an attempt.
+    pub(crate) fn is_busy(&self, worker: WorkerId) -> bool {
+        self.position(worker).is_ok_and(|pos| self.workers[pos].running.is_some())
+    }
+
+    fn position(&self, worker: WorkerId) -> Result<usize, usize> {
+        self.workers.binary_search_by_key(&worker, |s| s.id)
+    }
+
+    fn add_worker(&mut self) -> WorkerId {
+        let id = WorkerId::new(self.next_worker);
+        self.next_worker += 1;
+        self.workers.push(Slot { id, running: None, draining: false, faults: 0 });
+        id
+    }
+
+    fn remove_worker(&mut self, worker: WorkerId) {
+        if let Ok(pos) = self.position(worker) {
+            self.workers.remove(pos);
+        }
+    }
+
+    fn take_running(&mut self, worker: WorkerId) -> Option<Running> {
+        let pos = self.position(worker).ok()?;
+        self.workers[pos].running.take()
+    }
+
+    /// The draining rule: a draining slot goes the moment its attempt has
+    /// ended, whichever way it ended.
+    fn drop_if_drained(&mut self, worker: WorkerId) {
+        if let Ok(pos) = self.position(worker) {
+            if self.workers[pos].draining && self.workers[pos].running.is_none() {
+                self.workers.remove(pos);
             }
-            AttemptLoss::Crash => self.stats.crash_failures += 1,
-            AttemptLoss::FastAbort => self.stats.straggler_aborts += 1,
-            AttemptLoss::Timeout => self.stats.timeout_aborts += 1,
         }
     }
 
-    /// Decides a lost attempt's fate: retry (with the policy's backoff and
-    /// deterministic jitter) or exhaustion. Crash losses are bounded only
-    /// by the generous hard cap — losing a machine is not the task's fault
-    /// — and retry immediately; fast-aborts are budgeted upfront via
-    /// [`speculation_allowed`](Self::speculation_allowed) and always
-    /// re-queue; everything else burns the `max_attempts` budget and backs
-    /// off exponentially.
-    pub fn settle_loss(
-        &mut self,
+    fn schedule(&mut self, at: f64, timer: Timer) {
+        let pos = self.timers.partition_point(|entry| *entry <= (at, timer));
+        self.timers.insert(pos, (at, timer));
+    }
+
+    fn record(
+        &self,
         task: TaskId,
-        job: JobId,
-        loss: AttemptLoss,
-        error: &str,
-    ) -> LossVerdict {
-        let started = self.attempts.get(&task).copied().unwrap_or(1);
-        let cap = match loss {
-            AttemptLoss::Crash => self.retry.hard_attempt_cap(),
-            AttemptLoss::FastAbort => u32::MAX,
-            AttemptLoss::Transient { .. } | AttemptLoss::Timeout => self.retry.max_attempts,
-        };
-        if started >= cap {
-            self.stats.exhausted_tasks += 1;
-            self.failed.push(FailedTask { task, job, attempts: started, error: error.to_string() });
-            LossVerdict::Exhausted
-        } else {
-            self.retries += 1;
-            let delay = match loss {
-                AttemptLoss::Crash | AttemptLoss::FastAbort => 0.0,
-                AttemptLoss::Transient { .. } | AttemptLoss::Timeout => {
-                    let salt = splitmix64(self.plan.map_or(0, |p| p.seed()) ^ task.index() as u64);
-                    self.retry.backoff(started, salt)
-                }
-            };
-            LossVerdict::Retry { delay }
+        attempt: u32,
+        worker: Option<WorkerId>,
+        at: f64,
+        phase: TaskPhase,
+    ) {
+        if let Some(rec) = &self.recorder {
+            let job = self.tasks[task.index()].spec.job();
+            rec.record(&TimelineEvent { task, job, attempt, worker, at, phase });
         }
     }
 
-    /// Attributes a fault to `worker` and decides quarantine: returns
-    /// `true` when the worker crossed the policy threshold and
-    /// `alive_workers > 1` (never the last worker standing). The caller
-    /// removes the worker from its pool; the quarantine is already counted
-    /// in the stats.
-    pub fn note_worker_fault(&mut self, worker: WorkerId, alive_workers: usize) -> bool {
-        if self.retry.quarantine_threshold == 0 {
-            return false;
-        }
-        let count = {
-            let c = self.worker_faults.entry(worker).or_insert(0);
-            *c += 1;
-            *c
-        };
-        if count >= self.retry.quarantine_threshold && alive_workers > 1 {
-            self.stats.quarantined_workers += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Consumes one unit of `task`'s speculation budget (a fast-abort in
-    /// the DES, a speculative duplicate in the threaded backend).
-    pub fn note_speculation(&mut self, task: TaskId) {
-        *self.speculations.entry(task).or_insert(0) += 1;
-    }
-
-    /// Speculations consumed by `task` so far.
-    #[must_use]
-    pub fn speculations_used(&self, task: TaskId) -> u32 {
-        self.speculations.get(&task).copied().unwrap_or(0)
-    }
-
-    /// Whether `task` still has speculation budget left (`false` when
-    /// fast-abort is disabled).
-    #[must_use]
-    pub fn speculation_allowed(&self, task: TaskId) -> bool {
-        self.fast_abort.is_some_and(|fa| self.speculations_used(task) < fa.max_speculations)
-    }
-
-    /// The fast-abort duration threshold (`multiplier × mean completed
-    /// duration`), once enabled and warmed past `min_samples` completions.
-    #[must_use]
-    pub fn fast_abort_threshold(&self) -> Option<f64> {
+    /// `multiplier × mean completed duration`, once fast-abort is enabled
+    /// and warmed past `min_samples` completions.
+    fn fast_abort_threshold(&self) -> Option<f64> {
         let fa = self.fast_abort?;
         (self.durations.count() >= fa.min_samples).then(|| fa.multiplier * self.durations.mean())
     }
 
-    /// Online statistics over successful attempt durations.
-    #[must_use]
-    pub const fn durations(&self) -> &OnlineStats {
-        &self.durations
+    pub(crate) fn submit(&mut self, spec: TaskSpec, now: f64) -> TaskId {
+        let id = self.pool.submit(spec);
+        debug_assert_eq!(id.index(), self.tasks.len(), "the pool mints dense ids");
+        self.tasks.push(TaskEntry {
+            spec,
+            submitted_at: now,
+            attempts: 0,
+            speculations: 0,
+            running: 0,
+            queued: true,
+            terminal: false,
+        });
+        self.live += 1;
+        self.record(id, 0, None, now, TaskPhase::Queued);
+        id
     }
 
-    /// Failed-attempt accounting so far.
-    #[must_use]
-    pub const fn stats(&self) -> FaultStats {
-        self.stats
+    /// `worker` asks for work. A worker calls this only after reporting
+    /// its previous attempt.
+    pub(crate) fn acquire(&mut self, worker: WorkerId, now: f64) -> Acquire {
+        let Ok(pos) = self.position(worker) else { return Acquire::Retire };
+        debug_assert!(self.workers[pos].running.is_none(), "{worker} already runs an attempt");
+        let Some((task, spec)) = self.pool.pop() else { return Acquire::Idle(self.next_wake()) };
+        let budget = self.fast_abort.map_or(0, |fa| fa.max_speculations);
+        let threshold = self.fast_abort_threshold();
+        let entry = &mut self.tasks[task.index()];
+        let attempt = entry.attempts;
+        entry.attempts += 1;
+        entry.queued = false;
+        entry.running += 1;
+        let abort_after = threshold.filter(|_| entry.speculations < budget);
+        self.running += 1;
+        self.stats.attempts += 1;
+        self.workers[pos].running = Some(Running { task, attempt, started_at: now });
+        self.record(task, attempt, Some(worker), now, TaskPhase::Dispatched);
+        let fault = self.plan.and_then(|p| p.decide(task, attempt));
+        Acquire::Run(Attempt { task, spec, fault, abort_after })
     }
 
-    /// Tasks dropped after exhausting their retry budget.
-    #[must_use]
-    pub fn failed(&self) -> &[FailedTask] {
-        &self.failed
+    /// The attempt on `worker` ended by itself. Returns the task's record
+    /// when this was the success that completed it.
+    pub(crate) fn attempt_ended(
+        &mut self,
+        worker: WorkerId,
+        ended: Ended<'_>,
+        now: f64,
+    ) -> Option<CompletedTask> {
+        let run = self.take_running(worker)?;
+        match ended {
+            Ended::Success => return self.succeed(worker, run, now),
+            Ended::Transient => {
+                let error = "transient-fault retries exhausted";
+                self.settle_loss(worker, run, LossCause::Transient, false, error, now);
+            }
+            Ended::Crashed => {
+                let error = "worker-crash retries exhausted";
+                self.settle_loss(worker, run, LossCause::Crash, false, error, now);
+            }
+            Ended::Panicked(message) => {
+                self.settle_loss(worker, run, LossCause::Transient, true, message, now);
+            }
+        }
+        None
     }
 
-    /// Tasks re-queued after losing an attempt (any cause).
-    #[must_use]
-    pub const fn retries(&self) -> u64 {
-        self.retries
+    /// The master takes the attempt on `worker` away from it (fast-abort
+    /// kill, timeout). A no-op when the worker runs nothing.
+    pub(crate) fn abandon(&mut self, worker: WorkerId, cause: LossCause, now: f64) {
+        if let Some(run) = self.take_running(worker) {
+            self.settle_loss(worker, run, cause, false, cause.label(), now);
+        }
+    }
+
+    fn succeed(&mut self, worker: WorkerId, run: Running, now: f64) -> Option<CompletedTask> {
+        let elapsed = now - run.started_at;
+        self.running -= 1;
+        let entry = &mut self.tasks[run.task.index()];
+        entry.running -= 1;
+        let done = if entry.terminal {
+            // A speculative duplicate that lost the race: wasted work,
+            // accounted as a straggler abort.
+            self.stats.straggler_aborts += 1;
+            self.stats.wasted_time += elapsed;
+            self.record(
+                run.task,
+                run.attempt,
+                Some(worker),
+                now,
+                TaskPhase::Failed(LossCause::Straggler),
+            );
+            None
+        } else {
+            entry.terminal = true;
+            if std::mem::take(&mut entry.queued) {
+                // The duplicate never started: withdraw it.
+                self.pool.remove(entry.spec.job(), run.task);
+            }
+            let done = CompletedTask {
+                task: run.task,
+                job: entry.spec.job(),
+                submitted_at: entry.submitted_at,
+                started_at: run.started_at,
+                finished_at: now,
+                worker,
+                deadline: entry.spec.deadline(),
+            };
+            self.live -= 1;
+            self.stats.successes += 1;
+            self.durations.push(elapsed);
+            self.completed.push(done);
+            self.record(run.task, run.attempt, Some(worker), now, TaskPhase::Completed);
+            Some(done)
+        };
+        self.drop_if_drained(worker);
+        done
+    }
+
+    /// Settles a lost attempt — the only place that does. Accounts the
+    /// loss, decides the task's fate unless a sibling attempt (speculative
+    /// duplicate or queued retry) still covers it, then applies the
+    /// worker's side of the loss.
+    ///
+    /// The task: crash and eviction losses are not its fault, re-queue at
+    /// once and are bounded only by the generous hard cap; a fast-abort
+    /// was budgeted when the attempt started and always re-queues;
+    /// transient failures and timeouts burn the `max_attempts` budget and
+    /// wait out an exponential backoff with deterministic jitter.
+    ///
+    /// The worker: transient failures and fast-aborts count towards
+    /// quarantine (never of the last worker); a crashed worker is replaced
+    /// after the plan's restart delay; an evicted one is not.
+    fn settle_loss(
+        &mut self,
+        worker: WorkerId,
+        run: Running,
+        cause: LossCause,
+        panicked: bool,
+        error: &str,
+        now: f64,
+    ) {
+        self.stats.wasted_time += now - run.started_at;
+        match cause {
+            LossCause::Transient => {
+                self.stats.transient_failures += 1;
+                self.stats.panics += u64::from(panicked);
+            }
+            LossCause::Crash | LossCause::Evicted => self.stats.crash_failures += 1,
+            LossCause::Straggler => self.stats.straggler_aborts += 1,
+            LossCause::Timeout => self.stats.timeout_aborts += 1,
+        }
+        self.record(run.task, run.attempt, Some(worker), now, TaskPhase::Failed(cause));
+        self.running -= 1;
+        let entry = &mut self.tasks[run.task.index()];
+        entry.running -= 1;
+        entry.speculations += u32::from(cause == LossCause::Straggler);
+        if !(entry.terminal || entry.queued || entry.running > 0) {
+            let started = entry.attempts;
+            let cap = match cause {
+                LossCause::Crash | LossCause::Evicted => self.retry.hard_attempt_cap(),
+                LossCause::Straggler => u32::MAX,
+                LossCause::Transient | LossCause::Timeout => self.retry.max_attempts,
+            };
+            if started >= cap {
+                entry.terminal = true;
+                self.live -= 1;
+                self.stats.exhausted_tasks += 1;
+                self.failed.push(FailedTask {
+                    task: run.task,
+                    job: entry.spec.job(),
+                    attempts: started,
+                    error: error.to_string(),
+                });
+                self.record(run.task, started, None, now, TaskPhase::Exhausted);
+            } else {
+                entry.queued = true;
+                self.retries += 1;
+                if matches!(cause, LossCause::Transient | LossCause::Timeout) {
+                    let seed = self.plan.map_or(0, |p| p.seed());
+                    let salt = splitmix64(seed ^ run.task.index() as u64);
+                    let release = now + self.retry.backoff(started, salt);
+                    self.schedule(release, Timer::Release(run.task));
+                } else {
+                    let spec = entry.spec;
+                    self.pool.requeue(run.task, spec);
+                }
+            }
+        }
+        match cause {
+            LossCause::Transient | LossCause::Straggler => self.note_worker_fault(worker),
+            LossCause::Crash => {
+                self.remove_worker(worker);
+                let delay = self.plan.map_or(1.0, |p| p.worker_restart_delay());
+                self.schedule(now + delay, Timer::Respawn);
+            }
+            LossCause::Evicted => self.remove_worker(worker),
+            LossCause::Timeout => {}
+        }
+        self.drop_if_drained(worker);
+    }
+
+    /// Attributes a fault to `worker` and quarantines it past the policy
+    /// threshold — never the last worker standing.
+    fn note_worker_fault(&mut self, worker: WorkerId) {
+        let threshold = self.retry.quarantine_threshold;
+        let Ok(pos) = self.position(worker) else { return };
+        if threshold == 0 {
+            return;
+        }
+        self.workers[pos].faults += 1;
+        if self.workers[pos].faults >= threshold && self.num_workers() > 1 {
+            self.stats.quarantined_workers += 1;
+            self.workers.remove(pos);
+        }
+    }
+
+    /// When the machine next needs a [`tick`](Self::tick): the earliest
+    /// timer, or the earliest running attempt's time limit.
+    pub(crate) fn next_wake(&self) -> Option<f64> {
+        let timer = self.timers.first().map(|&(at, _)| at);
+        let limit = self.timeout.and_then(|limit| {
+            let started = self.workers.iter().filter_map(|s| s.running).map(|r| r.started_at);
+            started.min_by(f64::total_cmp).map(|at| at + limit)
+        });
+        match (timer, limit) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Fires every timer due at `now`, in `(time, kind)` order — backoff
+    /// releases, then respawns, then evictions — and abandons attempts
+    /// past the time limit. Returns the workers that joined the pool.
+    pub(crate) fn tick(&mut self, now: f64) -> Vec<WorkerId> {
+        let mut joined = Vec::new();
+        while self.timers.first().is_some_and(|&(at, _)| at <= now) {
+            match self.timers.remove(0).1 {
+                Timer::Release(task) => self.pool.requeue(task, self.tasks[task.index()].spec),
+                Timer::Respawn => joined.push(self.add_worker()),
+                Timer::Evict => self.evict(now),
+            }
+        }
+        if let Some(limit) = self.timeout {
+            let late = |s: &&Slot| s.running.is_some_and(|r| now - r.started_at > limit);
+            let late: Vec<WorkerId> = self.workers.iter().filter(late).map(|s| s.id).collect();
+            for worker in late {
+                self.abandon(worker, LossCause::Timeout, now);
+            }
+        }
+        joined
+    }
+
+    /// Schedules a worker eviction (HTCondor preemption) at time `t`; one
+    /// scheduled in the past fires on the next tick. Panics unless `t` is
+    /// finite and non-negative.
+    pub(crate) fn schedule_eviction(&mut self, t: f64) {
+        assert!(t.is_finite() && t >= 0.0, "eviction time must be non-negative");
+        self.schedule(t, Timer::Evict);
+    }
+
+    /// Fires one eviction: the pool reclaims a machine and replaces
+    /// nothing. The victim is the busy worker whose attempt started
+    /// earliest (most sunk work lost — the adversarial case), or the
+    /// oldest worker when all are idle.
+    fn evict(&mut self, now: f64) {
+        let busy = self.workers.iter().filter_map(|s| Some((s.running?.started_at, s.id)));
+        let victim = busy.min_by(|a, b| a.0.total_cmp(&b.0)).map(|(_, id)| id);
+        let Some(worker) = victim.or(self.workers.first().map(|s| s.id)) else { return };
+        match self.take_running(worker) {
+            Some(run) => self.settle_loss(worker, run, LossCause::Evicted, false, "evicted", now),
+            None => self.remove_worker(worker),
+        }
+    }
+
+    /// Enqueues a speculative duplicate for every task whose only attempt
+    /// has run past the fast-abort threshold, budget permitting — what a
+    /// driver that cannot kill an attempt does about stragglers.
+    pub(crate) fn speculate(&mut self, now: f64) {
+        let (Some(threshold), Some(fa)) = (self.fast_abort_threshold(), self.fast_abort) else {
+            return;
+        };
+        for run in self.workers.iter().filter_map(|s| s.running) {
+            let entry = &mut self.tasks[run.task.index()];
+            let lagging = now - run.started_at > threshold;
+            if lagging
+                && !entry.queued
+                && !entry.terminal
+                && entry.speculations < fa.max_speculations
+            {
+                entry.speculations += 1;
+                entry.queued = true;
+                self.pool.requeue(run.task, entry.spec);
+            }
+        }
+    }
+
+    /// Elastically resizes the pool (Global Control Knob) to `n` accepting
+    /// workers. Growing first reprieves draining workers, newest first,
+    /// then adds new ones, which it returns; shrinking drains the newest
+    /// workers, and an idle one leaves at once. Panics if `n` is zero.
+    pub(crate) fn resize(&mut self, n: usize) -> Vec<WorkerId> {
+        assert!(n > 0, "need at least one worker");
+        let active = self.num_workers();
+        let mut change = n.abs_diff(active);
+        let grow = n > active;
+        // Newest first: growing un-drains draining slots, shrinking drains
+        // accepting ones.
+        for slot in self.workers.iter_mut().rev().filter(|s| s.draining == grow) {
+            if change == 0 {
+                break;
+            }
+            slot.draining = !grow;
+            change -= 1;
+        }
+        self.workers.retain(|s| !(s.draining && s.running.is_none()));
+        if grow {
+            (0..change).map(|_| self.add_worker()).collect()
+        } else {
+            Vec::new()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    fn spec(job: u32) -> TaskSpec {
+        TaskSpec::new(JobId::new(job), 100.0)
+    }
+
+    fn worker(index: u32) -> WorkerId {
+        WorkerId::new(index)
+    }
+
+    /// A machine with `tasks` queued tasks of job 0.
+    fn master(workers: usize, tasks: usize) -> Master {
+        let mut m = Master::new(workers);
+        for _ in 0..tasks {
+            m.submit(spec(0), 0.0);
+        }
+        m
+    }
+
+    fn start(m: &mut Master, on: u32, now: f64) -> Attempt {
+        match m.acquire(worker(on), now) {
+            Acquire::Run(attempt) => attempt,
+            other => panic!("worker {on} got no attempt: {other:?}"),
+        }
+    }
+
+    /// Advances to the next timer and fires it.
+    fn fire_next_timer(m: &mut Master) -> (f64, Vec<WorkerId>) {
+        let at = m.next_wake().expect("a timer is pending");
+        (at, m.tick(at))
+    }
 
     #[test]
     fn attempts_reconcile_across_outcomes() {
-        let mut ledger = AttemptLedger::new();
-        let (a0, _) = ledger.begin_attempt(TaskId::new(0));
-        assert_eq!(a0, 0);
-        ledger.record_success(TaskId::new(0), 1.0);
-        let (a1, _) = ledger.begin_attempt(TaskId::new(1));
-        assert_eq!(a1, 0);
-        ledger.account_loss(AttemptLoss::Transient { panicked: false }, 0.5);
-        let verdict = ledger.settle_loss(
-            TaskId::new(1),
-            JobId::new(0),
-            AttemptLoss::Transient { panicked: false },
-            "injected",
-        );
-        assert!(matches!(verdict, LossVerdict::Retry { .. }));
-        assert!(ledger.stats().reconciles(), "{}", ledger.stats());
-        assert_eq!(ledger.retries(), 1);
+        let mut m = master(1, 2);
+        assert_eq!(start(&mut m, 0, 0.0).task, TaskId::new(0));
+        assert!(m.attempt_ended(worker(0), Ended::Success, 1.0).is_some());
+        let _ = start(&mut m, 0, 1.0);
+        assert!(m.attempt_ended(worker(0), Ended::Transient, 1.5).is_none());
+        assert!(m.stats().reconciles(), "{}", m.stats());
+        assert_eq!((m.retries(), m.pending(), m.live()), (1, 1, 1), "the lost task backs off");
+        assert!(m.peek().is_none(), "not runnable until its backoff is served");
     }
 
     #[test]
     fn transient_losses_exhaust_at_max_attempts() {
-        let mut ledger = AttemptLedger::new();
-        ledger.set_retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
-        let task = TaskId::new(7);
-        let job = JobId::new(1);
-        let loss = AttemptLoss::Transient { panicked: false };
-        let _ = ledger.begin_attempt(task);
-        ledger.account_loss(loss, 0.1);
-        assert!(matches!(ledger.settle_loss(task, job, loss, "boom"), LossVerdict::Retry { .. }));
-        let _ = ledger.begin_attempt(task);
-        ledger.account_loss(loss, 0.1);
-        assert_eq!(ledger.settle_loss(task, job, loss, "boom"), LossVerdict::Exhausted);
-        assert_eq!(ledger.failed().len(), 1);
-        assert_eq!(ledger.failed()[0].attempts, 2);
-        assert_eq!(ledger.stats().exhausted_tasks, 1);
-        assert!(ledger.stats().reconciles(), "{}", ledger.stats());
+        let mut m = master(1, 1);
+        m.set_retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
+        let _ = start(&mut m, 0, 0.0);
+        m.attempt_ended(worker(0), Ended::Panicked("boom"), 0.1);
+        assert!(m.failed().is_empty());
+        let (at, _) = fire_next_timer(&mut m);
+        let _ = start(&mut m, 0, at);
+        m.attempt_ended(worker(0), Ended::Panicked("boom"), at + 0.1);
+        assert_eq!(m.failed().len(), 1);
+        assert_eq!((m.failed()[0].attempts, m.failed()[0].error.as_str()), (2, "boom"));
+        assert_eq!((m.stats().exhausted_tasks, m.stats().panics, m.live()), (1, 2, 0));
+        assert!(m.stats().reconciles(), "{}", m.stats());
     }
 
     #[test]
     fn crash_losses_retry_immediately_under_the_hard_cap() {
-        let mut ledger = AttemptLedger::new();
-        ledger.set_retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
-        let task = TaskId::new(3);
+        let mut m = master(1, 1);
+        m.set_retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() });
+        let (mut on, mut now) = (0, 0.0);
         // Far past max_attempts, but crashes only hit the hard cap.
         for _ in 0..10 {
-            let _ = ledger.begin_attempt(task);
-            ledger.account_loss(AttemptLoss::Crash, 0.2);
-            let verdict = ledger.settle_loss(task, JobId::new(0), AttemptLoss::Crash, "crash");
-            assert_eq!(verdict, LossVerdict::Retry { delay: 0.0 });
+            let _ = start(&mut m, on, now);
+            m.attempt_ended(worker(on), Ended::Crashed, now + 0.2);
+            assert!(m.peek().is_some(), "re-queued at once, no backoff");
+            assert_eq!(m.num_workers(), 0, "the crashed worker is gone");
+            let (at, joined) = fire_next_timer(&mut m);
+            assert_eq!(joined, vec![worker(on + 1)], "and replaced after the restart delay");
+            (on, now) = (on + 1, at);
         }
-        assert!(ledger.stats().reconciles());
-        assert_eq!(ledger.stats().crash_failures, 10);
+        assert_eq!((m.stats().crash_failures, m.retries()), (10, 10));
+        assert!(m.failed().is_empty() && m.stats().reconciles());
     }
 
     #[test]
     fn backoff_is_deterministic_per_task() {
-        let mut a = AttemptLedger::new();
-        let mut b = AttemptLedger::new();
-        for ledger in [&mut a, &mut b] {
-            ledger.set_plan(FaultPlan::new(9));
-            let _ = ledger.begin_attempt(TaskId::new(5));
-        }
-        let loss = AttemptLoss::Transient { panicked: false };
-        let va = a.settle_loss(TaskId::new(5), JobId::new(0), loss, "x");
-        let vb = b.settle_loss(TaskId::new(5), JobId::new(0), loss, "x");
-        assert_eq!(va, vb, "same seed and task must yield the same backoff");
+        let release = |seed: u64| {
+            let mut m = master(1, 1);
+            m.set_plan(FaultPlan::new(seed));
+            let _ = start(&mut m, 0, 0.0);
+            m.attempt_ended(worker(0), Ended::Transient, 1.0);
+            m.next_wake().unwrap()
+        };
+        assert_eq!(release(9), release(9), "same seed and task must yield the same backoff");
+        assert!(release(9) > 1.0);
     }
 
     #[test]
     fn quarantine_counts_and_spares_the_last_worker() {
-        let mut ledger = AttemptLedger::new();
-        ledger.set_retry(RetryPolicy { quarantine_threshold: 2, ..RetryPolicy::default() });
-        let w = WorkerId::new(4);
-        assert!(!ledger.note_worker_fault(w, 4));
-        assert!(ledger.note_worker_fault(w, 4), "second fault crosses the threshold");
-        assert_eq!(ledger.stats().quarantined_workers, 1);
-        let lone = WorkerId::new(9);
-        assert!(!ledger.note_worker_fault(lone, 1));
-        assert!(!ledger.note_worker_fault(lone, 1), "the last worker is never quarantined");
+        let mut m = master(2, 4);
+        m.set_retry(RetryPolicy {
+            quarantine_threshold: 2,
+            max_attempts: 50,
+            ..Default::default()
+        });
+        for (on, expect_workers) in [(1, 2), (1, 1), (0, 1), (0, 1)] {
+            let _ = start(&mut m, on, 0.0);
+            m.attempt_ended(worker(on), Ended::Transient, 0.5);
+            assert_eq!(m.num_workers(), expect_workers, "after a fault on worker {on}");
+        }
+        assert_eq!(m.stats().quarantined_workers, 1, "the last worker is never quarantined");
+        assert!(matches!(m.acquire(worker(1), 1.0), Acquire::Retire));
     }
 
     #[test]
     fn quarantine_still_fires_after_task_exhaustion() {
-        // Interplay: a task exhausting its retry budget on a flaky worker
-        // must not reset the worker's fault count — the worker still gets
-        // quarantined once it crosses the threshold, even though the task
-        // that pushed it there is already recorded as failed.
-        let mut ledger = AttemptLedger::new();
-        ledger.set_retry(RetryPolicy {
+        // A task exhausting its budget on a flaky worker must not reset
+        // the worker's fault count.
+        let mut m = master(3, 2);
+        m.set_retry(RetryPolicy {
             max_attempts: 1,
             quarantine_threshold: 2,
             ..RetryPolicy::default()
         });
-        let task = TaskId::new(0);
-        let w = WorkerId::new(1);
-        let loss = AttemptLoss::Transient { panicked: false };
-        let _ = ledger.begin_attempt(task);
-        ledger.account_loss(loss, 0.1);
-        assert_eq!(ledger.settle_loss(task, JobId::new(0), loss, "boom"), LossVerdict::Exhausted);
-        assert!(!ledger.note_worker_fault(w, 3), "first fault is under the threshold");
-        // A second task faults on the same worker after the first task is
-        // already exhausted.
-        let task2 = TaskId::new(1);
-        let _ = ledger.begin_attempt(task2);
-        ledger.account_loss(loss, 0.1);
-        assert_eq!(ledger.settle_loss(task2, JobId::new(0), loss, "boom"), LossVerdict::Exhausted);
-        assert!(ledger.note_worker_fault(w, 3), "exhaustion does not shield the worker");
-        assert_eq!(ledger.stats().quarantined_workers, 1);
-        assert_eq!(ledger.stats().exhausted_tasks, 2);
-        assert!(ledger.stats().reconciles(), "{}", ledger.stats());
+        let _ = start(&mut m, 1, 0.0);
+        m.attempt_ended(worker(1), Ended::Transient, 0.1);
+        assert_eq!(
+            (m.failed().len(), m.num_workers()),
+            (1, 3),
+            "first fault is under the threshold"
+        );
+        let _ = start(&mut m, 1, 0.1);
+        m.attempt_ended(worker(1), Ended::Transient, 0.2);
+        assert_eq!(
+            (m.failed().len(), m.num_workers()),
+            (2, 2),
+            "exhaustion does not shield the worker"
+        );
+        assert_eq!((m.stats().quarantined_workers, m.stats().exhausted_tasks), (1, 2));
+        assert!(m.stats().reconciles(), "{}", m.stats());
     }
 
     #[test]
     fn speculation_budget_gates_fast_abort() {
-        let mut ledger = AttemptLedger::new();
-        assert!(!ledger.speculation_allowed(TaskId::new(0)), "disabled without fast-abort");
-        ledger.set_fast_abort(FastAbort { multiplier: 2.0, min_samples: 1, max_speculations: 1 });
-        assert!(ledger.speculation_allowed(TaskId::new(0)));
-        ledger.note_speculation(TaskId::new(0));
-        assert!(!ledger.speculation_allowed(TaskId::new(0)), "budget spent");
-        assert!(ledger.fast_abort_threshold().is_none(), "mean not warm yet");
-        ledger.record_success(TaskId::new(1), 2.0);
-        let threshold = ledger.fast_abort_threshold().expect("warm after min_samples");
+        let mut m = master(1, 2);
+        m.speculate(100.0);
+        assert_eq!(m.pending(), 2, "no duplicates without fast-abort");
+        m.set_fast_abort(FastAbort { multiplier: 2.0, min_samples: 1, max_speculations: 1 });
+        assert_eq!(start(&mut m, 0, 0.0).abort_after, None, "mean not warm yet");
+        m.attempt_ended(worker(0), Ended::Success, 2.0);
+        let threshold = start(&mut m, 0, 2.0).abort_after.expect("warm after min_samples");
         assert!((threshold - 4.0).abs() < 1e-12);
+        m.abandon(worker(0), LossCause::Straggler, 6.0);
+        assert_eq!(start(&mut m, 0, 6.0).abort_after, None, "budget spent: left to run");
+        assert_eq!((m.stats().straggler_aborts, m.retries()), (1, 1));
+    }
+
+    #[test]
+    fn a_speculative_duplicate_that_never_started_is_withdrawn() {
+        let mut m = master(1, 2);
+        m.set_fast_abort(FastAbort { multiplier: 2.0, min_samples: 1, max_speculations: 1 });
+        let _ = start(&mut m, 0, 0.0);
+        m.attempt_ended(worker(0), Ended::Success, 1.0);
+        let _ = start(&mut m, 0, 1.0);
+        m.speculate(9.0);
+        assert_eq!((m.pending(), m.running()), (1, 1), "one attempt, past 2 × the mean");
+        m.speculate(9.0);
+        assert_eq!(m.pending(), 1, "budget spent, and a duplicate is queued already");
+        assert!(m.attempt_ended(worker(0), Ended::Success, 9.5).is_some());
+        assert_eq!((m.pending(), m.live()), (0, 0), "nothing is left to run");
+        assert!(m.stats().reconciles());
+    }
+
+    /// Regression (draining zombie): a draining worker leaves the moment
+    /// its attempt ends — not only when it ends in success.
+    #[test]
+    fn a_draining_slot_goes_however_its_attempt_ended() {
+        let ends: [fn(&mut Master); 5] = [
+            |m| assert!(m.attempt_ended(worker(1), Ended::Success, 1.0).is_some()),
+            |m| assert!(m.attempt_ended(worker(1), Ended::Transient, 1.0).is_none()),
+            |m| assert!(m.attempt_ended(worker(1), Ended::Panicked("boom"), 1.0).is_none()),
+            |m| m.abandon(worker(1), LossCause::Straggler, 1.0),
+            |m| m.abandon(worker(1), LossCause::Timeout, 1.0),
+        ];
+        for end in ends {
+            let mut m = master(2, 6);
+            let _ = (start(&mut m, 0, 0.0), start(&mut m, 1, 0.0));
+            assert!(m.resize(1).is_empty());
+            assert_eq!((m.slots(), m.num_workers()), (2, 1), "worker 1 drains its attempt");
+            end(&mut m);
+            assert_eq!((m.slots(), m.num_workers()), (1, 1), "and is gone when it ends");
+            assert!(matches!(m.acquire(worker(1), 1.0), Acquire::Retire));
+            assert_eq!(m.resize(2), vec![worker(2)], "growing adds a new worker, not worker 1");
+        }
+    }
+
+    /// What the script driver knows about a worker thread it "runs".
+    #[derive(Default)]
+    struct Script {
+        /// Workers the script was ever told about.
+        known: BTreeSet<WorkerId>,
+        /// Workers physically executing something — possibly an attempt
+        /// the machine has since abandoned (so its end will be stale).
+        executing: BTreeSet<WorkerId>,
+        /// Workers seen to have left the pool.
+        gone: BTreeSet<WorkerId>,
+        submitted: usize,
+    }
+
+    impl Script {
+        fn pick(set: &BTreeSet<WorkerId>, index: usize) -> Option<WorkerId> {
+            set.iter().nth(index % set.len().max(1)).copied()
+        }
+
+        /// The invariants that must hold after every step.
+        fn check(&mut self, m: &Master, quarantined_before: u64) {
+            let stats = m.stats();
+            // Books balance once the attempts still in flight are added.
+            let closed = stats.successes + stats.failures() + stats.aborts();
+            assert_eq!(stats.attempts, closed + m.running() as u64, "{stats}");
+            // Every task is pending, covered by a running attempt, or
+            // terminal exactly once.
+            let terminal: Vec<TaskId> = m
+                .completed()
+                .iter()
+                .map(|c| c.task)
+                .chain(m.failed().iter().map(|f| f.task))
+                .collect();
+            assert_eq!(terminal.iter().collect::<BTreeSet<_>>().len(), terminal.len());
+            assert_eq!(self.submitted, m.live() + terminal.len());
+            assert!(m.pending() <= m.live());
+            assert!(m.live() - m.pending() <= m.running(), "a live task is queued or running");
+            // A worker that left never comes back.
+            let present: BTreeSet<WorkerId> = m.workers.iter().map(|s| s.id).collect();
+            self.gone.extend(self.known.difference(&present));
+            assert!(present.is_disjoint(&self.gone), "revived: {present:?} ∩ {:?}", self.gone);
+            assert!(m.workers.iter().all(|s| !s.draining || s.running.is_some()), "idle drainer");
+            if stats.quarantined_workers > quarantined_before {
+                assert!(m.num_workers() >= 1, "the last worker was quarantined");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        /// Random interleavings of everything a driver can do, including
+        /// the transitions no DES run reaches: speculative duplicates (two
+        /// running attempts of one task), timeouts, and *stale* ends — an
+        /// attempt ending after the machine abandoned it or evicted its
+        /// worker.
+        #[test]
+        fn any_script_keeps_the_books(
+            seed in 0u64..1_000_000,
+            ops in prop::collection::vec((0u8..14, 0usize..16, 0u32..40), 1..160),
+        ) {
+            let mut m = Master::new(3);
+            m.set_plan(FaultPlan::new(seed));
+            m.set_retry(RetryPolicy { max_attempts: 3, quarantine_threshold: 3, ..Default::default() });
+            m.set_fast_abort(FastAbort { multiplier: 1.5, min_samples: 1, max_speculations: 2 });
+            m.set_timeout(Some(4.0));
+            let mut script = Script { known: (0..3).map(worker).collect(), ..Script::default() };
+            let mut now = 0.0;
+            for (op, index, amount) in ops {
+                now += f64::from(amount) * 0.01;
+                let quarantined = m.stats().quarantined_workers;
+                let busy = Script::pick(&script.executing, index);
+                match op {
+                    0 | 1 => {
+                        m.submit(spec(amount % 3), now);
+                        script.submitted += 1;
+                    }
+                    // Any thread not executing may ask for work — also one
+                    // whose worker has left the pool.
+                    2..=4 => {
+                        let idle: BTreeSet<WorkerId> =
+                            script.known.difference(&script.executing).copied().collect();
+                        if let Some(w) = Script::pick(&idle, index) {
+                            let in_pool = m.position(w).is_ok();
+                            match m.acquire(w, now) {
+                                Acquire::Run(_) => {
+                                    prop_assert!(in_pool && !script.gone.contains(&w), "{w} left");
+                                    script.executing.insert(w);
+                                }
+                                Acquire::Retire => prop_assert!(!in_pool),
+                                Acquire::Idle(_) => prop_assert!(in_pool && m.peek().is_none()),
+                            }
+                        }
+                    }
+                    // A thread reports its end — stale if the machine took
+                    // the attempt away meanwhile.
+                    5..=8 => {
+                        if let Some(w) = busy {
+                            let ended = [
+                                Ended::Success,
+                                Ended::Transient,
+                                Ended::Crashed,
+                                Ended::Panicked("boom"),
+                            ][usize::from(op - 5)];
+                            let stale = !m.is_busy(w);
+                            let before = m.stats();
+                            let done = m.attempt_ended(w, ended, now);
+                            prop_assert!(!stale || (done.is_none() && m.stats() == before));
+                            script.executing.remove(&w);
+                        }
+                    }
+                    9 => {
+                        if let Some(w) = busy {
+                            m.abandon(w, LossCause::Timeout, now);
+                        }
+                    }
+                    10 => script.known.extend(m.tick(now)),
+                    11 => m.speculate(now),
+                    12 => script.known.extend(m.resize(1 + index % 5)),
+                    _ => m.schedule_eviction(now + f64::from(amount) * 0.05),
+                }
+                script.check(&m, quarantined);
+            }
+            // Drain: every thread reports success, capacity returns, and
+            // whatever is left runs to an end.
+            for w in std::mem::take(&mut script.executing) {
+                let _ = m.attempt_ended(w, Ended::Success, now);
+            }
+            m.timers.retain(|(_, timer)| *timer != Timer::Evict);
+            for _ in 0..10_000 {
+                if m.live() == 0 {
+                    break;
+                }
+                now += 10.0;
+                let _ = m.tick(now);
+                let _ = m.resize(2);
+                for w in m.idle_workers().collect::<Vec<_>>() {
+                    if let Acquire::Run(_) = m.acquire(w, now) {
+                        let _ = m.attempt_ended(w, Ended::Success, now + 0.5);
+                    }
+                }
+            }
+            script.check(&m, u64::MAX);
+            prop_assert_eq!((m.live(), m.running(), m.pending()), (0, 0, 0));
+            prop_assert!(m.stats().reconciles(), "{}", m.stats());
+        }
     }
 }

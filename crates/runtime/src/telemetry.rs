@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates SSTD by *measuring* it — task turnaround on the
 //! Work Queue pool, retry churn under faults, control actuation per tick —
-//! so the runtime exposes a [`Recorder`] hook: a sink that both the DES
-//! and the threaded engine feed with one [`TimelineEvent`] per lifecycle
+//! so the runtime exposes a [`Recorder`] hook: a sink that the lifecycle
+//! state machine both engines drive feeds with one [`TimelineEvent`] per
 //! step of every task attempt (queued → dispatched → failed/evicted →
 //! exhausted/completed). Because fault decisions are pure functions of
 //! `(seed, task, attempt)`, a DES run and a threaded run of the same
@@ -11,10 +11,9 @@
 //! per-task event sequences — the property `sstd-obs` exploits to diff
 //! the two substrates.
 //!
-//! Recording is strictly opt-in: backends hold `Option<SharedRecorder>`
-//! defaulting to `None`, so the disabled path costs one branch per event
-//! site. [`NoopRecorder`] exists to measure exactly that hook overhead
-//! with the branch taken.
+//! Recording is strictly opt-in: the lifecycle state machine holds an
+//! `Option<SharedRecorder>` defaulting to `None`, so the disabled path
+//! costs one branch per event site.
 
 use crate::{JobId, TaskId, WorkerId};
 use std::sync::Arc;
@@ -125,20 +124,12 @@ pub struct TimelineEvent {
 /// Implementations must be cheap and non-blocking where possible: the
 /// threaded engine records from worker threads while holding its state
 /// lock. `sstd-obs` provides the standard sink — the unified
-/// `EventStore` trace log implements this trait directly;
-/// [`NoopRecorder`] is the do-nothing baseline.
+/// `EventStore` trace log implements this trait directly. The trait is
+/// the dependency inversion that lets it: `sstd-obs` depends on this
+/// crate, so the runtime cannot name `EventStore` itself.
 pub trait Recorder: Send + Sync + std::fmt::Debug {
     /// Accepts one event. Called in backend event order.
     fn record(&self, event: &TimelineEvent);
-}
-
-/// A [`Recorder`] that drops every event — the baseline for measuring
-/// the hook's own overhead.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&self, _event: &TimelineEvent) {}
 }
 
 /// A shareable recorder handle, as installed via
@@ -175,18 +166,5 @@ mod tests {
         assert!(TaskPhase::Failed(LossCause::Crash).is_failure());
         assert!(!TaskPhase::Failed(LossCause::Crash).is_terminal());
         assert!(!TaskPhase::Completed.is_failure());
-    }
-
-    #[test]
-    fn noop_recorder_is_object_safe() {
-        let rec: SharedRecorder = Arc::new(NoopRecorder);
-        rec.record(&TimelineEvent {
-            task: TaskId::new(0),
-            job: JobId::new(0),
-            attempt: 0,
-            worker: None,
-            at: 0.0,
-            phase: TaskPhase::Queued,
-        });
     }
 }

@@ -174,6 +174,45 @@ fn backends_conform_when_tasks_exhaust() {
     assert_eq!(a, b, "exhaustion bookkeeping diverged between backends");
 }
 
+/// The Local Control Knob means the same on both backends: a priority is
+/// the job's *share* of the workers' next picks (`P_u = T_u / ΣT`, what
+/// the WCET formula assumes), not a strict order. One worker, jobs A and
+/// B at priorities 3 and 1, eight tasks each queued behind one blocker:
+/// both backends start them in the same order, and B is served long
+/// before A runs dry.
+#[test]
+fn backends_conform_on_priority_shares() {
+    fn start_order(backend: &mut dyn ExecutionBackend) -> Vec<usize> {
+        let (a, b, blocker) = (JobId::new(0), JobId::new(1), JobId::new(2));
+        backend.submit(TaskSpec::new(blocker, 2_000.0));
+        while backend.running() == 0 {
+            backend.run_until(backend.now() + 0.01);
+        }
+        backend.set_job_priority(a, 3.0);
+        backend.set_job_priority(b, 1.0);
+        for _ in 0..8 {
+            backend.submit(TaskSpec::new(a, 100.0));
+            backend.submit(TaskSpec::new(b, 100.0));
+        }
+        let mut completed = backend.run_to_completion().completed;
+        assert_eq!(completed.len(), 17, "on {}", backend.backend_name());
+        completed.sort_by(|x, y| x.started_at.partial_cmp(&y.started_at).unwrap());
+        completed[1..].iter().map(|c| c.job.index()).collect()
+    }
+    let model = ExecutionModel::new(0.0, 0.002, 0.002);
+    let mut des = DesEngine::new(Cluster::homogeneous(1, 1.0), model, 1);
+    let mut threaded: ThreadedEngine<()> = ThreadedEngine::new(1);
+    // 0.2 engine-seconds per task: 10 ms real, the blocker 200 ms.
+    threaded.set_simulation(model, 0.05);
+    let on_des = start_order(&mut des);
+    let on_threads = start_order(&mut threaded);
+    assert_eq!(on_des, on_threads, "the two backends disagree on what a priority means");
+    assert_eq!(on_des[..8].iter().filter(|&&job| job == 0).count(), 6, "3 : 1 share: {on_des:?}");
+    let first_b = on_des.iter().position(|&job| job == 1).unwrap();
+    let last_a = on_des.iter().rposition(|&job| job == 0).unwrap();
+    assert!(first_b < last_a, "B starved until A ran dry: {on_des:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Claims-as-tasks: run_distributed equals the batch engine on both
 // backends, with and without an injected fault load.
