@@ -166,32 +166,47 @@ impl BaumWelch {
 
             // M-step, in place. `floor_and_normalize` keeps every row
             // stochastic, so the model invariants hold without a rebuild.
-            {
-                let gamma = ws.gamma();
-                let xi_sum = ws.xi_sum();
-                let t_len = gamma.rows();
-                let (init, trans, emission) = model.m_step_mut();
-                // π update: γ_0, floored and renormalized.
-                init.copy_from_slice(gamma.row(0));
-                floor_and_normalize(init, self.prob_floor);
-                // A update: ξ sums over γ sums (excluding the last step).
-                for i in 0..n {
-                    let mut denom = 0.0;
-                    for t in 0..t_len - 1 {
-                        denom += gamma[(t, i)];
-                    }
-                    let row = trans.row_mut(i);
-                    for j in 0..n {
-                        row[j] = if denom > 0.0 { xi_sum[(i, j)] / denom } else { 1.0 / n as f64 };
-                    }
-                    floor_and_normalize(row, self.prob_floor);
-                }
-                emission.reestimate_gamma(observations, gamma);
+            let (gamma, xi_sum) = (ws.gamma(), ws.xi_sum().as_slice());
+            let (init, trans, emission) = model.m_step_mut();
+            let trans = trans.as_mut_slice();
+            // Same two instantiations as the E-step's loop body.
+            if n == 2 {
+                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, self.prob_floor, 2);
+            } else {
+                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, self.prob_floor, n);
             }
+            emission.reestimate_gamma(observations, gamma);
             model.refresh_log_trans();
         }
 
         TrainStats { log_likelihood: last_ll, iterations, converged }
+    }
+}
+
+/// The `(π, A)` half of the M-step over flat `T×n` and `n×n` slices.
+#[inline(always)]
+fn reestimate_chain(
+    init: &mut [f64],
+    trans: &mut [f64],
+    gamma: &[f64],
+    xi_sum: &[f64],
+    floor: f64,
+    n: usize,
+) {
+    // π update: γ_0, floored and renormalized.
+    init.copy_from_slice(&gamma[..n]);
+    floor_and_normalize(init, floor);
+    // A update: ξ sums over γ sums (excluding the last step).
+    let before_last = &gamma[..gamma.len() - n];
+    for (i, (row, xi_row)) in trans.chunks_exact_mut(n).zip(xi_sum.chunks_exact(n)).enumerate() {
+        let mut denom = 0.0;
+        for g in before_last.chunks_exact(n) {
+            denom += g[i];
+        }
+        for j in 0..n {
+            row[j] = if denom > 0.0 { xi_row[j] / denom } else { 1.0 / n as f64 };
+        }
+        floor_and_normalize(row, floor);
     }
 }
 

@@ -20,29 +20,38 @@ pub trait Emission {
     ///
     /// Implementations may panic if `state >= num_states()`.
     fn log_prob(&self, state: usize, obs: Self::Obs) -> f64;
+
+    /// Fills the row-major `T×N` log-emission table of a whole sequence:
+    /// `table[t * N + state] = log_prob(state, observations[t])`, bit for
+    /// bit. Forward–backward asks for the table in this one call so an
+    /// implementation can hoist what does not depend on `t`.
+    fn log_probs_into(&self, observations: &[Self::Obs], table: &mut [f64]) {
+        let rows = table.chunks_exact_mut(self.num_states());
+        for (row, &obs) in rows.zip(observations) {
+            for (state, slot) in row.iter_mut().enumerate() {
+                *slot = self.log_prob(state, obs);
+            }
+        }
+    }
 }
 
 /// An [`Emission`] whose parameters can be re-estimated from state
 /// posteriors — the M-step contract used by Baum–Welch.
 pub trait TrainableEmission: Emission {
-    /// Re-estimates parameters from `observations` weighted by
-    /// `posteriors[t][state]` (the forward–backward γ values).
-    ///
-    /// `posteriors` has one row per observation; each row sums to 1.
-    fn reestimate(&mut self, observations: &[Self::Obs], posteriors: &[Vec<f64>]);
+    /// Re-estimates parameters from `observations` weighted by the
+    /// forward–backward posteriors `gamma[(t, state)]`: one row per
+    /// observation, each row summing to 1.
+    fn reestimate_gamma(&mut self, observations: &[Self::Obs], gamma: &Mat);
+}
 
-    /// Like [`reestimate`](TrainableEmission::reestimate), but reads γ
-    /// from a flat [`Mat`] (`gamma[(t, state)]`) so trainers can hand over
-    /// workspace-owned posteriors directly.
-    ///
-    /// The default implementation re-nests the rows and delegates to
-    /// [`reestimate`](TrainableEmission::reestimate); every emission in
-    /// this crate overrides it with an allocation-free version that
-    /// produces bit-identical parameters.
-    fn reestimate_gamma(&mut self, observations: &[Self::Obs], gamma: &Mat) {
-        let rows: Vec<Vec<f64>> = gamma.iter().map(<[f64]>::to_vec).collect();
-        self.reestimate(observations, &rows);
-    }
+/// `ln N(x; mean, std²)` given `ln_std = std.ln()`: the arithmetic of
+/// [`Normal::log_pdf`] in its order, with the logarithm taken by the
+/// caller. `ln σ` and `½ ln 2π` stay two subtrahends — summing them first
+/// rounds differently.
+#[inline]
+fn normal_log_pdf(x: f64, mean: f64, std: f64, ln_std: f64) -> f64 {
+    let z = (x - mean) / std;
+    -0.5 * z * z - ln_std - 0.5 * (2.0 * std::f64::consts::PI).ln()
 }
 
 /// Gaussian emission: each state emits `N(μ_s, σ_s²)` over `f64`
@@ -105,27 +114,6 @@ impl GaussianEmission {
         let n = &self.states[state];
         (n.mean(), n.std_dev())
     }
-
-    /// Shared M-step over any γ accessor `g(t, state)`; both
-    /// `reestimate` entry points funnel here so they cannot diverge.
-    fn reestimate_with(&mut self, observations: &[f64], g: impl Fn(usize, usize) -> f64) {
-        for s in 0..self.states.len() {
-            let weight: f64 = (0..observations.len()).map(|t| g(t, s)).sum();
-            if weight <= f64::EPSILON {
-                continue; // state got no responsibility; keep old params
-            }
-            let mean: f64 =
-                observations.iter().enumerate().map(|(t, &x)| g(t, s) * x).sum::<f64>() / weight;
-            let var: f64 = observations
-                .iter()
-                .enumerate()
-                .map(|(t, &x)| g(t, s) * (x - mean) * (x - mean))
-                .sum::<f64>()
-                / weight;
-            let std = var.sqrt().max(self.min_std);
-            self.states[s] = Normal::new(mean, std).expect("floored std is valid");
-        }
-    }
 }
 
 impl Emission for GaussianEmission {
@@ -138,17 +126,36 @@ impl Emission for GaussianEmission {
     fn log_prob(&self, state: usize, obs: f64) -> f64 {
         self.states[state].log_pdf(obs)
     }
+
+    fn log_probs_into(&self, observations: &[f64], table: &mut [f64]) {
+        let n = self.states.len();
+        for (s, state) in self.states.iter().enumerate() {
+            let (mean, std) = (state.mean(), state.std_dev());
+            let ln_std = std.ln();
+            for (row, &x) in table.chunks_exact_mut(n).zip(observations) {
+                row[s] = normal_log_pdf(x, mean, std, ln_std);
+            }
+        }
+    }
 }
 
 impl TrainableEmission for GaussianEmission {
-    fn reestimate(&mut self, observations: &[f64], posteriors: &[Vec<f64>]) {
-        debug_assert_eq!(observations.len(), posteriors.len());
-        self.reestimate_with(observations, |t, s| posteriors[t][s]);
-    }
-
     fn reestimate_gamma(&mut self, observations: &[f64], gamma: &Mat) {
-        debug_assert_eq!(observations.len(), gamma.rows());
-        self.reestimate_with(observations, |t, s| gamma[(t, s)]);
+        assert_eq!((gamma.rows(), gamma.cols()), (observations.len(), self.states.len()));
+        let n = self.states.len();
+        for s in 0..n {
+            let g = || gamma.as_slice().chunks_exact(n).map(|row| row[s]);
+            let weight: f64 = g().sum();
+            if weight <= f64::EPSILON {
+                continue; // state got no responsibility; keep old params
+            }
+            let mean: f64 = g().zip(observations).map(|(g, &x)| g * x).sum::<f64>() / weight;
+            let var: f64 =
+                g().zip(observations).map(|(g, &x)| g * (x - mean) * (x - mean)).sum::<f64>()
+                    / weight;
+            let std = var.sqrt().max(self.min_std);
+            self.states[s] = Normal::new(mean, std).expect("floored std is valid");
+        }
     }
 }
 
@@ -175,6 +182,9 @@ impl TrainableEmission for GaussianEmission {
 pub struct SymmetricGaussianEmission {
     mu: f64,
     std: f64,
+    /// `std.ln()`, kept beside `std` by its two writers so no read takes
+    /// a logarithm.
+    ln_std: f64,
     min_std: f64,
 }
 
@@ -192,7 +202,7 @@ impl SymmetricGaussianEmission {
         if !(std.is_finite() && std > 0.0) {
             return Err(DistError::invalid("symmetric-gaussian", "std must be positive"));
         }
-        Ok(Self { mu, std, min_std: GaussianEmission::DEFAULT_MIN_STD })
+        Ok(Self { mu, std, ln_std: std.ln(), min_std: GaussianEmission::DEFAULT_MIN_STD })
     }
 
     /// Sets the floor applied to σ during re-estimation.
@@ -232,27 +242,6 @@ impl SymmetricGaussianEmission {
             _ => panic!("symmetric emission has exactly two states"),
         }
     }
-
-    /// Shared M-step over any γ accessor `g(t, state)`.
-    fn reestimate_with(&mut self, observations: &[f64], g: impl Fn(usize, usize) -> f64) {
-        if observations.is_empty() {
-            return;
-        }
-        let n = observations.len() as f64;
-        // μ maximizes the constrained likelihood:
-        // μ = Σ_t (γ₀(t) − γ₁(t))·x_t / Σ_t (γ₀(t) + γ₁(t)).
-        let mu: f64 =
-            observations.iter().enumerate().map(|(t, &x)| (g(t, 0) - g(t, 1)) * x).sum::<f64>() / n;
-        // Shared σ² over both states' residuals.
-        let var: f64 = observations
-            .iter()
-            .enumerate()
-            .map(|(t, &x)| g(t, 0) * (x - mu) * (x - mu) + g(t, 1) * (x + mu) * (x + mu))
-            .sum::<f64>()
-            / n;
-        self.mu = mu;
-        self.std = var.sqrt().max(self.min_std);
-    }
 }
 
 impl Emission for SymmetricGaussianEmission {
@@ -263,20 +252,36 @@ impl Emission for SymmetricGaussianEmission {
     }
 
     fn log_prob(&self, state: usize, obs: f64) -> f64 {
-        let z = (obs - self.mean(state)) / self.std;
-        -0.5 * z * z - self.std.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
+        normal_log_pdf(obs, self.mean(state), self.std, self.ln_std)
+    }
+
+    fn log_probs_into(&self, observations: &[f64], table: &mut [f64]) {
+        for (row, &x) in table.chunks_exact_mut(2).zip(observations) {
+            row[0] = normal_log_pdf(x, self.mu, self.std, self.ln_std);
+            row[1] = normal_log_pdf(x, -self.mu, self.std, self.ln_std);
+        }
     }
 }
 
 impl TrainableEmission for SymmetricGaussianEmission {
-    fn reestimate(&mut self, observations: &[f64], posteriors: &[Vec<f64>]) {
-        debug_assert_eq!(observations.len(), posteriors.len());
-        self.reestimate_with(observations, |t, s| posteriors[t][s]);
-    }
-
     fn reestimate_gamma(&mut self, observations: &[f64], gamma: &Mat) {
-        debug_assert_eq!(observations.len(), gamma.rows());
-        self.reestimate_with(observations, |t, s| gamma[(t, s)]);
+        if observations.is_empty() {
+            return;
+        }
+        assert_eq!((gamma.rows(), gamma.cols()), (observations.len(), 2));
+        let n = observations.len() as f64;
+        let rows = || gamma.as_slice().chunks_exact(2).zip(observations);
+        // μ maximizes the constrained likelihood:
+        // μ = Σ_t (γ₀(t) − γ₁(t))·x_t / Σ_t (γ₀(t) + γ₁(t)).
+        let mu: f64 = rows().map(|(g, &x)| (g[0] - g[1]) * x).sum::<f64>() / n;
+        // Shared σ² over both states' residuals.
+        let var: f64 = rows()
+            .map(|(g, &x)| g[0] * (x - mu) * (x - mu) + g[1] * (x + mu) * (x + mu))
+            .sum::<f64>()
+            / n;
+        self.mu = mu;
+        self.std = var.sqrt().max(self.min_std);
+        self.ln_std = self.std.ln();
     }
 }
 
@@ -369,32 +374,6 @@ impl CategoricalEmission {
             *d = p.ln();
         }
     }
-
-    /// Shared M-step over any γ accessor `g(t, state)`: accumulate into
-    /// the row in place, floor, renormalize, refresh the log cache.
-    fn reestimate_with(&mut self, observations: &[usize], g: impl Fn(usize, usize) -> f64) {
-        for s in 0..self.probs.rows() {
-            let weight: f64 = (0..observations.len()).map(|t| g(t, s)).sum();
-            if weight <= f64::EPSILON {
-                continue;
-            }
-            let row = self.probs.row_mut(s);
-            row.fill(0.0);
-            for (t, &o) in observations.iter().enumerate() {
-                row[o] += g(t, s);
-            }
-            // Floor and renormalize.
-            let mut total = 0.0;
-            for p in row.iter_mut() {
-                *p = (*p / weight).max(self.floor);
-                total += *p;
-            }
-            for p in row.iter_mut() {
-                *p /= total;
-            }
-            self.refresh_log_row(s);
-        }
-    }
 }
 
 impl Emission for CategoricalEmission {
@@ -411,14 +390,33 @@ impl Emission for CategoricalEmission {
 }
 
 impl TrainableEmission for CategoricalEmission {
-    fn reestimate(&mut self, observations: &[usize], posteriors: &[Vec<f64>]) {
-        debug_assert_eq!(observations.len(), posteriors.len());
-        self.reestimate_with(observations, |t, s| posteriors[t][s]);
-    }
-
+    /// Accumulates into each row in place, floors, renormalizes and
+    /// refreshes the log cache.
     fn reestimate_gamma(&mut self, observations: &[usize], gamma: &Mat) {
-        debug_assert_eq!(observations.len(), gamma.rows());
-        self.reestimate_with(observations, |t, s| gamma[(t, s)]);
+        assert_eq!((gamma.rows(), gamma.cols()), (observations.len(), self.probs.rows()));
+        let n = self.probs.rows();
+        for s in 0..n {
+            let g = || gamma.as_slice().chunks_exact(n).map(|row| row[s]);
+            let weight: f64 = g().sum();
+            if weight <= f64::EPSILON {
+                continue;
+            }
+            let row = self.probs.row_mut(s);
+            row.fill(0.0);
+            for (g, &o) in g().zip(observations) {
+                row[o] += g;
+            }
+            // Floor and renormalize.
+            let mut total = 0.0;
+            for p in row.iter_mut() {
+                *p = (*p / weight).max(self.floor);
+                total += *p;
+            }
+            for p in row.iter_mut() {
+                *p /= total;
+            }
+            self.refresh_log_row(s);
+        }
     }
 }
 
@@ -446,7 +444,7 @@ mod tests {
         let obs = vec![10.0, 10.0, -10.0, -10.0];
         // Hard assignment: first two to state 0, rest to state 1.
         let post = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![0.0, 1.0]];
-        e.reestimate(&obs, &post);
+        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
         assert!((e.params(0).0 - 10.0).abs() < 1e-9);
         assert!((e.params(1).0 + 10.0).abs() < 1e-9);
         // Variance collapses to the floor.
@@ -458,7 +456,7 @@ mod tests {
         let mut e = GaussianEmission::new(vec![(5.0, 2.0), (-5.0, 2.0)]).unwrap();
         let obs = vec![1.0, 2.0];
         let post = vec![vec![1.0, 0.0], vec![1.0, 0.0]];
-        e.reestimate(&obs, &post);
+        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
         assert_eq!(e.params(1), (-5.0, 2.0));
     }
 
@@ -488,7 +486,7 @@ mod tests {
             }
         }
         // The cache must track re-estimation too.
-        e.reestimate(&[0, 0, 2], &vec![vec![0.9, 0.1]; 3]);
+        e.reestimate_gamma(&[0, 0, 2], &Mat::from_rows(&vec![vec![0.9, 0.1]; 3]));
         for s in 0..2 {
             for k in 0..3 {
                 assert_eq!(e.log_prob(s, k), e.prob(s, k).ln(), "post-reestimate ({s},{k})");
@@ -508,36 +506,10 @@ mod tests {
         let mut e = CategoricalEmission::new(vec![vec![0.5, 0.5]]).unwrap();
         let obs = vec![0, 0, 0];
         let post = vec![vec![1.0]; 3];
-        e.reestimate(&obs, &post);
+        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
         assert!(e.prob(0, 1) > 0.0, "unseen symbol keeps floor probability");
         let sum: f64 = (0..2).map(|k| e.prob(0, k)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reestimate_gamma_matches_nested_reestimate() {
-        let post = vec![vec![0.7, 0.3], vec![0.2, 0.8], vec![0.9, 0.1], vec![0.5, 0.5]];
-        let gamma = Mat::from_rows(&post);
-
-        let obs_f = [2.0, -2.0, 3.0, -0.5];
-        let mut a = GaussianEmission::new(vec![(1.0, 1.0), (-1.0, 1.0)]).unwrap();
-        let mut b = a.clone();
-        a.reestimate(&obs_f, &post);
-        b.reestimate_gamma(&obs_f, &gamma);
-        assert_eq!(a, b);
-
-        let mut a = SymmetricGaussianEmission::new(1.0, 1.0).unwrap();
-        let mut b = a.clone();
-        a.reestimate(&obs_f, &post);
-        b.reestimate_gamma(&obs_f, &gamma);
-        assert_eq!(a, b);
-
-        let obs_k = [0usize, 1, 0, 1];
-        let mut a = CategoricalEmission::new(vec![vec![0.6, 0.4], vec![0.3, 0.7]]).unwrap();
-        let mut b = a.clone();
-        a.reestimate(&obs_k, &post);
-        b.reestimate_gamma(&obs_k, &gamma);
-        assert_eq!(a, b);
     }
 }
 
@@ -559,7 +531,7 @@ mod symmetric_tests {
         let mut e = SymmetricGaussianEmission::new(1.0, 1.0).unwrap();
         let obs = vec![5.0, 5.2, -4.8, -5.4];
         let post = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![0.0, 1.0]];
-        e.reestimate(&obs, &post);
+        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
         assert!((e.mu() - 5.1).abs() < 0.01, "mu = {}", e.mu());
         assert!(e.std() >= GaussianEmission::DEFAULT_MIN_STD);
     }
@@ -569,7 +541,7 @@ mod symmetric_tests {
         let mut e = SymmetricGaussianEmission::new(1.0, 1.0).unwrap();
         let obs = vec![2.0, -2.0, 3.0];
         let post = vec![vec![0.7, 0.3], vec![0.2, 0.8], vec![0.9, 0.1]];
-        e.reestimate(&obs, &post);
+        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
         assert!((e.mean(0) + e.mean(1)).abs() < 1e-12);
     }
 
@@ -577,7 +549,7 @@ mod symmetric_tests {
     fn empty_reestimate_is_noop() {
         let mut e = SymmetricGaussianEmission::new(1.5, 0.7).unwrap();
         let before = e.clone();
-        e.reestimate(&[], &[]);
+        e.reestimate_gamma(&[], &Mat::new());
         assert_eq!(e, before);
     }
 

@@ -118,106 +118,127 @@ pub fn forward_backward_into<E: Emission>(
     if t_len == 0 {
         return 0.0;
     }
-
-    // Emission probabilities are computed once, in linear (scaled) space.
-    // Each row is divided by its max to avoid underflow before scaling.
-    for (t, &obs) in observations.iter().enumerate() {
-        let row = ws.emit.row_mut(t);
-        for i in 0..n {
-            row[i] = hmm.log_emit(i, obs);
-        }
-        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        ws.logmax[t] = max;
-        for i in 0..n {
-            row[i] = if max.is_finite() { (row[i] - max).exp() } else { 1.0 };
-        }
+    hmm.emission().log_probs_into(observations, ws.emit.as_mut_slice());
+    // One loop body, two instantiations: with the literal the compiler
+    // unrolls every state loop of the two-state truth model.
+    if n == 2 {
+        sweep(hmm.init(), hmm.trans().as_slice(), ws, 2)
+    } else {
+        sweep(hmm.init(), hmm.trans().as_slice(), ws, n)
     }
+}
 
-    // Forward pass with per-step scaling.
-    {
-        let first = ws.alpha.row_mut(0);
-        let emit0 = ws.emit.row(0);
-        for i in 0..n {
-            first[i] = hmm.init()[i] * emit0[i];
-        }
-        ws.scale[0] = normalize(first);
-    }
-    for t in 1..t_len {
-        let (prev, cur) = ws.alpha.adjacent_rows_mut(t - 1);
-        let emit_t = ws.emit.row(t);
-        for j in 0..n {
-            let mut acc = 0.0;
-            for i in 0..n {
-                acc += prev[i] * hmm.trans_prob(i, j);
-            }
-            cur[j] = acc * emit_t[j];
-        }
-        ws.scale[t] = normalize(cur);
-    }
+/// The forward–backward loop body over flat `T×n` slices; `ws.emit` holds
+/// the log-emission table on entry. Operation order per accumulator is
+/// the specification (DESIGN.md §12): `oracle::hmm` in `sstd-testkit`
+/// keeps the loops this replaced and the two are held bit-identical.
+///
+/// Three sweeps, each carrying whatever work is off its recurrence and
+/// does not care about direction: ascending (row to linear space, `α`,
+/// `ln scale`), descending (`β`, `γ`), ascending (`Σξ`, the max-shifts).
+#[inline(always)]
+fn sweep(init: &[f64], trans: &[f64], ws: &mut EmWorkspace, n: usize) -> f64 {
+    let t_len = ws.scale.len();
+    let (init, trans) = (&init[..n], &trans[..n * n]);
+    let emit = &mut ws.emit.as_mut_slice()[..t_len * n];
+    let alpha = &mut ws.alpha.as_mut_slice()[..t_len * n];
+    let beta = &mut ws.beta.as_mut_slice()[..t_len * n];
+    let gamma = &mut ws.gamma.as_mut_slice()[..t_len * n];
+    let xi_sum = &mut ws.xi_sum.as_mut_slice()[..n * n];
+    let xi_t = &mut ws.xi_t.as_mut_slice()[..n * n];
+    let (logmax, scale) = (&mut ws.logmax[..t_len], &mut ws.scale[..t_len]);
 
-    // Backward pass using the same scale factors.
-    ws.beta.row_mut(t_len - 1).fill(1.0);
-    for t in (0..t_len - 1).rev() {
-        let (cur, next) = ws.beta.adjacent_rows_mut(t);
-        let emit_next = ws.emit.row(t + 1);
-        let denom = ws.scale[t + 1].max(f64::MIN_POSITIVE);
-        for i in 0..n {
-            let mut acc = 0.0;
-            for j in 0..n {
-                acc += hmm.trans_prob(i, j) * emit_next[j] * next[j];
-            }
-            cur[i] = acc / denom;
-        }
-    }
-
-    // Posteriors.
+    // Forward pass with per-step scaling. Each emission row goes to
+    // linear space on the way, divided by its max to avoid underflow; the
+    // state that attains the max is `exp(x − x) = exp(0) = 1` exactly, so
+    // it skips the call.
+    let mut log_scale = 0.0;
     for t in 0..t_len {
-        let g = ws.gamma.row_mut(t);
-        let a = ws.alpha.row(t);
-        let b = ws.beta.row(t);
+        let emit_t = &mut emit[t * n..(t + 1) * n];
+        let max = emit_t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        logmax[t] = max;
+        for e in emit_t.iter_mut() {
+            *e = if !max.is_finite() || *e == max { 1.0 } else { (*e - max).exp() };
+        }
+        let (done, rest) = alpha.split_at_mut(t * n);
+        let cur = &mut rest[..n];
+        if t == 0 {
+            for i in 0..n {
+                cur[i] = init[i] * emit_t[i];
+            }
+        } else {
+            let prev = &done[(t - 1) * n..];
+            for j in 0..n {
+                let mut acc = 0.0;
+                for i in 0..n {
+                    acc += prev[i] * trans[i * n + j];
+                }
+                cur[j] = acc * emit_t[j];
+            }
+        }
+        scale[t] = normalize(cur);
+        log_scale += scale[t].max(f64::MIN_POSITIVE).ln();
+    }
+
+    // Backward pass using the same scale factors. A γ row depends on no
+    // other row, so it is taken as soon as its β row exists.
+    for t in (0..t_len).rev() {
+        let (head, tail) = beta.split_at_mut((t + 1) * n);
+        let cur = &mut head[t * n..];
+        if t + 1 == t_len {
+            cur.fill(1.0);
+        } else {
+            let (next, emit_next) = (&tail[..n], &emit[(t + 1) * n..(t + 2) * n]);
+            let denom = scale[t + 1].max(f64::MIN_POSITIVE);
+            for i in 0..n {
+                let mut acc = 0.0;
+                for j in 0..n {
+                    acc += trans[i * n + j] * emit_next[j] * next[j];
+                }
+                cur[i] = acc / denom;
+            }
+        }
+        let (a, g) = (&alpha[t * n..(t + 1) * n], &mut gamma[t * n..(t + 1) * n]);
         for i in 0..n {
-            g[i] = a[i] * b[i];
+            g[i] = a[i] * cur[i];
         }
         normalize(g);
     }
 
-    for t in 0..t_len - 1 {
+    // Σξ adds up in step order, so it cannot ride the descending pass. It
+    // shares this one with the rest of ln P(O|λ) = Σ ln(scale_t) +
+    // Σ max-shifts: the per-row max shift on `emit` cancels in all
+    // posteriors but must be restored in the likelihood.
+    let mut log_likelihood = log_scale;
+    for t in 0..t_len {
+        if logmax[t].is_finite() {
+            log_likelihood += logmax[t];
+        }
+        if t + 1 == t_len {
+            break;
+        }
+        let a = &alpha[t * n..(t + 1) * n];
+        let (emit_next, beta_next) =
+            (&emit[(t + 1) * n..(t + 2) * n], &beta[(t + 1) * n..(t + 2) * n]);
         let mut total = 0.0;
-        let alpha_t = ws.alpha.row(t);
-        let beta_next = ws.beta.row(t + 1);
-        let emit_next = ws.emit.row(t + 1);
         for i in 0..n {
-            let xi_row = ws.xi_t.row_mut(i);
             for j in 0..n {
-                let v = alpha_t[i] * hmm.trans_prob(i, j) * emit_next[j] * beta_next[j];
-                xi_row[j] = v;
+                let v = a[i] * trans[i * n + j] * emit_next[j] * beta_next[j];
+                xi_t[i * n + j] = v;
                 total += v;
             }
         }
         if total > 0.0 {
-            for i in 0..n {
-                let src = ws.xi_t.row(i);
-                let dst = ws.xi_sum.row_mut(i);
-                for j in 0..n {
-                    dst[j] += src[j] / total;
-                }
+            for (dst, src) in xi_sum.iter_mut().zip(xi_t.iter()) {
+                *dst += src / total;
             }
-        }
-    }
-
-    // ln P(O|λ) = Σ ln(scale_t) + Σ max-shifts. The per-row max shift on
-    // `emit` cancels in all posteriors but must be restored here.
-    let mut log_likelihood: f64 =
-        ws.scale[..t_len].iter().map(|&c| c.max(f64::MIN_POSITIVE).ln()).sum();
-    for t in 0..t_len {
-        if ws.logmax[t].is_finite() {
-            log_likelihood += ws.logmax[t];
         }
     }
     log_likelihood
 }
 
-pub(crate) fn normalize(row: &mut [f64]) -> f64 {
+#[inline]
+fn normalize(row: &mut [f64]) -> f64 {
     let sum: f64 = row.iter().sum();
     if sum > 0.0 && sum.is_finite() {
         for x in row.iter_mut() {
@@ -225,12 +246,18 @@ pub(crate) fn normalize(row: &mut [f64]) -> f64 {
         }
         sum
     } else {
-        let u = 1.0 / row.len() as f64;
-        for x in row.iter_mut() {
-            *x = u;
-        }
-        0.0_f64.max(f64::MIN_POSITIVE)
+        uniform(row)
     }
+}
+
+/// [`normalize`]'s answer for a row with no usable mass. Out of line and
+/// cold so the caller branches around it: compiled as a select, the test
+/// sits between one step of a recurrence and the next.
+#[cold]
+#[inline(never)]
+fn uniform(row: &mut [f64]) -> f64 {
+    row.fill(1.0 / row.len() as f64);
+    f64::MIN_POSITIVE
 }
 
 #[cfg(test)]
@@ -324,6 +351,23 @@ mod tests {
         let (ws, _) = fresh(&hmm, &[10.0, -10.0]);
         assert!(ws.gamma()[(0, 0)] > 0.999);
         assert!(ws.gamma()[(1, 1)] > 0.999);
+    }
+
+    #[test]
+    fn generic_and_two_state_instantiations_agree() {
+        // `black_box` hides the literal, so the second run takes the
+        // loop body as an N-state model gets it.
+        let hmm = coin_hmm();
+        let obs = vec![0usize, 1, 0, 0, 1, 0, 1, 1, 1, 0];
+        let run = |n: usize| {
+            let mut ws = EmWorkspace::new();
+            ws.ensure(obs.len(), 2);
+            ws.xi_sum.fill(0.0);
+            hmm.emission().log_probs_into(&obs, ws.emit.as_mut_slice());
+            let log_likelihood = sweep(hmm.init(), hmm.trans().as_slice(), &mut ws, n);
+            (log_likelihood.to_bits(), ws.gamma, ws.xi_sum)
+        };
+        assert_eq!(run(2), run(std::hint::black_box(2)));
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! invocations. The classic allocating signatures remain as thin wrappers
 //! and return bit-identical results.
 //!
+//! The EM kernel's arithmetic is part of its contract: one loop body,
+//! every accumulator fed in a fixed order, held bit-identical to the
+//! reference loops in `sstd_testkit::oracle::hmm` (DESIGN.md §12, "The
+//! exact two-state EM kernel").
+//!
 //! # Examples
 //!
 //! Train a two-state Gaussian HMM on a bimodal sequence and decode it:

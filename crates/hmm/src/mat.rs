@@ -84,6 +84,12 @@ impl Mat {
         &self.data
     }
 
+    /// The whole buffer in row-major order, mutably — what the kernels
+    /// slice once before their loops instead of indexing per element.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Reshapes to `rows × cols`, keeping the existing buffer when it is
     /// large enough (entries are *not* reset — callers overwrite or
     /// [`fill`](Self::fill) before reading).

@@ -86,7 +86,7 @@ impl<E: Emission> Hmm<E> {
             if row.len() != n {
                 return Err(HmmError::new(format!("transition row {i} has wrong length")));
             }
-            Self::check_stochastic(&format!("transition row {i}"), row)?;
+            Self::check_stochastic(format_args!("transition row {i}"), row)?;
         }
         let trans = Mat::from_rows(&trans);
         let mut model = Self { init, trans, log_trans: Mat::new(), emission };
@@ -115,7 +115,9 @@ impl<E: Emission> Hmm<E> {
         (&mut self.init, &mut self.trans, &mut self.emission)
     }
 
-    fn check_stochastic(what: &str, row: &[f64]) -> Result<(), HmmError> {
+    /// `what` is only formatted when the row is rejected: every refit and
+    /// every new claim constructs a model, and none of them fails here.
+    fn check_stochastic(what: impl fmt::Display, row: &[f64]) -> Result<(), HmmError> {
         if row.iter().any(|&p| !p.is_finite() || p < 0.0) {
             return Err(HmmError::new(format!("{what} has invalid probabilities")));
         }

@@ -188,12 +188,12 @@ impl<E: Emission> StreamingViterbi<E> {
             self.pending.push_back(col);
         } else {
             let mut back = self.take_col(n);
-            let log_trans = self.hmm.log_trans();
+            let log_trans = self.hmm.log_trans().as_slice();
             for j in 0..n {
                 let mut best = f64::NEG_INFINITY;
                 let mut arg = 0;
                 for i in 0..n {
-                    let v = self.delta[i] + log_trans[(i, j)];
+                    let v = self.delta[i] + log_trans[i * n + j];
                     if v > best {
                         best = v;
                         arg = i;

@@ -77,7 +77,7 @@ pub fn viterbi_into<'w, E: Emission>(
     ws.psi.resize(t_len * n, 0);
     ws.psi[..n].fill(0);
 
-    let log_trans = hmm.log_trans();
+    let log_trans = hmm.log_trans().as_slice();
     for t in 1..t_len {
         let obs = observations[t];
         let back = &mut ws.psi[t * n..(t + 1) * n];
@@ -85,7 +85,7 @@ pub fn viterbi_into<'w, E: Emission>(
             let mut best = f64::NEG_INFINITY;
             let mut arg = 0;
             for i in 0..n {
-                let v = ws.delta[i] + log_trans[(i, j)];
+                let v = ws.delta[i] + log_trans[i * n + j];
                 if v > best {
                     best = v;
                     arg = i;

@@ -1,10 +1,18 @@
 //! Differential + metamorphic properties of the HMM machinery against
-//! the brute-force enumeration oracles, on seeded generated cases.
+//! the brute-force enumeration oracles, on seeded generated cases — and
+//! bit-identity of the flat-slice EM kernel with the loops it replaced
+//! (`sstd_testkit::oracle::hmm`), degenerate observations included.
 //!
 //! Any failure prints a `TESTKIT_SEED=… TESTKIT_CASES=1` line that
 //! replays the exact (already minimized) counterexample.
 
-use sstd_hmm::{forward_backward_into, viterbi, BaumWelch, CategoricalEmission, EmWorkspace, Hmm};
+use sstd_hmm::{
+    forward_backward_into, viterbi, BaumWelch, CategoricalEmission, EmWorkspace, Emission, Hmm,
+    TrainableEmission,
+};
+use sstd_testkit::oracle::hmm::{
+    ReferenceEmission, ReferenceHmm, ReferenceTrainer, ReferenceWorkspace,
+};
 use sstd_testkit::{check, domain, gens, oracle, Gen};
 
 /// Number of cases per differential suite (overridable via
@@ -177,4 +185,135 @@ fn trained_model_never_scores_below_its_start() {
             Ok(())
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// Bit-identity with the reference EM loops
+// ---------------------------------------------------------------------
+
+/// Bit-equality, with every NaN equal to every other: which payload a
+/// NaN carries out of an addition depends on operand order, which the
+/// compiler is free to commute.
+fn same_bits(name: &str, got: &[f64], want: &[f64]) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("{name} has {} entries, reference has {}", got.len(), want.len()));
+    }
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        if g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()) {
+            return Err(format!("{name}[{k}] = {g:e}, reference says {w:e}"));
+        }
+    }
+    Ok(())
+}
+
+/// One workspace pair serves every case of a property, so a table left
+/// dirty by the previous case cannot hide in the comparison.
+#[derive(Default)]
+struct Workspaces {
+    kernel: EmWorkspace,
+    reference: ReferenceWorkspace,
+}
+
+impl Workspaces {
+    fn same_tables(&self) -> Result<(), String> {
+        let (ws, reference) = (&self.kernel, &self.reference);
+        same_bits("gamma", ws.gamma().as_slice(), reference.gamma().as_slice())?;
+        same_bits("xi_sum", ws.xi_sum().as_slice(), reference.xi_sum().as_slice())
+    }
+
+    /// Trains both sides the way the engine does (`SstdConfig`'s 25
+    /// iterations at 1e-4, `BaumWelch`'s default floor) and compares
+    /// everything but the emission parameters, which are the caller's.
+    fn train_both<E, R>(
+        &mut self,
+        model: &mut Hmm<E>,
+        reference: &mut ReferenceHmm<R>,
+        obs: &[E::Obs],
+    ) -> Result<(), String>
+    where
+        E: TrainableEmission,
+        R: ReferenceEmission<Obs = E::Obs>,
+    {
+        let got = BaumWelch::default().max_iterations(25).tolerance(1e-4).train_into(
+            model,
+            obs,
+            &mut self.kernel,
+        );
+        let want = ReferenceTrainer { max_iterations: 25, tolerance: 1e-4, prob_floor: 1e-6 }
+            .train_into(reference, obs, &mut self.reference);
+        same_bits("log-likelihood", &[got.log_likelihood], &[want.log_likelihood])?;
+        if (got.iterations, got.converged) != (want.iterations, want.converged) {
+            return Err(format!("stopped at {got:?}, reference at {want:?}"));
+        }
+        same_bits("init", model.init(), &reference.init)?;
+        same_bits("trans", model.trans().as_slice(), reference.trans.as_slice())?;
+        self.same_tables()
+    }
+}
+
+#[test]
+fn categorical_em_is_bit_identical_to_the_reference_loops() {
+    // 2–3 states: both instantiations of the loop body run.
+    let mut ws = Workspaces::default();
+    check(
+        "categorical_em_is_bit_identical_to_the_reference_loops",
+        CASES,
+        &domain::hmm_case(64),
+        |case| {
+            let (mut model, mut reference) = (case.hmm(), case.reference());
+            let got = forward_backward_into(&model, &case.obs, &mut ws.kernel);
+            let want = oracle::hmm::forward_backward_into(&reference, &case.obs, &mut ws.reference);
+            same_bits("log-likelihood", &[got], &[want])?;
+            ws.same_tables()?;
+
+            ws.train_both(&mut model, &mut reference, &case.obs)?;
+            for (s, want) in reference.emission.probs.iter().enumerate() {
+                let got: Vec<f64> = (0..want.len()).map(|k| model.emission().prob(s, k)).collect();
+                same_bits("emission row", &got, want)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn symmetric_gaussian_training_is_bit_identical_to_the_reference_loops() {
+    let mut ws = Workspaces::default();
+    check(
+        "symmetric_gaussian_training_is_bit_identical_to_the_reference_loops",
+        CASES,
+        &domain::symmetric_em_case(300),
+        |case| {
+            let (mut model, mut reference) = (case.hmm(), case.reference());
+            ws.train_both(&mut model, &mut reference, &case.obs)?;
+            let (e, r) = (model.emission(), &reference.emission);
+            same_bits("(mu, std)", &[e.mu(), e.std()], &[r.mu, r.std])?;
+            // What the decoders read, one call at a time, with the trained σ.
+            for &x in &case.obs {
+                let (got, want) =
+                    ([e.log_prob(0, x), e.log_prob(1, x)], [r.log_prob(0, x), r.log_prob(1, x)]);
+                same_bits("log_prob", &got, &want)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn gaussian_training_is_bit_identical_to_the_reference_loops() {
+    let mut ws = Workspaces::default();
+    check(
+        "gaussian_training_is_bit_identical_to_the_reference_loops",
+        CASES,
+        &domain::gaussian_em_case(120),
+        |case| {
+            let (mut model, mut reference) = (case.hmm(), case.reference());
+            ws.train_both(&mut model, &mut reference, &case.obs)?;
+            for (s, want) in reference.emission.states.iter().enumerate() {
+                let (mean, std) = model.emission().params(s);
+                same_bits("(mean, std)", &[mean, std], &[want.mean(), want.std_dev()])?;
+            }
+            Ok(())
+        },
+    );
 }

@@ -9,7 +9,7 @@
 
 use sstd_hmm::{
     forward_backward_into, viterbi_into, BaumWelch, CategoricalEmission, DecodeWorkspace,
-    EmWorkspace, Hmm, SymmetricGaussianEmission,
+    EmWorkspace, Emission, GaussianEmission, Hmm, SymmetricGaussianEmission,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -114,6 +114,25 @@ fn em_and_decode_are_allocation_free_after_warmup_categorical() {
         }
     });
     assert_eq!(n, 0, "warm categorical EM/decode iterations must not allocate ({n} allocations)");
+}
+
+#[test]
+fn log_emission_table_fill_never_allocates() {
+    // The hook forward–backward fills its table through: the provided
+    // per-call loop (categorical) and both hoisting overrides.
+    let reals: Vec<f64> = (0..64).map(|t| (t % 7) as f64 - 3.0).collect();
+    let symbols: Vec<usize> = (0..64).map(|t| t % 2).collect();
+    let symmetric = SymmetricGaussianEmission::new(2.0, 1.5).unwrap();
+    let gaussian = GaussianEmission::new(vec![(2.0, 1.0), (0.0, 0.5), (-2.0, 1.0)]).unwrap();
+    let categorical = CategoricalEmission::new(vec![vec![0.7, 0.3], vec![0.25, 0.75]]).unwrap();
+    let mut table = vec![0.0; 64 * 3];
+
+    let n = allocations_in(|| {
+        symmetric.log_probs_into(&reals, &mut table[..64 * 2]);
+        gaussian.log_probs_into(&reals, &mut table);
+        categorical.log_probs_into(&symbols, &mut table[..64 * 2]);
+    });
+    assert_eq!(n, 0, "filling a caller-owned table must not allocate ({n} allocations)");
 }
 
 #[test]

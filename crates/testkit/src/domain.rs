@@ -14,10 +14,11 @@ pub mod scenario;
 pub use post_stream::{post_stream_case, PostStreamCase};
 
 use crate::gen::{gens, Gen};
+use crate::oracle::hmm::{Categorical, Gaussian, ReferenceHmm, SymmetricGaussian};
 use crate::rng::TestRng;
 use sstd_control::DtmConfig;
 use sstd_core::{CheckpointPolicy, SstdConfig};
-use sstd_hmm::{CategoricalEmission, Hmm};
+use sstd_hmm::{CategoricalEmission, GaussianEmission, Hmm, Mat, SymmetricGaussianEmission};
 use sstd_runtime::FaultPlan;
 use sstd_types::{
     ClaimId, GroundTruth, Independence, Report, SourceId, Timeline, Timestamp, Trace, TruthLabel,
@@ -63,6 +64,17 @@ impl HmmCase {
             CategoricalEmission::new(self.emit.clone()).expect("generated rows are stochastic"),
         )
         .expect("generated parameters are stochastic")
+    }
+
+    /// The same tables as a model of the reference EM loops
+    /// ([`crate::oracle::hmm`]).
+    #[must_use]
+    pub fn reference(&self) -> ReferenceHmm<Categorical> {
+        let emission = Categorical {
+            probs: Mat::from_rows(&self.emit),
+            floor: CategoricalEmission::DEFAULT_FLOOR,
+        };
+        ReferenceHmm::new(self.init.clone(), &self.trans, emission)
     }
 }
 
@@ -134,6 +146,212 @@ pub fn hmm_case(max_obs: usize) -> Gen<HmmCase> {
             }
         }
         out
+    })
+}
+
+/// The truth model's shape — a sticky two-state chain over a
+/// sign-symmetric Gaussian — with an observation sequence that is
+/// allowed to be hostile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SymmetricEmCase {
+    /// Self-transition probability of both states, in `[0.5, 1)`.
+    pub stay: f64,
+    /// Initial separation `μ` (finite; may be 0 or huge).
+    pub mu: f64,
+    /// Initial shared `σ` (positive).
+    pub std: f64,
+    /// Floor applied to `σ` during re-estimation.
+    pub min_std: f64,
+    /// Observations: anything an `f64` can hold, NaN and ±∞ included.
+    pub obs: Vec<f64>,
+}
+
+impl SymmetricEmCase {
+    fn trans(&self) -> Vec<Vec<f64>> {
+        vec![vec![self.stay, 1.0 - self.stay], vec![1.0 - self.stay, self.stay]]
+    }
+
+    /// Builds the production model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters are invalid — generated cases never are.
+    #[must_use]
+    pub fn hmm(&self) -> Hmm<SymmetricGaussianEmission> {
+        let emission = SymmetricGaussianEmission::new(self.mu, self.std)
+            .expect("generated parameters are valid")
+            .with_min_std(self.min_std);
+        Hmm::new(vec![0.5, 0.5], self.trans(), emission).expect("stochastic by construction")
+    }
+
+    /// The same parameters as a model of the reference EM loops.
+    #[must_use]
+    pub fn reference(&self) -> ReferenceHmm<SymmetricGaussian> {
+        let emission = SymmetricGaussian { mu: self.mu, std: self.std, min_std: self.min_std };
+        ReferenceHmm::new(vec![0.5, 0.5], &self.trans(), emission)
+    }
+}
+
+/// Shrinks an observation sequence: halves, single removals, then
+/// special values (zero is the simplest observation) one at a time.
+fn shrink_observations(obs: &[f64]) -> Vec<Vec<f64>> {
+    let mut out = Vec::new();
+    let t = obs.len();
+    if t > 1 {
+        let keep = (t / 2).max(1);
+        out.push(obs[..keep].to_vec());
+        out.push(obs[t - keep..].to_vec());
+        for i in 0..t.min(12) {
+            let mut shorter = obs.to_vec();
+            shorter.remove(i);
+            out.push(shorter);
+        }
+    }
+    for i in (0..t).filter(|&i| obs[i] != 0.0).take(12) {
+        let mut zeroed = obs.to_vec();
+        zeroed[i] = 0.0;
+        out.push(zeroed);
+    }
+    out
+}
+
+/// Generates [`SymmetricEmCase`]s of `1..=max_obs` observations (lengths
+/// 1 and 2 over-represented). The signal is a sign-flipping `±μ` plus
+/// noise at a scale of 10⁻³, 1 or 10³; on top of it come all-zero
+/// stretches and, in a third of the cases, a few observations replaced
+/// by `±10³⁰⁰`, `±10¹⁵⁰`, `±∞` or NaN. `σ` starts at its floor in a fifth
+/// of the cases, `stay` is near 0.5, near 1 or in between, and `μ` is
+/// occasionally 0. Shrinks the observations only.
+///
+/// # Panics
+///
+/// Panics if `max_obs` is zero.
+#[must_use]
+pub fn symmetric_em_case(max_obs: usize) -> Gen<SymmetricEmCase> {
+    assert!(max_obs > 0, "need at least one observation");
+    Gen::new(move |rng| {
+        let scale = *rng.pick(&[1e-3, 1.0, 1.0, 1e3]);
+        let stay = match rng.usize_in(0, 3) {
+            0 => rng.f64_in(0.5, 0.5 + 1e-6),
+            1 => 1.0 - rng.f64_in(1e-12, 1e-6),
+            _ => rng.f64_in(0.55, 0.99),
+        };
+        let min_std = *rng.pick(&[1e-3, 1e-3, 1e-6, 0.5]);
+        let std = if rng.chance(0.2) { min_std } else { scale * rng.f64_in(0.05, 3.0) };
+        let mu = if rng.chance(0.05) { 0.0 } else { scale * rng.f64_in(0.05, 5.0) };
+        let len = match rng.usize_in(0, 9) {
+            0 => 1,
+            1 => 2,
+            _ => rng.usize_in(1, max_obs),
+        };
+        let truth = scale * rng.f64_in(0.1, 5.0);
+        let mut sign = 1.0;
+        let mut obs: Vec<f64> = (0..len)
+            .map(|_| {
+                if rng.chance(0.08) {
+                    sign = -sign;
+                }
+                sign * truth + scale * rng.f64_in(-1.5, 1.5)
+            })
+            .collect();
+        for _ in 0..rng.usize_in(0, 2) {
+            let start = rng.usize_in(0, len - 1);
+            let end = (start + rng.usize_in(1, 40)).min(len);
+            obs[start..end].fill(0.0);
+        }
+        if rng.chance(0.33) {
+            const HOSTILE: [f64; 7] =
+                [1e300, -1e300, 1e150, -1e150, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            for _ in 0..rng.usize_in(1, 4) {
+                obs[rng.usize_in(0, len - 1)] = *rng.pick(&HOSTILE);
+            }
+        }
+        SymmetricEmCase { stay, mu, std, min_std, obs }
+    })
+    .with_shrink(|case: &SymmetricEmCase| {
+        shrink_observations(&case.obs)
+            .into_iter()
+            .map(|obs| SymmetricEmCase { obs, ..case.clone() })
+            .collect()
+    })
+}
+
+/// An unconstrained Gaussian HMM (2 or 3 states, free `π` and `A`) plus
+/// a finite observation sequence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GaussianEmCase {
+    /// Initial distribution (stochastic).
+    pub init: Vec<f64>,
+    /// Transition matrix (row-stochastic).
+    pub trans: Vec<Vec<f64>>,
+    /// Per-state `(mean, std_dev)`.
+    pub states: Vec<(f64, f64)>,
+    /// Observations, all finite.
+    pub obs: Vec<f64>,
+}
+
+impl GaussianEmCase {
+    /// Builds the production model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters are invalid — generated cases never are.
+    #[must_use]
+    pub fn hmm(&self) -> Hmm<GaussianEmission> {
+        let emission =
+            GaussianEmission::new(self.states.clone()).expect("generated parameters are valid");
+        Hmm::new(self.init.clone(), self.trans.clone(), emission)
+            .expect("generated parameters are stochastic")
+    }
+
+    /// The same parameters as a model of the reference EM loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters are invalid — generated cases never are.
+    #[must_use]
+    pub fn reference(&self) -> ReferenceHmm<Gaussian> {
+        let states = self
+            .states
+            .iter()
+            .map(|&(mean, std)| sstd_stats::Normal::new(mean, std).expect("valid normal"))
+            .collect();
+        let emission = Gaussian { states, min_std: GaussianEmission::DEFAULT_MIN_STD };
+        ReferenceHmm::new(self.init.clone(), &self.trans, emission)
+    }
+}
+
+/// Generates [`GaussianEmCase`]s: 2 or 3 states, `1..=max_obs` finite
+/// observations drawn around the state means, with occasional all-zero
+/// stretches. Shrinks the observations only.
+///
+/// # Panics
+///
+/// Panics if `max_obs` is zero.
+#[must_use]
+pub fn gaussian_em_case(max_obs: usize) -> Gen<GaussianEmCase> {
+    assert!(max_obs > 0, "need at least one observation");
+    Gen::new(move |rng| {
+        let n = rng.usize_in(2, 3);
+        let init = stochastic_row(rng, n);
+        let trans = (0..n).map(|_| stochastic_row(rng, n)).collect();
+        let states: Vec<(f64, f64)> =
+            (0..n).map(|_| (rng.f64_in(-6.0, 6.0), rng.f64_in(0.05, 3.0))).collect();
+        let len = rng.usize_in(1, max_obs);
+        let mut obs: Vec<f64> =
+            (0..len).map(|_| rng.pick(&states).0 + rng.f64_in(-2.0, 2.0)).collect();
+        if rng.chance(0.3) {
+            let start = rng.usize_in(0, len - 1);
+            let end = (start + rng.usize_in(1, 30)).min(len);
+            obs[start..end].fill(0.0);
+        }
+        GaussianEmCase { init, trans, states, obs }
+    })
+    .with_shrink(|case: &GaussianEmCase| {
+        shrink_observations(&case.obs)
+            .into_iter()
+            .map(|obs| GaussianEmCase { obs, ..case.clone() })
+            .collect()
     })
 }
 

@@ -6,16 +6,12 @@
 //! The HMM oracles (exhaustive Viterbi over all `N^T` sequences,
 //! direct-sum likelihood, enumerated posteriors) live in
 //! [`sstd_hmm::exhaustive`] and are re-exported here under [`hmm`] so the
-//! testkit is a one-stop import for every oracle; the linear-scan text
-//! stages are under [`text`].
+//! testkit is a one-stop import for every oracle, beside the EM loops the
+//! flat-slice kernel replaced; the linear-scan text stages are under
+//! [`text`].
 
+pub mod hmm;
 pub mod text;
-
-/// Exhaustive-enumeration HMM oracles (`best_path`, `log_likelihood`,
-/// `posteriors`, `log_joint`), re-exported from `sstd_hmm`.
-pub mod hmm {
-    pub use sstd_hmm::exhaustive::{best_path, log_joint, log_likelihood, posteriors};
-}
 
 /// Runs the HMM kernels on one model + observation sequence in the
 /// caller's reused scratch arenas and compares them with a run in fresh
