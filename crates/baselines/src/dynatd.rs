@@ -12,6 +12,13 @@ use crate::StreamingTruthDiscovery;
 use sstd_types::{ClaimId, Report, TruthLabel};
 use std::collections::BTreeMap;
 
+/// Exponential decay applied to each source's historical counts every
+/// interval.
+const DECAY: f64 = 0.9;
+
+/// Strength of the temporal smoothness prior.
+const SMOOTHNESS: f64 = 0.5;
+
 /// The DynaTD streaming scheme.
 ///
 /// # Examples
@@ -28,22 +35,12 @@ use std::collections::BTreeMap;
 /// let est = d.observe_interval(&reports);
 /// assert_eq!(est[&ClaimId::new(0)], TruthLabel::True);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DynaTd {
-    /// Exponential decay applied to historical counts each interval.
-    decay: f64,
-    /// Strength of the temporal smoothness prior.
-    smoothness: f64,
     /// Per-source decayed (correct, incorrect) counts.
     counts: BTreeMap<u32, (f64, f64)>,
     /// Last interval's estimates (the smoothness anchor).
     previous: BTreeMap<ClaimId, TruthLabel>,
-}
-
-impl Default for DynaTd {
-    fn default() -> Self {
-        Self { decay: 0.9, smoothness: 0.5, counts: BTreeMap::new(), previous: BTreeMap::new() }
-    }
 }
 
 impl DynaTd {
@@ -51,30 +48,6 @@ impl DynaTd {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the decay factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `decay` is in `(0, 1]`.
-    #[must_use]
-    pub fn with_decay(mut self, decay: f64) -> Self {
-        assert!(decay > 0.0 && decay <= 1.0, "decay must be in (0, 1]");
-        self.decay = decay;
-        self
-    }
-
-    /// Overrides the smoothness prior strength.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative.
-    #[must_use]
-    pub fn with_smoothness(mut self, s: f64) -> Self {
-        assert!(s >= 0.0, "smoothness must be non-negative");
-        self.smoothness = s;
-        self
     }
 
     /// Log-odds reliability weight of a source, smoothed with an
@@ -112,7 +85,7 @@ impl StreamingTruthDiscovery for DynaTd {
             let mut parts: Vec<f64> = vs.iter().map(|&(s, cs)| self.weight(s) * cs).collect();
             let mut score = stable_sum(&mut parts);
             if let Some(prev) = self.previous.get(&claim) {
-                score += self.smoothness * if prev.as_bool() { 1.0 } else { -1.0 };
+                score += SMOOTHNESS * if prev.as_bool() { 1.0 } else { -1.0 };
             }
             estimates.insert(claim, TruthLabel::from_bool(score > 0.0));
         }
@@ -123,8 +96,8 @@ impl StreamingTruthDiscovery for DynaTd {
 
         // Decay all counts, then credit sources against the new estimates.
         for (c, w) in self.counts.values_mut() {
-            *c *= self.decay;
-            *w *= self.decay;
+            *c *= DECAY;
+            *w *= DECAY;
         }
         for (&claim, vs) in &votes {
             let truth = estimates[&claim];
@@ -175,7 +148,7 @@ mod tests {
 
     #[test]
     fn reliable_sources_earn_weight() {
-        let mut d = DynaTd::new().with_smoothness(0.0);
+        let mut d = DynaTd::new();
         // Source 0 agrees with a 3-source majority for several intervals.
         for _ in 0..5 {
             let _ = d.observe_interval(&[
@@ -233,7 +206,7 @@ mod tests {
 
     #[test]
     fn decay_forgets_stale_reputation() {
-        let mut d = DynaTd::new().with_decay(0.5);
+        let mut d = DynaTd::new();
         let _ = d.observe_interval(&[r(0, 0, Attitude::Agree), r(1, 0, Attitude::Agree)]);
         let w_before = d.weight(0);
         // Several empty intervals decay the counts toward zero.

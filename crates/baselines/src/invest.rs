@@ -15,6 +15,10 @@ use crate::{SnapshotInput, TruthDiscovery, VoteMatrix};
 use sstd_types::{ClaimId, SourceId, TruthLabel};
 use std::collections::BTreeMap;
 
+/// Exponent `g` of the credibility growth function (1.2 in the original
+/// paper).
+const GROWTH: f64 = 1.2;
+
 /// The Invest scheme.
 ///
 /// # Examples
@@ -33,16 +37,13 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Invest {
-    /// Exponent `g` of the credibility growth function (1.2 in the
-    /// original paper).
-    growth: f64,
     /// Number of invest/credit rounds.
     rounds: usize,
 }
 
 impl Default for Invest {
     fn default() -> Self {
-        Self { growth: 1.2, rounds: 10 }
+        Self { rounds: 10 }
     }
 }
 
@@ -51,18 +52,6 @@ impl Invest {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the growth exponent `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `g >= 1`.
-    #[must_use]
-    pub fn with_growth(mut self, g: f64) -> Self {
-        assert!(g >= 1.0, "growth exponent must be at least 1");
-        self.growth = g;
-        self
     }
 
     /// Overrides the number of invest/credit rounds.
@@ -123,7 +112,7 @@ impl Invest {
                 .collect();
             for u in 0..n_claims {
                 for fact in 0..2 {
-                    credibility[u][fact] = pools[u][fact].powf(self.growth);
+                    credibility[u][fact] = pools[u][fact].powf(GROWTH);
                 }
             }
             // Credit phase: sources earn credibility proportional to their
@@ -208,18 +197,6 @@ mod tests {
     fn empty_input_defaults_false() {
         let est = Invest::new().discover(&SnapshotInput::new(&[], 2, 2));
         assert!(est.values().all(|&l| l == TruthLabel::False));
-    }
-
-    #[test]
-    fn growth_exponent_validated() {
-        let i = Invest::new().with_growth(1.5);
-        assert_eq!(i.growth, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "growth exponent")]
-    fn sub_linear_growth_rejected() {
-        let _ = Invest::new().with_growth(0.5);
     }
 
     #[test]

@@ -18,6 +18,10 @@ use crate::StreamingTruthDiscovery;
 use sstd_types::{ClaimId, Report, TruthLabel};
 use std::collections::BTreeMap;
 
+/// Smoothing factor of the recursive M-step (`0` would freeze the
+/// priors, `1` forget everything between batches).
+const LEARNING_RATE: f64 = 0.2;
+
 /// Per-source recursive reliability state.
 #[derive(Debug, Clone, Copy)]
 struct SourceState {
@@ -52,9 +56,6 @@ impl Default for SourceState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecursiveEm {
-    /// Smoothing factor for the recursive M-step (`0` = frozen priors,
-    /// `1` = forget everything between batches).
-    learning_rate: f64,
     /// Prior probability that a claim is true.
     prior_true: f64,
     sources: BTreeMap<u32, SourceState>,
@@ -63,12 +64,7 @@ pub struct RecursiveEm {
 
 impl Default for RecursiveEm {
     fn default() -> Self {
-        Self {
-            learning_rate: 0.2,
-            prior_true: 0.5,
-            sources: BTreeMap::new(),
-            previous: BTreeMap::new(),
-        }
+        Self { prior_true: 0.5, sources: BTreeMap::new(), previous: BTreeMap::new() }
     }
 }
 
@@ -77,18 +73,6 @@ impl RecursiveEm {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the recursive smoothing factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is in `(0, 1]`.
-    #[must_use]
-    pub fn with_learning_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0 && rate <= 1.0, "learning rate must be in (0, 1]");
-        self.learning_rate = rate;
-        self
     }
 
     fn state(&self, source: u32) -> SourceState {
@@ -159,10 +143,10 @@ impl StreamingTruthDiscovery for RecursiveEm {
         for (src, (zt, z, ft, f)) in stats {
             let mut st = self.state(src);
             if z > 1e-9 {
-                st.a = (1.0 - self.learning_rate) * st.a + self.learning_rate * (zt / z);
+                st.a = (1.0 - LEARNING_RATE) * st.a + LEARNING_RATE * (zt / z);
             }
             if f > 1e-9 {
-                st.b = (1.0 - self.learning_rate) * st.b + self.learning_rate * (ft / f);
+                st.b = (1.0 - LEARNING_RATE) * st.b + LEARNING_RATE * (ft / f);
             }
             st.a = st.a.clamp(0.05, 0.95);
             st.b = st.b.clamp(0.05, 0.95);
@@ -223,23 +207,26 @@ mod tests {
 
     #[test]
     fn learned_reliability_breaks_headcount_ties() {
-        let mut rec = RecursiveEm::new().with_learning_rate(0.5);
-        // Train on claims of *both* polarities (identifying `b`, the
-        // false-positive rate, requires majority-false claims): sources
-        // 0, 1, 4 track the majority truth, sources 2, 3 oppose it.
-        for round in 0..4 {
-            for c in 1..7u32 {
-                let truth_is_true = c % 2 == 1;
-                let honest = if truth_is_true { Attitude::Agree } else { Attitude::Disagree };
-                let _ = rec.observe_interval(&[
-                    r(0, c, honest),
-                    r(1, c, honest),
-                    r(4, c, honest),
-                    r(2, c, honest.flipped()),
-                    r(3, c, honest.flipped()),
-                ]);
-            }
-            let _ = round;
+        let mut rec = RecursiveEm::new();
+        // Train on batches of claims of *both* polarities (identifying
+        // `b`, the false-positive rate, requires majority-false claims in
+        // the same M-step): sources 0, 1, 4 track the majority truth,
+        // sources 2, 3 oppose it.
+        for _ in 0..10 {
+            let batch: Vec<Report> = (1..7u32)
+                .flat_map(|c| {
+                    let truth_is_true = c % 2 == 1;
+                    let honest = if truth_is_true { Attitude::Agree } else { Attitude::Disagree };
+                    [
+                        r(0, c, honest),
+                        r(1, c, honest),
+                        r(4, c, honest),
+                        r(2, c, honest.flipped()),
+                        r(3, c, honest.flipped()),
+                    ]
+                })
+                .collect();
+            let _ = rec.observe_interval(&batch);
         }
         // Test: an even 2-vs-2 split on a new claim. Headcount is tied;
         // learned reliability must break the tie toward the reliables.
@@ -258,11 +245,5 @@ mod tests {
         let _ = rec.observe_interval(&[r(0, 0, Attitude::Agree)]);
         let est = rec.observe_interval(&[]);
         assert_eq!(est[&ClaimId::new(0)], TruthLabel::True);
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn zero_learning_rate_rejected() {
-        let _ = RecursiveEm::new().with_learning_rate(0.0);
     }
 }

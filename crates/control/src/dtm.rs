@@ -51,6 +51,9 @@ impl DtmJob {
 /// bounds and the scheduling policy handed to the execution backend.
 /// Defaults are the paper's tuned values.
 ///
+/// Set a field by struct literal over the defaults; every run checks
+/// the result with [`validate`](Self::validate) first.
+///
 /// This struct is the *single* configuration path for a DTM run: when the
 /// DTM takes over a backend (its own DES, or an external engine via
 /// [`DynamicTaskManager::run_on`]) it installs `initial_workers`, `retry`
@@ -103,12 +106,6 @@ impl Default for DtmConfig {
 }
 
 impl DtmConfig {
-    /// Starts a fallible builder seeded with the paper's tuned defaults.
-    #[must_use]
-    pub fn builder() -> DtmConfigBuilder {
-        DtmConfigBuilder::default()
-    }
-
     /// Checks every field, naming the first invalid one.
     ///
     /// The DTM run family calls this before touching the backend, so a
@@ -161,121 +158,6 @@ impl DtmConfig {
             fast_abort.validate()?;
         }
         Ok(())
-    }
-}
-
-/// A fallible builder for [`DtmConfig`]: set any subset of fields, then
-/// [`build`](Self::build) validates them all at once via
-/// [`DtmConfig::validate`].
-///
-/// # Examples
-///
-/// ```
-/// use sstd_control::DtmConfig;
-///
-/// let cfg = DtmConfig::builder()
-///     .initial_workers(2)
-///     .max_workers(32)
-///     .control_enabled(false)
-///     .build()
-///     .expect("valid");
-/// assert_eq!(cfg.initial_workers, 2);
-/// assert!(!cfg.control_enabled);
-///
-/// let err = DtmConfig::builder().kp(f64::NAN).build().unwrap_err();
-/// assert_eq!(err.field(), "kp");
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DtmConfigBuilder {
-    config: DtmConfig,
-}
-
-impl DtmConfigBuilder {
-    /// Sets the proportional gain.
-    #[must_use]
-    pub fn kp(mut self, kp: f64) -> Self {
-        self.config.kp = kp;
-        self
-    }
-
-    /// Sets the integral gain.
-    #[must_use]
-    pub fn ki(mut self, ki: f64) -> Self {
-        self.config.ki = ki;
-        self
-    }
-
-    /// Sets the derivative gain.
-    #[must_use]
-    pub fn kd(mut self, kd: f64) -> Self {
-        self.config.kd = kd;
-        self
-    }
-
-    /// Sets the LCK multiplier θ₃.
-    #[must_use]
-    pub fn theta3(mut self, theta3: f64) -> Self {
-        self.config.theta3 = theta3;
-        self
-    }
-
-    /// Sets the GCK multiplier θ₄.
-    #[must_use]
-    pub fn theta4(mut self, theta4: f64) -> Self {
-        self.config.theta4 = theta4;
-        self
-    }
-
-    /// Sets the controller sampling period.
-    #[must_use]
-    pub fn sample_period(mut self, period: f64) -> Self {
-        self.config.sample_period = period;
-        self
-    }
-
-    /// Sets the initial worker count.
-    #[must_use]
-    pub fn initial_workers(mut self, n: usize) -> Self {
-        self.config.initial_workers = n;
-        self
-    }
-
-    /// Sets the worker-pool cap.
-    #[must_use]
-    pub fn max_workers(mut self, n: usize) -> Self {
-        self.config.max_workers = n;
-        self
-    }
-
-    /// Enables or disables feedback control.
-    #[must_use]
-    pub fn control_enabled(mut self, enabled: bool) -> Self {
-        self.config.control_enabled = enabled;
-        self
-    }
-
-    /// Sets the retry/backoff/quarantine policy.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Enables straggler fast-abort.
-    #[must_use]
-    pub fn fast_abort(mut self, fa: FastAbort) -> Self {
-        self.config.fast_abort = Some(fa);
-        self
-    }
-
-    /// Validates every field and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`DtmConfig::validate`] reports.
-    pub fn build(self) -> Result<DtmConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -644,23 +526,37 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_defaults_and_names_bad_fields() {
-        assert_eq!(DtmConfig::builder().build().expect("defaults valid"), DtmConfig::default());
-        let cfg =
-            DtmConfig::builder().kp(2.0).initial_workers(2).max_workers(8).build().expect("valid");
-        assert_eq!(cfg.kp, 2.0);
-        assert_eq!(cfg.initial_workers, 2);
-        for (field, built) in [
-            ("kp", DtmConfig::builder().kp(-1.0).build()),
-            ("ki", DtmConfig::builder().ki(f64::INFINITY).build()),
-            ("kd", DtmConfig::builder().kd(f64::NAN).build()),
-            ("theta3", DtmConfig::builder().theta3(0.0).build()),
-            ("theta4", DtmConfig::builder().theta4(-2.0).build()),
-            ("sample_period", DtmConfig::builder().sample_period(0.0).build()),
-            ("initial_workers", DtmConfig::builder().initial_workers(0).build()),
-            ("max_workers", DtmConfig::builder().max_workers(1).build()),
+    fn validate_names_the_offending_field() {
+        let valid = DtmConfig {
+            kp: 2.0,
+            ki: 0.0,
+            kd: 0.5,
+            theta3: 1.0,
+            theta4: 3.0,
+            sample_period: 0.5,
+            initial_workers: 2,
+            max_workers: 2,
+            control_enabled: false,
+            retry: RetryPolicy::default(),
+            fast_abort: Some(FastAbort::default()),
+        };
+        assert_eq!(valid.validate(), Ok(()));
+        assert_eq!(DtmConfig::default().validate(), Ok(()));
+        let no_attempts = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
+        let low_multiplier = FastAbort { multiplier: 0.5, ..FastAbort::default() };
+        for (field, config) in [
+            ("kp", DtmConfig { kp: -1.0, ..valid }),
+            ("ki", DtmConfig { ki: f64::INFINITY, ..valid }),
+            ("kd", DtmConfig { kd: f64::NAN, ..valid }),
+            ("theta3", DtmConfig { theta3: 0.0, ..valid }),
+            ("theta4", DtmConfig { theta4: -2.0, ..valid }),
+            ("sample_period", DtmConfig { sample_period: 0.0, ..valid }),
+            ("initial_workers", DtmConfig { initial_workers: 0, ..valid }),
+            ("max_workers", DtmConfig { max_workers: 1, ..valid }),
+            ("max_attempts", DtmConfig { retry: no_attempts, ..valid }),
+            ("multiplier", DtmConfig { fast_abort: Some(low_multiplier), ..valid }),
         ] {
-            assert_eq!(built.expect_err("invalid").field(), field);
+            assert_eq!(config.validate().expect_err("invalid").field(), field, "{config:?}");
         }
     }
 
@@ -679,13 +575,6 @@ mod tests {
             Err(SstdError::Config(e)) => assert_eq!(e.field(), "max_attempts"),
             other => panic!("expected a config error, got {other:?}"),
         }
-        assert_eq!(
-            DtmConfig::builder().retry(retry).build().expect_err("no attempts").field(),
-            "max_attempts"
-        );
-        let fa = FastAbort { multiplier: 0.5, ..FastAbort::default() };
-        let cfg = DtmConfig { fast_abort: Some(fa), ..DtmConfig::default() };
-        assert_eq!(cfg.validate().expect_err("multiplier below 1").field(), "multiplier");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   when the system as a whole falls behind.
 //!
 //! The paper's tuned gains (`Kp = 1.2, Ki = 0.3, Kd = 0.2`) and knob
-//! factors (`θ₃ = 2, θ₄ = 1.5`) are the defaults.
+//! factors (`θ₃ = 2, θ₄ = 1.5`) are the defaults of [`DtmConfig`], whose
+//! public fields are set by struct literal and checked by
+//! [`DtmConfig::validate`] when a run starts.
 //!
 //! [`IlpAllocator`] implements the paper's §VII-3 future-work idea — an
 //! exact integer search over worker counts and priority assignments — as
@@ -28,8 +30,11 @@
 //!     DtmJob::new(JobId::new(0), 4_000.0, 8.0, 4),
 //!     DtmJob::new(JobId::new(1), 1_000.0, 12.0, 4),
 //! ];
+//! // The paper's tuned gains, on a pool that starts at two workers.
+//! let config = DtmConfig { initial_workers: 2, max_workers: 16, ..DtmConfig::default() };
+//! config.validate().expect("a valid configuration");
 //! let mut dtm = DynamicTaskManager::new(
-//!     DtmConfig::default(),
+//!     config,
 //!     Cluster::homogeneous(8, 1.0),
 //!     ExecutionModel::default(),
 //! );
@@ -46,7 +51,7 @@ mod ilp;
 mod knobs;
 mod pid;
 
-pub use dtm::{DtmConfig, DtmConfigBuilder, DtmJob, DtmOutcome, DynamicTaskManager};
+pub use dtm::{DtmConfig, DtmJob, DtmOutcome, DynamicTaskManager};
 pub use ilp::IlpAllocator;
 pub use knobs::{GlobalKnob, LocalKnob};
 pub use pid::PidController;

@@ -1,9 +1,12 @@
 //! The PID controller of paper Eq. 9.
 
+/// The anti-windup clamp on the PID integral term.
+const INTEGRAL_LIMIT: f64 = 100.0;
+
 /// A discrete PID controller:
 /// `y(k) = Kp·e(k) + Ki·Σ e(k)·Δt + Kd·Δe(k)/Δt`.
 ///
-/// The integral term is clamped (anti-windup) so a long period of
+/// The integral term is clamped to ±100 (anti-windup) so a long period of
 /// saturation — e.g. a hopelessly tight deadline — does not poison later
 /// control decisions.
 ///
@@ -24,7 +27,6 @@ pub struct PidController {
     ki: f64,
     kd: f64,
     integral: f64,
-    integral_limit: f64,
     last_error: Option<f64>,
 }
 
@@ -39,25 +41,13 @@ impl PidController {
         for (name, g) in [("Kp", kp), ("Ki", ki), ("Kd", kd)] {
             assert!(g.is_finite() && g >= 0.0, "{name} must be finite and non-negative");
         }
-        Self { kp, ki, kd, integral: 0.0, integral_limit: 100.0, last_error: None }
+        Self { kp, ki, kd, integral: 0.0, last_error: None }
     }
 
     /// The paper's tuned gains: `Kp = 1.2, Ki = 0.3, Kd = 0.2` (§V-A3).
     #[must_use]
     pub fn paper_tuned() -> Self {
         Self::new(1.2, 0.3, 0.2)
-    }
-
-    /// Sets the anti-windup clamp on the integral term.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `limit` is positive.
-    #[must_use]
-    pub fn with_integral_limit(mut self, limit: f64) -> Self {
-        assert!(limit > 0.0, "integral limit must be positive");
-        self.integral_limit = limit;
-        self
     }
 
     /// Feeds one error sample taken `dt` seconds after the previous one
@@ -68,8 +58,7 @@ impl PidController {
     /// Panics unless `dt` is finite and positive.
     pub fn update(&mut self, error: f64, dt: f64) -> f64 {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive");
-        self.integral =
-            (self.integral + error * dt).clamp(-self.integral_limit, self.integral_limit);
+        self.integral = (self.integral + error * dt).clamp(-INTEGRAL_LIMIT, INTEGRAL_LIMIT);
         let derivative = match self.last_error {
             Some(prev) => (error - prev) / dt,
             None => 0.0,
@@ -112,11 +101,15 @@ mod tests {
 
     #[test]
     fn integral_is_clamped() {
-        let mut pid = PidController::new(0.0, 1.0, 0.0).with_integral_limit(2.0);
-        for _ in 0..10 {
+        let mut pid = PidController::new(0.0, 1.0, 0.0);
+        for _ in 0..30 {
             let _ = pid.update(5.0, 1.0);
         }
-        assert_eq!(pid.integral(), 2.0);
+        assert_eq!(pid.integral(), 100.0);
+        for _ in 0..60 {
+            let _ = pid.update(-5.0, 1.0);
+        }
+        assert_eq!(pid.integral(), -100.0);
     }
 
     #[test]

@@ -600,7 +600,7 @@ mod tests {
         let tl = Timeline::new(Timestamp::from_secs(100), 10);
         let base = config_fingerprint(&SstdConfig::default(), &tl);
         assert_eq!(base, config_fingerprint(&SstdConfig::default(), &tl), "deterministic");
-        let other_cfg = SstdConfig::default().with_streaming_refit(7);
+        let other_cfg = SstdConfig { streaming_refit: 7, ..SstdConfig::default() };
         assert_ne!(base, config_fingerprint(&other_cfg, &tl));
         let other_tl = Timeline::new(Timestamp::from_secs(100), 20);
         assert_ne!(base, config_fingerprint(&SstdConfig::default(), &other_tl));

@@ -9,20 +9,25 @@ use sstd_types::ConfigError;
 /// sticky initial transitions (truth rarely flips between adjacent
 /// intervals), and offline EM training capped at a modest iteration count.
 ///
-/// The `with_*` combinators panic on invalid values; [`builder`](Self::builder)
-/// offers the same knobs with fallible validation instead.
+/// Set a field by struct literal over the defaults; every engine that
+/// takes a config runs [`validate`](SstdConfig::validate) on it first.
 ///
 /// # Examples
 ///
 /// ```
 /// use sstd_core::SstdConfig;
 ///
-/// let cfg = SstdConfig::default().with_window(5).with_em_iterations(30);
-/// assert_eq!(cfg.window, 5);
-/// assert_eq!(cfg.em_iterations, 30);
+/// // A fixed window turns the adaptive choice off.
+/// let cfg = SstdConfig {
+///     window: 5,
+///     adaptive_window: false,
+///     em_iterations: 30,
+///     ..SstdConfig::default()
+/// };
+/// assert!(cfg.validate().is_ok());
 ///
-/// let built = SstdConfig::builder().window(5).em_iterations(30).build().unwrap();
-/// assert_eq!(built, cfg);
+/// let bad = SstdConfig { stay_probability: 1.5, ..SstdConfig::default() };
+/// assert_eq!(bad.validate().unwrap_err().field(), "stay_probability");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SstdConfig {
@@ -75,36 +80,6 @@ impl Default for SstdConfig {
 }
 
 impl SstdConfig {
-    /// Creates the default configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts a fallible builder seeded with the defaults.
-    ///
-    /// Unlike the panicking `with_*` combinators, the builder defers all
-    /// validation to [`build`](SstdConfigBuilder::build), which reports
-    /// the offending field in a [`ConfigError`].
-    #[must_use]
-    pub fn builder() -> SstdConfigBuilder {
-        SstdConfigBuilder::default()
-    }
-
-    /// Sets a fixed ACS sliding window (paper `sw`), disabling the
-    /// adaptive choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "window must be at least one interval");
-        self.window = window;
-        self.adaptive_window = false;
-        self
-    }
-
     /// Picks the window for a claim given how many of its `intervals`
     /// carry evidence: dense claims get `1`, sparse claims roughly one
     /// window per evidence-bearing interval, capped at `max_window`.
@@ -119,54 +94,12 @@ impl SstdConfig {
         (intervals.div_ceil(evidence_intervals)).clamp(1, self.max_window.max(1))
     }
 
-    /// Sets the initial self-transition probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` is in `(0, 1)`.
-    #[must_use]
-    pub fn with_stay_probability(mut self, p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "stay probability must be in (0, 1)");
-        self.stay_probability = p;
-        self
-    }
-
-    /// Caps EM training iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn with_em_iterations(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one EM iteration");
-        self.em_iterations = n;
-        self
-    }
-
-    /// Enables or disables EM training (the `em-off` ablation).
-    #[must_use]
-    pub fn with_training(mut self, train: bool) -> Self {
-        self.train = train;
-        self
-    }
-
-    /// Sets the streaming refit period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    #[must_use]
-    pub fn with_streaming_refit(mut self, every: usize) -> Self {
-        assert!(every > 0, "streaming refit period must be at least one interval");
-        self.streaming_refit = every;
-        self
-    }
-
     /// Validates every field, naming the first invalid one.
     ///
-    /// [`SstdConfigBuilder::build`] funnels through this, so a config
-    /// assembled from raw struct fields can be held to the same
-    /// invariants as a built one.
+    /// [`SstdEngine::new`](crate::SstdEngine::new) and
+    /// [`StreamingSstd::new`](crate::StreamingSstd::new) panic on a
+    /// config that fails it; call it first where the values come from
+    /// outside the program.
     ///
     /// # Errors
     ///
@@ -211,107 +144,6 @@ impl SstdConfig {
     }
 }
 
-/// A fallible builder for [`SstdConfig`]: set any subset of fields, then
-/// [`build`](Self::build) validates them all at once.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_core::SstdConfig;
-///
-/// let cfg = SstdConfig::builder()
-///     .stay_probability(0.8)
-///     .em_iterations(10)
-///     .build()
-///     .expect("valid");
-/// assert_eq!(cfg.stay_probability, 0.8);
-///
-/// let err = SstdConfig::builder().stay_probability(1.5).build().unwrap_err();
-/// assert_eq!(err.field(), "stay_probability");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SstdConfigBuilder {
-    config: SstdConfig,
-}
-
-impl SstdConfigBuilder {
-    /// Sets a fixed ACS sliding window (paper `sw`), disabling the
-    /// adaptive choice.
-    #[must_use]
-    pub fn window(mut self, window: usize) -> Self {
-        self.config.window = window;
-        self.config.adaptive_window = false;
-        self
-    }
-
-    /// Enables or disables the evidence-density-adaptive window.
-    #[must_use]
-    pub fn adaptive_window(mut self, adaptive: bool) -> Self {
-        self.config.adaptive_window = adaptive;
-        self
-    }
-
-    /// Caps the adaptive window.
-    #[must_use]
-    pub fn max_window(mut self, max: usize) -> Self {
-        self.config.max_window = max;
-        self
-    }
-
-    /// Sets the initial self-transition probability.
-    #[must_use]
-    pub fn stay_probability(mut self, p: f64) -> Self {
-        self.config.stay_probability = p;
-        self
-    }
-
-    /// Caps EM training iterations.
-    #[must_use]
-    pub fn em_iterations(mut self, n: usize) -> Self {
-        self.config.em_iterations = n;
-        self
-    }
-
-    /// Sets the EM convergence tolerance.
-    #[must_use]
-    pub fn em_tolerance(mut self, tol: f64) -> Self {
-        self.config.em_tolerance = tol;
-        self
-    }
-
-    /// Enables or disables EM training (the `em-off` ablation).
-    #[must_use]
-    pub fn train(mut self, train: bool) -> Self {
-        self.config.train = train;
-        self
-    }
-
-    /// Sets the evidence floor below which a claim defaults to `False`.
-    #[must_use]
-    pub fn evidence_floor(mut self, floor: f64) -> Self {
-        self.config.evidence_floor = floor;
-        self
-    }
-
-    /// Sets the streaming refit period.
-    #[must_use]
-    pub fn streaming_refit(mut self, every: usize) -> Self {
-        self.config.streaming_refit = every;
-        self
-    }
-
-    /// Validates every field and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the first invalid field (see
-    /// [`SstdConfig::validate`] for the full invariant list).
-    pub fn build(self) -> Result<SstdConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,64 +154,47 @@ mod tests {
         assert!(c.window >= 1);
         assert!(c.stay_probability > 0.5, "truth should be sticky by default");
         assert!(c.train);
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    fn builder_chains() {
-        let c = SstdConfig::new()
-            .with_window(7)
-            .with_stay_probability(0.8)
-            .with_em_iterations(5)
-            .with_training(false);
-        assert_eq!(c.window, 7);
-        assert_eq!(c.stay_probability, 0.8);
-        assert_eq!(c.em_iterations, 5);
-        assert!(!c.train);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be")]
-    fn zero_window_rejected() {
-        let _ = SstdConfig::new().with_window(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "refit period must be")]
-    fn zero_streaming_refit_rejected() {
-        let _ = SstdConfig::new().with_streaming_refit(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stay probability")]
-    fn bad_stay_probability_rejected() {
-        let _ = SstdConfig::new().with_stay_probability(1.0);
-    }
-
-    #[test]
-    fn fallible_builder_matches_combinators() {
-        let a = SstdConfig::new().with_window(4).with_em_iterations(9).with_training(false);
-        let b =
-            SstdConfig::builder().window(4).em_iterations(9).train(false).build().expect("valid");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn builder_names_the_offending_field() {
-        for (field, build) in [
-            ("window", SstdConfig::builder().window(0).build()),
-            ("max_window", SstdConfig::builder().max_window(0).build()),
-            ("stay_probability", SstdConfig::builder().stay_probability(0.0).build()),
-            ("em_iterations", SstdConfig::builder().em_iterations(0).build()),
-            ("em_tolerance", SstdConfig::builder().em_tolerance(f64::NAN).build()),
-            ("evidence_floor", SstdConfig::builder().evidence_floor(-1.0).build()),
-            ("streaming_refit", SstdConfig::builder().streaming_refit(0).build()),
+    fn validate_names_the_offending_field() {
+        let valid = SstdConfig {
+            window: 7,
+            adaptive_window: false,
+            max_window: 1,
+            stay_probability: 0.8,
+            em_iterations: 5,
+            em_tolerance: 1e-6,
+            train: false,
+            evidence_floor: 0.0,
+            streaming_refit: 1,
+        };
+        assert_eq!(valid.validate(), Ok(()));
+        for (field, config) in [
+            ("window", SstdConfig { window: 0, ..valid }),
+            ("max_window", SstdConfig { max_window: 0, ..valid }),
+            ("stay_probability", SstdConfig { stay_probability: 0.0, ..valid }),
+            ("stay_probability", SstdConfig { stay_probability: 1.0, ..valid }),
+            ("stay_probability", SstdConfig { stay_probability: f64::NAN, ..valid }),
+            ("em_iterations", SstdConfig { em_iterations: 0, ..valid }),
+            ("em_tolerance", SstdConfig { em_tolerance: 0.0, ..valid }),
+            ("em_tolerance", SstdConfig { em_tolerance: f64::NAN, ..valid }),
+            ("evidence_floor", SstdConfig { evidence_floor: -1.0, ..valid }),
+            ("evidence_floor", SstdConfig { evidence_floor: f64::INFINITY, ..valid }),
+            ("streaming_refit", SstdConfig { streaming_refit: 0, ..valid }),
         ] {
-            assert_eq!(build.expect_err("invalid").field(), field);
+            assert_eq!(config.validate().expect_err("invalid").field(), field, "{config:?}");
         }
     }
 
     #[test]
-    fn builder_defaults_build_cleanly() {
-        assert_eq!(SstdConfig::builder().build().expect("defaults valid"), SstdConfig::default());
+    fn a_fixed_window_ignores_the_evidence_density() {
+        let fixed = SstdConfig { window: 4, adaptive_window: false, ..SstdConfig::default() };
+        assert_eq!(fixed.window_for(100, 1), 4);
+        let adaptive = SstdConfig { max_window: 5, ..SstdConfig::default() };
+        assert_eq!(adaptive.window_for(100, 1), 5, "capped at max_window");
+        assert_eq!(adaptive.window_for(100, 100), 1, "dense claims resolve per interval");
+        assert_eq!(adaptive.window_for(100, 0), adaptive.window, "no evidence: the fixed window");
     }
 }

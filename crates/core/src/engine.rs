@@ -68,8 +68,16 @@ pub struct SstdEngine {
 
 impl SstdEngine {
     /// Creates an engine with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`SstdConfig::validate`], as
+    /// [`StreamingSstd::new`](crate::StreamingSstd::new) does.
     #[must_use]
     pub fn new(config: SstdConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid batch configuration: {e}");
+        }
         Self { config }
     }
 
@@ -334,6 +342,22 @@ mod tests {
                 "claim {c}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid batch configuration: invalid `stay_probability`")]
+    fn a_stay_probability_outside_the_unit_interval_is_refused_at_construction() {
+        let _ = SstdEngine::new(SstdConfig { stay_probability: 1.5, ..SstdConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid batch configuration: invalid `window`")]
+    fn a_zero_fixed_window_is_refused_at_construction() {
+        let _ = SstdEngine::new(SstdConfig {
+            window: 0,
+            adaptive_window: false,
+            ..SstdConfig::default()
+        });
     }
 
     #[test]

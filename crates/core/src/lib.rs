@@ -33,6 +33,10 @@
 //! faults of [`sstd_runtime::FaultPlan`] — drop, duplicate, bounded
 //! reorder, payload corruption — for differential crash testing.
 //!
+//! Every engine takes an [`SstdConfig`]: its public fields over
+//! `Default`, set by struct literal, and checked by
+//! [`SstdConfig::validate`] when an engine takes it.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,7 +57,10 @@
 //!     .collect();
 //! let trace = Trace::new("demo", reports, 5, 1, timeline, gt);
 //!
-//! let estimates = SstdEngine::new(SstdConfig::default()).run(&trace);
+//! // A fixed two-interval window instead of the adaptive one.
+//! let config = SstdConfig { window: 2, adaptive_window: false, ..SstdConfig::default() };
+//! config.validate().expect("a valid configuration");
+//! let estimates = SstdEngine::new(config).run(&trace);
 //! assert_eq!(estimates.labels(ClaimId::new(0)).unwrap(),
 //!            &[TruthLabel::True; 10]);
 //! ```
@@ -75,7 +82,7 @@ mod workspace;
 
 pub use acs::AcsAggregator;
 pub use checkpoint::{config_fingerprint, RecoveryError, StreamCheckpoint, CHECKPOINT_VERSION};
-pub use config::{SstdConfig, SstdConfigBuilder};
+pub use config::SstdConfig;
 pub use correlation::{smooth_dependencies, ClaimDependency, Correlation};
 pub use distributed::{
     resume_distributed, run_distributed, ClaimFit, DistributedError, DistributedRun,

@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn untrained_config_skips_em() {
-        let cfg = SstdConfig::default().with_training(false);
+        let cfg = SstdConfig { train: false, ..SstdConfig::default() };
         let model = ClaimTruthModel::fit(&cfg, &flip_sequence());
         assert!(!model.is_trained());
         // Decoding still works with the scaled initial model.

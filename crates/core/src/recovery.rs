@@ -12,7 +12,7 @@
 //! - [`ReportJournal`] — an append-only, checksummed journal of the
 //!   records applied since the last checkpoint;
 //! - [`CheckpointPolicy`] — when the [`Supervisor`] snapshots (every N
-//!   applied reports and/or every M closed intervals);
+//!   applied reports);
 //! - [`Supervisor`] — the ingest loop itself: applies records with
 //!   exactly-once sequence-number dedupe, checkpoints under the policy,
 //!   and recovers from a crash by restoring the last checkpoint and
@@ -47,6 +47,10 @@ const JOURNAL_MAGIC: &[u8; 8] = b"SSTDJRN1";
 /// The 8-byte magic prefixing the supervisor's durable checkpoint (the
 /// engine snapshot plus the applied-sequence set).
 const DURABLE_MAGIC: &[u8; 8] = b"SSTDSUP1";
+
+/// Most journal entries [`Supervisor::new`] reserves up front (about
+/// 12.6 MB); a longer cadence grows the journal past it on demand.
+const MAX_JOURNAL_RESERVE: u64 = 1 << 18;
 
 /// Encoded size of one journal entry: seq + source + claim + time (u64
 /// each) + attitude byte + uncertainty + independence (f64 each).
@@ -265,34 +269,44 @@ impl ReportJournal {
     /// [`RecoveryError::Journal`] on truncation, checksum or magic
     /// mismatch, or any out-of-range payload field.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, RecoveryError> {
-        let min = JOURNAL_MAGIC.len() + 8 + 8;
-        if bytes.len() < min {
-            return Err(journal_err(format!("{} bytes is too short for a journal", bytes.len())));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if fnv1a(body) != stored {
-            return Err(journal_err("checksum mismatch"));
-        }
-        let mut r = Reader { bytes: body, pos: 0 };
-        if r.take(JOURNAL_MAGIC.len()).map_err(as_journal)? != JOURNAL_MAGIC {
-            return Err(journal_err("bad magic"));
-        }
-        let count = r.usize().map_err(as_journal)?;
-        if count > r.remaining() / ENTRY_BYTES {
-            return Err(journal_err(format!("entry count {count} exceeds the encoded payload")));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let seq = r.u64().map_err(as_journal)?;
-            let report = read_report(&mut r)?;
-            entries.push(JournalEntry { seq, report });
-        }
-        if r.remaining() != 0 {
-            return Err(journal_err(format!("{} trailing bytes after entries", r.remaining())));
-        }
+        let mut entries = Vec::new();
+        decode_entries(bytes, &mut entries)?;
         Ok(Self { entries })
     }
+}
+
+/// Decodes an encoded journal into `entries`, replacing what it held
+/// but keeping its capacity. On error the content of `entries` is
+/// unspecified.
+fn decode_entries(bytes: &[u8], entries: &mut Vec<JournalEntry>) -> Result<(), RecoveryError> {
+    let min = JOURNAL_MAGIC.len() + 8 + 8;
+    if bytes.len() < min {
+        return Err(journal_err(format!("{} bytes is too short for a journal", bytes.len())));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+    if fnv1a(body) != stored {
+        return Err(journal_err("checksum mismatch"));
+    }
+    let mut r = Reader { bytes: body, pos: 0 };
+    if r.take(JOURNAL_MAGIC.len()).map_err(as_journal)? != JOURNAL_MAGIC {
+        return Err(journal_err("bad magic"));
+    }
+    let count = r.usize().map_err(as_journal)?;
+    if count > r.remaining() / ENTRY_BYTES {
+        return Err(journal_err(format!("entry count {count} exceeds the encoded payload")));
+    }
+    entries.clear();
+    entries.reserve_exact(count);
+    for _ in 0..count {
+        let seq = r.u64().map_err(as_journal)?;
+        let report = read_report(&mut r)?;
+        entries.push(JournalEntry { seq, report });
+    }
+    if r.remaining() != 0 {
+        return Err(journal_err(format!("{} trailing bytes after entries", r.remaining())));
+    }
+    Ok(())
 }
 
 /// Runs `reports` through the seeded ingest faults of `plan`, producing
@@ -342,37 +356,27 @@ pub fn crash_positions(plan: &FaultPlan, records: &[IngestRecord]) -> Vec<usize>
 }
 
 /// When the [`Supervisor`] writes a checkpoint: after `every_reports`
-/// newly applied reports, and/or whenever `every_intervals` intervals
-/// have closed since the last checkpoint. A dimension set to `0` is
-/// disabled; [`CheckpointPolicy::DISABLED`] never checkpoints (recovery
-/// then replays the whole journal).
+/// newly applied reports. `0` disables it;
+/// [`CheckpointPolicy::DISABLED`] never checkpoints (recovery then
+/// replays the whole journal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint after this many newly applied reports (`0` disables).
     pub every_reports: u64,
-    /// Checkpoint after this many closed intervals (`0` disables).
-    pub every_intervals: usize,
 }
 
 impl CheckpointPolicy {
     /// Never checkpoint automatically.
-    pub const DISABLED: Self = Self { every_reports: 0, every_intervals: 0 };
+    pub const DISABLED: Self = Self { every_reports: 0 };
 
     /// Checkpoint every `n` newly applied reports.
     #[must_use]
     pub const fn every_reports(n: u64) -> Self {
-        Self { every_reports: n, every_intervals: 0 }
+        Self { every_reports: n }
     }
 
-    /// Checkpoint every `n` closed intervals.
-    #[must_use]
-    pub const fn every_intervals(n: usize) -> Self {
-        Self { every_reports: 0, every_intervals: n }
-    }
-
-    fn due(&self, reports_since: u64, intervals_since: usize) -> bool {
-        (self.every_reports > 0 && reports_since >= self.every_reports)
-            || (self.every_intervals > 0 && intervals_since >= self.every_intervals)
+    fn due(&self, reports_since: u64) -> bool {
+        self.every_reports > 0 && reports_since >= self.every_reports
     }
 }
 
@@ -524,18 +528,23 @@ pub struct Supervisor {
     journal: ReportJournal,
     durable: Option<Vec<u8>>,
     reports_since_checkpoint: u64,
-    intervals_at_checkpoint: usize,
     crashes: u32,
     store: Arc<EventStore>,
 }
 
 impl Supervisor {
     /// Creates a supervisor over a fresh streaming engine.
+    ///
+    /// The journal is reserved once for a full cadence (at most 2^18
+    /// entries): checkpoints truncate it and recovery refills it in
+    /// place, so it is never reallocated below that size. With no
+    /// cadence it starts empty and grows on demand.
     #[must_use]
     pub fn new(config: SstdConfig, timeline: Timeline, policy: CheckpointPolicy) -> Self {
         let store = Arc::new(EventStore::new());
         let engine =
             StreamingSstd::new(config, timeline.clone()).with_telemetry_store(Arc::clone(&store));
+        let reserve = policy.every_reports.min(MAX_JOURNAL_RESERVE) as usize;
         Self {
             config,
             timeline,
@@ -543,10 +552,9 @@ impl Supervisor {
             retry: RetryPolicy::default(),
             engine,
             applied: SeqSet::default(),
-            journal: ReportJournal::new(),
+            journal: ReportJournal { entries: Vec::with_capacity(reserve) },
             durable: None,
             reports_since_checkpoint: 0,
-            intervals_at_checkpoint: 0,
             crashes: 0,
             store,
         }
@@ -642,16 +650,15 @@ impl Supervisor {
         debug_assert!(outcome.was_ingested(), "finite, deduped reports always ingest");
         self.journal.append(seq, *report);
         self.reports_since_checkpoint += 1;
-        let intervals_since =
-            self.engine.current_interval().saturating_sub(self.intervals_at_checkpoint);
-        if self.policy.due(self.reports_since_checkpoint, intervals_since) {
+        if self.policy.due(self.reports_since_checkpoint) {
             self.checkpoint_now();
         }
         outcome
     }
 
     /// Writes a checkpoint immediately: encodes the engine snapshot plus
-    /// the applied-sequence set, then truncates the journal it subsumes.
+    /// the applied-sequence set, then truncates the journal it subsumes
+    /// (keeping its capacity).
     /// Checkpointing reads the engine without perturbing it, so a run
     /// that checkpoints and a run that never does decode identically.
     pub fn checkpoint_now(&mut self) {
@@ -664,7 +671,6 @@ impl Supervisor {
         self.durable = Some(bytes);
         self.journal.clear();
         self.reports_since_checkpoint = 0;
-        self.intervals_at_checkpoint = self.engine.current_interval();
     }
 
     /// Simulates a process crash and recovers from durable state alone.
@@ -692,8 +698,10 @@ impl Supervisor {
         }
         let started = Instant::now();
         // Round-trip the journal through its wire format: recovery must
-        // work from bytes, not from conveniently surviving heap state.
-        let journal = ReportJournal::from_bytes(&self.journal.to_bytes())?;
+        // work from bytes, not from conveniently surviving heap state. The
+        // decoded entries refill the journal's own buffer.
+        let bytes = self.journal.to_bytes();
+        decode_entries(&bytes, &mut self.journal.entries)?;
         let (mut engine, mut applied) = match &self.durable {
             Some(bytes) => decode_durable(bytes, &self.config, &self.timeline)?,
             None => (StreamingSstd::new(self.config, self.timeline.clone()), SeqSet::default()),
@@ -702,7 +710,7 @@ impl Supervisor {
         // re-closes were recorded before the crash, and ticking them again
         // would double-count their reports in the trace.
         let mut replayed = 0u64;
-        for entry in journal.entries() {
+        for entry in self.journal.entries() {
             if applied.insert(entry.seq) {
                 engine.push(&entry.report);
                 replayed += 1;
@@ -710,8 +718,7 @@ impl Supervisor {
         }
         self.engine = engine.with_telemetry_store(Arc::clone(&self.store));
         self.applied = applied;
-        self.reports_since_checkpoint = journal.len() as u64;
-        self.journal = journal;
+        self.reports_since_checkpoint = self.journal.len() as u64;
         self.store.record_recovery(RecoveryEvent::Restored {
             replayed,
             latency: started.elapsed().as_secs_f64(),
@@ -1240,7 +1247,7 @@ mod tests {
         let mut sup = Supervisor::new(
             SstdConfig::default(),
             timeline(),
-            CheckpointPolicy::every_intervals(2),
+            CheckpointPolicy::every_reports(100),
         );
         sup.run(&records, &[records.len() / 2], 2).expect("recovers");
         let decision = sup.engine().latest_decision(ClaimId::new(0));

@@ -707,7 +707,10 @@ mod tests {
 
     #[test]
     fn truth_flip_is_tracked_online() {
-        let mut s = StreamingSstd::new(SstdConfig::default().with_window(1), timeline());
+        let mut s = StreamingSstd::new(
+            SstdConfig { window: 1, adaptive_window: false, ..SstdConfig::default() },
+            timeline(),
+        );
         for t in 0..100u64 {
             let att = if t < 50 { Attitude::Agree } else { Attitude::Disagree };
             for src in 0..4 {
@@ -754,7 +757,10 @@ mod tests {
 
     #[test]
     fn drained_changes_are_first_decisions_and_flips_in_id_order() {
-        let mut s = StreamingSstd::new(SstdConfig::default().with_window(1), timeline());
+        let mut s = StreamingSstd::new(
+            SstdConfig { window: 1, adaptive_window: false, ..SstdConfig::default() },
+            timeline(),
+        );
         let mut changed = Vec::new();
         // Claims arrive out of id order; nothing has closed yet.
         for claim in [7, 3, 5] {
@@ -821,8 +827,11 @@ mod tests {
     #[test]
     fn telemetry_sees_decision_flips() {
         let store = Arc::new(EventStore::new());
-        let mut s = StreamingSstd::new(SstdConfig::default().with_window(1), timeline())
-            .with_telemetry_store(Arc::clone(&store));
+        let mut s = StreamingSstd::new(
+            SstdConfig { window: 1, adaptive_window: false, ..SstdConfig::default() },
+            timeline(),
+        )
+        .with_telemetry_store(Arc::clone(&store));
         for t in 0..100u64 {
             let att = if t < 50 { Attitude::Agree } else { Attitude::Disagree };
             for src in 0..4 {
@@ -899,7 +908,7 @@ mod checkpoint_tests {
 
     #[test]
     fn restored_run_is_bit_identical_to_uninterrupted() {
-        let cfg = SstdConfig::default().with_streaming_refit(3);
+        let cfg = SstdConfig { streaming_refit: 3, ..SstdConfig::default() };
         let all = reports();
         for cut in [1usize, 37, 150, 299] {
             let mut reference = StreamingSstd::new(cfg, timeline());
@@ -948,7 +957,7 @@ mod checkpoint_tests {
             s.push(r);
         }
         let snap = s.checkpoint();
-        let other = SstdConfig::default().with_streaming_refit(7);
+        let other = SstdConfig { streaming_refit: 7, ..SstdConfig::default() };
         let err = StreamingSstd::restore(other, timeline(), &snap)
             .expect_err("different config must be refused");
         assert!(matches!(err, RecoveryError::ConfigMismatch { .. }), "{err}");
@@ -993,13 +1002,13 @@ mod checkpoint_tests {
     fn restore_is_bit_identical_before_at_and_after_the_ring_wraps() {
         let (tl, all) = long_stream(400);
         let configs = [
-            SstdConfig::default().with_streaming_refit(3),
-            SstdConfig::default().with_streaming_refit(1),
+            SstdConfig { streaming_refit: 3, ..SstdConfig::default() },
+            SstdConfig { streaming_refit: 1, ..SstdConfig::default() },
             SstdConfig::default(),
-            SstdConfig::default().with_training(false),
+            SstdConfig { train: false, ..SstdConfig::default() },
             // Longer than the stream: it never refits, and the ring holds
             // the whole history.
-            SstdConfig::default().with_streaming_refit(1_000),
+            SstdConfig { streaming_refit: 1_000, ..SstdConfig::default() },
         ];
         for cfg in configs {
             let expected = run(cfg, &tl, &all).finish();
@@ -1062,7 +1071,7 @@ mod checkpoint_tests {
     fn tampered_decisions_fail_replay_validation() {
         // Replay covers the decisions made since the last refit: with a
         // refit every 7 closes and 200 closed, those are the last 4.
-        let cfg = SstdConfig::default().with_streaming_refit(7);
+        let cfg = SstdConfig { streaming_refit: 7, ..SstdConfig::default() };
         let (tl, all) = long_stream(400);
         let s = run(cfg, &tl, &all[..200 * 3 + 1]);
         let snap = s.checkpoint();
@@ -1214,7 +1223,7 @@ mod refit_tests {
             .collect();
 
         let accuracy = |refit: usize| -> f64 {
-            let cfg = SstdConfig::default().with_streaming_refit(refit);
+            let cfg = SstdConfig { streaming_refit: refit, ..SstdConfig::default() };
             let mut engine = StreamingSstd::new(cfg, timeline.clone());
             for r in &reports {
                 engine.push(r);
@@ -1234,7 +1243,7 @@ mod refit_tests {
     #[test]
     fn refit_keeps_emitted_decisions_frozen() {
         let timeline = Timeline::new(Timestamp::from_secs(100), 10);
-        let cfg = SstdConfig::default().with_streaming_refit(3);
+        let cfg = SstdConfig { streaming_refit: 3, ..SstdConfig::default() };
         let mut engine = StreamingSstd::new(cfg, timeline);
         let mut seen: Vec<TruthLabel> = Vec::new();
         for t in 0..100u64 {

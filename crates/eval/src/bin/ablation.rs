@@ -23,14 +23,15 @@ fn main() {
         println!("=== {} ===", trace.name());
 
         println!("-- engine configuration ablations");
+        let full = SstdConfig::default();
         for (label, cfg) in [
-            ("full SSTD (adaptive window, EM)", SstdConfig::default()),
-            ("fixed window sw=1", SstdConfig::default().with_window(1)),
-            ("fixed window sw=3", SstdConfig::default().with_window(3)),
-            ("fixed window sw=8", SstdConfig::default().with_window(8)),
-            ("EM off (scaled initial model)", SstdConfig::default().with_training(false)),
-            ("loose transitions (stay=0.6)", SstdConfig::default().with_stay_probability(0.6)),
-            ("sticky transitions (stay=0.97)", SstdConfig::default().with_stay_probability(0.97)),
+            ("full SSTD (adaptive window, EM)", full),
+            ("fixed window sw=1", SstdConfig { window: 1, adaptive_window: false, ..full }),
+            ("fixed window sw=3", SstdConfig { window: 3, adaptive_window: false, ..full }),
+            ("fixed window sw=8", SstdConfig { window: 8, adaptive_window: false, ..full }),
+            ("EM off (scaled initial model)", SstdConfig { train: false, ..full }),
+            ("loose transitions (stay=0.6)", SstdConfig { stay_probability: 0.6, ..full }),
+            ("sticky transitions (stay=0.97)", SstdConfig { stay_probability: 0.97, ..full }),
         ] {
             report(label, &trace, cfg);
         }

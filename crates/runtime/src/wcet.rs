@@ -29,15 +29,11 @@ pub struct ExecutionModel {
     /// Per-data-unit cost in the WCET bound `θ₂` (seconds/unit); `θ₂ ≥ θ₁`
     /// because the bound absorbs scheduling and transfer slack.
     theta2: f64,
-    /// Network staging time per task (seconds): Work Queue ships each
-    /// task's input to its worker before execution. Network-bound, so it
-    /// does *not* scale with worker speed.
-    transfer_time: f64,
 }
 
 impl Default for ExecutionModel {
     fn default() -> Self {
-        Self { init_time: 0.2, theta1: 0.001, theta2: 0.0015, transfer_time: 0.0 }
+        Self { init_time: 0.2, theta1: 0.001, theta2: 0.0015 }
     }
 }
 
@@ -53,29 +49,7 @@ impl ExecutionModel {
         assert!(init_time.is_finite() && init_time >= 0.0, "TI must be non-negative");
         assert!(theta1.is_finite() && theta1 >= 0.0, "theta1 must be non-negative");
         assert!(theta2.is_finite() && theta2 >= theta1, "theta2 must be at least theta1");
-        Self { init_time, theta1, theta2, transfer_time: 0.0 }
-    }
-
-    /// Adds a per-task network staging cost (input transfer to the
-    /// worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `transfer_time` is finite and non-negative.
-    #[must_use]
-    pub fn with_transfer_time(mut self, transfer_time: f64) -> Self {
-        assert!(
-            transfer_time.is_finite() && transfer_time >= 0.0,
-            "transfer time must be non-negative"
-        );
-        self.transfer_time = transfer_time;
-        self
-    }
-
-    /// The per-task network staging time.
-    #[must_use]
-    pub const fn transfer_time(&self) -> f64 {
-        self.transfer_time
+        Self { init_time, theta1, theta2 }
     }
 
     /// Per-task initialization time `TI`.
@@ -91,8 +65,7 @@ impl ExecutionModel {
     }
 
     /// Execution time on a worker with the given speed factor: the
-    /// (speed-independent) network transfer plus the compute time scaled
-    /// by the worker's speed.
+    /// reference time scaled by the worker's speed.
     ///
     /// # Panics
     ///
@@ -100,7 +73,7 @@ impl ExecutionModel {
     #[must_use]
     pub fn task_time_on(&self, task: &TaskSpec, speed: f64) -> f64 {
         assert!(speed > 0.0, "worker speed must be positive");
-        self.transfer_time + self.task_time(task) / speed
+        self.task_time(task) / speed
     }
 
     /// Worst-case execution time of a whole job (Eq. 12): data volume
@@ -138,22 +111,6 @@ mod tests {
         let t = TaskSpec::new(JobId::new(0), 1000.0);
         assert!(m.task_time_on(&t, 2.0) < m.task_time_on(&t, 1.0));
         assert!((m.task_time_on(&t, 2.0) * 2.0 - m.task_time(&t)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transfer_time_does_not_scale_with_speed() {
-        let m = ExecutionModel::new(0.0, 0.01, 0.01).with_transfer_time(2.0);
-        let t = TaskSpec::new(JobId::new(0), 100.0); // 1s of compute
-        assert!((m.task_time_on(&t, 1.0) - 3.0).abs() < 1e-12);
-        // A 2x worker halves compute but not the network staging.
-        assert!((m.task_time_on(&t, 2.0) - 2.5).abs() < 1e-12);
-        assert_eq!(m.transfer_time(), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer time")]
-    fn negative_transfer_rejected() {
-        let _ = ExecutionModel::default().with_transfer_time(-1.0);
     }
 
     #[test]

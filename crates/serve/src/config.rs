@@ -16,21 +16,18 @@ use sstd_types::{ConfigError, Timeline};
 ///
 /// ```
 /// use sstd_serve::ServeConfig;
-/// use sstd_types::Timestamp;
+/// use sstd_types::{Timeline, Timestamp};
 ///
+/// let timeline = Timeline::new(Timestamp::from_secs(3600), 12);
 /// let cfg = ServeConfig::builder()
 ///     .shards(4)
 ///     .queue_capacity(1024)
-///     .timeline(Timestamp::from_secs(3600), 12)
+///     .timeline_from(timeline.clone())
 ///     .build()
 ///     .expect("valid");
 /// assert_eq!(cfg.shards, 4);
 ///
-/// let err = ServeConfig::builder()
-///     .shards(0)
-///     .timeline(Timestamp::from_secs(3600), 12)
-///     .build()
-///     .unwrap_err();
+/// let err = ServeConfig::builder().shards(0).timeline_from(timeline).build().unwrap_err();
 /// assert_eq!(err.field(), "shards");
 /// ```
 #[derive(Debug, Clone)]
@@ -63,8 +60,8 @@ impl ServeConfig {
     /// # Errors
     ///
     /// A [`ConfigError`]: `shards` and `queue_capacity` must be at least
-    /// one, `timeline` must be set and non-empty, and the embedded
-    /// engine config must pass [`SstdConfig::validate`].
+    /// one, and the embedded engine config must pass
+    /// [`SstdConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::new("shards", "must run at least one shard"));
@@ -72,20 +69,8 @@ impl ServeConfig {
         if self.queue_capacity == 0 {
             return Err(ConfigError::new("queue_capacity", "must hold at least one report"));
         }
-        if self.timeline.num_intervals() == 0 {
-            return Err(ConfigError::new("timeline", "must have at least one interval"));
-        }
         self.engine.validate()
     }
-}
-
-#[derive(Debug, Clone)]
-enum TimelineSpec {
-    Built(Timeline),
-    /// Raw `(horizon, num_intervals)` parts, validated in `build()` so a
-    /// zero interval count surfaces as a `ConfigError` instead of the
-    /// panic `Timeline::new` reserves for infallible call sites.
-    Parts(sstd_types::Timestamp, usize),
 }
 
 /// Fallible builder for [`ServeConfig`].
@@ -95,7 +80,7 @@ pub struct ServeConfigBuilder {
     queue_capacity: usize,
     checkpoint_every: usize,
     engine: SstdConfig,
-    timeline: Option<TimelineSpec>,
+    timeline: Option<Timeline>,
 }
 
 impl Default for ServeConfigBuilder {
@@ -140,17 +125,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the timeline from a horizon and interval count.
-    #[must_use]
-    pub fn timeline(mut self, horizon: sstd_types::Timestamp, num_intervals: usize) -> Self {
-        self.timeline = Some(TimelineSpec::Parts(horizon, num_intervals));
-        self
-    }
-
-    /// Sets the timeline directly.
+    /// Sets the timeline every shard discretizes against (required).
     #[must_use]
     pub fn timeline_from(mut self, timeline: Timeline) -> Self {
-        self.timeline = Some(TimelineSpec::Built(timeline));
+        self.timeline = Some(timeline);
         self
     }
 
@@ -161,15 +139,8 @@ impl ServeConfigBuilder {
     /// A [`ConfigError`] naming the first invalid field (see
     /// [`ServeConfig::validate`]).
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        let timeline = match self.timeline {
-            None => return Err(ConfigError::new("timeline", "required: call `.timeline(...)`")),
-            Some(TimelineSpec::Parts(_, 0)) => {
-                return Err(ConfigError::new("timeline", "must have at least one interval"))
-            }
-            Some(TimelineSpec::Parts(horizon, num_intervals)) => {
-                Timeline::new(horizon, num_intervals)
-            }
-            Some(TimelineSpec::Built(timeline)) => timeline,
+        let Some(timeline) = self.timeline else {
+            return Err(ConfigError::new("timeline", "required: call `.timeline_from(...)`"));
         };
         let config = ServeConfig {
             shards: self.shards,
@@ -211,7 +182,6 @@ mod tests {
                 "queue_capacity",
                 ServeConfig::builder().queue_capacity(0).timeline_from(timeline()).build(),
             ),
-            ("timeline", ServeConfig::builder().timeline(Timestamp::from_secs(600), 0).build()),
             (
                 "stay_probability",
                 ServeConfig::builder()

@@ -62,7 +62,7 @@ pub use update::{ChangeStream, TruthUpdate};
 ///
 /// let config = ServeConfig::builder()
 ///     .shards(2)
-///     .timeline(Timestamp::from_secs(600), 6)
+///     .timeline_from(Timeline::new(Timestamp::from_secs(600), 6))
 ///     .build()
 ///     .unwrap();
 /// let service = IngestService::new(config).unwrap();

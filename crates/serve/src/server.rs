@@ -80,7 +80,7 @@ struct Inner {
 ///
 /// let config = ServeConfig::builder()
 ///     .shards(2)
-///     .timeline(Timestamp::from_secs(600), 6)
+///     .timeline_from(Timeline::new(Timestamp::from_secs(600), 6))
 ///     .build()
 ///     .unwrap();
 /// let server = IngestServer::start(config).unwrap();
@@ -329,7 +329,7 @@ mod tests {
         ServeConfig::builder()
             .shards(shards)
             .queue_capacity(256)
-            .timeline(Timestamp::from_secs(600), 6)
+            .timeline_from(Timeline::new(Timestamp::from_secs(600), 6))
             .build()
             .expect("valid")
     }
@@ -381,7 +381,7 @@ mod tests {
         let config = ServeConfig::builder()
             .shards(1)
             .queue_capacity(CAPACITY)
-            .timeline(Timestamp::from_secs(600), 6)
+            .timeline_from(Timeline::new(Timestamp::from_secs(600), 6))
             .build()
             .expect("valid");
         let server = IngestServer::start(config).expect("valid");

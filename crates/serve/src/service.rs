@@ -82,7 +82,7 @@ pub(crate) fn merge_estimates(merged: &mut TruthEstimates, shard: &TruthEstimate
 ///
 /// let config = ServeConfig::builder()
 ///     .shards(2)
-///     .timeline(Timestamp::from_secs(600), 6)
+///     .timeline_from(Timeline::new(Timestamp::from_secs(600), 6))
 ///     .build()
 ///     .unwrap();
 /// let mut service = IngestService::new(config).unwrap();
@@ -253,7 +253,7 @@ mod tests {
         ServeConfig::builder()
             .shards(shards)
             .queue_capacity(queue)
-            .timeline(Timestamp::from_secs(600), 6)
+            .timeline_from(Timeline::new(Timestamp::from_secs(600), 6))
             .build()
             .expect("valid")
     }

@@ -632,23 +632,25 @@ pub fn fault_plan_case() -> Gen<FaultPlanCase> {
 
 /// Generates valid [`SstdConfig`]s across the engine's knob space:
 /// fixed or adaptive windows, variable stickiness, EM on/off, and
-/// streaming refit periods of 1–8. Every draw passes the fallible
-/// builder's validation by construction.
+/// streaming refit periods of 1–8. Every draw passes
+/// [`SstdConfig::validate`] by construction.
 #[must_use]
 pub fn sstd_config() -> Gen<SstdConfig> {
     Gen::new(|rng| {
-        let mut b = SstdConfig::builder()
-            .stay_probability(rng.f64_in(0.55, 0.95))
-            .em_iterations(rng.usize_in(1, 8))
-            .em_tolerance(1e-4)
-            .train(rng.chance(0.8))
-            .streaming_refit(rng.usize_in(1, 8));
-        if rng.chance(0.5) {
-            b = b.window(rng.usize_in(1, 6));
+        let config = SstdConfig {
+            stay_probability: rng.f64_in(0.55, 0.95),
+            em_iterations: rng.usize_in(1, 8),
+            train: rng.chance(0.8),
+            streaming_refit: rng.usize_in(1, 8),
+            ..SstdConfig::default()
+        };
+        let config = if rng.chance(0.5) {
+            SstdConfig { window: rng.usize_in(1, 6), adaptive_window: false, ..config }
         } else {
-            b = b.adaptive_window(true).max_window(rng.usize_in(1, 10));
-        }
-        b.build().expect("generated configuration is valid")
+            SstdConfig { adaptive_window: true, max_window: rng.usize_in(1, 10), ..config }
+        };
+        config.validate().expect("generated configuration is valid");
+        config
     })
 }
 
@@ -659,18 +661,20 @@ pub fn dtm_config() -> Gen<DtmConfig> {
     Gen::new(|rng| {
         let initial = rng.usize_in(1, 8);
         let max = rng.usize_in(initial, 32);
-        DtmConfig::builder()
-            .kp(rng.f64_in(0.1, 3.0))
-            .ki(rng.f64_in(0.0, 1.0))
-            .kd(rng.f64_in(0.0, 1.0))
-            .theta3(rng.f64_in(1.0, 4.0))
-            .theta4(rng.f64_in(1.0, 3.0))
-            .sample_period(rng.f64_in(0.5, 2.0))
-            .initial_workers(initial)
-            .max_workers(max)
-            .control_enabled(rng.chance(0.5))
-            .build()
-            .expect("generated configuration is valid")
+        let config = DtmConfig {
+            kp: rng.f64_in(0.1, 3.0),
+            ki: rng.f64_in(0.0, 1.0),
+            kd: rng.f64_in(0.0, 1.0),
+            theta3: rng.f64_in(1.0, 4.0),
+            theta4: rng.f64_in(1.0, 3.0),
+            sample_period: rng.f64_in(0.5, 2.0),
+            initial_workers: initial,
+            max_workers: max,
+            control_enabled: rng.chance(0.5),
+            ..DtmConfig::default()
+        };
+        config.validate().expect("generated configuration is valid");
+        config
     })
 }
 

@@ -15,7 +15,7 @@ pub trait AttitudeScorer {
     fn attitude(&self, text: &str) -> Attitude;
 }
 
-/// Default denial cues, following the paper's examples plus common
+/// Denial cues, following the paper's examples plus common
 /// variants observed in rumor-debunking tweets.
 const DENIAL_CUES: &[&str] = &[
     "false",
@@ -52,26 +52,13 @@ const DENIAL_PHRASES: &[&str] = &["not true", "no evidence", "not confirmed", "d
 /// assert_eq!(s.attitude(""), Attitude::Silent);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct LexiconAttitudeScorer {
-    extra_denials: Vec<String>,
-}
+pub struct LexiconAttitudeScorer;
 
 impl LexiconAttitudeScorer {
     /// Creates a scorer with the built-in denial lexicon.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds event-specific denial cues (e.g. `"photoshopped"`).
-    #[must_use]
-    pub fn with_denial_cues<I, S>(mut self, cues: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        self.extra_denials.extend(cues.into_iter().map(|c| c.as_ref().to_lowercase()));
-        self
+        Self
     }
 }
 
@@ -83,8 +70,7 @@ impl AttitudeScorer for LexiconAttitudeScorer {
         }
         let lower = text.to_lowercase();
         let denies = DENIAL_CUES.iter().any(|c| tokens.contains(c))
-            || DENIAL_PHRASES.iter().any(|p| lower.contains(p))
-            || self.extra_denials.iter().any(|c| tokens.contains(c));
+            || DENIAL_PHRASES.iter().any(|p| lower.contains(p));
         if denies {
             Attitude::Disagree
         } else {
@@ -127,12 +113,6 @@ mod tests {
     fn empty_text_is_silent() {
         let s = LexiconAttitudeScorer::new();
         assert_eq!(s.attitude("   "), Attitude::Silent);
-    }
-
-    #[test]
-    fn custom_cues_extend_lexicon() {
-        let s = LexiconAttitudeScorer::new().with_denial_cues(["photoshopped"]);
-        assert_eq!(s.attitude("that image is photoshopped"), Attitude::Disagree);
     }
 
     #[test]

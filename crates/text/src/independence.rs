@@ -13,6 +13,12 @@ use crate::jaccard::similarity_of_counts;
 use sstd_types::{Independence, RawPost, Timestamp};
 use std::collections::VecDeque;
 
+/// The independence score of an explicit retweet.
+const RETWEET_SCORE: f64 = 0.1;
+
+/// The independence score of a near-duplicate of a recent post.
+const DUPLICATE_SCORE: f64 = 0.3;
+
 /// Assigns an [`Independence`] score `η ∈ [0, 1]` to a post.
 ///
 /// Implementations may be stateful (they typically remember recent posts
@@ -40,8 +46,6 @@ pub trait IndependenceScorer {
 pub struct RetweetIndependenceScorer {
     window_secs: u64,
     similarity_threshold: f64,
-    retweet_score: f64,
-    duplicate_score: f64,
     /// The window, oldest first, as sorted token ids.
     recent: VecDeque<(Timestamp, Vec<TokenId>)>,
     /// Ids of the window's tokens. Each entry is posted under its tokens by
@@ -75,8 +79,6 @@ impl RetweetIndependenceScorer {
         Self {
             window_secs,
             similarity_threshold,
-            retweet_score: 0.1,
-            duplicate_score: 0.3,
             recent: VecDeque::new(),
             index: TokenIndex::default(),
             front_seq: 0,
@@ -84,21 +86,6 @@ impl RetweetIndependenceScorer {
             spare: Vec::new(),
             candidates: Vec::new(),
         }
-    }
-
-    /// Overrides the scores assigned to explicit retweets and to detected
-    /// near-duplicates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both scores are in `[0, 1]`.
-    #[must_use]
-    pub fn with_scores(mut self, retweet_score: f64, duplicate_score: f64) -> Self {
-        assert!((0.0..=1.0).contains(&retweet_score));
-        assert!((0.0..=1.0).contains(&duplicate_score));
-        self.retweet_score = retweet_score;
-        self.duplicate_score = duplicate_score;
-        self
     }
 
     /// Number of posts currently retained in the comparison window.
@@ -149,9 +136,9 @@ impl IndependenceScorer for RetweetIndependenceScorer {
         self.index.intern_text(post.text(), &mut tokens);
 
         let score = if post.retweet_of().is_some() {
-            self.retweet_score
+            RETWEET_SCORE
         } else if self.has_near_duplicate(&tokens) {
-            self.duplicate_score
+            DUPLICATE_SCORE
         } else {
             1.0
         };
@@ -217,13 +204,6 @@ mod tests {
         assert_eq!(s.window_len(), 2);
         let _ = s.independence(&post(2, 100, "third"));
         assert_eq!(s.window_len(), 1, "expired posts evicted");
-    }
-
-    #[test]
-    fn custom_scores_apply() {
-        let mut s = RetweetIndependenceScorer::new(60, 0.8).with_scores(0.0, 0.5);
-        let rt = RawPost::retweet(SourceId::new(1), Timestamp::from_secs(1), "x", 0);
-        assert_eq!(s.independence(&rt).value(), 0.0);
     }
 
     #[test]

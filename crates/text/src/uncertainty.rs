@@ -60,10 +60,16 @@ const HEDGE_PHRASES: &[&str] = &[
     "some reports",
 ];
 
+/// What each matched cue adds to a post's uncertainty.
+const PER_CUE: f64 = 0.3;
+
+/// Where a post's uncertainty saturates, however many cues it carries.
+const MAX_SCORE: f64 = 0.9;
+
 /// Lexicon ("hedge cue") uncertainty scorer.
 ///
-/// Each matched cue contributes `per_cue` to the score, saturating at
-/// `max_score`; a cue-free post scores 0.
+/// Each matched cue contributes 0.3 to the score, saturating at 0.9; a
+/// cue-free post scores 0.
 ///
 /// # Examples
 ///
@@ -74,35 +80,14 @@ const HEDGE_PHRASES: &[&str] = &[
 /// assert_eq!(s.uncertainty("Police confirmed the arrest").value(), 0.0);
 /// assert!(s.uncertainty("Possibly a second suspect, unconfirmed").value() > 0.4);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct HedgeUncertaintyScorer {
-    per_cue: f64,
-    max_score: f64,
-}
-
-impl Default for HedgeUncertaintyScorer {
-    fn default() -> Self {
-        Self { per_cue: 0.3, max_score: 0.9 }
-    }
-}
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HedgeUncertaintyScorer;
 
 impl HedgeUncertaintyScorer {
-    /// Creates a scorer with the default calibration (0.3 per cue, capped
-    /// at 0.9).
+    /// Creates a scorer (0.3 per cue, capped at 0.9).
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the per-cue increment and the saturation cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < per_cue ≤ max_score ≤ 1`.
-    #[must_use]
-    pub fn with_calibration(per_cue: f64, max_score: f64) -> Self {
-        assert!(per_cue > 0.0 && per_cue <= max_score && max_score <= 1.0);
-        Self { per_cue, max_score }
+        Self
     }
 
     fn count_cues(&self, text: &str) -> usize {
@@ -116,7 +101,7 @@ impl HedgeUncertaintyScorer {
 impl UncertaintyScorer for HedgeUncertaintyScorer {
     fn uncertainty(&self, text: &str) -> Uncertainty {
         let cues = self.count_cues(text) as f64;
-        Uncertainty::saturating((cues * self.per_cue).min(self.max_score))
+        Uncertainty::saturating((cues * PER_CUE).min(MAX_SCORE))
     }
 }
 
@@ -159,14 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn custom_calibration() {
-        let s = HedgeUncertaintyScorer::with_calibration(0.5, 0.5);
-        assert_eq!(s.uncertainty("maybe perhaps").value(), 0.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_calibration_panics() {
-        let _ = HedgeUncertaintyScorer::with_calibration(0.9, 0.5);
+    fn two_cues_score_twice_one_under_the_cap() {
+        let s = HedgeUncertaintyScorer::new();
+        assert!((s.uncertainty("maybe perhaps").value() - 0.6).abs() < 1e-12);
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! - [`ScoreError`] — a domain value (uncertainty/independence score)
 //!   outside its documented range;
-//! - [`ConfigError`] — a builder rejected a configuration field in
-//!   `build()`;
+//! - [`ConfigError`] — a configuration's `validate()` rejected one of
+//!   its fields;
 //! - [`BackendError`] — an execution backend refused an operation (e.g. a
 //!   task whose resource requirements fit no cluster node).
 //!
@@ -68,8 +68,8 @@ impl fmt::Display for ScoreError {
 
 impl Error for ScoreError {}
 
-/// An invalid configuration value, reported by a builder's `build()` (or
-/// by an entry point validating its inputs).
+/// An invalid configuration value, reported by a configuration's
+/// `validate()` (or by an entry point validating its inputs).
 ///
 /// # Examples
 ///

@@ -30,12 +30,13 @@ fn main() {
     let cluster = Cluster::notre_dame_like(32);
 
     for (label, control) in [("PID-controlled DTM", true), ("static allocation", false)] {
-        let config = DtmConfig::builder()
-            .control_enabled(control)
-            .initial_workers(4)
-            .max_workers(32)
-            .build()
-            .expect("valid DTM configuration");
+        let config = DtmConfig {
+            control_enabled: control,
+            initial_workers: 4,
+            max_workers: 32,
+            ..DtmConfig::default()
+        };
+        config.validate().expect("valid DTM configuration");
         let mut dtm = DynamicTaskManager::new(config, cluster.clone(), model);
         let outcome = dtm.run(&jobs).expect("validated above");
         println!(

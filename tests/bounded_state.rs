@@ -6,21 +6,40 @@
 //! The same holds one level up: what a `Supervisor` remembers about the
 //! sequence numbers it applied follows the holes in them (drops, records
 //! still delayed), not how many there were. And the engine's claim index
-//! follows how many claims there are, not how large their ids are.
+//! follows how many claims there are, not how large their ids are. Its
+//! journal is reserved once for a checkpoint cadence, at most 2^18
+//! entries, and never reallocated after: not by checkpoints, not by a
+//! crash.
 //!
 //! This file is its own test binary with a single test, so the counting
 //! global allocator below sees that test's allocations only (the
 //! `MemProbe` pattern of `sstd-eval`'s `tournament` binary). No
 //! wall-clock assertions.
 
-use sstd::core::{chaos_stream, CheckpointPolicy, SstdConfig, StreamingSstd, Supervisor};
+use sstd::core::{
+    chaos_stream, CheckpointPolicy, JournalEntry, SstdConfig, StreamingSstd, Supervisor,
+};
 use sstd::runtime::FaultPlan;
 use sstd::types::{Attitude, ClaimId, Report, SourceId, Timeline, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static LIVE: AtomicU64 = AtomicU64::new(0);
+
+/// The checkpoint cadence of the journal probe.
+const CADENCE: usize = 1_000;
+
+/// Allocations (and reallocations) of at least a full journal of
+/// `CADENCE` entries.
+static JOURNAL_SIZED: AtomicU64 = AtomicU64::new(0);
+
+fn note(size: usize) {
+    if size >= CADENCE * size_of::<JournalEntry>() {
+        JOURNAL_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 struct CountingAlloc;
 
@@ -31,6 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            note(layout.size());
         }
         ptr
     }
@@ -45,6 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !new_ptr.is_null() {
             LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
             LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+            note(new_size);
         }
         new_ptr
     }
@@ -84,6 +105,44 @@ fn supervisor_heap_at_20k_and_200k(plan: &FaultPlan) -> (u64, u64, usize) {
     let early = live_after(EARLY);
     let late = live_after(LATE);
     (early, late, dropped)
+}
+
+/// Journal-sized allocations a supervisor with a `CADENCE`-report
+/// checkpoint cadence makes after its first checkpoint, across three
+/// more checkpoints, a crash half a cadence in, and the cadence after
+/// it. One claim in one never-closing interval keeps every other
+/// allocation small.
+fn journal_allocations_after_the_first_cadence() -> u64 {
+    let report =
+        Report::plain(SourceId::new(0), ClaimId::new(0), Timestamp::from_secs(1), Attitude::Agree);
+    let mut sup = Supervisor::new(
+        SstdConfig::default(),
+        Timeline::new(Timestamp::from_secs(10), 1),
+        CheckpointPolicy::every_reports(CADENCE as u64),
+    );
+    let mut seq = 0;
+    let mut apply = |sup: &mut Supervisor, n: usize| {
+        for _ in 0..n {
+            let _ = sup.apply(seq, &report);
+            seq += 1;
+        }
+    };
+    apply(&mut sup, CADENCE);
+    let after_first = JOURNAL_SIZED.load(Ordering::Relaxed);
+    apply(&mut sup, 3 * CADENCE + CADENCE / 2);
+    assert_eq!(sup.crash_and_recover(), Ok((CADENCE / 2) as u64));
+    apply(&mut sup, CADENCE);
+    JOURNAL_SIZED.load(Ordering::Relaxed) - after_first
+}
+
+/// Live heap a fresh supervisor with checkpoint policy `policy` holds.
+fn supervisor_heap(policy: CheckpointPolicy) -> u64 {
+    let before = LIVE.load(Ordering::Relaxed);
+    let sup =
+        Supervisor::new(SstdConfig::default(), Timeline::new(Timestamp::from_secs(10), 1), policy);
+    let held = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    drop(sup);
+    held
 }
 
 /// Live heap an engine holds after one interval of `ids`, one report
@@ -180,5 +239,21 @@ fn a_claims_state_is_bounded_by_the_refit_horizon() {
         grown < bound,
         "dedupe state grew by {grown} B under {dropped} drops and reorder depth {DEPTH}; \
          its runs account for less than {bound}"
+    );
+
+    // The journal is reserved once: checkpoints keep its capacity and a
+    // crash refills it in place.
+    let regrown = journal_allocations_after_the_first_cadence();
+    assert_eq!(regrown, 0, "{regrown} journal-sized allocations after the first cadence");
+
+    // A cadence longer than any stream reserves no more than the clamp
+    // of 2^18 entries.
+    let one_entry = supervisor_heap(CheckpointPolicy::every_reports(1));
+    let unbounded = supervisor_heap(CheckpointPolicy::every_reports(u64::MAX));
+    let reserved = unbounded.saturating_sub(one_entry);
+    let clamp = ((1 << 18) * size_of::<JournalEntry>()) as u64;
+    assert!(
+        reserved > 0 && reserved <= clamp,
+        "an unbounded cadence reserved {reserved} B of journal; the clamp is {clamp} B"
     );
 }

@@ -184,6 +184,9 @@ fn distributed_matches_batch_on_real_threads_under_faults() {
             let mut backend: ThreadedEngine<ClaimFit> = ThreadedEngine::new(3);
             // Threads run in real time: cap the straggler slowdown so an
             // unlucky case cannot stall the suite, and keep transients.
+            // One engine second of retry backoff costs 10 ms of sleep, not
+            // a second: the run waits, it does not compute.
+            backend.set_simulation(ExecutionModel::default(), 0.01);
             let plan = plan.plan().with_stragglers(plan.straggler_rate.min(0.1), 1.05);
             backend.set_fault_plan(plan);
             backend.set_retry_policy(generous_retry());
