@@ -8,8 +8,9 @@
 //! matrix. The recursive variant keeps the per-source parameters as
 //! running state and, for each arriving batch, runs one E-step (claim
 //! truth posterior under current source parameters) and one recursive
-//! M-step (exponentially smoothed update of source parameters toward the
-//! batch sufficient statistics) — O(batch) per step, no reprocessing.
+//! M-step (each source parameter is the ratio of exponentially forgotten
+//! posterior-weighted sufficient statistics) — O(batch) per step, no
+//! reprocessing.
 //!
 //! Not part of the SSTD paper's comparison tables; provided as an extra
 //! dynamic baseline for completeness (see `SchemeKind::RecursiveEm`).
@@ -18,8 +19,8 @@ use crate::StreamingTruthDiscovery;
 use sstd_types::{ClaimId, Report, TruthLabel};
 use std::collections::BTreeMap;
 
-/// Smoothing factor of the recursive M-step (`0` would freeze the
-/// priors, `1` forget everything between batches).
+/// Weight of one batch's statistics in the recursive M-step (`0` would
+/// freeze the priors, `1` forget everything between batches).
 const LEARNING_RATE: f64 = 0.2;
 
 /// Per-source recursive reliability state.
@@ -29,12 +30,31 @@ struct SourceState {
     a: f64,
     /// P(source reports "true" | claim is false) — the `b_i`.
     b: f64,
+    /// Forgotten `(Σ z·said, Σ z)` behind `a`, `z` the posterior that the
+    /// voted claim is true.
+    a_stats: (f64, f64),
+    /// Forgotten `(Σ (1−z)·said, Σ (1−z))` behind `b`.
+    b_stats: (f64, f64),
 }
 
 impl Default for SourceState {
     fn default() -> Self {
-        // Mildly informative prior: better than chance, not gullible.
-        Self { a: 0.7, b: 0.3 }
+        // Mildly informative prior: better than chance, not gullible. It
+        // enters the statistics as one claim's worth of evidence.
+        Self { a: 0.7, b: 0.3, a_stats: (0.7, 1.0), b_stats: (0.3, 1.0) }
+    }
+}
+
+/// Forgets `stats` by one batch, folds in the batch's `(said, mass)`, and
+/// returns the new ratio — or `current` while the mass behind it is nil.
+fn forget_and_fold(stats: &mut (f64, f64), said: f64, mass: f64, current: f64) -> f64 {
+    let keep = 1.0 - LEARNING_RATE;
+    stats.0 = keep * stats.0 + LEARNING_RATE * said;
+    stats.1 = keep * stats.1 + LEARNING_RATE * mass;
+    if stats.1 > 1e-9 {
+        stats.0 / stats.1
+    } else {
+        current
     }
 }
 
@@ -125,8 +145,11 @@ impl StreamingTruthDiscovery for RecursiveEm {
             estimates.entry(claim).or_insert(label);
         }
 
-        // Recursive M-step: smooth source params toward the batch's
-        // posterior-weighted sufficient statistics.
+        // Recursive M-step: fold the batch's posterior-weighted sufficient
+        // statistics into each voting source's forgotten ones. A batch
+        // with little posterior mass on one side barely moves that side's
+        // parameter: a source voting on one true claim learns about `a`,
+        // not `b`.
         let mut stats: BTreeMap<u32, (f64, f64, f64, f64)> = BTreeMap::new();
         for (&claim, vs) in &votes {
             let z = posterior[&claim];
@@ -142,14 +165,8 @@ impl StreamingTruthDiscovery for RecursiveEm {
         }
         for (src, (zt, z, ft, f)) in stats {
             let mut st = self.state(src);
-            if z > 1e-9 {
-                st.a = (1.0 - LEARNING_RATE) * st.a + LEARNING_RATE * (zt / z);
-            }
-            if f > 1e-9 {
-                st.b = (1.0 - LEARNING_RATE) * st.b + LEARNING_RATE * (ft / f);
-            }
-            st.a = st.a.clamp(0.05, 0.95);
-            st.b = st.b.clamp(0.05, 0.95);
+            st.a = forget_and_fold(&mut st.a_stats, zt, z, st.a).clamp(0.05, 0.95);
+            st.b = forget_and_fold(&mut st.b_stats, ft, f, st.b).clamp(0.05, 0.95);
             self.sources.insert(src, st);
         }
 
@@ -230,6 +247,34 @@ mod tests {
         }
         // Test: an even 2-vs-2 split on a new claim. Headcount is tied;
         // learned reliability must break the tie toward the reliables.
+        let est = rec.observe_interval(&[
+            r(0, 0, Attitude::Agree),
+            r(1, 0, Attitude::Agree),
+            r(2, 0, Attitude::Disagree),
+            r(3, 0, Attitude::Disagree),
+        ]);
+        assert_eq!(est[&ClaimId::new(0)], TruthLabel::True, "reliability breaks the tie");
+    }
+
+    #[test]
+    fn one_claim_batches_still_identify_both_parameters() {
+        let mut rec = RecursiveEm::new();
+        // One claim per interval, alternating polarity: sources 0, 1, 4
+        // track the truth, sources 2, 3 oppose it. No single M-step sees
+        // both polarities.
+        for c in 1..=120u32 {
+            let honest = if c % 2 == 1 { Attitude::Agree } else { Attitude::Disagree };
+            let _ = rec.observe_interval(&[
+                r(0, c, honest),
+                r(1, c, honest),
+                r(4, c, honest),
+                r(2, c, honest.flipped()),
+                r(3, c, honest.flipped()),
+            ]);
+        }
+        let (good, bad) = (rec.state(0), rec.state(2));
+        assert!(good.a > good.b, "honest a {} vs b {}", good.a, good.b);
+        assert!(bad.a < bad.b, "contrarian a {} vs b {}", bad.a, bad.b);
         let est = rec.observe_interval(&[
             r(0, 0, Attitude::Agree),
             r(1, 0, Attitude::Agree),

@@ -35,8 +35,10 @@ use std::fmt;
 /// Snapshot format version written by this build. Version 2 replaced the
 /// full per-claim ACS history of version 1 with the bounded ring and an
 /// optional decoder forward state; version 3 drops the forward state, as
-/// every engine now refits. Version 1 and 2 snapshots are refused.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// every engine now refits; version 4 fingerprints the five
+/// [`SstdConfig`] fields, as the window rule is one fixed `window`.
+/// Snapshots of versions 1–3 are refused.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The 8-byte magic prefixing every encoded checkpoint.
 const MAGIC: &[u8; 8] = b"SSTDCKP1";
@@ -115,15 +117,11 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// equal iff a stream checkpointed under one can continue under the other.
 #[must_use]
 pub fn config_fingerprint(config: &SstdConfig, timeline: &Timeline) -> u64 {
-    let mut bytes = Vec::with_capacity(96);
+    let mut bytes = Vec::with_capacity(56);
     push_u64(&mut bytes, config.window as u64);
-    push_u64(&mut bytes, u64::from(config.adaptive_window));
-    push_u64(&mut bytes, config.max_window as u64);
     push_f64(&mut bytes, config.stay_probability);
     push_u64(&mut bytes, config.em_iterations as u64);
-    push_f64(&mut bytes, config.em_tolerance);
     push_u64(&mut bytes, u64::from(config.train));
-    push_f64(&mut bytes, config.evidence_floor);
     push_u64(&mut bytes, config.streaming_refit as u64);
     push_u64(&mut bytes, timeline.horizon().as_secs());
     push_u64(&mut bytes, timeline.num_intervals() as u64);
@@ -546,17 +544,17 @@ mod tests {
     }
 
     #[test]
-    fn version_1_and_2_snapshots_are_refused() {
+    fn snapshots_older_than_version_4_are_refused() {
         // Magic and checksum of an older snapshot are valid; the version
-        // word is read before any of its payload.
-        for old in [1u32, 2] {
+        // word is read before any of its payload (or its fingerprint).
+        for old in [1u32, 2, 3] {
             let mut bytes = sample().to_bytes();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let body_len = bytes.len() - 8;
             let sum = fnv1a(&bytes[..body_len]).to_le_bytes();
             bytes[body_len..].copy_from_slice(&sum);
             let err = StreamCheckpoint::from_bytes(&bytes).expect_err("older version");
-            assert_eq!(err, RecoveryError::VersionMismatch { found: old, expected: 3 });
+            assert_eq!(err, RecoveryError::VersionMismatch { found: old, expected: 4 });
         }
     }
 

@@ -12,6 +12,10 @@ use crate::{
 use sstd_types::{ClaimId, Report, Timeline, Trace, TruthLabel};
 use std::cell::RefCell;
 
+/// |ACS| at or below which a claim is evidence-free: it decodes `False`
+/// in every interval, with no model fitted.
+const EVIDENCE_FLOOR: f64 = 1e-9;
+
 /// Every claim id of `trace`, in order.
 pub(crate) fn claim_ids(trace: &Trace) -> impl Iterator<Item = ClaimId> {
     (0..trace.num_claims()).map(|i| ClaimId::new(i as u32))
@@ -156,19 +160,15 @@ impl SstdEngine {
         ws: &mut ClaimWorkspace,
     ) -> (Vec<TruthLabel>, Option<ClaimTruthModel>) {
         let num_intervals = timeline.num_intervals();
-        // First pass with window 1 to count evidence-bearing intervals,
-        // then the real aggregation with the (possibly adaptive) window.
         ws.per_interval.clear();
         ws.per_interval.resize(num_intervals, 0.0);
         for r in reports {
             ws.per_interval[timeline.interval_of(r.time())] += r.contribution_score().value();
         }
-        let evidence_intervals = ws.per_interval.iter().filter(|v| v.abs() > 1e-12).count();
-        let window = self.config.window_for(num_intervals, evidence_intervals);
-        AcsAggregator::windowed_into(&ws.per_interval, window, &mut ws.acs);
+        AcsAggregator::windowed_into(&ws.per_interval, self.config.window, &mut ws.acs);
         // Evidence-free claims default to False — asserting an unreported
         // claim true has no support.
-        if ws.acs.iter().map(|a| a.abs()).fold(0.0f64, f64::max) <= self.config.evidence_floor {
+        if ws.acs.iter().map(|a| a.abs()).fold(0.0f64, f64::max) <= EVIDENCE_FLOOR {
             return (vec![TruthLabel::False; num_intervals], None);
         }
         let model = ClaimTruthModel::fit_with(&self.config, &ws.acs, &mut ws.em);
@@ -242,7 +242,9 @@ mod tests {
     #[test]
     fn run_with_confidence_keeps_runs_labels_and_its_own_posteriors() {
         // What `run_with_confidence` returned for these fixtures while the
-        // posterior pass still ran inside every per-claim decode.
+        // posterior pass still ran inside every per-claim decode. Every
+        // interval of the fixtures carries evidence, and the posteriors
+        // were pinned at window 1.
         const CONFIDENCE: [f64; 20] = [
             1.0,
             1.0,
@@ -265,7 +267,7 @@ mod tests {
             1.2664178213262305e-21,
             1.2664165549095309e-20,
         ];
-        let engine = SstdEngine::new(SstdConfig::default());
+        let engine = SstdEngine::new(SstdConfig { window: 1, ..SstdConfig::default() });
         let claim = ClaimId::new(0);
         for (honest, liars) in [(5, 1), (8, 2)] {
             let trace = flip_trace(honest, liars);
@@ -353,11 +355,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid batch configuration: invalid `window`")]
     fn a_zero_fixed_window_is_refused_at_construction() {
-        let _ = SstdEngine::new(SstdConfig {
-            window: 0,
-            adaptive_window: false,
-            ..SstdConfig::default()
-        });
+        let _ = SstdEngine::new(SstdConfig { window: 0, ..SstdConfig::default() });
     }
 
     #[test]

@@ -57,8 +57,8 @@
 //!     .collect();
 //! let trace = Trace::new("demo", reports, 5, 1, timeline, gt);
 //!
-//! // A fixed two-interval window instead of the adaptive one.
-//! let config = SstdConfig { window: 2, adaptive_window: false, ..SstdConfig::default() };
+//! // A two-interval window instead of the default three.
+//! let config = SstdConfig { window: 2, ..SstdConfig::default() };
 //! config.validate().expect("a valid configuration");
 //! let estimates = SstdEngine::new(config).run(&trace);
 //! assert_eq!(estimates.labels(ClaimId::new(0)).unwrap(),

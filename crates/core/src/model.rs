@@ -7,6 +7,10 @@ use sstd_hmm::{
 };
 use sstd_types::TruthLabel;
 
+/// Baum–Welch stops once an iteration raises the log-likelihood by less
+/// than this.
+const EM_TOLERANCE: f64 = 1e-4;
+
 /// A trained two-state truth model for one claim.
 ///
 /// Hidden state semantics follow the paper: one state is "claim is true",
@@ -72,7 +76,7 @@ impl ClaimTruthModel {
         }
         BaumWelch::default()
             .max_iterations(config.em_iterations)
-            .tolerance(config.em_tolerance)
+            .tolerance(EM_TOLERANCE)
             .train_into(&mut model.hmm, acs, em);
         model.trained = true;
         // Identify the "true" state by emission mean (EM can in principle
@@ -405,7 +409,7 @@ impl BinnedClaimTruthModel {
         let hmm = if config.train && symbols.len() >= 2 {
             BaumWelch::default()
                 .max_iterations(config.em_iterations)
-                .tolerance(config.em_tolerance)
+                .tolerance(EM_TOLERANCE)
                 .train(init, &symbols)
                 .model
         } else {

@@ -707,10 +707,8 @@ mod tests {
 
     #[test]
     fn truth_flip_is_tracked_online() {
-        let mut s = StreamingSstd::new(
-            SstdConfig { window: 1, adaptive_window: false, ..SstdConfig::default() },
-            timeline(),
-        );
+        let mut s =
+            StreamingSstd::new(SstdConfig { window: 1, ..SstdConfig::default() }, timeline());
         for t in 0..100u64 {
             let att = if t < 50 { Attitude::Agree } else { Attitude::Disagree };
             for src in 0..4 {
@@ -757,10 +755,8 @@ mod tests {
 
     #[test]
     fn drained_changes_are_first_decisions_and_flips_in_id_order() {
-        let mut s = StreamingSstd::new(
-            SstdConfig { window: 1, adaptive_window: false, ..SstdConfig::default() },
-            timeline(),
-        );
+        let mut s =
+            StreamingSstd::new(SstdConfig { window: 1, ..SstdConfig::default() }, timeline());
         let mut changed = Vec::new();
         // Claims arrive out of id order; nothing has closed yet.
         for claim in [7, 3, 5] {
@@ -827,11 +823,9 @@ mod tests {
     #[test]
     fn telemetry_sees_decision_flips() {
         let store = Arc::new(EventStore::new());
-        let mut s = StreamingSstd::new(
-            SstdConfig { window: 1, adaptive_window: false, ..SstdConfig::default() },
-            timeline(),
-        )
-        .with_telemetry_store(Arc::clone(&store));
+        let mut s =
+            StreamingSstd::new(SstdConfig { window: 1, ..SstdConfig::default() }, timeline())
+                .with_telemetry_store(Arc::clone(&store));
         for t in 0..100u64 {
             let att = if t < 50 { Attitude::Agree } else { Attitude::Disagree };
             for src in 0..4 {

@@ -1,5 +1,5 @@
 //! Accuracy-side ablations of the SSTD design choices (DESIGN.md §5):
-//! windowing policy, EM training, transition stickiness, and the
+//! the window `sw`, EM training, transition stickiness, and the
 //! contribution-score components (uncertainty / independence discounts).
 //!
 //! Usage: `cargo run -p sstd-eval --bin ablation [-- <scale> [seed]]`
@@ -25,10 +25,9 @@ fn main() {
         println!("-- engine configuration ablations");
         let full = SstdConfig::default();
         for (label, cfg) in [
-            ("full SSTD (adaptive window, EM)", full),
-            ("fixed window sw=1", SstdConfig { window: 1, adaptive_window: false, ..full }),
-            ("fixed window sw=3", SstdConfig { window: 3, adaptive_window: false, ..full }),
-            ("fixed window sw=8", SstdConfig { window: 8, adaptive_window: false, ..full }),
+            ("full SSTD (sw=3, EM)", full),
+            ("window sw=1", SstdConfig { window: 1, ..full }),
+            ("window sw=8", SstdConfig { window: 8, ..full }),
             ("EM off (scaled initial model)", SstdConfig { train: false, ..full }),
             ("loose transitions (stay=0.6)", SstdConfig { stay_probability: 0.6, ..full }),
             ("sticky transitions (stay=0.97)", SstdConfig { stay_probability: 0.97, ..full }),

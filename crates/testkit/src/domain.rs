@@ -631,7 +631,7 @@ pub fn fault_plan_case() -> Gen<FaultPlanCase> {
 }
 
 /// Generates valid [`SstdConfig`]s across the engine's knob space:
-/// fixed or adaptive windows, variable stickiness, EM on/off, and
+/// windows of 1–6 intervals, variable stickiness, EM on/off, and
 /// streaming refit periods of 1–8. Every draw passes
 /// [`SstdConfig::validate`] by construction.
 #[must_use]
@@ -642,12 +642,7 @@ pub fn sstd_config() -> Gen<SstdConfig> {
             em_iterations: rng.usize_in(1, 8),
             train: rng.chance(0.8),
             streaming_refit: rng.usize_in(1, 8),
-            ..SstdConfig::default()
-        };
-        let config = if rng.chance(0.5) {
-            SstdConfig { window: rng.usize_in(1, 6), adaptive_window: false, ..config }
-        } else {
-            SstdConfig { adaptive_window: true, max_window: rng.usize_in(1, 10), ..config }
+            window: rng.usize_in(1, 6),
         };
         config.validate().expect("generated configuration is valid");
         config
