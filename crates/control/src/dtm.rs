@@ -677,10 +677,13 @@ mod eviction_tests {
         // grows the pool; the static pool eats the wasted work.
         let jobs: Vec<DtmJob> =
             (0..6).map(|i| DtmJob::new(JobId::new(i), 10_000.0, 28.0, 4)).collect();
-        let plan = FaultPlan::new(42)
-            .with_transient_rate(0.12)
-            .with_crash_rate(0.04)
-            .with_restart_delay(1.0);
+        let plan = FaultPlan {
+            seed: 42,
+            transient_rate: 0.12,
+            crash_rate: 0.04,
+            worker_restart_delay: 1.0,
+            ..FaultPlan::default()
+        };
 
         let controlled = DynamicTaskManager::new(
             DtmConfig::default(),
@@ -716,10 +719,14 @@ mod eviction_tests {
     fn fault_runs_are_deterministic() {
         let jobs: Vec<DtmJob> =
             (0..3).map(|i| DtmJob::new(JobId::new(i), 5_000.0, 20.0, 4)).collect();
-        let plan = FaultPlan::new(7)
-            .with_transient_rate(0.2)
-            .with_crash_rate(0.05)
-            .with_stragglers(0.05, 6.0);
+        let plan = FaultPlan {
+            seed: 7,
+            transient_rate: 0.2,
+            crash_rate: 0.05,
+            straggler_rate: 0.05,
+            straggler_slowdown: 6.0,
+            ..FaultPlan::default()
+        };
         let cfg = DtmConfig { fast_abort: Some(FastAbort::default()), ..DtmConfig::default() };
         let run = || {
             DynamicTaskManager::new(cfg, Cluster::homogeneous(32, 1.0), ExecutionModel::default())
@@ -741,7 +748,8 @@ mod eviction_tests {
         // fault plan if it leaked through.
         let jobs: Vec<DtmJob> =
             (0..3).map(|i| DtmJob::new(JobId::new(i), 5_000.0, 25.0, 4)).collect();
-        let plan = FaultPlan::new(13).with_transient_rate(0.3).with_crash_rate(0.05);
+        let plan =
+            FaultPlan { seed: 13, transient_rate: 0.3, crash_rate: 0.05, ..FaultPlan::default() };
         let cluster = Cluster::homogeneous(32, 1.0);
 
         let clean = DynamicTaskManager::new(

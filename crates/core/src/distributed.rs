@@ -245,7 +245,7 @@ mod tests {
         let batch = engine.run(&trace);
         let mut backend: DesEngine<ClaimFit> =
             DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::default(), 2);
-        backend.set_fault_plan(FaultPlan::new(5).with_transient_rate(0.35));
+        backend.set_fault_plan(FaultPlan { seed: 5, transient_rate: 0.35, ..FaultPlan::default() });
         backend.set_retry_policy(RetryPolicy { max_attempts: 10, ..RetryPolicy::default() });
         let run =
             run_distributed(&engine, &trace, &mut backend, JobId::new(0)).expect("retries win");
@@ -291,7 +291,7 @@ mod tests {
         let mut backend: DesEngine<ClaimFit> =
             DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::default(), 2);
         // Every attempt faults and the budget is one attempt: all tasks die.
-        backend.set_fault_plan(FaultPlan::new(1).with_transient_rate(1.0));
+        backend.set_fault_plan(FaultPlan { seed: 1, transient_rate: 1.0, ..FaultPlan::default() });
         backend.set_retry_policy(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() });
         let err = run_distributed(&engine, &trace, &mut backend, JobId::new(0))
             .expect_err("nothing can complete");

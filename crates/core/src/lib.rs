@@ -31,7 +31,8 @@
 //! journal with exactly-once sequence-number dedupe (see DESIGN.md §13).
 //! [`chaos_stream`] perturbs a report stream with the seeded ingest
 //! faults of [`sstd_runtime::FaultPlan`] — drop, duplicate, bounded
-//! reorder, payload corruption — for differential crash testing.
+//! reorder, payload corruption — for differential crash testing; it
+//! checks the plan with [`FaultPlan::validate`](sstd_runtime::FaultPlan::validate).
 //!
 //! Every engine takes an [`SstdConfig`]: its public fields over
 //! `Default`, set by struct literal, and checked by
@@ -91,8 +92,7 @@ pub use engine::{claim_partition, SstdEngine};
 pub use estimates::{ConfidenceEstimates, TruthEstimates};
 pub use model::{BinnedClaimTruthModel, ClaimTruthModel};
 pub use recovery::{
-    chaos_stream, crash_positions, CheckpointPolicy, IngestRecord, JournalEntry, ReportJournal,
-    Supervisor, SupervisorError,
+    chaos_stream, CheckpointPolicy, IngestRecord, JournalEntry, ReportJournal, Supervisor,
 };
 pub use sstd_obs::{RecoveryEvent, StreamTick};
 pub use streaming::{IngestOutcome, StreamingSstd, REFIT_HORIZON};

@@ -16,8 +16,8 @@
 //! - [`Supervisor`] — the ingest loop itself: applies records with
 //!   exactly-once sequence-number dedupe, checkpoints under the policy,
 //!   and recovers from a crash by restoring the last checkpoint and
-//!   replaying the journal. Repeated crashes beyond the
-//!   [`RetryPolicy`] attempt budget escalate as a typed error. It is the
+//!   replaying the journal, however many times it crashes; durable bytes
+//!   that fail to decode surface as a typed [`RecoveryError`]. It is the
 //!   one recovery state machine of the tree: a `sstd-serve` shard is a
 //!   supervisor plus change-stream cursors.
 //!
@@ -31,13 +31,12 @@ use crate::checkpoint::{
 };
 use crate::{IngestOutcome, SstdConfig, StreamingSstd, TruthEstimates};
 use sstd_obs::{EventStore, RecoveryEvent};
-use sstd_runtime::{FaultPlan, IngestFault, RetryPolicy};
+use sstd_runtime::{FaultPlan, IngestFault};
 use sstd_types::{
-    Attitude, ClaimId, Independence, Report, SourceId, SstdError, Timeline, Timestamp, Uncertainty,
+    Attitude, ClaimId, Independence, Report, SourceId, Timeline, Timestamp, Uncertainty,
 };
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
-use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -320,8 +319,15 @@ fn decode_entries(bytes: &[u8], entries: &mut Vec<JournalEntry>) -> Result<(), R
 /// model), and corrupted records arrive with a broken seal. The output is
 /// a pure function of `(plan, reports)`, so differential tests can feed
 /// the *same* perturbed stream to a crashing and a non-crashing consumer.
+///
+/// # Panics
+///
+/// Panics if `plan` fails [`FaultPlan::validate`].
 #[must_use]
 pub fn chaos_stream(plan: &FaultPlan, reports: &[Report]) -> Vec<IngestRecord> {
+    if let Err(e) = plan.validate() {
+        panic!("invalid fault plan: {e}");
+    }
     let mut slots: Vec<(u64, usize, IngestRecord)> = Vec::with_capacity(reports.len());
     for (idx, report) in reports.iter().enumerate() {
         let seq = idx as u64;
@@ -341,18 +347,6 @@ pub fn chaos_stream(plan: &FaultPlan, reports: &[Report]) -> Vec<IngestRecord> {
     }
     slots.sort_by_key(|&(emit, idx, _)| (emit, idx));
     slots.into_iter().map(|(_, _, record)| record).collect()
-}
-
-/// The consume positions at which `plan` injects an ingest crash: the
-/// first delivery of sequence number `k` from
-/// [`FaultPlan::with_ingest_crash_at`]. Empty when the plan injects none
-/// or the sequence was dropped by chaos.
-#[must_use]
-pub fn crash_positions(plan: &FaultPlan, records: &[IngestRecord]) -> Vec<usize> {
-    plan.ingest_crash_at()
-        .and_then(|k| records.iter().position(|r| r.seq() == k))
-        .into_iter()
-        .collect()
 }
 
 /// When the [`Supervisor`] writes a checkpoint: after `every_reports`
@@ -384,52 +378,6 @@ impl Default for CheckpointPolicy {
     /// Every 128 applied reports.
     fn default() -> Self {
         Self::every_reports(128)
-    }
-}
-
-/// Why a supervised run failed outright.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SupervisorError {
-    /// Recovery itself failed (corrupt checkpoint or journal).
-    Recovery(RecoveryError),
-    /// The crash count exceeded the retry policy's attempt budget.
-    CrashBudgetExhausted {
-        /// Crashes observed so far.
-        crashes: u32,
-        /// The [`RetryPolicy::max_attempts`] budget.
-        budget: u32,
-    },
-}
-
-impl fmt::Display for SupervisorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Recovery(e) => write!(f, "recovery failed: {e}"),
-            Self::CrashBudgetExhausted { crashes, budget } => {
-                write!(f, "{crashes} crashes exceeded the {budget}-attempt budget")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SupervisorError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Recovery(e) => Some(e),
-            Self::CrashBudgetExhausted { .. } => None,
-        }
-    }
-}
-
-impl From<RecoveryError> for SupervisorError {
-    fn from(e: RecoveryError) -> Self {
-        Self::Recovery(e)
-    }
-}
-
-impl From<SupervisorError> for SstdError {
-    fn from(e: SupervisorError) -> Self {
-        Self::recovery(e)
     }
 }
 
@@ -507,7 +455,7 @@ impl SeqSet {
 ///     .map(|i| Report::plain(SourceId::new(i % 3), ClaimId::new(0),
 ///                            Timestamp::from_secs(u64::from(i) + 20), Attitude::Agree))
 ///     .collect();
-/// let records = chaos_stream(&FaultPlan::new(7), &reports);
+/// let records = chaos_stream(&FaultPlan { seed: 7, ..FaultPlan::default() }, &reports);
 ///
 /// let mut sup = Supervisor::new(
 ///     SstdConfig::default(), timeline, CheckpointPolicy::every_reports(16));
@@ -522,7 +470,6 @@ pub struct Supervisor {
     config: SstdConfig,
     timeline: Timeline,
     policy: CheckpointPolicy,
-    retry: RetryPolicy,
     engine: StreamingSstd,
     applied: SeqSet,
     journal: ReportJournal,
@@ -549,7 +496,6 @@ impl Supervisor {
             config,
             timeline,
             policy,
-            retry: RetryPolicy::default(),
             engine,
             applied: SeqSet::default(),
             journal: ReportJournal { entries: Vec::with_capacity(reserve) },
@@ -558,20 +504,6 @@ impl Supervisor {
             crashes: 0,
             store,
         }
-    }
-
-    /// Sets the crash-escalation budget: once more crashes have been
-    /// observed than `retry.max_attempts`, recovery stops retrying and
-    /// [`SupervisorError::CrashBudgetExhausted`] surfaces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retry` fails [`RetryPolicy::validate`].
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        retry.assert_valid();
-        self.retry = retry;
-        self
     }
 
     /// Routes the supervisor's telemetry — recovery events and the
@@ -682,26 +614,19 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`SupervisorError::CrashBudgetExhausted`] once crashes outnumber
-    /// [`RetryPolicy::max_attempts`]; [`SupervisorError::Recovery`] if
-    /// the durable bytes fail to decode.
-    pub fn crash_and_recover(&mut self) -> Result<u64, SupervisorError> {
+    /// A [`RecoveryError`] if the durable bytes fail to decode.
+    pub fn crash_and_recover(&mut self) -> Result<u64, RecoveryError> {
         self.crashes += 1;
         self.store.record_recovery(RecoveryEvent::CrashObserved {
             reports_ingested: self.engine.reports_seen(),
         });
-        if self.crashes > self.retry.max_attempts {
-            return Err(SupervisorError::CrashBudgetExhausted {
-                crashes: self.crashes,
-                budget: self.retry.max_attempts,
-            });
-        }
         let started = Instant::now();
         // Round-trip the journal through its wire format: recovery must
         // work from bytes, not from conveniently surviving heap state. The
-        // decoded entries refill the journal's own buffer.
-        let bytes = self.journal.to_bytes();
-        decode_entries(&bytes, &mut self.journal.entries)?;
+        // decoded entries refill the journal's own buffer, and the bytes
+        // are freed before the engine is rebuilt, so the rebuilt engine
+        // cannot pin them and the next recovery reuses their pages.
+        decode_entries(&self.journal.to_bytes(), &mut self.journal.entries)?;
         let (mut engine, mut applied) = match &self.durable {
             Some(bytes) => decode_durable(bytes, &self.config, &self.timeline)?,
             None => (StreamingSstd::new(self.config, self.timeline.clone()), SeqSet::default()),
@@ -742,7 +667,7 @@ impl Supervisor {
         records: &[IngestRecord],
         crash_after: &[usize],
         redelivery: usize,
-    ) -> Result<(), SupervisorError> {
+    ) -> Result<(), RecoveryError> {
         let mut pending: BTreeSet<usize> = crash_after.iter().copied().collect();
         let mut i = 0usize;
         while i < records.len() {
@@ -970,15 +895,22 @@ mod tests {
     #[test]
     fn chaos_stream_is_deterministic_and_seeded() {
         let reports = reports();
-        let plan = FaultPlan::new(42)
-            .with_ingest_drop_rate(0.05)
-            .with_ingest_duplicate_rate(0.05)
-            .with_ingest_reorder(0.1, 4)
-            .with_ingest_corrupt_rate(0.02);
+        let plan = FaultPlan {
+            seed: 42,
+            ingest_drop_rate: 0.05,
+            ingest_duplicate_rate: 0.05,
+            ingest_reorder_rate: 0.1,
+            ingest_reorder_depth: 4,
+            ingest_corrupt_rate: 0.02,
+            ..FaultPlan::default()
+        };
         let a = chaos_stream(&plan, &reports);
         let b = chaos_stream(&plan, &reports);
         assert_eq!(a, b, "same plan, same stream");
-        let c = chaos_stream(&FaultPlan::new(43).with_ingest_drop_rate(0.05), &reports);
+        let c = chaos_stream(
+            &FaultPlan { seed: 43, ingest_drop_rate: 0.05, ..FaultPlan::default() },
+            &reports,
+        );
         assert_ne!(a, c, "different seed, different stream");
         assert!(a.iter().any(|r| !r.is_intact()), "corruption fired");
         let distinct: BTreeSet<u64> = a.iter().map(IngestRecord::seq).collect();
@@ -989,7 +921,7 @@ mod tests {
     #[test]
     fn pristine_plan_is_the_identity() {
         let reports = reports();
-        let records = chaos_stream(&FaultPlan::new(0), &reports);
+        let records = chaos_stream(&FaultPlan::default(), &reports);
         assert_eq!(records.len(), reports.len());
         for (i, record) in records.iter().enumerate() {
             assert_eq!(record.seq(), i as u64);
@@ -1002,7 +934,12 @@ mod tests {
     fn reorder_displacement_is_bounded_by_depth() {
         let reports = reports();
         let depth = 5u32;
-        let plan = FaultPlan::new(11).with_ingest_reorder(0.3, depth);
+        let plan = FaultPlan {
+            seed: 11,
+            ingest_reorder_rate: 0.3,
+            ingest_reorder_depth: depth,
+            ..FaultPlan::default()
+        };
         let records = chaos_stream(&plan, &reports);
         assert_eq!(records.len(), reports.len(), "reorder neither drops nor duplicates");
         for (pos, record) in records.iter().enumerate() {
@@ -1014,7 +951,7 @@ mod tests {
     #[test]
     fn supervised_run_matches_bare_streaming() {
         let reports = reports();
-        let records = chaos_stream(&FaultPlan::new(0), &reports);
+        let records = chaos_stream(&FaultPlan::default(), &reports);
         let mut sup =
             Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::every_reports(64));
         sup.run(&records, &[], 0).expect("no crashes");
@@ -1034,11 +971,15 @@ mod tests {
     #[test]
     fn crashed_run_is_bit_identical_to_uninterrupted_run() {
         let reports = reports();
-        let plan = FaultPlan::new(2017)
-            .with_ingest_drop_rate(0.04)
-            .with_ingest_duplicate_rate(0.06)
-            .with_ingest_reorder(0.08, 3)
-            .with_ingest_corrupt_rate(0.03);
+        let plan = FaultPlan {
+            seed: 2017,
+            ingest_drop_rate: 0.04,
+            ingest_duplicate_rate: 0.06,
+            ingest_reorder_rate: 0.08,
+            ingest_reorder_depth: 3,
+            ingest_corrupt_rate: 0.03,
+            ..FaultPlan::default()
+        };
         let records = chaos_stream(&plan, &reports);
         let config = SstdConfig::default();
 
@@ -1062,7 +1003,7 @@ mod tests {
     #[test]
     fn crash_before_any_checkpoint_replays_the_whole_journal() {
         let reports = reports();
-        let records = chaos_stream(&FaultPlan::new(0), &reports);
+        let records = chaos_stream(&FaultPlan::default(), &reports);
         let mut sup =
             Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::DISABLED);
         for record in records.iter().take(25) {
@@ -1076,7 +1017,7 @@ mod tests {
     #[test]
     fn duplicates_are_applied_exactly_once() {
         let reports = reports();
-        let plan = FaultPlan::new(5).with_ingest_duplicate_rate(0.4);
+        let plan = FaultPlan { seed: 5, ingest_duplicate_rate: 0.4, ..FaultPlan::default() };
         let records = chaos_stream(&plan, &reports);
         assert!(records.len() > reports.len(), "duplicates fired");
         let mut sup =
@@ -1109,30 +1050,24 @@ mod tests {
     }
 
     #[test]
-    fn crash_budget_exhaustion_escalates() {
+    fn every_crash_recovers() {
         let reports = reports();
-        let records = chaos_stream(&FaultPlan::new(0), &reports);
+        let records = chaos_stream(&FaultPlan::default(), &reports);
         let mut sup =
-            Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::default())
-                .with_retry(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() });
+            Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::default());
         for record in records.iter().take(5) {
             sup.ingest(record);
         }
-        sup.crash_and_recover().expect("first crash is within budget");
-        let err = sup.crash_and_recover().expect_err("second crash exceeds max_attempts = 1");
-        assert_eq!(err, SupervisorError::CrashBudgetExhausted { crashes: 2, budget: 1 });
-        assert!(err.to_string().contains("exceeded"), "{err}");
-        let wrapped: SstdError = err.into();
-        assert!(
-            wrapped.recovery_as::<SupervisorError>().is_some(),
-            "supervisor errors surface through SstdError::Recovery"
-        );
+        for _ in 0..10 {
+            assert_eq!(sup.crash_and_recover().expect("recovers"), 5);
+        }
+        assert_eq!(sup.crashes_observed(), 10);
     }
 
     #[test]
     fn tampered_durable_checkpoint_is_refused() {
         let reports = reports();
-        let records = chaos_stream(&FaultPlan::new(0), &reports);
+        let records = chaos_stream(&FaultPlan::default(), &reports);
         let mut sup =
             Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::DISABLED);
         for record in records.iter().take(40) {
@@ -1143,7 +1078,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         let err = sup.crash_and_recover().expect_err("tampered checkpoint");
-        assert!(matches!(err, SupervisorError::Recovery(RecoveryError::Corrupt { .. })), "{err}");
+        assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
     }
 
     #[test]
@@ -1184,7 +1119,7 @@ mod tests {
 
     #[test]
     fn hostile_run_tables_are_refused_without_being_walked() {
-        let records = chaos_stream(&FaultPlan::new(0), &reports());
+        let records = chaos_stream(&FaultPlan::default(), &reports());
         let mut sup =
             Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::DISABLED);
         for record in records.iter().take(40) {
@@ -1218,7 +1153,7 @@ mod tests {
 
     #[test]
     fn stream_ticks_and_recovery_events_share_the_store() {
-        let records = chaos_stream(&FaultPlan::new(0), &reports());
+        let records = chaos_stream(&FaultPlan::default(), &reports());
         let shared = Arc::new(EventStore::new());
         let mut sup =
             Supervisor::new(SstdConfig::default(), timeline(), CheckpointPolicy::every_reports(64))
@@ -1232,18 +1167,19 @@ mod tests {
     }
 
     #[test]
-    fn crash_positions_come_from_the_plan() {
-        let reports = reports();
-        let plan = FaultPlan::new(0).with_ingest_crash_at(17);
-        let records = chaos_stream(&plan, &reports);
-        assert_eq!(crash_positions(&plan, &records), vec![17]);
-        assert!(crash_positions(&FaultPlan::new(0), &records).is_empty());
+    #[should_panic(
+        expected = "invalid fault plan: invalid `ingest_duplicate_rate`: combined ingest fault rates"
+    )]
+    fn chaos_stream_refuses_an_invalid_plan() {
+        let plan =
+            FaultPlan { ingest_drop_rate: 0.7, ingest_duplicate_rate: 0.5, ..FaultPlan::default() };
+        let _ = chaos_stream(&plan, &reports());
     }
 
     #[test]
     fn supervised_decisions_are_queryable_mid_stream() {
         let reports = reports();
-        let records = chaos_stream(&FaultPlan::new(0), &reports);
+        let records = chaos_stream(&FaultPlan::default(), &reports);
         let mut sup = Supervisor::new(
             SstdConfig::default(),
             timeline(),

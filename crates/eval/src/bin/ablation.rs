@@ -35,8 +35,9 @@ fn main() {
             report(label, &trace, cfg);
         }
 
-        println!("-- emission-model ablation (DESIGN.md §5)");
-        report("symmetric Gaussian (default)", &trace, SstdConfig::default());
+        // The default decode is the full SSTD row: the symmetric Gaussian
+        // emission and the full contribution score are both its settings.
+        println!("-- emission-model ablation (DESIGN.md §5; symmetric Gaussian = full SSTD)");
         for bins in [4usize, 8, 16] {
             let est = run_binned(&trace, bins);
             let m = score_estimates(trace.ground_truth(), &est);
@@ -47,8 +48,7 @@ fn main() {
             );
         }
 
-        println!("-- contribution-score component ablations (paper Eq. 1)");
-        report("full CS = rho*(1-kappa)*eta", &trace, SstdConfig::default());
+        println!("-- contribution-score component ablations (paper Eq. 1; full CS = full SSTD)");
         report_on("ignore uncertainty (kappa=0)", &strip_uncertainty(&trace));
         report_on("ignore independence (eta=1)", &strip_independence(&trace));
         report_on("attitude only", &strip_independence(&strip_uncertainty(&trace)));

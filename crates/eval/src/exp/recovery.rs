@@ -14,7 +14,7 @@
 
 use sstd_core::{chaos_stream, CheckpointPolicy, RecoveryEvent, SstdConfig, Supervisor};
 use sstd_data::{Scenario, TraceBuilder};
-use sstd_runtime::{FaultPlan, RetryPolicy};
+use sstd_runtime::FaultPlan;
 
 /// One measured grid cell: a checkpoint cadence under a crash schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +49,15 @@ fn trace() -> sstd_types::Trace {
 /// The chaos plan used when `chaos` is on: moderate seeded drop,
 /// duplication, bounded reorder, and payload corruption.
 fn chaos_plan() -> FaultPlan {
-    FaultPlan::new(2017)
-        .with_ingest_drop_rate(0.05)
-        .with_ingest_duplicate_rate(0.05)
-        .with_ingest_reorder(0.08, 4)
-        .with_ingest_corrupt_rate(0.02)
+    FaultPlan {
+        seed: 2017,
+        ingest_drop_rate: 0.05,
+        ingest_duplicate_rate: 0.05,
+        ingest_reorder_rate: 0.08,
+        ingest_reorder_depth: 4,
+        ingest_corrupt_rate: 0.02,
+        ..FaultPlan::default()
+    }
 }
 
 /// Evenly spaced crash positions over a stream of `len` records.
@@ -68,13 +72,12 @@ fn crash_schedule(num_crashes: usize, len: usize) -> Vec<usize> {
 pub fn run(cadences: &[u64], crash_counts: &[usize]) -> Vec<RecoveryPoint> {
     let trace = trace();
     let config = SstdConfig::default();
-    let retry = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
     let mut out = Vec::new();
     for &chaos in &[false, true] {
         let records = if chaos {
             chaos_stream(&chaos_plan(), trace.reports())
         } else {
-            chaos_stream(&FaultPlan::new(0), trace.reports())
+            chaos_stream(&FaultPlan::default(), trace.reports())
         };
         for &cadence in cadences {
             let policy = if cadence == 0 {
@@ -83,16 +86,14 @@ pub fn run(cadences: &[u64], crash_counts: &[usize]) -> Vec<RecoveryPoint> {
                 CheckpointPolicy::every_reports(cadence)
             };
             // Uninterrupted reference for this (chaos, cadence) row.
-            let mut reference =
-                Supervisor::new(config, trace.timeline().clone(), policy).with_retry(retry);
+            let mut reference = Supervisor::new(config, trace.timeline().clone(), policy);
             reference.run(&records, &[], 0).expect("reference run cannot crash");
             let want = reference.finish();
 
             for &n in crash_counts {
                 let crashes = crash_schedule(n, records.len());
-                let mut sup =
-                    Supervisor::new(config, trace.timeline().clone(), policy).with_retry(retry);
-                sup.run(&records, &crashes, 4).expect("crash budget is generous");
+                let mut sup = Supervisor::new(config, trace.timeline().clone(), policy);
+                sup.run(&records, &crashes, 4).expect("recovery from durable bytes");
                 let recovery = sup.store().query().recovery();
                 let replayed = |e: &sstd_obs::Event| match e.recovery_event() {
                     Some(RecoveryEvent::Restored { replayed, .. }) => Some(*replayed as f64),

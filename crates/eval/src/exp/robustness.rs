@@ -170,7 +170,7 @@ pub struct FaultSweepPoint {
 #[must_use]
 pub fn retry_policies() -> Vec<(&'static str, RetryPolicy)> {
     vec![
-        ("no-retry", RetryPolicy::no_retries()),
+        ("no-retry", RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }),
         ("default", RetryPolicy::default()),
         (
             "aggressive",
@@ -217,7 +217,7 @@ where
                 // Seed is a pure function of the grid point: re-running
                 // the sweep replays the exact same fault schedule.
                 let seed = 1_000 + n as u64 * 97 + (rate * 1_000.0) as u64;
-                let plan = FaultPlan::new(seed).with_transient_rate(rate);
+                let plan = FaultPlan { seed, transient_rate: rate, ..FaultPlan::default() };
                 for controlled in [false, true] {
                     let mut backend = make_backend();
                     let store = Arc::new(EventStore::new());

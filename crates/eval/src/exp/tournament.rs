@@ -42,10 +42,11 @@ use std::time::Instant;
 pub const PAPER_LIKE_LEVEL: f64 = 0.1;
 
 /// Regression floor for SSTD's mean accuracy across the paper-like
-/// cells of the quick grid. Measured at 0.9104 on the pinned CI seed
-/// (2017); the grid is fully deterministic, so the single point of
-/// headroom is not noise margin — anything below the floor is a real
-/// accuracy regression in the engine or the generators.
+/// cells of the quick grid. The grid is fully deterministic, so the
+/// floor has no noise margin. On the pinned CI seed (2017) the 60-interval
+/// grid, whose SSTD streams refit twice, measures 0.8988: below the floor
+/// (DESIGN.md §16). The 12-interval grid it replaced measured 0.9104 only
+/// because SSTD never trained on it.
 pub const SSTD_PAPER_FLOOR: f64 = 0.90;
 
 /// Hooks into the driver binary's counting global allocator, letting
@@ -70,7 +71,9 @@ pub struct TournamentConfig {
     pub num_claims: usize,
     /// Sources per scenario.
     pub num_sources: usize,
-    /// Timeline intervals per scenario.
+    /// Timeline intervals per scenario: at least three refit periods
+    /// ([`SstdConfig::streaming_refit`]), so SSTD's stream is decoded by
+    /// trained models and not only by the untrained initial one.
     pub num_intervals: usize,
     /// Ordinary reports per claim and interval.
     pub reports_per_cell: usize,
@@ -86,7 +89,7 @@ impl TournamentConfig {
             levels: vec![PAPER_LIKE_LEVEL, 0.9],
             num_claims: 8,
             num_sources: 12,
-            num_intervals: 12,
+            num_intervals: 60,
             reports_per_cell: 3,
         }
     }
@@ -98,7 +101,7 @@ impl TournamentConfig {
             levels: vec![PAPER_LIKE_LEVEL, 0.3, 0.5, 0.7, 0.9],
             num_claims: 10,
             num_sources: 16,
-            num_intervals: 16,
+            num_intervals: 60,
             reports_per_cell: 3,
             ..Self::quick(seed)
         }

@@ -156,12 +156,13 @@ pub fn run_with(tasks: u32, workers: usize, seed: u64) -> GateReport {
         ExecutionModel::new(0.0, 0.01, 0.01),
         workers,
     );
-    des.set_fault_plan(
-        FaultPlan::new(seed)
-            .with_transient_rate(0.2)
-            .with_crash_rate(0.05)
-            .with_restart_delay(0.05),
-    );
+    des.set_fault_plan(FaultPlan {
+        seed,
+        transient_rate: 0.2,
+        crash_rate: 0.05,
+        worker_restart_delay: 0.05,
+        ..FaultPlan::default()
+    });
     des.set_retry_policy(RetryPolicy { max_attempts: 64, ..RetryPolicy::default() });
     des.set_recorder(Some(store.clone()));
     for i in 0..tasks {

@@ -102,21 +102,8 @@ const BATCH_WINDOW: usize = 3;
 pub fn run_scheme(kind: SchemeKind, trace: &Trace) -> TruthEstimates {
     match kind {
         SchemeKind::Sstd => SstdEngine::new(SstdConfig::default()).run(trace),
-        SchemeKind::DynaTd => run_streaming(DynaTd::new(), trace),
-        SchemeKind::TruthFinder => run_batch(TruthFinder::new(), trace),
-        SchemeKind::Rtd => run_batch(Rtd::new(), trace),
-        SchemeKind::Catd => run_batch(Catd::new(), trace),
-        SchemeKind::Invest => run_batch(Invest::new(), trace),
-        SchemeKind::ThreeEstimates => run_batch(ThreeEstimates::new(), trace),
-        SchemeKind::MajorityVote => run_batch(MajorityVote::new(), trace),
-        SchemeKind::WeightedVote => run_batch(WeightedVote::new(), trace),
-        SchemeKind::RecursiveEm => run_streaming(RecursiveEm::new(), trace),
+        _ => run_streaming(streaming_scheme(kind, trace.num_sources(), trace.num_claims()), trace),
     }
-}
-
-fn run_batch<S: TruthDiscovery>(scheme: S, trace: &Trace) -> TruthEstimates {
-    let window = SlidingWindow::new(scheme, BATCH_WINDOW, trace.num_sources(), trace.num_claims());
-    run_streaming(window, trace)
 }
 
 /// Builds the interval-by-interval form of a baseline scheme as one

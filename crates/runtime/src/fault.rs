@@ -13,9 +13,8 @@
 //!   every run, so experiments with faults stay byte-for-byte
 //!   reproducible;
 //! - [`IngestFault`] — the *data-path* fault classes (dropped, duplicated,
-//!   reordered, corrupted reports, plus a scheduled ingest crash), decided
-//!   per report sequence number by the same plan so chaos schedules are
-//!   equally reproducible;
+//!   reordered and corrupted reports), decided per report sequence number
+//!   by the same plan so chaos schedules are equally reproducible;
 //! - [`RetryPolicy`] — per-task attempt caps with exponential backoff and
 //!   deterministic jitter, plus worker quarantine thresholds;
 //! - [`FastAbort`] — Work Queue–style straggler mitigation: re-queue
@@ -100,6 +99,9 @@ impl std::fmt::Display for IngestFault {
     }
 }
 
+/// Fraction of the nominal duration at which a transient fault fires.
+pub(crate) const FAIL_POINT: f64 = 0.5;
+
 /// A deterministic, seeded fault schedule.
 ///
 /// Every `(task, attempt)` pair is hashed against the seed to decide
@@ -107,12 +109,17 @@ impl std::fmt::Display for IngestFault {
 /// and workload make identical decisions, regardless of worker count or
 /// scheduling order, which keeps fault experiments reproducible.
 ///
+/// Set the fields over [`Default`] (every rate zero); the engines'
+/// `set_fault_plan` and `sstd_core::chaos_stream` check the plan with
+/// [`validate`](Self::validate) and panic on an invalid one.
+///
 /// # Examples
 ///
 /// ```
 /// use sstd_runtime::{FaultPlan, TaskId};
 ///
-/// let plan = FaultPlan::new(42).with_transient_rate(0.2);
+/// let plan = FaultPlan { seed: 42, transient_rate: 0.2, ..FaultPlan::default() };
+/// plan.validate().expect("a valid plan");
 /// // The decision for a given attempt never changes between calls.
 /// assert_eq!(plan.decide(TaskId::new(3), 0), plan.decide(TaskId::new(3), 0));
 /// // About 20% of attempts fault.
@@ -123,200 +130,106 @@ impl std::fmt::Display for IngestFault {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
-    transient_rate: f64,
-    crash_rate: f64,
-    straggler_rate: f64,
-    straggler_slowdown: f64,
-    fail_point: f64,
-    worker_restart_delay: f64,
-    ingest_drop_rate: f64,
-    ingest_duplicate_rate: f64,
-    ingest_reorder_rate: f64,
-    ingest_reorder_depth: u32,
-    ingest_corrupt_rate: f64,
-    ingest_crash_at: Option<u64>,
+    /// Seed of every injection decision.
+    pub seed: u64,
+    /// Per-attempt transient failure probability.
+    pub transient_rate: f64,
+    /// Per-attempt worker crash probability.
+    pub crash_rate: f64,
+    /// Per-attempt straggler probability.
+    pub straggler_rate: f64,
+    /// Slowdown factor applied to straggler attempts (at least 1).
+    pub straggler_slowdown: f64,
+    /// Virtual delay before a crashed worker rejoins the pool (DES;
+    /// non-negative). The HTCondor analogue: an evicted slot comes back
+    /// once its owner goes idle again.
+    pub worker_restart_delay: f64,
+    /// Per-report probability that an ingested report is dropped.
+    pub ingest_drop_rate: f64,
+    /// Per-report probability that an ingested report is delivered twice.
+    pub ingest_duplicate_rate: f64,
+    /// Per-report probability that an ingested report is reordered.
+    pub ingest_reorder_rate: f64,
+    /// Most later reports that may overtake a reordered one (at least 1).
+    pub ingest_reorder_depth: u32,
+    /// Per-report probability that an ingested report arrives with a
+    /// damaged payload.
+    pub ingest_corrupt_rate: f64,
 }
 
-impl FaultPlan {
-    /// Creates a plan with the given seed and all fault rates at zero.
-    #[must_use]
-    pub const fn new(seed: u64) -> Self {
+impl Default for FaultPlan {
+    /// Seed 0, every rate zero, stragglers 8× slower, crashed workers back
+    /// after 1.0 and reorders at most 4 deep.
+    fn default() -> Self {
         Self {
-            seed,
+            seed: 0,
             transient_rate: 0.0,
             crash_rate: 0.0,
             straggler_rate: 0.0,
             straggler_slowdown: 8.0,
-            fail_point: 0.5,
             worker_restart_delay: 1.0,
             ingest_drop_rate: 0.0,
             ingest_duplicate_rate: 0.0,
             ingest_reorder_rate: 0.0,
             ingest_reorder_depth: 4,
             ingest_corrupt_rate: 0.0,
-            ingest_crash_at: None,
         }
     }
+}
 
-    /// Sets the per-attempt transient failure probability.
+impl FaultPlan {
+    /// Validates the plan: every rate in `[0, 1]`, the task rates and the
+    /// ingest rates each summing to at most 1, `straggler_slowdown >= 1`,
+    /// `worker_restart_delay` finite and non-negative and
+    /// `ingest_reorder_depth >= 1`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless the combined fault rates stay within `[0, 1]`.
-    #[must_use]
-    pub fn with_transient_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        self.transient_rate = rate;
-        self.validate();
-        self
-    }
-
-    /// Sets the per-attempt worker crash probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the combined fault rates stay within `[0, 1]`.
-    #[must_use]
-    pub fn with_crash_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        self.crash_rate = rate;
-        self.validate();
-        self
-    }
-
-    /// Sets the per-attempt straggler probability and the slowdown factor
-    /// applied to afflicted attempts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `slowdown >= 1` and the combined rates stay within
-    /// `[0, 1]`.
-    #[must_use]
-    pub fn with_stragglers(mut self, rate: f64, slowdown: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        assert!(slowdown.is_finite() && slowdown >= 1.0, "slowdown must be at least 1");
-        self.straggler_rate = rate;
-        self.straggler_slowdown = slowdown;
-        self.validate();
-        self
-    }
-
-    /// Sets the virtual delay before a crashed worker rejoins the pool
-    /// (DES; default `1.0`). The HTCondor analogue: an evicted slot comes
-    /// back once its owner goes idle again.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `delay` is finite and non-negative.
-    #[must_use]
-    pub fn with_restart_delay(mut self, delay: f64) -> Self {
-        assert!(delay.is_finite() && delay >= 0.0, "restart delay must be non-negative");
-        self.worker_restart_delay = delay;
-        self
-    }
-
-    /// Sets the per-report probability that an ingested report is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the combined ingest fault rates stay within `[0, 1]`.
-    #[must_use]
-    pub fn with_ingest_drop_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        self.ingest_drop_rate = rate;
-        self.validate_ingest();
-        self
-    }
-
-    /// Sets the per-report probability that an ingested report is
-    /// delivered twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the combined ingest fault rates stay within `[0, 1]`.
-    #[must_use]
-    pub fn with_ingest_duplicate_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        self.ingest_duplicate_rate = rate;
-        self.validate_ingest();
-        self
-    }
-
-    /// Sets the per-report reorder probability and the maximum number of
-    /// later reports that may overtake a delayed one.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `max_depth >= 1` and the combined ingest fault rates
-    /// stay within `[0, 1]`.
-    #[must_use]
-    pub fn with_ingest_reorder(mut self, rate: f64, max_depth: u32) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        assert!(max_depth >= 1, "reorder depth must be at least 1");
-        self.ingest_reorder_rate = rate;
-        self.ingest_reorder_depth = max_depth;
-        self.validate_ingest();
-        self
-    }
-
-    /// Sets the per-report probability that an ingested report arrives
-    /// with a damaged payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the combined ingest fault rates stay within `[0, 1]`.
-    #[must_use]
-    pub fn with_ingest_corrupt_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        self.ingest_corrupt_rate = rate;
-        self.validate_ingest();
-        self
-    }
-
-    /// Schedules an ingest crash: the consumer dies immediately after
-    /// taking the report with sequence number `k` off the wire.
-    #[must_use]
-    pub const fn with_ingest_crash_at(mut self, k: u64) -> Self {
-        self.ingest_crash_at = Some(k);
-        self
-    }
-
-    fn validate(&self) {
-        let total = self.transient_rate + self.crash_rate + self.straggler_rate;
-        assert!(total <= 1.0 + 1e-12, "combined fault rates must not exceed 1");
-    }
-
-    fn validate_ingest(&self) {
-        let total = self.ingest_drop_rate
-            + self.ingest_duplicate_rate
-            + self.ingest_reorder_rate
-            + self.ingest_corrupt_rate;
-        assert!(total <= 1.0 + 1e-12, "combined ingest fault rates must not exceed 1");
-    }
-
-    /// The plan's seed.
-    #[must_use]
-    pub const fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Slowdown factor applied to straggler attempts.
-    #[must_use]
-    pub const fn straggler_slowdown(&self) -> f64 {
-        self.straggler_slowdown
-    }
-
-    /// Fraction of the nominal duration at which transient faults fire.
-    #[must_use]
-    pub const fn fail_point(&self) -> f64 {
-        self.fail_point
-    }
-
-    /// Virtual delay before a crashed worker respawns.
-    #[must_use]
-    pub const fn worker_restart_delay(&self) -> f64 {
-        self.worker_restart_delay
+    /// Returns a [`ConfigError`] naming the offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let task = [
+            ("transient_rate", self.transient_rate),
+            ("crash_rate", self.crash_rate),
+            ("straggler_rate", self.straggler_rate),
+        ];
+        let ingest = [
+            ("ingest_drop_rate", self.ingest_drop_rate),
+            ("ingest_duplicate_rate", self.ingest_duplicate_rate),
+            ("ingest_reorder_rate", self.ingest_reorder_rate),
+            ("ingest_corrupt_rate", self.ingest_corrupt_rate),
+        ];
+        // A sum past 1 names the rate that pushed it there.
+        for (rates, sum_rule) in [
+            (&task[..], "combined fault rates must not exceed 1"),
+            (&ingest[..], "combined ingest fault rates must not exceed 1"),
+        ] {
+            let mut total = 0.0;
+            for &(field, rate) in rates {
+                if !(0.0..=1.0).contains(&rate) {
+                    return Err(ConfigError::new(field, "rate must be in [0, 1]"));
+                }
+                total += rate;
+                if total > 1.0 + 1e-12 {
+                    return Err(ConfigError::new(field, sum_rule));
+                }
+            }
+        }
+        if !(self.straggler_slowdown.is_finite() && self.straggler_slowdown >= 1.0) {
+            return Err(ConfigError::new("straggler_slowdown", "slowdown must be at least 1"));
+        }
+        if !(self.worker_restart_delay.is_finite() && self.worker_restart_delay >= 0.0) {
+            return Err(ConfigError::new(
+                "worker_restart_delay",
+                "restart delay must be non-negative",
+            ));
+        }
+        if self.ingest_reorder_depth < 1 {
+            return Err(ConfigError::new(
+                "ingest_reorder_depth",
+                "reorder depth must be at least 1",
+            ));
+        }
+        Ok(())
     }
 
     /// The injection decision for one attempt of one task — a pure
@@ -380,13 +293,6 @@ impl FaultPlan {
         }
         None
     }
-
-    /// The scheduled ingest-crash point, if any: the consumer dies right
-    /// after taking this sequence number off the wire.
-    #[must_use]
-    pub const fn ingest_crash_at(&self) -> Option<u64> {
-        self.ingest_crash_at
-    }
 }
 
 /// Retry semantics for faulted task attempts.
@@ -443,12 +349,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: every fault is terminal.
-    #[must_use]
-    pub fn no_retries() -> Self {
-        Self { max_attempts: 1, ..Self::default() }
-    }
-
     /// Validates the policy's invariants: `max_attempts >= 1`, delays
     /// finite and non-negative, `backoff_multiplier >= 1` and
     /// `jitter ∈ [0, 1]`.
@@ -476,19 +376,6 @@ impl RetryPolicy {
             return Err(ConfigError::new("jitter", "jitter must be in [0, 1]"));
         }
         Ok(())
-    }
-
-    /// Panicking form of [`validate`](Self::validate), for call sites that
-    /// cannot propagate (engine setters on already-running backends).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the validation error's message if the policy is
-    /// invalid.
-    pub fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 
     /// The backoff delay before retry number `attempt` (1-based: the
@@ -550,19 +437,6 @@ impl FastAbort {
             return Err(ConfigError::new("min_samples", "need at least one warm-up sample"));
         }
         Ok(())
-    }
-
-    /// Panicking form of [`validate`](Self::validate), for call sites that
-    /// cannot propagate.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the validation error's message if the configuration is
-    /// invalid.
-    pub fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -666,10 +540,14 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_rate_accurate() {
-        let plan = FaultPlan::new(7)
-            .with_transient_rate(0.1)
-            .with_crash_rate(0.05)
-            .with_stragglers(0.05, 10.0);
+        let plan = FaultPlan {
+            seed: 7,
+            transient_rate: 0.1,
+            crash_rate: 0.05,
+            straggler_rate: 0.05,
+            straggler_slowdown: 10.0,
+            ..FaultPlan::default()
+        };
         let mut counts = [0usize; 4];
         for i in 0..10_000u32 {
             let d = plan.decide(TaskId::new(i), 0);
@@ -688,7 +566,7 @@ mod tests {
 
     #[test]
     fn attempts_decide_independently() {
-        let plan = FaultPlan::new(3).with_transient_rate(0.5);
+        let plan = FaultPlan { seed: 3, transient_rate: 0.5, ..FaultPlan::default() };
         // Across many tasks, attempt 0 and attempt 1 decisions differ
         // somewhere (independent hashes).
         let differs =
@@ -698,23 +576,60 @@ mod tests {
 
     #[test]
     fn zero_rates_never_fault() {
-        let plan = FaultPlan::new(1);
+        let plan = FaultPlan { seed: 1, ..FaultPlan::default() };
         assert!((0..1000u32).all(|i| plan.decide(TaskId::new(i), 0).is_none()));
     }
 
     #[test]
     fn seeds_change_the_schedule() {
-        let a = FaultPlan::new(1).with_transient_rate(0.3);
-        let b = FaultPlan::new(2).with_transient_rate(0.3);
+        let a = FaultPlan { seed: 1, transient_rate: 0.3, ..FaultPlan::default() };
+        let b = FaultPlan { seed: 2, transient_rate: 0.3, ..FaultPlan::default() };
         let differs =
             (0..100u32).any(|i| a.decide(TaskId::new(i), 0) != b.decide(TaskId::new(i), 0));
         assert!(differs);
     }
 
     #[test]
-    #[should_panic(expected = "combined fault rates")]
-    fn overfull_rates_rejected() {
-        let _ = FaultPlan::new(0).with_transient_rate(0.7).with_crash_rate(0.5);
+    fn validate_names_the_offending_field() {
+        FaultPlan::default().validate().expect("the default plan is valid");
+        let base = FaultPlan::default();
+        let cases = [
+            (FaultPlan { transient_rate: -0.1, ..base }, "transient_rate"),
+            (FaultPlan { crash_rate: 1.5, ..base }, "crash_rate"),
+            (FaultPlan { straggler_rate: f64::NAN, ..base }, "straggler_rate"),
+            (FaultPlan { straggler_slowdown: 0.5, ..base }, "straggler_slowdown"),
+            (FaultPlan { worker_restart_delay: -1.0, ..base }, "worker_restart_delay"),
+            (FaultPlan { ingest_drop_rate: -0.5, ..base }, "ingest_drop_rate"),
+            (FaultPlan { ingest_duplicate_rate: 2.0, ..base }, "ingest_duplicate_rate"),
+            (FaultPlan { ingest_reorder_rate: f64::INFINITY, ..base }, "ingest_reorder_rate"),
+            (FaultPlan { ingest_reorder_depth: 0, ..base }, "ingest_reorder_depth"),
+            (FaultPlan { ingest_corrupt_rate: -1e-9, ..base }, "ingest_corrupt_rate"),
+            // Each combined rate names the rate that pushes it past 1.
+            (FaultPlan { transient_rate: 0.7, crash_rate: 0.5, ..base }, "crash_rate"),
+            (
+                FaultPlan { ingest_drop_rate: 0.7, ingest_duplicate_rate: 0.5, ..base },
+                "ingest_duplicate_rate",
+            ),
+        ];
+        for (plan, field) in cases {
+            assert_eq!(plan.validate().expect_err("invalid plan").field(), field, "{plan:?}");
+        }
+        let err = FaultPlan { transient_rate: 0.7, crash_rate: 0.5, ..base }.validate();
+        assert!(err.expect_err("overfull").message().contains("combined fault rates"));
+        let err =
+            FaultPlan { ingest_reorder_rate: 0.6, ingest_corrupt_rate: 0.6, ..base }.validate();
+        assert!(err.expect_err("overfull").message().contains("combined ingest fault rates"));
+        // The seed is any u64, and the limits themselves are valid.
+        let edge = FaultPlan {
+            seed: u64::MAX,
+            transient_rate: 1.0,
+            straggler_slowdown: 1.0,
+            worker_restart_delay: 0.0,
+            ingest_corrupt_rate: 1.0,
+            ingest_reorder_depth: 1,
+            ..base
+        };
+        edge.validate().expect("limits are valid");
     }
 
     #[test]
@@ -744,10 +659,9 @@ mod tests {
     }
 
     #[test]
-    fn no_retries_policy_is_single_attempt() {
-        let p = RetryPolicy::no_retries();
-        p.validate().expect("no_retries is a valid policy");
-        assert_eq!(p.max_attempts, 1);
+    fn a_single_attempt_policy_keeps_the_hard_cap() {
+        let p = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+        p.validate().expect("a single attempt is a valid policy");
         assert!(p.hard_attempt_cap() >= 50);
     }
 
@@ -757,12 +671,6 @@ mod tests {
             .validate()
             .expect_err("zero attempts must be rejected");
         assert_eq!(err.field(), "max_attempts");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn assert_valid_panics_on_invalid_policy() {
-        RetryPolicy { max_attempts: 0, ..RetryPolicy::default() }.assert_valid();
     }
 
     #[test]
@@ -795,12 +703,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiplier must exceed 1")]
-    fn fast_abort_assert_valid_panics() {
-        FastAbort { multiplier: 0.0, ..FastAbort::default() }.assert_valid();
-    }
-
-    #[test]
     fn zero_backoff_cap_yields_zero_delays() {
         // backoff_cap = 0.0 is valid (retry immediately) and must clamp
         // every delay to exactly zero, jitter included.
@@ -809,12 +711,6 @@ mod tests {
         for attempt in 1..20u32 {
             assert_eq!(p.backoff(attempt, 99), 0.0, "attempt {attempt}");
         }
-    }
-
-    #[test]
-    fn zero_restart_delay_is_accepted() {
-        let plan = FaultPlan::new(5).with_restart_delay(0.0);
-        assert_eq!(plan.worker_restart_delay(), 0.0);
     }
 
     #[test]
@@ -827,11 +723,15 @@ mod tests {
 
     #[test]
     fn ingest_decisions_are_deterministic_and_rate_accurate() {
-        let plan = FaultPlan::new(11)
-            .with_ingest_drop_rate(0.1)
-            .with_ingest_duplicate_rate(0.1)
-            .with_ingest_reorder(0.1, 4)
-            .with_ingest_corrupt_rate(0.05);
+        let plan = FaultPlan {
+            seed: 11,
+            ingest_drop_rate: 0.1,
+            ingest_duplicate_rate: 0.1,
+            ingest_reorder_rate: 0.1,
+            ingest_reorder_depth: 4,
+            ingest_corrupt_rate: 0.05,
+            ..FaultPlan::default()
+        };
         let mut counts = [0usize; 5];
         for seq in 0..10_000u64 {
             let d = plan.decide_ingest(seq);
@@ -857,8 +757,8 @@ mod tests {
     fn ingest_faults_are_independent_of_task_faults() {
         // Same seed, but task decisions and ingest decisions hash in
         // separate domains: enabling one leaves the other untouched.
-        let tasks_only = FaultPlan::new(21).with_transient_rate(0.3);
-        let both = tasks_only.with_ingest_drop_rate(0.3);
+        let tasks_only = FaultPlan { seed: 21, transient_rate: 0.3, ..FaultPlan::default() };
+        let both = FaultPlan { ingest_drop_rate: 0.3, ..tasks_only };
         for i in 0..500u32 {
             assert_eq!(tasks_only.decide(TaskId::new(i), 0), both.decide(TaskId::new(i), 0));
         }
@@ -867,16 +767,8 @@ mod tests {
 
     #[test]
     fn zero_ingest_rates_never_fault() {
-        let plan = FaultPlan::new(1).with_ingest_crash_at(7);
+        let plan = FaultPlan { seed: 1, ..FaultPlan::default() };
         assert!((0..1000u64).all(|s| plan.decide_ingest(s).is_none()));
-        assert_eq!(plan.ingest_crash_at(), Some(7));
-        assert_eq!(FaultPlan::new(1).ingest_crash_at(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "combined ingest fault rates")]
-    fn overfull_ingest_rates_rejected() {
-        let _ = FaultPlan::new(0).with_ingest_drop_rate(0.7).with_ingest_duplicate_rate(0.5);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   transient failures, worker crashes and stragglers, retry with
 //!   exponential backoff, quarantine, and fast-abort straggler
 //!   mitigation, with [`FaultStats`] accounting that always reconciles
-//!   (see DESIGN.md "Fault model & recovery");
+//!   (see DESIGN.md "Fault model & recovery"). Each is public fields
+//!   over `Default`, checked by its `validate()` where an engine takes
+//!   it;
 //! - one task-lifecycle state machine (`sched.rs`, crate-private) that
 //!   both engines drive — the ready queue, retries and backoff,
 //!   quarantine, evictions, respawns, the elastic pool and the fault
@@ -99,7 +101,7 @@ pub use wcet::ExecutionModel;
 ///
 /// let cluster = Cluster::homogeneous(2, 1.0);
 /// let mut des: DesEngine = DesEngine::new(cluster, ExecutionModel::default(), 2);
-/// des.set_fault_plan(FaultPlan::new(7).with_transient_rate(0.1));
+/// des.set_fault_plan(FaultPlan { seed: 7, transient_rate: 0.1, ..FaultPlan::default() });
 /// des.submit(TaskSpec::new(JobId::new(0), 100.0));
 /// assert_eq!(des.run_to_completion().completed.len(), 1);
 /// ```

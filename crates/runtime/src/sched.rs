@@ -173,7 +173,11 @@ impl Master {
         master
     }
 
+    /// Panics if the plan is invalid, like [`set_retry`](Self::set_retry).
     pub(crate) fn set_plan(&mut self, plan: FaultPlan) {
+        if let Err(e) = plan.validate() {
+            panic!("invalid fault plan: {e}");
+        }
         self.plan = Some(plan);
     }
 
@@ -184,14 +188,18 @@ impl Master {
     /// Panics if the policy is invalid: the engines call this on an
     /// already-constructed backend and cannot propagate.
     pub(crate) fn set_retry(&mut self, retry: RetryPolicy) {
-        retry.assert_valid();
+        if let Err(e) = retry.validate() {
+            panic!("invalid retry policy: {e}");
+        }
         self.retry = retry;
     }
 
     /// Panics if the configuration is invalid, like
     /// [`set_retry`](Self::set_retry).
     pub(crate) fn set_fast_abort(&mut self, fast_abort: FastAbort) {
-        fast_abort.assert_valid();
+        if let Err(e) = fast_abort.validate() {
+            panic!("invalid fast-abort configuration: {e}");
+        }
         self.fast_abort = Some(fast_abort);
     }
 
@@ -516,7 +524,7 @@ impl Master {
                 entry.queued = true;
                 self.retries += 1;
                 if matches!(cause, LossCause::Transient | LossCause::Timeout) {
-                    let seed = self.plan.map_or(0, |p| p.seed());
+                    let seed = self.plan.map_or(0, |p| p.seed);
                     let salt = mix64(seed ^ run.task.index() as u64);
                     let release = now + self.retry.backoff(started, salt);
                     self.schedule(release, Timer::Release(run.task));
@@ -530,7 +538,7 @@ impl Master {
             LossCause::Transient | LossCause::Straggler => self.note_worker_fault(worker),
             LossCause::Crash => {
                 self.remove_worker(worker);
-                let delay = self.plan.map_or(1.0, |p| p.worker_restart_delay());
+                let delay = self.plan.map_or(1.0, |p| p.worker_restart_delay);
                 self.schedule(now + delay, Timer::Respawn);
             }
             LossCause::Evicted => self.remove_worker(worker),
@@ -749,7 +757,7 @@ mod tests {
     fn backoff_is_deterministic_per_task() {
         let release = |seed: u64| {
             let mut m = master(1, 1);
-            m.set_plan(FaultPlan::new(seed));
+            m.set_plan(FaultPlan { seed, ..FaultPlan::default() });
             let _ = start(&mut m, 0, 0.0);
             m.attempt_ended(worker(0), Ended::Transient, 1.0);
             m.next_wake().unwrap()
@@ -936,7 +944,7 @@ mod tests {
                 })
                 .collect();
             let mut m = Master::new(3);
-            m.set_plan(FaultPlan::new(seed));
+            m.set_plan(FaultPlan { seed, ..FaultPlan::default() });
             m.set_retry(RetryPolicy {
                 max_attempts: 3,
                 quarantine_threshold: 3,

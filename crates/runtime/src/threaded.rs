@@ -130,7 +130,7 @@ struct EngineShared<R> {
 /// use std::sync::Arc;
 ///
 /// let mut engine = ThreadedEngine::new(2);
-/// engine.set_fault_plan(FaultPlan::new(7).with_transient_rate(0.2));
+/// engine.set_fault_plan(FaultPlan { seed: 7, transient_rate: 0.2, ..FaultPlan::default() });
 /// engine.set_retry_policy(RetryPolicy { backoff_base: 0.001, ..RetryPolicy::default() });
 /// for i in 0..10u32 {
 ///     let spec = TaskSpec::new(JobId::new(i % 2), 1.0);
@@ -321,7 +321,7 @@ impl<R: Send + 'static> ThreadedEngine<R> {
                 if let (Some(FaultKind::Straggler), Some(plan)) = (attempt.fault, st.master.plan())
                 {
                     let base = st.master.mean_duration().unwrap_or(0.005);
-                    sleep_s += (base * (plan.straggler_slowdown() - 1.0) * scale).clamp(0.002, 1.0);
+                    sleep_s += (base * (plan.straggler_slowdown - 1.0) * scale).clamp(0.002, 1.0);
                 }
                 (attempt.fault, payload, sleep_s)
             };
@@ -466,6 +466,11 @@ impl<R: Send + 'static> ExecutionBackend for ThreadedEngine<R> {
         lock(&self.shared.state).master.schedule_eviction(t);
     }
 
+    /// Installs a deterministic fault-injection schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan is invalid (see [`FaultPlan::validate`]).
     fn set_fault_plan(&mut self, plan: FaultPlan) {
         lock(&self.shared.state).master.set_plan(plan);
     }
@@ -668,7 +673,7 @@ mod engine_tests {
     #[test]
     fn transient_faults_are_retried_to_completion() {
         let mut engine = ThreadedEngine::new(3);
-        engine.set_fault_plan(FaultPlan::new(11).with_transient_rate(0.25));
+        engine.set_fault_plan(FaultPlan { seed: 11, transient_rate: 0.25, ..FaultPlan::default() });
         engine.set_retry_policy(fast_retry());
         for i in 0..40u32 {
             submit(&mut engine, JobId::new(i % 2), move || i);
@@ -724,7 +729,12 @@ mod engine_tests {
     #[test]
     fn worker_crashes_respawn_and_work_survives() {
         let mut engine = ThreadedEngine::new(3);
-        engine.set_fault_plan(FaultPlan::new(9).with_crash_rate(0.15).with_restart_delay(0.01));
+        engine.set_fault_plan(FaultPlan {
+            seed: 9,
+            crash_rate: 0.15,
+            worker_restart_delay: 0.01,
+            ..FaultPlan::default()
+        });
         engine.set_retry_policy(fast_retry());
         for i in 0..30u32 {
             submit(&mut engine, JobId::new(i % 3), move || i);
@@ -796,7 +806,7 @@ mod engine_tests {
     #[test]
     fn quarantine_retires_flaky_workers() {
         let mut engine = ThreadedEngine::new(3);
-        engine.set_fault_plan(FaultPlan::new(21).with_transient_rate(0.5));
+        engine.set_fault_plan(FaultPlan { seed: 21, transient_rate: 0.5, ..FaultPlan::default() });
         engine.set_retry_policy(RetryPolicy {
             quarantine_threshold: 3,
             max_attempts: 50,
@@ -822,12 +832,13 @@ mod engine_tests {
         // exactly across runs despite real thread scheduling.
         let run = || {
             let mut engine = ThreadedEngine::new(4);
-            engine.set_fault_plan(
-                FaultPlan::new(33)
-                    .with_transient_rate(0.2)
-                    .with_crash_rate(0.05)
-                    .with_restart_delay(0.005),
-            );
+            engine.set_fault_plan(FaultPlan {
+                seed: 33,
+                transient_rate: 0.2,
+                crash_rate: 0.05,
+                worker_restart_delay: 0.005,
+                ..FaultPlan::default()
+            });
             engine.set_retry_policy(fast_retry());
             for i in 0..30u32 {
                 submit(&mut engine, JobId::new(i % 3), move || i);
@@ -845,13 +856,15 @@ mod engine_tests {
     #[test]
     fn report_reconciles_under_mixed_fault_load() {
         let mut engine = ThreadedEngine::new(3);
-        engine.set_fault_plan(
-            FaultPlan::new(55)
-                .with_transient_rate(0.15)
-                .with_crash_rate(0.05)
-                .with_stragglers(0.1, 4.0)
-                .with_restart_delay(0.01),
-        );
+        engine.set_fault_plan(FaultPlan {
+            seed: 55,
+            transient_rate: 0.15,
+            crash_rate: 0.05,
+            straggler_rate: 0.1,
+            straggler_slowdown: 4.0,
+            worker_restart_delay: 0.01,
+            ..FaultPlan::default()
+        });
         engine.set_retry_policy(fast_retry());
         engine.set_fast_abort(FastAbort { min_samples: 4, ..FastAbort::default() });
         for i in 0..40u32 {

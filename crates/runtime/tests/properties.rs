@@ -240,12 +240,14 @@ fn accounting_reconciles_under_arbitrary_fault_mixes() {
         &fault_mix(),
         |&(seed, transient, crash, straggler, tasks, workers)| {
             let mut des = engine(workers);
-            des.set_fault_plan(
-                FaultPlan::new(seed)
-                    .with_transient_rate(transient)
-                    .with_crash_rate(crash)
-                    .with_stragglers(straggler, 10.0),
-            );
+            des.set_fault_plan(FaultPlan {
+                seed,
+                transient_rate: transient,
+                crash_rate: crash,
+                straggler_rate: straggler,
+                straggler_slowdown: 10.0,
+                ..FaultPlan::default()
+            });
             des.set_fast_abort(FastAbort::default());
             for i in 0..tasks {
                 des.submit(TaskSpec::new(JobId::new(i as u32 % 3), 100.0));

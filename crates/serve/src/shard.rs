@@ -2,9 +2,8 @@
 
 use crate::update::{ChangeLog, ChangeStream, TruthUpdate};
 use crate::{IngestError, ServeConfig};
-use sstd_core::{CheckpointPolicy, IngestOutcome, Supervisor, SupervisorError, TruthEstimates};
+use sstd_core::{CheckpointPolicy, IngestOutcome, Supervisor, TruthEstimates};
 use sstd_obs::EventStore;
-use sstd_runtime::RetryPolicy;
 use sstd_types::{ClaimId, Report, TruthLabel};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,10 +46,9 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn new(id: usize, config: &ServeConfig) -> Self {
         // `every_reports(0)` never checkpoints, as `checkpoint_every: 0`
-        // promises. A shard has no crash budget: it recovers every time.
+        // promises.
         let policy = CheckpointPolicy::every_reports(config.checkpoint_every as u64);
-        let supervisor = Supervisor::new(config.engine, config.timeline.clone(), policy)
-            .with_retry(RetryPolicy { max_attempts: u32::MAX, ..RetryPolicy::default() });
+        let supervisor = Supervisor::new(config.engine, config.timeline.clone(), policy);
         Self {
             id,
             supervisor,
@@ -92,12 +90,7 @@ impl Shard {
     pub(crate) fn crash(&mut self) -> Result<(), IngestError> {
         match self.supervisor.crash_and_recover() {
             Ok(_) => Ok(()),
-            Err(SupervisorError::Recovery(source)) => {
-                Err(IngestError::Recovery { shard: self.id, source })
-            }
-            Err(SupervisorError::CrashBudgetExhausted { .. }) => {
-                unreachable!("a shard's crash budget is unlimited")
-            }
+            Err(source) => Err(IngestError::Recovery { shard: self.id, source }),
         }
     }
 

@@ -594,9 +594,13 @@ impl FaultPlanCase {
     /// Builds the runtime [`FaultPlan`].
     #[must_use]
     pub fn plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed)
-            .with_transient_rate(self.transient_rate)
-            .with_stragglers(self.straggler_rate, self.slowdown)
+        FaultPlan {
+            seed: self.seed,
+            transient_rate: self.transient_rate,
+            straggler_rate: self.straggler_rate,
+            straggler_slowdown: self.slowdown,
+            ..FaultPlan::default()
+        }
     }
 }
 
@@ -711,11 +715,15 @@ impl RecoveryCase {
     /// Builds the runtime [`FaultPlan`] carrying the ingest chaos.
     #[must_use]
     pub fn plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed)
-            .with_ingest_drop_rate(self.drop_rate)
-            .with_ingest_duplicate_rate(self.duplicate_rate)
-            .with_ingest_reorder(self.reorder_rate, self.reorder_depth)
-            .with_ingest_corrupt_rate(self.corrupt_rate)
+        FaultPlan {
+            seed: self.seed,
+            ingest_drop_rate: self.drop_rate,
+            ingest_duplicate_rate: self.duplicate_rate,
+            ingest_reorder_rate: self.reorder_rate,
+            ingest_reorder_depth: self.reorder_depth,
+            ingest_corrupt_rate: self.corrupt_rate,
+            ..FaultPlan::default()
+        }
     }
 
     /// The supervisor's checkpoint cadence.
@@ -1187,7 +1195,7 @@ mod tests {
         let g = fault_plan_case();
         let mut rng = SplitMix64::new(9);
         let case = g.generate(&mut rng);
-        let _ = case.plan();
+        case.plan().validate().expect("generated plan is valid");
         if case.transient_rate != 0.0 || case.straggler_rate != 0.0 {
             let first = g.shrink(&case)[0];
             assert_eq!((first.transient_rate, first.straggler_rate), (0.0, 0.0));
@@ -1198,7 +1206,7 @@ mod tests {
     fn recovery_cases_are_valid_and_shrink_toward_calm() {
         let g = recovery_case(TraceShape::default());
         let n = check_with(CheckConfig::new(200), &g, |case| {
-            let _ = case.plan(); // panics if the fault budget is invalid
+            case.plan().validate().map_err(|e| e.to_string())?;
             let _ = case.policy();
             let positions = case.crash_positions(37);
             if positions.iter().all(|&p| p < 37) && positions.windows(2).all(|w| w[0] < w[1]) {
@@ -1218,7 +1226,7 @@ mod tests {
             assert_eq!(first.corrupt_rate, 0.0);
         }
         for s in g.shrink(&case) {
-            let _ = s.plan();
+            s.plan().validate().expect("shrunk plan is valid");
             let _ = s.trace.trace();
         }
     }

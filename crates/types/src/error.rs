@@ -175,9 +175,8 @@ pub enum SstdError {
     /// error (e.g. `sstd_core::DistributedError`), recoverable via
     /// [`distributed_as`](Self::distributed_as).
     Distributed(Box<dyn Error + Send + Sync + 'static>),
-    /// Crash recovery failed — a corrupt or mismatched snapshot, a
-    /// journal that would not decode, an exhausted crash budget. The
-    /// boxed source is the layer-specific error (e.g.
+    /// Crash recovery failed — a corrupt or mismatched snapshot or a
+    /// journal that would not decode. The boxed source is the layer-specific error (e.g.
     /// `sstd_core::RecoveryError`), recoverable via
     /// [`recovery_as`](Self::recovery_as).
     Recovery(Box<dyn Error + Send + Sync + 'static>),

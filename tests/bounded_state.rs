@@ -221,7 +221,7 @@ fn a_claims_state_is_bounded_by_the_refit_horizon() {
     );
 
     // In order, 180 000 more sequence numbers extend one run.
-    let (early, late, dropped) = supervisor_heap_at_20k_and_200k(&FaultPlan::new(0));
+    let (early, late, dropped) = supervisor_heap_at_20k_and_200k(&FaultPlan::default());
     assert_eq!(dropped, 0);
     let grown = late.saturating_sub(early);
     assert!(grown < 512, "in-order dedupe state grew by {grown} B over 180 000 records");
@@ -230,7 +230,13 @@ fn a_claims_state_is_bounded_by_the_refit_horizon() {
     // a dropped number, or one of the last `DEPTH` still in flight. A run
     // is 16 B and a doubling vector holds less than twice its length.
     const DEPTH: u32 = 4;
-    let plan = FaultPlan::new(2017).with_ingest_drop_rate(0.0005).with_ingest_reorder(0.05, DEPTH);
+    let plan = FaultPlan {
+        seed: 2017,
+        ingest_drop_rate: 0.0005,
+        ingest_reorder_rate: 0.05,
+        ingest_reorder_depth: DEPTH,
+        ..FaultPlan::default()
+    };
     let (early, late, dropped) = supervisor_heap_at_20k_and_200k(&plan);
     assert!(dropped > 20, "drops fired ({dropped})");
     let grown = late.saturating_sub(early);

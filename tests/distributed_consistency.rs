@@ -162,7 +162,7 @@ fn conformance_backends() -> (DesEngine<u32>, ThreadedEngine<u32>) {
 
 #[test]
 fn backends_conform_under_transient_faults() {
-    let plan = FaultPlan::new(77).with_transient_rate(0.25);
+    let plan = FaultPlan { seed: 77, transient_rate: 0.25, ..FaultPlan::default() };
     let (mut des, mut threaded) = conformance_backends();
     let a = drive_conformance(&mut des, plan);
     let b = drive_conformance(&mut threaded, plan);
@@ -173,8 +173,13 @@ fn backends_conform_under_transient_faults() {
 
 #[test]
 fn backends_conform_under_crashes_and_transients() {
-    let plan =
-        FaultPlan::new(42).with_transient_rate(0.2).with_crash_rate(0.08).with_restart_delay(0.02);
+    let plan = FaultPlan {
+        seed: 42,
+        transient_rate: 0.2,
+        crash_rate: 0.08,
+        worker_restart_delay: 0.02,
+        ..FaultPlan::default()
+    };
     let (mut des, mut threaded) = conformance_backends();
     let a = drive_conformance(&mut des, plan);
     let b = drive_conformance(&mut threaded, plan);
@@ -186,7 +191,7 @@ fn backends_conform_under_crashes_and_transients() {
 fn backends_conform_when_tasks_exhaust() {
     // Rate 1.0: every attempt of every task faults, so all tasks exhaust
     // their budget on both backends with identical attempt counts.
-    let plan = FaultPlan::new(3).with_transient_rate(1.0);
+    let plan = FaultPlan { seed: 3, transient_rate: 1.0, ..FaultPlan::default() };
     let (mut des, mut threaded) = conformance_backends();
     let a = drive_conformance(&mut des, plan);
     let b = drive_conformance(&mut threaded, plan);
@@ -245,7 +250,7 @@ fn claims_as_tasks_match_batch_on_both_backends_under_faults() {
     let trace = TraceBuilder::scenario(Scenario::ParisShooting).scale(0.005).seed(21).build();
     let engine = SstdEngine::new(SstdConfig::default());
     let central = engine.run(&trace);
-    let plan = FaultPlan::new(9).with_transient_rate(0.3);
+    let plan = FaultPlan { seed: 9, transient_rate: 0.3, ..FaultPlan::default() };
     let retry = RetryPolicy {
         max_attempts: 10,
         backoff_base: 0.001,

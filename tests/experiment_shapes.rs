@@ -3,9 +3,13 @@
 //! HTCondor pool), but who wins, by roughly what factor, and where the
 //! curves bend must match.
 
+use sstd::core::{SstdConfig, StreamingSstd, TruthEstimates};
 use sstd::data::Scenario;
+use sstd::eval::exp::tournament::{TournamentConfig, PAPER_LIKE_LEVEL};
 use sstd::eval::exp::{accuracy, fig5, fig6, fig7, table2};
 use sstd::eval::SchemeKind;
+use sstd::types::Trace;
+use sstd_testkit::domain::scenario::{Family, ScenarioSpec};
 
 #[test]
 fn table2_shape_relative_trace_sizes() {
@@ -73,11 +77,17 @@ fn tables_3_4_5_shape_sstd_wins_all_metrics_aggregate() {
 
 #[test]
 fn fig5_shape_streaming_tracks_duration_batch_falls_behind() {
-    let pts = fig5::run(&[200], 10, 5);
-    let total =
-        |k: SchemeKind| pts.iter().find(|p| p.scheme == k).map(|p| p.total_running_secs).unwrap();
-    let compute =
-        |k: SchemeKind| pts.iter().find(|p| p.scheme == k).map(|p| p.compute_secs).unwrap();
+    // Wall-clock noise only ever adds time, so each scheme's figure is
+    // its fastest of five passes.
+    let passes: Vec<_> = (0..5).map(|_| fig5::run(&[200], 10, 5)).collect();
+    let fastest = |k: SchemeKind, of: fn(&fig5::StreamingPoint) -> f64| {
+        passes
+            .iter()
+            .map(|pts| pts.iter().find(|p| p.scheme == k).map(of).unwrap())
+            .fold(f64::INFINITY, f64::min)
+    };
+    let total = |k: SchemeKind| fastest(k, |p| p.total_running_secs);
+    let compute = |k: SchemeKind| fastest(k, |p| p.compute_secs);
     // Streaming schemes hug the 10-second stream duration.
     assert!(total(SchemeKind::Sstd) < 12.0);
     assert!(total(SchemeKind::DynaTd) < 12.0);
@@ -144,5 +154,50 @@ fn fig7_shape_speedup_grows_with_workers_and_data() {
     // Never super-linear.
     for p in &pts {
         assert!(p.speedup <= p.workers as f64 + 1e-9);
+    }
+}
+
+/// The tournament ranks SSTD as deployed: its streams run long enough
+/// for the periodic refit to train models, so EM's output decides the
+/// cells, not only the untrained initial model.
+#[test]
+fn tournament_grids_train_sstd() {
+    let refit = SstdConfig::default().streaming_refit;
+    let quick = TournamentConfig::quick(2017);
+    for grid in [&quick, &TournamentConfig::full(2017)] {
+        assert!(
+            grid.num_intervals >= 3 * refit,
+            "{} intervals pass fewer than two refits every {refit}",
+            grid.num_intervals
+        );
+    }
+    let decode = |config: SstdConfig, trace: &Trace| -> TruthEstimates {
+        let mut sstd = StreamingSstd::new(config, trace.timeline().clone());
+        for iv in 0..trace.timeline().num_intervals() {
+            for r in trace.reports_in_interval(iv) {
+                let _ = sstd.push(r);
+            }
+        }
+        sstd.finish()
+    };
+    for family in Family::ALL {
+        let trace = ScenarioSpec {
+            family,
+            level: PAPER_LIKE_LEVEL,
+            seed: 2017,
+            num_claims: quick.num_claims,
+            num_sources: quick.num_sources,
+            num_intervals: quick.num_intervals,
+            reports_per_cell: quick.reports_per_cell,
+        }
+        .build()
+        .trace();
+        let untrained = SstdConfig { train: false, ..SstdConfig::default() };
+        assert_ne!(
+            decode(SstdConfig::default(), &trace),
+            decode(untrained, &trace),
+            "{}: training never changed a decision",
+            family.name()
+        );
     }
 }

@@ -15,10 +15,13 @@ const TRANSIENT_RATE: f64 = 0.12; // ≥10% per the acceptance criteria
 const CRASH_RATE: f64 = 0.05;
 
 fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .with_transient_rate(TRANSIENT_RATE)
-        .with_crash_rate(CRASH_RATE)
-        .with_restart_delay(0.05)
+    FaultPlan {
+        seed,
+        transient_rate: TRANSIENT_RATE,
+        crash_rate: CRASH_RATE,
+        worker_restart_delay: 0.05,
+        ..FaultPlan::default()
+    }
 }
 
 #[test]
@@ -87,7 +90,7 @@ fn retries_stay_within_the_policy_cap() {
     let mut des: DesEngine =
         DesEngine::new(Cluster::homogeneous(2, 1.0), ExecutionModel::new(0.0, 0.01, 0.01), 2);
     // Every attempt faults: each task burns exactly `max_attempts`.
-    des.set_fault_plan(FaultPlan::new(5).with_transient_rate(1.0));
+    des.set_fault_plan(FaultPlan { seed: 5, transient_rate: 1.0, ..FaultPlan::default() });
     let retry = RetryPolicy { max_attempts: 4, ..RetryPolicy::default() };
     des.set_retry_policy(retry);
     for _ in 0..10 {

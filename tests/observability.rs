@@ -17,7 +17,13 @@ const TASKS: u32 = 40;
 const WORKERS: usize = 4;
 
 fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_transient_rate(0.15).with_crash_rate(0.05).with_restart_delay(0.05)
+    FaultPlan {
+        seed,
+        transient_rate: 0.15,
+        crash_rate: 0.05,
+        worker_restart_delay: 0.05,
+        ..FaultPlan::default()
+    }
 }
 
 fn model() -> ExecutionModel {

@@ -12,7 +12,8 @@ use sstd::core::{
     TruthEstimates, REFIT_HORIZON,
 };
 use sstd::runtime::{
-    Cluster, DesEngine, ExecutionBackend, ExecutionModel, JobId, RetryPolicy, ThreadedEngine,
+    Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, JobId, RetryPolicy,
+    ThreadedEngine,
 };
 use sstd::stats::Histogram;
 use sstd::types::{ClaimId, GroundTruth, Report, SourceId, Timeline, Timestamp, Trace, TruthLabel};
@@ -187,7 +188,11 @@ fn distributed_matches_batch_on_real_threads_under_faults() {
             // One engine second of retry backoff costs 10 ms of sleep, not
             // a second: the run waits, it does not compute.
             backend.set_simulation(ExecutionModel::default(), 0.01);
-            let plan = plan.plan().with_stragglers(plan.straggler_rate.min(0.1), 1.05);
+            let plan = FaultPlan {
+                straggler_rate: plan.straggler_rate.min(0.1),
+                straggler_slowdown: 1.05,
+                ..plan.plan()
+            };
             backend.set_fault_plan(plan);
             backend.set_retry_policy(generous_retry());
             let run = run_distributed(&engine, &trace, &mut backend, JobId::new(0))

@@ -15,7 +15,6 @@ use sstd::core::{
     chaos_stream, config_fingerprint, CheckpointPolicy, IngestOutcome, IngestRecord, RecoveryError,
     ReportJournal, SstdConfig, StreamCheckpoint, StreamingSstd, Supervisor, TruthEstimates,
 };
-use sstd::runtime::RetryPolicy;
 use sstd::types::Timeline;
 use sstd_testkit::domain::{LongStreamCase, TraceShape};
 use sstd_testkit::{check, domain, gens};
@@ -23,15 +22,8 @@ use sstd_testkit::{check, domain, gens};
 /// Cases per property (override with `TESTKIT_CASES`).
 const CASES: usize = 1_000;
 
-/// A crash budget no generated crash schedule (≤ 3 crashes) can exhaust:
-/// these properties are about recovered *values*; budget escalation has
-/// its own unit tests.
-fn generous_retry() -> RetryPolicy {
-    RetryPolicy { max_attempts: 64, ..RetryPolicy::default() }
-}
-
 fn supervisor(config: &SstdConfig, timeline: &Timeline, policy: CheckpointPolicy) -> Supervisor {
-    Supervisor::new(*config, timeline.clone(), policy).with_retry(generous_retry())
+    Supervisor::new(*config, timeline.clone(), policy)
 }
 
 // ---------------------------------------------------------------------
