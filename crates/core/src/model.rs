@@ -2,8 +2,8 @@
 
 use crate::SstdConfig;
 use sstd_hmm::{
-    forward_backward_into, viterbi, viterbi_into, BaumWelch, DecodeWorkspace, EmWorkspace,
-    GaussianEmission, Hmm, SymmetricGaussianEmission,
+    forward_backward_into, viterbi, viterbi_into, BaumWelch, DecodeWorkspace, EmWorkspace, Hmm,
+    SymmetricGaussianEmission,
 };
 use sstd_types::TruthLabel;
 
@@ -52,7 +52,7 @@ impl ClaimTruthModel {
                 .expect("positive scale yields a valid emission")
                 // Variance floor at a quarter of the data scale: stops EM
                 // from collapsing the shared variance onto outliers.
-                .with_min_std((0.25 * scale).max(GaussianEmission::DEFAULT_MIN_STD)),
+                .with_min_std((0.25 * scale).max(SymmetricGaussianEmission::DEFAULT_MIN_STD)),
         );
         Self { hmm, true_state: 0, trained: false }
     }

@@ -27,13 +27,8 @@ use std::time::Instant;
 /// whatever the age of the stream; a claim with at most this many closed
 /// intervals is decided exactly as if the refit saw its whole history.
 ///
-/// 128 is two decoder lags (the fixed-lag bound below) and holds about
-/// five truth flips at a flip rate of 0.04 per interval.
+/// 128 holds about five truth flips at a flip rate of 0.04 per interval.
 pub const REFIT_HORIZON: usize = 128;
-
-/// Fixed-lag bound of the per-claim online decoder: keeps its memory
-/// O(64) even on evidence-free streams whose paths never coalesce.
-const DECODER_LAG: usize = 64;
 
 /// What an ingest path did with one report — the shared vocabulary of
 /// [`StreamingSstd::push`], the recovery [`Supervisor`], and the
@@ -85,7 +80,6 @@ const INITIAL_LABELS: [TruthLabel; 2] = [TruthLabel::True, TruthLabel::False];
 fn initial_decoder(config: &SstdConfig, scale: f64) -> StreamingViterbi<SymmetricGaussianEmission> {
     let emission = SymmetricGaussianEmission::new(scale, scale).expect("positive scale");
     StreamingViterbi::new(sticky_hmm(config.stay_probability, emission))
-        .with_max_pending(DECODER_LAG)
 }
 
 /// Per-claim streaming state: windowed ACS aggregation plus an online
@@ -142,7 +136,7 @@ impl ClaimStream {
     ///
     /// `em` is the engine-wide EM scratch arena; an existing decoder is
     /// [`reset`](StreamingViterbi::reset) rather than rebuilt, so its
-    /// pending-window columns are recycled across refits.
+    /// score rows are reused across refits.
     fn refit(&mut self, seen: Range<usize>, config: &SstdConfig, em: &mut EmWorkspace) {
         let seen = &self.history.make_contiguous()[seen];
         let model = ClaimTruthModel::fit_with(config, seen, em);
@@ -153,7 +147,7 @@ impl ClaimStream {
                 dec.reset(hmm);
                 dec
             }
-            None => self.decoder.insert(StreamingViterbi::new(hmm).with_max_pending(DECODER_LAG)),
+            None => self.decoder.insert(StreamingViterbi::new(hmm)),
         };
         for &obs in seen {
             let _ = decoder.push(obs);

@@ -28,13 +28,14 @@
 //! degradation rows are recorded (not gated): they are the quantified
 //! motivation for the model-extension roadmap items.
 
+use super::json_f64;
 use crate::metrics::{brier_score, score_estimates};
-use crate::schemes::{streaming_scheme, SchemeKind};
+use crate::schemes::{run_streaming, streaming_scheme, SchemeKind};
 use sstd_core::{ConfidenceEstimates, SstdConfig, StreamingSstd, TruthEstimates};
 use sstd_obs::{EventStore, StreamTick};
 use sstd_stats::mix64;
 use sstd_testkit::domain::scenario::{Family, ScenarioSpec};
-use sstd_types::{ClaimId, Trace, TruthLabel};
+use sstd_types::Trace;
 use std::time::Instant;
 
 /// Adversity level treated as "paper-like" (the benign corner every
@@ -479,23 +480,8 @@ fn drive_instrumented(kind: SchemeKind, trace: &Trace, store: &EventStore) -> Tr
         return sstd.finish();
     }
 
-    let mut scheme = streaming_scheme(kind, trace.num_sources(), trace.num_claims());
-    let mut per_claim: Vec<Vec<TruthLabel>> = vec![Vec::with_capacity(n); trace.num_claims()];
-    for iv in 0..n {
-        let reports = trace.reports_in_interval(iv);
-        let t0 = Instant::now();
-        let estimates = scheme.observe_interval(reports);
-        record_tick(store, iv, reports.len(), t0.elapsed().as_secs_f64());
-        for (u, labels) in per_claim.iter_mut().enumerate() {
-            labels
-                .push(estimates.get(&ClaimId::new(u as u32)).copied().unwrap_or(TruthLabel::False));
-        }
-    }
-    let mut out = TruthEstimates::new(n);
-    for (u, labels) in per_claim.into_iter().enumerate() {
-        out.insert(ClaimId::new(u as u32), labels);
-    }
-    out
+    let scheme = streaming_scheme(kind, trace.num_sources(), trace.num_claims());
+    run_streaming(scheme, trace, |iv, reports, secs| record_tick(store, iv, reports, secs))
 }
 
 fn record_tick(store: &EventStore, interval: usize, reports: usize, latency_secs: f64) {
@@ -523,17 +509,10 @@ fn hard_confidence(estimates: &TruthEstimates) -> ConfidenceEstimates {
     conf
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::run_scheme;
 
     fn tiny() -> TournamentConfig {
         TournamentConfig {
@@ -609,6 +588,15 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(a.degradation, b.degradation);
         assert_eq!(a.violations, b.violations);
+    }
+
+    #[test]
+    fn baselines_estimate_as_run_scheme_does() {
+        let trace = TournamentConfig::quick(2017).spec(Family::Collusion, 0.9).build().trace();
+        for kind in SchemeKind::paper_table().into_iter().filter(|&k| k != SchemeKind::Sstd) {
+            let tournament = drive_instrumented(kind, &trace, &EventStore::new());
+            assert_eq!(tournament, run_scheme(kind, &trace), "{}", kind.name());
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! than silently skewing the evaluation sweeps that now read their
 //! fault metrics from the same store.
 
+use super::json_f64;
 use sstd_obs::{EventStore, StoreConfig};
 use sstd_runtime::prelude::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, JobId, RetryPolicy, TaskSpec,
@@ -32,15 +33,6 @@ pub const DEFAULT_SEED: u64 = 7777;
 /// Segment budget for the bounded replay: small enough that a
 /// [`DEFAULT_TASKS`]-sized trace is guaranteed to overflow it.
 const BOUNDED_REPLAY_EVENTS: usize = 256;
-
-/// Formats an `f64` as a JSON value (`null` when not finite).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Everything the gate measured, plus the list of violated invariants
 /// (empty on a clean run).

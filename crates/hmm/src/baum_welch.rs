@@ -24,8 +24,11 @@ use crate::{Hmm, TrainableEmission};
 pub struct BaumWelch {
     max_iterations: usize,
     tolerance: f64,
-    prob_floor: f64,
 }
+
+/// Floor applied to `π` and `A` entries after each M-step, so no
+/// transition becomes permanently impossible.
+const PROB_FLOOR: f64 = 1e-6;
 
 /// Result of a training run: the re-estimated model plus convergence
 /// diagnostics.
@@ -57,18 +60,11 @@ pub struct TrainStats {
 
 impl Default for BaumWelch {
     fn default() -> Self {
-        Self { max_iterations: 100, tolerance: 1e-6, prob_floor: 1e-6 }
+        Self { max_iterations: 100, tolerance: 1e-6 }
     }
 }
 
 impl BaumWelch {
-    /// Creates a trainer with default settings (100 iterations, 1e-6
-    /// tolerance).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Caps the number of EM iterations.
     ///
     /// # Panics
@@ -90,19 +86,6 @@ impl BaumWelch {
     pub fn tolerance(mut self, tol: f64) -> Self {
         assert!(tol.is_finite() && tol >= 0.0, "tolerance must be non-negative");
         self.tolerance = tol;
-        self
-    }
-
-    /// Floor applied to `π` and `A` entries after each M-step so no
-    /// transition becomes permanently impossible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor` is not in `(0, 0.5)`.
-    #[must_use]
-    pub fn prob_floor(mut self, floor: f64) -> Self {
-        assert!(floor > 0.0 && floor < 0.5, "floor must be in (0, 0.5)");
-        self.prob_floor = floor;
         self
     }
 
@@ -171,9 +154,9 @@ impl BaumWelch {
             let trans = trans.as_mut_slice();
             // Same two instantiations as the E-step's loop body.
             if n == 2 {
-                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, self.prob_floor, 2);
+                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, 2);
             } else {
-                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, self.prob_floor, n);
+                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, n);
             }
             emission.reestimate_gamma(observations, gamma);
             model.refresh_log_trans();
@@ -185,17 +168,10 @@ impl BaumWelch {
 
 /// The `(π, A)` half of the M-step over flat `T×n` and `n×n` slices.
 #[inline(always)]
-fn reestimate_chain(
-    init: &mut [f64],
-    trans: &mut [f64],
-    gamma: &[f64],
-    xi_sum: &[f64],
-    floor: f64,
-    n: usize,
-) {
+fn reestimate_chain(init: &mut [f64], trans: &mut [f64], gamma: &[f64], xi_sum: &[f64], n: usize) {
     // π update: γ_0, floored and renormalized.
     init.copy_from_slice(&gamma[..n]);
-    floor_and_normalize(init, floor);
+    floor_and_normalize(init);
     // A update: ξ sums over γ sums (excluding the last step).
     let before_last = &gamma[..gamma.len() - n];
     for (i, (row, xi_row)) in trans.chunks_exact_mut(n).zip(xi_sum.chunks_exact(n)).enumerate() {
@@ -206,15 +182,15 @@ fn reestimate_chain(
         for j in 0..n {
             row[j] = if denom > 0.0 { xi_row[j] / denom } else { 1.0 / n as f64 };
         }
-        floor_and_normalize(row, floor);
+        floor_and_normalize(row);
     }
 }
 
-fn floor_and_normalize(row: &mut [f64], floor: f64) {
+fn floor_and_normalize(row: &mut [f64]) {
     let mut sum = 0.0;
     for p in row.iter_mut() {
-        if !p.is_finite() || *p < floor {
-            *p = floor;
+        if !p.is_finite() || *p < PROB_FLOOR {
+            *p = PROB_FLOOR;
         }
         sum += *p;
     }
@@ -226,14 +202,14 @@ fn floor_and_normalize(row: &mut [f64], floor: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emission::{CategoricalEmission, GaussianEmission};
+    use crate::emission::{CategoricalEmission, SymmetricGaussianEmission};
     use sstd_stats::{Normal, SplitMix64};
 
-    fn two_state_gaussian(mu: f64) -> Hmm<GaussianEmission> {
+    fn two_state_gaussian(mu: f64) -> Hmm<SymmetricGaussianEmission> {
         Hmm::new(
             vec![0.5, 0.5],
             vec![vec![0.8, 0.2], vec![0.2, 0.8]],
-            GaussianEmission::new(vec![(mu, 2.0), (-mu, 2.0)]).unwrap(),
+            SymmetricGaussianEmission::new(mu, 2.0).unwrap(),
         )
         .unwrap()
     }
@@ -286,8 +262,7 @@ mod tests {
     fn recovers_emission_means() {
         let (obs, _) = simulate(2_000, 0.97, 3.0, 9);
         let out = BaumWelch::default().max_iterations(60).train(two_state_gaussian(1.0), &obs);
-        let (m0, _) = out.model.emission().params(0);
-        let (m1, _) = out.model.emission().params(1);
+        let (m0, m1) = (out.model.emission().mean(0), out.model.emission().mean(1));
         let (hi, lo) = if m0 > m1 { (m0, m1) } else { (m1, m0) };
         assert!((hi - 3.0).abs() < 0.4, "hi = {hi}");
         assert!((lo + 3.0).abs() < 0.4, "lo = {lo}");

@@ -1,12 +1,13 @@
 //! Emission models: how hidden states generate observations.
 
 use crate::mat::Mat;
-use sstd_stats::dist::{DistError, Normal};
+use sstd_stats::dist::DistError;
 
 /// A per-state observation distribution.
 ///
-/// The SSTD truth model uses [`GaussianEmission`] over raw ACS values;
-/// ablations also run a [`CategoricalEmission`] over binned symbols.
+/// The SSTD truth model uses [`SymmetricGaussianEmission`] over windowed
+/// ACS values; the emission ablation also runs a [`CategoricalEmission`]
+/// over binned symbols.
 pub trait Emission {
     /// The observation type consumed by [`log_prob`](Emission::log_prob).
     type Obs: Copy;
@@ -45,118 +46,13 @@ pub trait TrainableEmission: Emission {
 }
 
 /// `ln N(x; mean, std²)` given `ln_std = std.ln()`: the arithmetic of
-/// [`Normal::log_pdf`] in its order, with the logarithm taken by the
-/// caller. `ln σ` and `½ ln 2π` stay two subtrahends — summing them first
-/// rounds differently.
+/// `sstd_stats::Normal::log_pdf` in its order, with the logarithm taken
+/// by the caller. `ln σ` and `½ ln 2π` stay two subtrahends — summing
+/// them first rounds differently.
 #[inline]
 fn normal_log_pdf(x: f64, mean: f64, std: f64, ln_std: f64) -> f64 {
     let z = (x - mean) / std;
     -0.5 * z * z - ln_std - 0.5 * (2.0 * std::f64::consts::PI).ln()
-}
-
-/// Gaussian emission: each state emits `N(μ_s, σ_s²)` over `f64`
-/// observations.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_hmm::{Emission, GaussianEmission};
-///
-/// let e = GaussianEmission::new(vec![(3.0, 1.0), (-3.0, 1.0)]).unwrap();
-/// assert!(e.log_prob(0, 3.0) > e.log_prob(1, 3.0));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaussianEmission {
-    states: Vec<Normal>,
-    min_std: f64,
-}
-
-impl GaussianEmission {
-    /// Default lower bound on the per-state standard deviation; prevents
-    /// EM from collapsing a state onto a single observation.
-    pub const DEFAULT_MIN_STD: f64 = 1e-3;
-
-    /// Creates a Gaussian emission from `(mean, std_dev)` pairs, one per
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError`] if any pair is not a valid normal
-    /// distribution, or if `params` is empty.
-    pub fn new(params: Vec<(f64, f64)>) -> Result<Self, DistError> {
-        if params.is_empty() {
-            return Err(DistError::invalid("normal", "at least one state required"));
-        }
-        let states =
-            params.into_iter().map(|(m, s)| Normal::new(m, s)).collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { states, min_std: Self::DEFAULT_MIN_STD })
-    }
-
-    /// Sets the variance floor used during re-estimation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_std` is not positive and finite.
-    #[must_use]
-    pub fn with_min_std(mut self, min_std: f64) -> Self {
-        assert!(min_std.is_finite() && min_std > 0.0, "min_std must be positive");
-        self.min_std = min_std;
-        self
-    }
-
-    /// The `(mean, std_dev)` of one state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    #[must_use]
-    pub fn params(&self, state: usize) -> (f64, f64) {
-        let n = &self.states[state];
-        (n.mean(), n.std_dev())
-    }
-}
-
-impl Emission for GaussianEmission {
-    type Obs = f64;
-
-    fn num_states(&self) -> usize {
-        self.states.len()
-    }
-
-    fn log_prob(&self, state: usize, obs: f64) -> f64 {
-        self.states[state].log_pdf(obs)
-    }
-
-    fn log_probs_into(&self, observations: &[f64], table: &mut [f64]) {
-        let n = self.states.len();
-        for (s, state) in self.states.iter().enumerate() {
-            let (mean, std) = (state.mean(), state.std_dev());
-            let ln_std = std.ln();
-            for (row, &x) in table.chunks_exact_mut(n).zip(observations) {
-                row[s] = normal_log_pdf(x, mean, std, ln_std);
-            }
-        }
-    }
-}
-
-impl TrainableEmission for GaussianEmission {
-    fn reestimate_gamma(&mut self, observations: &[f64], gamma: &Mat) {
-        assert_eq!((gamma.rows(), gamma.cols()), (observations.len(), self.states.len()));
-        let n = self.states.len();
-        for s in 0..n {
-            let g = || gamma.as_slice().chunks_exact(n).map(|row| row[s]);
-            let weight: f64 = g().sum();
-            if weight <= f64::EPSILON {
-                continue; // state got no responsibility; keep old params
-            }
-            let mean: f64 = g().zip(observations).map(|(g, &x)| g * x).sum::<f64>() / weight;
-            let var: f64 =
-                g().zip(observations).map(|(g, &x)| g * (x - mean) * (x - mean)).sum::<f64>()
-                    / weight;
-            let std = var.sqrt().max(self.min_std);
-            self.states[s] = Normal::new(mean, std).expect("floored std is valid");
-        }
-    }
 }
 
 /// Sign-symmetric two-state Gaussian emission: state 0 emits
@@ -189,6 +85,10 @@ pub struct SymmetricGaussianEmission {
 }
 
 impl SymmetricGaussianEmission {
+    /// Default lower bound on the shared standard deviation; stops EM
+    /// from shrinking σ to zero on a sequence the two means fit exactly.
+    pub const DEFAULT_MIN_STD: f64 = 1e-3;
+
     /// Creates the emission with separation `±mu` and shared `std`.
     ///
     /// # Errors
@@ -202,7 +102,7 @@ impl SymmetricGaussianEmission {
         if !(std.is_finite() && std > 0.0) {
             return Err(DistError::invalid("symmetric-gaussian", "std must be positive"));
         }
-        Ok(Self { mu, std, ln_std: std.ln(), min_std: GaussianEmission::DEFAULT_MIN_STD })
+        Ok(Self { mu, std, ln_std: std.ln(), min_std: Self::DEFAULT_MIN_STD })
     }
 
     /// Sets the floor applied to σ during re-estimation.
@@ -425,42 +325,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gaussian_rejects_empty_and_invalid() {
-        assert!(GaussianEmission::new(vec![]).is_err());
-        assert!(GaussianEmission::new(vec![(0.0, 0.0)]).is_err());
-    }
-
-    #[test]
-    fn gaussian_log_prob_prefers_own_mean() {
-        let e = GaussianEmission::new(vec![(1.0, 0.5), (-1.0, 0.5)]).unwrap();
-        assert!(e.log_prob(0, 1.0) > e.log_prob(0, -1.0));
-        assert!(e.log_prob(1, -1.0) > e.log_prob(1, 1.0));
-        assert_eq!(e.num_states(), 2);
-    }
-
-    #[test]
-    fn gaussian_reestimate_recovers_weighted_moments() {
-        let mut e = GaussianEmission::new(vec![(0.0, 1.0), (0.0, 1.0)]).unwrap();
-        let obs = vec![10.0, 10.0, -10.0, -10.0];
-        // Hard assignment: first two to state 0, rest to state 1.
-        let post = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![0.0, 1.0]];
-        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
-        assert!((e.params(0).0 - 10.0).abs() < 1e-9);
-        assert!((e.params(1).0 + 10.0).abs() < 1e-9);
-        // Variance collapses to the floor.
-        assert!(e.params(0).1 >= GaussianEmission::DEFAULT_MIN_STD);
-    }
-
-    #[test]
-    fn gaussian_unassigned_state_keeps_params() {
-        let mut e = GaussianEmission::new(vec![(5.0, 2.0), (-5.0, 2.0)]).unwrap();
-        let obs = vec![1.0, 2.0];
-        let post = vec![vec![1.0, 0.0], vec![1.0, 0.0]];
-        e.reestimate_gamma(&obs, &Mat::from_rows(&post));
-        assert_eq!(e.params(1), (-5.0, 2.0));
-    }
-
-    #[test]
     fn categorical_validates_rows() {
         assert!(CategoricalEmission::new(vec![]).is_err());
         assert!(CategoricalEmission::new(vec![vec![0.5, 0.6]]).is_err());
@@ -533,7 +397,7 @@ mod symmetric_tests {
         let post = vec![vec![1.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0], vec![0.0, 1.0]];
         e.reestimate_gamma(&obs, &Mat::from_rows(&post));
         assert!((e.mu() - 5.1).abs() < 0.01, "mu = {}", e.mu());
-        assert!(e.std() >= GaussianEmission::DEFAULT_MIN_STD);
+        assert!(e.std() >= SymmetricGaussianEmission::DEFAULT_MIN_STD);
     }
 
     #[test]
@@ -554,8 +418,18 @@ mod symmetric_tests {
     }
 
     #[test]
+    fn log_prob_prefers_own_mean() {
+        let e = SymmetricGaussianEmission::new(1.0, 0.5).unwrap();
+        assert!(e.log_prob(0, 1.0) > e.log_prob(0, -1.0));
+        assert!(e.log_prob(1, -1.0) > e.log_prob(1, 1.0));
+        assert_eq!(e.num_states(), 2);
+    }
+
+    #[test]
     fn invalid_parameters_rejected() {
         assert!(SymmetricGaussianEmission::new(f64::NAN, 1.0).is_err());
         assert!(SymmetricGaussianEmission::new(1.0, 0.0).is_err());
+        assert!(SymmetricGaussianEmission::new(1.0, -1.0).is_err());
+        assert!(SymmetricGaussianEmission::new(1.0, f64::INFINITY).is_err());
     }
 }

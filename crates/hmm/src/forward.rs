@@ -33,12 +33,12 @@ use crate::{Emission, Hmm};
 /// # Examples
 ///
 /// ```
-/// use sstd_hmm::{forward_backward_into, EmWorkspace, GaussianEmission, Hmm};
+/// use sstd_hmm::{forward_backward_into, EmWorkspace, Hmm, SymmetricGaussianEmission};
 ///
 /// let hmm = Hmm::new(
 ///     vec![0.5, 0.5],
 ///     vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-///     GaussianEmission::new(vec![(5.0, 1.0), (-5.0, 1.0)]).unwrap(),
+///     SymmetricGaussianEmission::new(5.0, 1.0).unwrap(),
 /// ).unwrap();
 /// let mut ws = EmWorkspace::new();
 /// let ll = forward_backward_into(&hmm, &[5.0, 5.2, -4.9], &mut ws);
@@ -263,7 +263,7 @@ fn uniform(row: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emission::{CategoricalEmission, GaussianEmission};
+    use crate::emission::{CategoricalEmission, SymmetricGaussianEmission};
     use crate::exhaustive;
 
     fn coin_hmm() -> Hmm<CategoricalEmission> {
@@ -321,7 +321,7 @@ mod tests {
         let hmm = Hmm::new(
             vec![0.5, 0.5],
             vec![vec![0.99, 0.01], vec![0.01, 0.99]],
-            GaussianEmission::new(vec![(3.0, 1.0), (-3.0, 1.0)]).unwrap(),
+            SymmetricGaussianEmission::new(3.0, 1.0).unwrap(),
         )
         .unwrap();
         let obs: Vec<f64> =
@@ -345,7 +345,7 @@ mod tests {
         let hmm = Hmm::new(
             vec![0.5, 0.5],
             vec![vec![0.5, 0.5], vec![0.5, 0.5]],
-            GaussianEmission::new(vec![(10.0, 0.5), (-10.0, 0.5)]).unwrap(),
+            SymmetricGaussianEmission::new(10.0, 0.5).unwrap(),
         )
         .unwrap();
         let (ws, _) = fresh(&hmm, &[10.0, -10.0]);

@@ -6,15 +6,16 @@
 //! model instantiates:
 //!
 //! - [`Hmm`] — an N-state model with a pluggable [`Emission`] distribution
-//!   (Gaussian for raw ACS values, categorical for binned symbols);
+//!   (a sign-symmetric Gaussian for windowed ACS values, categorical for
+//!   binned symbols);
 //! - [`forward_backward_into`] — scaled forward–backward inference and
 //!   log-likelihood (paper Eq. 5's objective);
 //! - [`BaumWelch`] — unsupervised EM parameter estimation (paper §III-C);
 //! - [`viterbi`] — maximum a posteriori state-sequence decoding (paper
 //!   Eq. 6–8);
-//! - [`StreamingViterbi`] — an online decoder with path-coalescence
-//!   commitment, used by the streaming engine to emit truth decisions as
-//!   reports arrive;
+//! - [`StreamingViterbi`] — the online Viterbi filter: the same
+//!   max-product step one observation at a time, keeping only the current
+//!   scores, which the streaming engine decides each closed interval by;
 //! - [`exhaustive`] — brute-force reference implementations used by the
 //!   property tests (and handy for validating downstream models).
 //!
@@ -40,13 +41,13 @@
 //! Train a two-state Gaussian HMM on a bimodal sequence and decode it:
 //!
 //! ```
-//! use sstd_hmm::{BaumWelch, GaussianEmission, Hmm, viterbi};
+//! use sstd_hmm::{BaumWelch, Hmm, SymmetricGaussianEmission, viterbi};
 //!
 //! let obs: Vec<f64> = vec![5.1, 4.9, 5.2, -4.8, -5.1, -5.0, 5.0, 5.1];
 //! let init = Hmm::new(
 //!     vec![0.5, 0.5],
 //!     vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-//!     GaussianEmission::new(vec![(4.0, 1.0), (-4.0, 1.0)]).unwrap(),
+//!     SymmetricGaussianEmission::new(4.0, 1.0).unwrap(),
 //! ).unwrap();
 //! let trained = BaumWelch::default().train(init, &obs).model;
 //! let path = viterbi(&trained, &obs);
@@ -67,9 +68,7 @@ mod streaming;
 mod viterbi;
 
 pub use baum_welch::{BaumWelch, TrainOutcome, TrainStats};
-pub use emission::{
-    CategoricalEmission, Emission, GaussianEmission, SymmetricGaussianEmission, TrainableEmission,
-};
+pub use emission::{CategoricalEmission, Emission, SymmetricGaussianEmission, TrainableEmission};
 pub use forward::{forward_backward_into, EmWorkspace};
 pub use mat::Mat;
 pub use model::{Hmm, HmmError};

@@ -36,12 +36,12 @@ impl Error for HmmError {}
 /// # Examples
 ///
 /// ```
-/// use sstd_hmm::{GaussianEmission, Hmm};
+/// use sstd_hmm::{Hmm, SymmetricGaussianEmission};
 ///
 /// let hmm = Hmm::new(
 ///     vec![0.6, 0.4],
 ///     vec![vec![0.95, 0.05], vec![0.10, 0.90]],
-///     GaussianEmission::new(vec![(2.0, 1.0), (-2.0, 1.0)]).unwrap(),
+///     SymmetricGaussianEmission::new(2.0, 1.0).unwrap(),
 /// )?;
 /// assert_eq!(hmm.num_states(), 2);
 /// # Ok::<(), sstd_hmm::HmmError>(())
@@ -182,10 +182,10 @@ impl<E: Emission> Hmm<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emission::GaussianEmission;
+    use crate::emission::SymmetricGaussianEmission;
 
-    fn emission2() -> GaussianEmission {
-        GaussianEmission::new(vec![(1.0, 1.0), (-1.0, 1.0)]).unwrap()
+    fn emission2() -> SymmetricGaussianEmission {
+        SymmetricGaussianEmission::new(1.0, 1.0).unwrap()
     }
 
     #[test]

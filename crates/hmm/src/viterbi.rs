@@ -21,12 +21,12 @@ use crate::{Emission, Hmm};
 /// # Examples
 ///
 /// ```
-/// use sstd_hmm::{viterbi_into, DecodeWorkspace, GaussianEmission, Hmm};
+/// use sstd_hmm::{viterbi_into, DecodeWorkspace, Hmm, SymmetricGaussianEmission};
 ///
 /// let hmm = Hmm::new(
 ///     vec![0.5, 0.5],
 ///     vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-///     GaussianEmission::new(vec![(4.0, 1.0), (-4.0, 1.0)]).unwrap(),
+///     SymmetricGaussianEmission::new(4.0, 1.0).unwrap(),
 /// ).unwrap();
 /// let mut ws = DecodeWorkspace::new();
 /// assert_eq!(viterbi_into(&hmm, &[4.0, 4.1, -3.9], &mut ws), &[0, 0, 1]);
@@ -70,30 +70,14 @@ pub fn viterbi_into<'w, E: Emission>(
     // δ_t(i): best log-prob ending in state i at time t (paper Eq. 7).
     ws.delta.resize(n, 0.0);
     ws.delta_next.resize(n, 0.0);
-    for i in 0..n {
-        ws.delta[i] = hmm.init()[i].ln() + hmm.log_emit(i, observations[0]);
-    }
+    initial_scores(hmm, observations[0], &mut ws.delta);
     // ψ_t(i): argmax predecessor, flat row-major.
     ws.psi.resize(t_len * n, 0);
     ws.psi[..n].fill(0);
 
-    let log_trans = hmm.log_trans().as_slice();
     for t in 1..t_len {
-        let obs = observations[t];
         let back = &mut ws.psi[t * n..(t + 1) * n];
-        for j in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            let mut arg = 0;
-            for i in 0..n {
-                let v = ws.delta[i] + log_trans[i * n + j];
-                if v > best {
-                    best = v;
-                    arg = i;
-                }
-            }
-            ws.delta_next[j] = best + hmm.log_emit(j, obs);
-            back[j] = arg;
-        }
+        max_product_step(hmm, &ws.delta, &mut ws.delta_next, observations[t], Some(back));
         std::mem::swap(&mut ws.delta, &mut ws.delta_next);
     }
 
@@ -118,12 +102,12 @@ pub fn viterbi_into<'w, E: Emission>(
 /// # Examples
 ///
 /// ```
-/// use sstd_hmm::{viterbi, GaussianEmission, Hmm};
+/// use sstd_hmm::{viterbi, Hmm, SymmetricGaussianEmission};
 ///
 /// let hmm = Hmm::new(
 ///     vec![0.5, 0.5],
 ///     vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-///     GaussianEmission::new(vec![(4.0, 1.0), (-4.0, 1.0)]).unwrap(),
+///     SymmetricGaussianEmission::new(4.0, 1.0).unwrap(),
 /// ).unwrap();
 /// assert_eq!(viterbi(&hmm, &[4.0, 4.1, -3.9]), vec![0, 0, 1]);
 /// ```
@@ -133,7 +117,48 @@ pub fn viterbi<E: Emission>(hmm: &Hmm<E>, observations: &[E::Obs]) -> Vec<usize>
     viterbi_into(hmm, observations, &mut ws).to_vec()
 }
 
-fn argmax(xs: &[f64]) -> usize {
+/// `δ₀(i) = ln π_i + ln b_i(o₀)`: the scores the recursion starts from.
+#[inline]
+pub(crate) fn initial_scores<E: Emission>(hmm: &Hmm<E>, obs: E::Obs, delta: &mut [f64]) {
+    for i in 0..hmm.num_states() {
+        delta[i] = hmm.init()[i].ln() + hmm.log_emit(i, obs);
+    }
+}
+
+/// One max-product step of the Viterbi recursion (paper Eq. 7), shared by
+/// [`viterbi_into`] and [`StreamingViterbi::push`](crate::StreamingViterbi::push):
+/// `next[j] = max_i (delta[i] + ln A_ij) + ln b_j(obs)`, the maximum taken
+/// in index order so ties go to the lower `i`. When `back` is given,
+/// `back[j]` receives that `i`.
+#[inline]
+pub(crate) fn max_product_step<E: Emission>(
+    hmm: &Hmm<E>,
+    delta: &[f64],
+    next: &mut [f64],
+    obs: E::Obs,
+    mut back: Option<&mut [usize]>,
+) {
+    let n = hmm.num_states();
+    let log_trans = hmm.log_trans().as_slice();
+    for j in 0..n {
+        let mut best = f64::NEG_INFINITY;
+        let mut arg = 0;
+        for i in 0..n {
+            let v = delta[i] + log_trans[i * n + j];
+            if v > best {
+                best = v;
+                arg = i;
+            }
+        }
+        next[j] = best + hmm.log_emit(j, obs);
+        if let Some(back) = back.as_deref_mut() {
+            back[j] = arg;
+        }
+    }
+}
+
+/// The index of the largest entry, the lowest one on ties.
+pub(crate) fn argmax(xs: &[f64]) -> usize {
     let mut best = f64::NEG_INFINITY;
     let mut arg = 0;
     for (i, &x) in xs.iter().enumerate() {
@@ -148,13 +173,13 @@ fn argmax(xs: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emission::GaussianEmission;
+    use crate::emission::SymmetricGaussianEmission;
 
-    fn sticky_hmm(p_stay: f64) -> Hmm<GaussianEmission> {
+    fn sticky_hmm(p_stay: f64) -> Hmm<SymmetricGaussianEmission> {
         Hmm::new(
             vec![0.5, 0.5],
             vec![vec![p_stay, 1.0 - p_stay], vec![1.0 - p_stay, p_stay]],
-            GaussianEmission::new(vec![(2.0, 1.0), (-2.0, 1.0)]).unwrap(),
+            SymmetricGaussianEmission::new(2.0, 1.0).unwrap(),
         )
         .unwrap()
     }

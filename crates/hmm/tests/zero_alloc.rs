@@ -9,7 +9,7 @@
 
 use sstd_hmm::{
     forward_backward_into, viterbi_into, BaumWelch, CategoricalEmission, DecodeWorkspace,
-    EmWorkspace, Emission, GaussianEmission, Hmm, SymmetricGaussianEmission,
+    EmWorkspace, Emission, Hmm, StreamingViterbi, SymmetricGaussianEmission,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,18 +119,16 @@ fn em_and_decode_are_allocation_free_after_warmup_categorical() {
 #[test]
 fn log_emission_table_fill_never_allocates() {
     // The hook forward–backward fills its table through: the provided
-    // per-call loop (categorical) and both hoisting overrides.
+    // per-call loop (categorical) and the symmetric Gaussian's override.
     let reals: Vec<f64> = (0..64).map(|t| (t % 7) as f64 - 3.0).collect();
     let symbols: Vec<usize> = (0..64).map(|t| t % 2).collect();
     let symmetric = SymmetricGaussianEmission::new(2.0, 1.5).unwrap();
-    let gaussian = GaussianEmission::new(vec![(2.0, 1.0), (0.0, 0.5), (-2.0, 1.0)]).unwrap();
     let categorical = CategoricalEmission::new(vec![vec![0.7, 0.3], vec![0.25, 0.75]]).unwrap();
-    let mut table = vec![0.0; 64 * 3];
+    let mut table = vec![0.0; 64 * 2];
 
     let n = allocations_in(|| {
-        symmetric.log_probs_into(&reals, &mut table[..64 * 2]);
-        gaussian.log_probs_into(&reals, &mut table);
-        categorical.log_probs_into(&symbols, &mut table[..64 * 2]);
+        symmetric.log_probs_into(&reals, &mut table);
+        categorical.log_probs_into(&symbols, &mut table);
     });
     assert_eq!(n, 0, "filling a caller-owned table must not allocate ({n} allocations)");
 }
@@ -158,4 +156,29 @@ fn workspaces_grow_then_stop_allocating_across_shapes() {
         }
     });
     assert_eq!(n, 0, "shrinking the problem shape must reuse the grown buffers");
+}
+
+#[test]
+fn warm_streaming_pushes_never_allocate() {
+    // A decisive stream, and an all-zero one on which every state scores
+    // alike for ever: the filter's memory is its two score rows either way.
+    let decisive: Vec<f64> =
+        (0..10_000).map(|t| if (t / 100) % 2 == 0 { 3.0 } else { -3.0 }).collect();
+    let neutral = vec![0.0; 10_000];
+    let model = Hmm::new(
+        vec![0.5, 0.5],
+        vec![vec![0.9, 0.1], vec![0.1, 0.9]],
+        SymmetricGaussianEmission::new(3.0, 1.0).unwrap(),
+    )
+    .unwrap();
+    for obs in [decisive, neutral] {
+        let mut filter = StreamingViterbi::new(model.clone());
+        let _ = filter.push(obs[0]);
+        let n = allocations_in(|| {
+            for &o in &obs {
+                let _ = filter.push(o);
+            }
+        });
+        assert_eq!(n, 0, "10 000 warm pushes allocated {n} times");
+    }
 }

@@ -48,12 +48,6 @@ impl Histogram {
         Self { lo, hi, counts: vec![0; bins] }
     }
 
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Index of the bin `x` falls into (clamped to the ends).
     #[must_use]
     pub fn bin_of(&self, x: f64) -> usize {
@@ -83,7 +77,7 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `bin >= num_bins()`.
+    /// Panics if `bin` is not below the bin count.
     #[must_use]
     pub fn count(&self, bin: usize) -> u64 {
         self.counts[bin]
@@ -99,7 +93,7 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `bin >= num_bins()`.
+    /// Panics if `bin` is not below the bin count.
     #[must_use]
     pub fn bin_center(&self, bin: usize) -> f64 {
         assert!(bin < self.counts.len(), "bin out of range");

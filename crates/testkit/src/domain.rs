@@ -14,10 +14,10 @@ pub mod scenario;
 pub use post_stream::{post_stream_case, PostStreamCase};
 
 use crate::gen::{gens, Gen};
-use crate::oracle::hmm::{Categorical, Gaussian, ReferenceHmm, SymmetricGaussian};
+use crate::oracle::hmm::{Categorical, ReferenceHmm, SymmetricGaussian};
 use sstd_control::DtmConfig;
 use sstd_core::{CheckpointPolicy, SstdConfig};
-use sstd_hmm::{CategoricalEmission, GaussianEmission, Hmm, Mat, SymmetricGaussianEmission};
+use sstd_hmm::{CategoricalEmission, Hmm, Mat, SymmetricGaussianEmission};
 use sstd_runtime::FaultPlan;
 use sstd_stats::SplitMix64;
 use sstd_types::{
@@ -272,85 +272,6 @@ pub fn symmetric_em_case(max_obs: usize) -> Gen<SymmetricEmCase> {
         shrink_observations(&case.obs)
             .into_iter()
             .map(|obs| SymmetricEmCase { obs, ..case.clone() })
-            .collect()
-    })
-}
-
-/// An unconstrained Gaussian HMM (2 or 3 states, free `π` and `A`) plus
-/// a finite observation sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaussianEmCase {
-    /// Initial distribution (stochastic).
-    pub init: Vec<f64>,
-    /// Transition matrix (row-stochastic).
-    pub trans: Vec<Vec<f64>>,
-    /// Per-state `(mean, std_dev)`.
-    pub states: Vec<(f64, f64)>,
-    /// Observations, all finite.
-    pub obs: Vec<f64>,
-}
-
-impl GaussianEmCase {
-    /// Builds the production model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters are invalid — generated cases never are.
-    #[must_use]
-    pub fn hmm(&self) -> Hmm<GaussianEmission> {
-        let emission =
-            GaussianEmission::new(self.states.clone()).expect("generated parameters are valid");
-        Hmm::new(self.init.clone(), self.trans.clone(), emission)
-            .expect("generated parameters are stochastic")
-    }
-
-    /// The same parameters as a model of the reference EM loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters are invalid — generated cases never are.
-    #[must_use]
-    pub fn reference(&self) -> ReferenceHmm<Gaussian> {
-        let states = self
-            .states
-            .iter()
-            .map(|&(mean, std)| sstd_stats::Normal::new(mean, std).expect("valid normal"))
-            .collect();
-        let emission = Gaussian { states, min_std: GaussianEmission::DEFAULT_MIN_STD };
-        ReferenceHmm::new(self.init.clone(), &self.trans, emission)
-    }
-}
-
-/// Generates [`GaussianEmCase`]s: 2 or 3 states, `1..=max_obs` finite
-/// observations drawn around the state means, with occasional all-zero
-/// stretches. Shrinks the observations only.
-///
-/// # Panics
-///
-/// Panics if `max_obs` is zero.
-#[must_use]
-pub fn gaussian_em_case(max_obs: usize) -> Gen<GaussianEmCase> {
-    assert!(max_obs > 0, "need at least one observation");
-    Gen::new(move |rng| {
-        let n = rng.usize_in(2, 3);
-        let init = stochastic_row(rng, n);
-        let trans = (0..n).map(|_| stochastic_row(rng, n)).collect();
-        let states: Vec<(f64, f64)> =
-            (0..n).map(|_| (rng.f64_in(-6.0, 6.0), rng.f64_in(0.05, 3.0))).collect();
-        let len = rng.usize_in(1, max_obs);
-        let mut obs: Vec<f64> =
-            (0..len).map(|_| rng.pick(&states).0 + rng.f64_in(-2.0, 2.0)).collect();
-        if rng.chance(0.3) {
-            let start = rng.usize_in(0, len - 1);
-            let end = (start + rng.usize_in(1, 30)).min(len);
-            obs[start..end].fill(0.0);
-        }
-        GaussianEmCase { init, trans, states, obs }
-    })
-    .with_shrink(|case: &GaussianEmCase| {
-        shrink_observations(&case.obs)
-            .into_iter()
-            .map(|obs| GaussianEmCase { obs, ..case.clone() })
             .collect()
     })
 }

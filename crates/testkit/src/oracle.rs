@@ -153,9 +153,7 @@ pub fn full_history_streaming(
                     dec.reset(model.hmm().clone());
                     dec
                 }
-                None => self
-                    .decoder
-                    .insert(StreamingViterbi::new(model.hmm().clone()).with_max_pending(64)),
+                None => self.decoder.insert(StreamingViterbi::new(model.hmm().clone())),
             };
             for &obs in &self.history {
                 let _ = decoder.push(obs);
@@ -183,7 +181,7 @@ pub fn full_history_streaming(
                     SymmetricGaussianEmission::new(scale, scale).expect("positive scale"),
                 )
                 .expect("stochastic by construction");
-                StreamingViterbi::new(hmm).with_max_pending(64)
+                StreamingViterbi::new(hmm)
             });
             let state = decoder.push(acs);
             let label = match &self.model {

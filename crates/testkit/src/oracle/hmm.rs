@@ -21,7 +21,6 @@
 pub use sstd_hmm::exhaustive::{best_path, log_joint, log_likelihood, posteriors};
 
 use sstd_hmm::{Mat, TrainStats};
-use sstd_stats::Normal;
 
 /// The reference counterpart of `sstd_hmm::TrainableEmission`.
 pub trait ReferenceEmission {
@@ -238,7 +237,8 @@ fn normalize(row: &mut [f64]) -> f64 {
     }
 }
 
-/// The three settings of `sstd_hmm::BaumWelch`, whose fields are private.
+/// The two settings of `sstd_hmm::BaumWelch`, whose fields are private,
+/// and the probability floor it keeps as a private constant (1e-6).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceTrainer {
     /// Cap on EM iterations (at least 1).
@@ -370,43 +370,6 @@ impl ReferenceEmission for SymmetricGaussian {
             / n;
         self.mu = mu;
         self.std = var.sqrt().max(self.min_std);
-    }
-}
-
-/// The former `GaussianEmission`: one [`Normal`] per state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gaussian {
-    /// Per-state distributions.
-    pub states: Vec<Normal>,
-    /// Floor applied to each `σ` during re-estimation.
-    pub min_std: f64,
-}
-
-impl ReferenceEmission for Gaussian {
-    type Obs = f64;
-
-    fn log_prob(&self, state: usize, obs: f64) -> f64 {
-        self.states[state].log_pdf(obs)
-    }
-
-    fn reestimate_gamma(&mut self, observations: &[f64], gamma: &Mat) {
-        let g = |t, s| gamma[(t, s)];
-        for s in 0..self.states.len() {
-            let weight: f64 = (0..observations.len()).map(|t| g(t, s)).sum();
-            if weight <= f64::EPSILON {
-                continue; // state got no responsibility; keep old params
-            }
-            let mean: f64 =
-                observations.iter().enumerate().map(|(t, &x)| g(t, s) * x).sum::<f64>() / weight;
-            let var: f64 = observations
-                .iter()
-                .enumerate()
-                .map(|(t, &x)| g(t, s) * (x - mean) * (x - mean))
-                .sum::<f64>()
-                / weight;
-            let std = var.sqrt().max(self.min_std);
-            self.states[s] = Normal::new(mean, std).expect("floored std is valid");
-        }
     }
 }
 

@@ -8,8 +8,8 @@
 //! - [`types`] — domain vocabulary (sources, claims, reports, scores).
 //! - [`stats`] — hand-rolled statistical substrate (distributions, online
 //!   moments, chi-square bounds).
-//! - [`hmm`] — generic hidden Markov models: Baum–Welch EM, Viterbi,
-//!   fixed-lag online decoding.
+//! - [`hmm`] — generic hidden Markov models: Baum–Welch EM, Viterbi, the
+//!   online Viterbi filter.
 //! - [`text`] — tweet preprocessing: claim clustering, attitude /
 //!   uncertainty / independence scoring.
 //! - [`core`] — the SSTD scheme itself: sliding-window ACS aggregation plus
@@ -20,8 +20,7 @@
 //! - [`runtime`] — a Work Queue / HTCondor-style master–worker execution
 //!   substrate with threaded and discrete-event-simulated backends.
 //! - [`obs`] — observability: the `EventStore` trace log every producer
-//!   records into and its `Query` layer, a metrics registry, and the
-//!   `BENCH_*.json` exporter.
+//!   records into and its `Query` layer, and the `BENCH_*.json` exporter.
 //! - [`control`] — PID feedback control and the deadline-driven Dynamic
 //!   Task Manager.
 //! - [`data`] — synthetic social-sensing trace generators (Boston Bombing /
