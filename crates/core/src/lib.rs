@@ -90,7 +90,7 @@ pub use distributed::{
 };
 pub use engine::{claim_partition, SstdEngine};
 pub use estimates::{ConfidenceEstimates, TruthEstimates};
-pub use model::{BinnedClaimTruthModel, ClaimTruthModel};
+pub use model::ClaimTruthModel;
 pub use recovery::{
     chaos_stream, CheckpointPolicy, IngestRecord, JournalEntry, ReportJournal, Supervisor,
 };

@@ -2,7 +2,7 @@
 
 use crate::SstdConfig;
 use sstd_hmm::{
-    forward_backward_into, viterbi, viterbi_into, BaumWelch, DecodeWorkspace, EmWorkspace, Hmm,
+    forward_backward_into, viterbi_into, BaumWelch, DecodeWorkspace, EmWorkspace, Hmm,
     SymmetricGaussianEmission,
 };
 use sstd_types::TruthLabel;
@@ -34,9 +34,7 @@ const EM_TOLERANCE: f64 = 1e-4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClaimTruthModel {
-    hmm: Hmm<SymmetricGaussianEmission>,
-    /// Which hidden state means "true" (the one with the larger mean).
-    true_state: usize,
+    hmm: Hmm,
     trained: bool,
 }
 
@@ -54,7 +52,7 @@ impl ClaimTruthModel {
                 // from collapsing the shared variance onto outliers.
                 .with_min_std((0.25 * scale).max(SymmetricGaussianEmission::DEFAULT_MIN_STD)),
         );
-        Self { hmm, true_state: 0, trained: false }
+        Self { hmm, trained: false }
     }
 
     /// Trains the model on a claim's ACS sequence with Baum–Welch (paper
@@ -79,9 +77,6 @@ impl ClaimTruthModel {
             .tolerance(EM_TOLERANCE)
             .train_into(&mut model.hmm, acs, em);
         model.trained = true;
-        // Identify the "true" state by emission mean (EM can in principle
-        // flip the sign of the shared separation parameter).
-        model.true_state = if model.hmm.emission().mu() >= 0.0 { 0 } else { 1 };
         model
     }
 
@@ -98,21 +93,15 @@ impl ClaimTruthModel {
 
     /// The underlying HMM.
     #[must_use]
-    pub fn hmm(&self) -> &Hmm<SymmetricGaussianEmission> {
+    pub fn hmm(&self) -> &Hmm {
         &self.hmm
     }
 
     /// Gives up the underlying HMM, for a caller that keeps decoding with
     /// it (the streaming engine moves it into its online decoder).
     #[must_use]
-    pub fn into_hmm(self) -> Hmm<SymmetricGaussianEmission> {
+    pub fn into_hmm(self) -> Hmm {
         self.hmm
-    }
-
-    /// The hidden-state index representing `True`.
-    #[must_use]
-    pub const fn true_state(&self) -> usize {
-        self.true_state
     }
 
     /// Converts a hidden-state index into a truth label.
@@ -173,7 +162,7 @@ impl ClaimTruthModel {
         forward_backward_into(&self.hmm, acs, em);
         let gamma = em.gamma();
         out.clear();
-        out.reserve(gamma.rows());
+        out.reserve(gamma.len());
         for row in gamma.iter() {
             out.push(
                 row.iter()
@@ -189,10 +178,7 @@ impl ClaimTruthModel {
 /// The two-state truth chain every claim model starts from: a uniform
 /// initial distribution and symmetric transitions that stay with
 /// probability `stay`.
-pub(crate) fn sticky_hmm(
-    stay: f64,
-    emission: SymmetricGaussianEmission,
-) -> Hmm<SymmetricGaussianEmission> {
+pub(crate) fn sticky_hmm(stay: f64, emission: SymmetricGaussianEmission) -> Hmm {
     Hmm::new(vec![0.5, 0.5], vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]], emission)
         .expect("hand-built parameters are stochastic")
 }
@@ -224,7 +210,7 @@ mod tests {
     fn initial_model_is_symmetric_and_sticky() {
         let m = ClaimTruthModel::initial(&SstdConfig::default(), &flip_sequence());
         assert!(!m.is_trained());
-        assert!(m.hmm().trans_prob(0, 0) > 0.5);
+        assert!(m.hmm().trans()[0][0] > 0.5);
         assert!(m.hmm().emission().mean(0) > 0.0);
         assert!(m.hmm().emission().mean(1) < 0.0);
     }
@@ -247,11 +233,10 @@ mod tests {
         let acs = flip_sequence();
         let model = ClaimTruthModel::fit(&SstdConfig::default(), &acs);
         assert!(model.is_trained());
-        let mt = model.hmm().emission().mean(model.true_state());
-        let other = 1 - model.true_state();
-        let mf = model.hmm().emission().mean(other);
-        assert!(mt > mf, "true state must have the larger emission mean");
-        assert_eq!(model.label_of(model.true_state()), TruthLabel::True);
+        // The state with the larger emission mean is the one labelled True.
+        let e = model.hmm().emission();
+        let (true_state, other) = if e.mean(0) > e.mean(1) { (0, 1) } else { (1, 0) };
+        assert_eq!(model.label_of(true_state), TruthLabel::True);
         assert_eq!(model.label_of(other), TruthLabel::False);
     }
 
@@ -307,7 +292,6 @@ mod tests {
             let with_ws = ClaimTruthModel::fit_with(&cfg, &acs, &mut em);
             let plain = ClaimTruthModel::fit(&cfg, &acs);
             assert_eq!(with_ws.hmm(), plain.hmm());
-            assert_eq!(with_ws.true_state(), plain.true_state());
             assert_eq!(with_ws.is_trained(), plain.is_trained());
             with_ws.decode_into(&acs, &mut dec, &mut labels);
             assert_eq!(labels, plain.decode(&acs));
@@ -344,124 +328,5 @@ mod tests {
         let labels = model.decode(&acs);
         assert_eq!(labels[14], TruthLabel::False);
         assert_eq!(labels[25], TruthLabel::True);
-    }
-}
-
-/// A binned-categorical variant of the claim truth model — the emission
-/// ablation DESIGN.md §5 studies: instead of a continuous Gaussian over
-/// ACS values, observations are quantized into `K` equal-width symbols
-/// and the HMM trains categorical emissions per state.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_core::{BinnedClaimTruthModel, SstdConfig};
-/// use sstd_types::TruthLabel;
-///
-/// let acs = vec![4.0, 4.2, 3.9, -4.1, -4.0, -3.8];
-/// let model = BinnedClaimTruthModel::fit(&SstdConfig::default(), &acs, 8);
-/// let labels = model.decode(&acs);
-/// assert_eq!(labels[0], TruthLabel::True);
-/// assert_eq!(labels[5], TruthLabel::False);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BinnedClaimTruthModel {
-    hmm: Hmm<sstd_hmm::CategoricalEmission>,
-    histogram: sstd_stats::Histogram,
-    /// Expected ACS (bin-center average) per state, for label mapping.
-    state_means: [f64; 2],
-}
-
-impl BinnedClaimTruthModel {
-    /// Quantizes `acs` into `bins` symbols and trains a 2-state
-    /// categorical HMM with EM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins < 2` or `acs` is empty.
-    #[must_use]
-    pub fn fit(config: &SstdConfig, acs: &[f64], bins: usize) -> Self {
-        assert!(bins >= 2, "need at least two symbols");
-        assert!(!acs.is_empty(), "need at least one observation");
-        let bound = acs.iter().map(|a| a.abs()).fold(0.0f64, f64::max).max(1.0);
-        let histogram = sstd_stats::Histogram::new(-bound, bound, bins);
-        let symbols: Vec<usize> = acs.iter().map(|&a| histogram.bin_of(a)).collect();
-
-        // Initialize: state 0 prefers positive bins, state 1 negative,
-        // with mass decaying away from each state's side.
-        let mut p0 = vec![0.0f64; bins];
-        let mut p1 = vec![0.0f64; bins];
-        for b in 0..bins {
-            let center = histogram.bin_center(b);
-            p0[b] = (1.0 + center / bound).max(0.05);
-            p1[b] = (1.0 - center / bound).max(0.05);
-        }
-        sstd_stats::normalize_in_place(&mut p0);
-        sstd_stats::normalize_in_place(&mut p1);
-        let stay = config.stay_probability;
-        let init = Hmm::new(
-            vec![0.5, 0.5],
-            vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]],
-            sstd_hmm::CategoricalEmission::new(vec![p0, p1]).expect("normalized rows"),
-        )
-        .expect("stochastic by construction");
-
-        let hmm = if config.train && symbols.len() >= 2 {
-            BaumWelch::default()
-                .max_iterations(config.em_iterations)
-                .tolerance(EM_TOLERANCE)
-                .train(init, &symbols)
-                .model
-        } else {
-            init
-        };
-
-        // Label mapping by each state's expected ACS under its emission.
-        let mut state_means = [0.0f64; 2];
-        for (s, mean) in state_means.iter_mut().enumerate() {
-            *mean = (0..bins).map(|b| hmm.emission().prob(s, b) * histogram.bin_center(b)).sum();
-        }
-        Self { hmm, histogram, state_means }
-    }
-
-    /// Decodes the truth sequence for `acs` with Viterbi over the binned
-    /// symbols.
-    #[must_use]
-    pub fn decode(&self, acs: &[f64]) -> Vec<TruthLabel> {
-        let symbols: Vec<usize> = acs.iter().map(|&a| self.histogram.bin_of(a)).collect();
-        viterbi(&self.hmm, &symbols)
-            .into_iter()
-            .map(|s| TruthLabel::from_bool(self.state_means[s] > 0.0))
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod binned_tests {
-    use super::*;
-
-    #[test]
-    fn binned_model_tracks_clear_flips() {
-        let acs: Vec<f64> = (0..40).map(|t| if (t / 10) % 2 == 0 { 5.0 } else { -5.0 }).collect();
-        let model = BinnedClaimTruthModel::fit(&SstdConfig::default(), &acs, 8);
-        let labels = model.decode(&acs);
-        assert_eq!(labels[5], TruthLabel::True);
-        assert_eq!(labels[15], TruthLabel::False);
-        assert_eq!(labels[25], TruthLabel::True);
-    }
-
-    #[test]
-    fn coarse_bins_still_recover_sign() {
-        let acs = vec![3.0, 2.5, -2.8, -3.1];
-        let model = BinnedClaimTruthModel::fit(&SstdConfig::default(), &acs, 2);
-        let labels = model.decode(&acs);
-        assert_eq!(labels[0], TruthLabel::True);
-        assert_eq!(labels[3], TruthLabel::False);
-    }
-
-    #[test]
-    #[should_panic(expected = "two symbols")]
-    fn single_bin_rejected() {
-        let _ = BinnedClaimTruthModel::fit(&SstdConfig::default(), &[1.0], 1);
     }
 }

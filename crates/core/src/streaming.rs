@@ -77,7 +77,7 @@ const INITIAL_LABELS: [TruthLabel; 2] = [TruthLabel::True, TruthLabel::False];
 
 /// The online decoder over the untrained initial model, whose emission
 /// scale adapts to the claim's first observation.
-fn initial_decoder(config: &SstdConfig, scale: f64) -> StreamingViterbi<SymmetricGaussianEmission> {
+fn initial_decoder(config: &SstdConfig, scale: f64) -> StreamingViterbi {
     let emission = SymmetricGaussianEmission::new(scale, scale).expect("positive scale");
     StreamingViterbi::new(sticky_hmm(config.stay_probability, emission))
 }
@@ -96,7 +96,7 @@ struct ClaimStream {
     window: VecDeque<f64>,
     /// Online decoder; created on the first closed interval so its
     /// emission scale can adapt to the first observation.
-    decoder: Option<StreamingViterbi<SymmetricGaussianEmission>>,
+    decoder: Option<StreamingViterbi>,
     /// Truth label of each hidden state under the decoder's model: the
     /// sign of its emission mean. The fitted model itself is moved into
     /// the decoder; this is all the decision path needs beside it.

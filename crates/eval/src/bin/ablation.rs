@@ -4,10 +4,7 @@
 //!
 //! Usage: `cargo run -p sstd-eval --bin ablation [-- <scale> [seed]]`
 
-use sstd_core::{
-    smooth_dependencies, AcsAggregator, BinnedClaimTruthModel, ClaimDependency, SstdConfig,
-    SstdEngine, TruthEstimates,
-};
+use sstd_core::{smooth_dependencies, ClaimDependency, SstdConfig, SstdEngine};
 use sstd_data::{Scenario, TraceBuilder};
 use sstd_eval::metrics::score_estimates;
 use sstd_types::{ClaimId, Independence, Report, Trace, Uncertainty};
@@ -33,19 +30,6 @@ fn main() {
             ("sticky transitions (stay=0.97)", SstdConfig { stay_probability: 0.97, ..full }),
         ] {
             report(label, &trace, cfg);
-        }
-
-        // The default decode is the full SSTD row: the symmetric Gaussian
-        // emission and the full contribution score are both its settings.
-        println!("-- emission-model ablation (DESIGN.md §5; symmetric Gaussian = full SSTD)");
-        for bins in [4usize, 8, 16] {
-            let est = run_binned(&trace, bins);
-            let m = score_estimates(trace.ground_truth(), &est);
-            println!(
-                "  binned categorical, K={bins:<2}            acc {:.3}  f1 {:.3}",
-                m.accuracy(),
-                m.f1()
-            );
         }
 
         println!("-- contribution-score component ablations (paper Eq. 1; full CS = full SSTD)");
@@ -87,27 +71,6 @@ fn correlation_experiment(scale: f64, seed: u64) {
         after.accuracy(),
         after.f1()
     );
-}
-
-/// Runs the binned-emission variant of SSTD over a whole trace.
-fn run_binned(trace: &Trace, bins: usize) -> TruthEstimates {
-    let cfg = SstdConfig::default();
-    let n = trace.timeline().num_intervals();
-    let mut out = TruthEstimates::new(n);
-    for claim in (0..trace.num_claims()).map(|c| ClaimId::new(c as u32)) {
-        let mut agg = AcsAggregator::new(n, cfg.window);
-        for r in trace.reports_for_claim(claim) {
-            agg.add(trace.timeline().interval_of(r.time()), *r);
-        }
-        let acs = agg.sequence();
-        let labels = if acs.iter().all(|a| a.abs() < 1e-9) {
-            vec![sstd_types::TruthLabel::False; n]
-        } else {
-            BinnedClaimTruthModel::fit(&cfg, &acs, bins).decode(&acs)
-        };
-        out.insert(claim, labels);
-    }
-    out
 }
 
 fn report(label: &str, trace: &Trace, cfg: SstdConfig) {

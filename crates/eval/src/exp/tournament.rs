@@ -28,11 +28,10 @@
 //! degradation rows are recorded (not gated): they are the quantified
 //! motivation for the model-extension roadmap items.
 
-use super::json_f64;
 use crate::metrics::{brier_score, score_estimates};
 use crate::schemes::{run_streaming, streaming_scheme, SchemeKind};
 use sstd_core::{ConfidenceEstimates, SstdConfig, StreamingSstd, TruthEstimates};
-use sstd_obs::{EventStore, StreamTick};
+use sstd_obs::{json_f64, EventStore, StreamTick};
 use sstd_stats::mix64;
 use sstd_testkit::domain::scenario::{Family, ScenarioSpec};
 use sstd_types::Trace;

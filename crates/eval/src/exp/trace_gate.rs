@@ -15,8 +15,7 @@
 //! than silently skewing the evaluation sweeps that now read their
 //! fault metrics from the same store.
 
-use super::json_f64;
-use sstd_obs::{EventStore, StoreConfig};
+use sstd_obs::{json_f64, EventStore, StoreConfig};
 use sstd_runtime::prelude::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, JobId, RetryPolicy, TaskSpec,
 };

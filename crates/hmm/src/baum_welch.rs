@@ -1,14 +1,8 @@
 //! Baum–Welch: unsupervised EM estimation of `λ = (A, B, π)`
 //! (paper §III-C, Eq. 5).
 
-// Index-based loops are kept deliberately in this module: the math is
-// written against matrix subscripts (states i/j, claims u, sources s,
-// time t) and mirroring the paper's notation beats iterator chains for
-// auditability.
-#![allow(clippy::needless_range_loop)]
-
 use crate::forward::{forward_backward_into, EmWorkspace};
-use crate::{Hmm, TrainableEmission};
+use crate::Hmm;
 
 /// Configuration for the Baum–Welch trainer.
 ///
@@ -29,21 +23,6 @@ pub struct BaumWelch {
 /// Floor applied to `π` and `A` entries after each M-step, so no
 /// transition becomes permanently impossible.
 const PROB_FLOOR: f64 = 1e-6;
-
-/// Result of a training run: the re-estimated model plus convergence
-/// diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainOutcome<E> {
-    /// The trained model.
-    pub model: Hmm<E>,
-    /// Log-likelihood of the data under the final parameters.
-    pub log_likelihood: f64,
-    /// EM iterations actually performed.
-    pub iterations: usize,
-    /// Whether the log-likelihood improvement dropped below the tolerance
-    /// before the iteration cap was hit.
-    pub converged: bool,
-}
 
 /// Convergence diagnostics of an in-place [`BaumWelch::train_into`] run
 /// (the model itself is updated through the `&mut` argument).
@@ -89,29 +68,6 @@ impl BaumWelch {
         self
     }
 
-    /// Runs EM from `initial` on `observations` until convergence or the
-    /// iteration cap.
-    ///
-    /// Allocating wrapper over [`train_into`](Self::train_into): same
-    /// numerics, fresh internal workspace. Training on an empty
-    /// observation sequence returns the initial model unchanged (zero
-    /// iterations, converged).
-    pub fn train<E: TrainableEmission>(
-        &self,
-        initial: Hmm<E>,
-        observations: &[E::Obs],
-    ) -> TrainOutcome<E> {
-        let mut model = initial;
-        let mut ws = EmWorkspace::new();
-        let stats = self.train_into(&mut model, observations, &mut ws);
-        TrainOutcome {
-            model,
-            log_likelihood: stats.log_likelihood,
-            iterations: stats.iterations,
-            converged: stats.converged,
-        }
-    }
-
     /// Runs EM in place on `model`, using `ws` for every E-step table and
     /// re-estimating `(π, A, B)` directly into the model's storage.
     ///
@@ -122,13 +78,12 @@ impl BaumWelch {
     ///
     /// An empty observation sequence leaves `model` untouched (zero
     /// iterations, converged).
-    pub fn train_into<E: TrainableEmission>(
+    pub fn train_into(
         &self,
-        model: &mut Hmm<E>,
-        observations: &[E::Obs],
+        model: &mut Hmm,
+        observations: &[f64],
         ws: &mut EmWorkspace,
     ) -> TrainStats {
-        let n = model.num_states();
         if observations.is_empty() {
             return TrainStats { log_likelihood: 0.0, iterations: 0, converged: true };
         }
@@ -149,15 +104,9 @@ impl BaumWelch {
 
             // M-step, in place. `floor_and_normalize` keeps every row
             // stochastic, so the model invariants hold without a rebuild.
-            let (gamma, xi_sum) = (ws.gamma(), ws.xi_sum().as_slice());
+            let (gamma, xi_sum) = (ws.gamma(), ws.xi_sum());
             let (init, trans, emission) = model.m_step_mut();
-            let trans = trans.as_mut_slice();
-            // Same two instantiations as the E-step's loop body.
-            if n == 2 {
-                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, 2);
-            } else {
-                reestimate_chain(init, trans, gamma.as_slice(), xi_sum, n);
-            }
+            reestimate_chain(init, trans, gamma, xi_sum);
             emission.reestimate_gamma(observations, gamma);
             model.refresh_log_trans();
         }
@@ -166,21 +115,26 @@ impl BaumWelch {
     }
 }
 
-/// The `(π, A)` half of the M-step over flat `T×n` and `n×n` slices.
+/// The `(π, A)` half of the M-step.
 #[inline(always)]
-fn reestimate_chain(init: &mut [f64], trans: &mut [f64], gamma: &[f64], xi_sum: &[f64], n: usize) {
+fn reestimate_chain(
+    init: &mut [f64; 2],
+    trans: &mut [[f64; 2]; 2],
+    gamma: &[[f64; 2]],
+    xi_sum: &[[f64; 2]; 2],
+) {
     // π update: γ_0, floored and renormalized.
-    init.copy_from_slice(&gamma[..n]);
+    *init = gamma[0];
     floor_and_normalize(init);
     // A update: ξ sums over γ sums (excluding the last step).
-    let before_last = &gamma[..gamma.len() - n];
-    for (i, (row, xi_row)) in trans.chunks_exact_mut(n).zip(xi_sum.chunks_exact(n)).enumerate() {
+    let before_last = &gamma[..gamma.len() - 1];
+    for (i, (row, xi_row)) in trans.iter_mut().zip(xi_sum).enumerate() {
         let mut denom = 0.0;
-        for g in before_last.chunks_exact(n) {
+        for g in before_last {
             denom += g[i];
         }
-        for j in 0..n {
-            row[j] = if denom > 0.0 { xi_row[j] / denom } else { 1.0 / n as f64 };
+        for (p, &xi) in row.iter_mut().zip(xi_row) {
+            *p = if denom > 0.0 { xi / denom } else { 0.5 };
         }
         floor_and_normalize(row);
     }
@@ -202,16 +156,23 @@ fn floor_and_normalize(row: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emission::{CategoricalEmission, SymmetricGaussianEmission};
+    use crate::emission::SymmetricGaussianEmission;
     use sstd_stats::{Normal, SplitMix64};
 
-    fn two_state_gaussian(mu: f64) -> Hmm<SymmetricGaussianEmission> {
+    fn two_state_gaussian(mu: f64) -> Hmm {
         Hmm::new(
             vec![0.5, 0.5],
             vec![vec![0.8, 0.2], vec![0.2, 0.8]],
             SymmetricGaussianEmission::new(mu, 2.0).unwrap(),
         )
         .unwrap()
+    }
+
+    /// Trains a copy of `initial` in a fresh workspace.
+    fn train(trainer: BaumWelch, initial: &Hmm, obs: &[f64]) -> (Hmm, TrainStats) {
+        let mut model = initial.clone();
+        let stats = trainer.train_into(&mut model, obs, &mut EmWorkspace::new());
+        (model, stats)
     }
 
     /// Simulate a sticky 2-state chain emitting Gaussians.
@@ -232,37 +193,29 @@ mod tests {
     }
 
     #[test]
-    fn empty_observations_return_initial() {
-        let init = two_state_gaussian(1.0);
-        let out = BaumWelch::default().train(init.clone(), &[]);
-        assert_eq!(out.model, init);
-        assert_eq!(out.iterations, 0);
-        assert!(out.converged);
-    }
-
-    #[test]
     fn log_likelihood_is_monotone_nondecreasing() {
         let (obs, _) = simulate(200, 0.95, 2.0, 5);
         let mut model = two_state_gaussian(0.5);
         let mut prev = f64::NEG_INFINITY;
         for _ in 0..10 {
-            let out = BaumWelch::default().max_iterations(1).train(model, &obs);
+            let (next, stats) = train(BaumWelch::default().max_iterations(1), &model, &obs);
             assert!(
-                out.log_likelihood >= prev - 1e-6,
+                stats.log_likelihood >= prev - 1e-6,
                 "EM decreased the likelihood: {} -> {}",
                 prev,
-                out.log_likelihood
+                stats.log_likelihood
             );
-            prev = out.log_likelihood;
-            model = out.model;
+            prev = stats.log_likelihood;
+            model = next;
         }
     }
 
     #[test]
     fn recovers_emission_means() {
         let (obs, _) = simulate(2_000, 0.97, 3.0, 9);
-        let out = BaumWelch::default().max_iterations(60).train(two_state_gaussian(1.0), &obs);
-        let (m0, m1) = (out.model.emission().mean(0), out.model.emission().mean(1));
+        let (model, _) =
+            train(BaumWelch::default().max_iterations(60), &two_state_gaussian(1.0), &obs);
+        let (m0, m1) = (model.emission().mean(0), model.emission().mean(1));
         let (hi, lo) = if m0 > m1 { (m0, m1) } else { (m1, m0) };
         assert!((hi - 3.0).abs() < 0.4, "hi = {hi}");
         assert!((lo + 3.0).abs() < 0.4, "lo = {lo}");
@@ -271,10 +224,12 @@ mod tests {
     #[test]
     fn recovers_sticky_transitions() {
         let (obs, _) = simulate(4_000, 0.95, 3.0, 23);
-        let out = BaumWelch::default().max_iterations(60).train(two_state_gaussian(1.0), &obs);
+        let (model, _) =
+            train(BaumWelch::default().max_iterations(60), &two_state_gaussian(1.0), &obs);
         // Both self-transition probabilities should be clearly sticky.
-        assert!(out.model.trans_prob(0, 0) > 0.85, "a00 = {}", out.model.trans_prob(0, 0));
-        assert!(out.model.trans_prob(1, 1) > 0.85, "a11 = {}", out.model.trans_prob(1, 1));
+        let a = model.trans();
+        assert!(a[0][0] > 0.85, "a00 = {}", a[0][0]);
+        assert!(a[1][1] > 0.85, "a11 = {}", a[1][1]);
     }
 
     #[test]
@@ -282,32 +237,29 @@ mod tests {
         let (obs, _) = simulate(500, 0.9, 2.5, 77);
         let initial = two_state_gaussian(0.5);
         let before = forward_backward_into(&initial, &obs, &mut EmWorkspace::new());
-        let out = BaumWelch::default().train(initial, &obs);
-        assert!(out.log_likelihood > before);
-        assert!(out.iterations >= 1);
+        let (_, stats) = train(BaumWelch::default(), &initial, &obs);
+        assert!(stats.log_likelihood > before);
+        assert!(stats.iterations >= 1);
     }
 
     #[test]
-    fn categorical_training_learns_biased_symbols() {
-        // State 0 emits symbol 0, state 1 emits symbol 1; sticky chain.
-        let obs: Vec<usize> = (0..400).map(|t| usize::from((t / 50) % 2 == 1)).collect();
-        let init = Hmm::new(
-            vec![0.5, 0.5],
-            vec![vec![0.7, 0.3], vec![0.3, 0.7]],
-            CategoricalEmission::new(vec![vec![0.6, 0.4], vec![0.4, 0.6]]).unwrap(),
-        )
-        .unwrap();
-        let out = BaumWelch::default().max_iterations(80).train(init, &obs);
-        let e = out.model.emission();
-        assert!(e.prob(0, 0) > 0.9 || e.prob(1, 0) > 0.9, "one state owns symbol 0");
+    fn learns_an_asymmetric_chain() {
+        // Long true stretches, short false ones: the fitted A is sticky in
+        // state 0 and leaves state 1 far more often.
+        let obs: Vec<f64> = (0..600).map(|t| if t % 60 < 50 { 3.0 } else { -3.0 }).collect();
+        let (model, _) =
+            train(BaumWelch::default().max_iterations(80), &two_state_gaussian(1.0), &obs);
+        let a = model.trans();
+        assert!(a[0][1] < a[1][0], "A = {a:?}");
     }
 
     #[test]
     fn converged_flag_set_on_fixed_point() {
         let (obs, _) = simulate(300, 0.95, 3.0, 31);
-        let out = BaumWelch::default().max_iterations(500).train(two_state_gaussian(2.0), &obs);
-        assert!(out.converged, "should converge well before 500 iterations");
-        assert!(out.iterations < 500);
+        let (_, stats) =
+            train(BaumWelch::default().max_iterations(500), &two_state_gaussian(2.0), &obs);
+        assert!(stats.converged, "should converge well before 500 iterations");
+        assert!(stats.iterations < 500);
     }
 
     #[test]
@@ -317,18 +269,17 @@ mod tests {
     }
 
     #[test]
-    fn train_into_matches_train_exactly() {
+    fn reused_workspace_trains_as_a_fresh_one() {
         let (obs, _) = simulate(300, 0.95, 2.0, 11);
         let trainer = BaumWelch::default().max_iterations(20);
         let initial = two_state_gaussian(0.8);
-        let out = trainer.train(initial.clone(), &obs);
-        let mut model = initial;
+        let (want, want_stats) = train(trainer, &initial, &obs);
         let mut ws = EmWorkspace::new();
+        let _ = forward_backward_into(&initial, &obs[..17], &mut ws);
+        let mut model = initial;
         let stats = trainer.train_into(&mut model, &obs, &mut ws);
-        assert_eq!(model, out.model, "in-place training must be bit-identical");
-        assert_eq!(stats.log_likelihood, out.log_likelihood);
-        assert_eq!(stats.iterations, out.iterations);
-        assert_eq!(stats.converged, out.converged);
+        assert_eq!(model, want, "a dirty workspace must train bit-identically");
+        assert_eq!(stats, want_stats);
     }
 
     #[test]

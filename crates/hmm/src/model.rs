@@ -1,7 +1,6 @@
 //! The HMM parameter container `λ = (A, B, π)` (paper §III-C).
 
-use crate::emission::Emission;
-use crate::mat::Mat;
+use crate::emission::SymmetricGaussianEmission;
 use std::error::Error;
 use std::fmt;
 
@@ -25,13 +24,17 @@ impl fmt::Display for HmmError {
 
 impl Error for HmmError {}
 
-/// A hidden Markov model `λ = (A, B, π)` with `N` hidden states and a
-/// pluggable emission model `B`.
+/// The two-state truth HMM `λ = (A, B, π)` of paper §III: state 0 is
+/// "the claim is true", state 1 "the claim is false", and `B` is a
+/// [`SymmetricGaussianEmission`] over ACS values.
 ///
-/// Invariants enforced at construction:
-/// - `π` is a probability vector of length `N`;
-/// - `A` is an `N×N` row-stochastic matrix;
-/// - the emission model covers exactly `N` states.
+/// Invariants enforced at construction: `π` is a probability vector of
+/// two entries and `A` a row-stochastic `2×2` matrix.
+///
+/// The type parameter has one value, its default, and only
+/// `Hmm<SymmetricGaussianEmission>` has methods; it stays while the
+/// frozen benchmark names that type, and goes when the benchmark is
+/// re-cut (ROADMAP item 8).
 ///
 /// # Examples
 ///
@@ -43,65 +46,61 @@ impl Error for HmmError {}
 ///     vec![vec![0.95, 0.05], vec![0.10, 0.90]],
 ///     SymmetricGaussianEmission::new(2.0, 1.0).unwrap(),
 /// )?;
-/// assert_eq!(hmm.num_states(), 2);
+/// assert_eq!(hmm.trans()[0][1], 0.05);
 /// # Ok::<(), sstd_hmm::HmmError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Hmm<E> {
-    init: Vec<f64>,
-    /// Transition matrix `A`, flat row-major (`N×N`).
-    trans: Mat,
+pub struct Hmm<E = SymmetricGaussianEmission> {
+    init: [f64; 2],
+    trans: [[f64; 2]; 2],
     /// Cached `ln A[i][j]` — the quantity the Viterbi recurrences
     /// actually consume; recomputed whenever `trans` changes.
-    log_trans: Mat,
+    log_trans: [[f64; 2]; 2],
     emission: E,
 }
 
-impl<E: Emission> Hmm<E> {
-    /// Creates and validates an HMM.
+impl Hmm {
+    /// Creates and validates an HMM from a 2-entry `π` and the two rows
+    /// of `A`. It takes vectors because the frozen benchmark calls it so;
+    /// the signature goes with it when the benchmark is re-cut (ROADMAP
+    /// item 8).
     ///
     /// # Errors
     ///
-    /// Returns [`HmmError`] if the shapes disagree, any probability is
-    /// negative/non-finite, or any row does not sum to 1 (within 1e-9).
-    pub fn new(init: Vec<f64>, trans: Vec<Vec<f64>>, emission: E) -> Result<Self, HmmError> {
-        let n = emission.num_states();
-        if n == 0 {
-            return Err(HmmError::new("emission model has zero states"));
-        }
-        if init.len() != n {
-            return Err(HmmError::new(format!(
-                "initial distribution has {} entries, emission has {n} states",
-                init.len()
-            )));
-        }
+    /// Returns [`HmmError`] unless `π` has two entries and `A` two rows of
+    /// two, every probability is finite and non-negative, and each of
+    /// them sums to 1 (within 1e-9).
+    pub fn new(
+        init: Vec<f64>,
+        trans: Vec<Vec<f64>>,
+        emission: SymmetricGaussianEmission,
+    ) -> Result<Self, HmmError> {
+        let init: [f64; 2] = init.try_into().map_err(|init: Vec<f64>| {
+            HmmError::new(format!("initial distribution has {} entries, expected 2", init.len()))
+        })?;
         Self::check_stochastic("initial distribution", &init)?;
-        if trans.len() != n {
+        if trans.len() != 2 {
             return Err(HmmError::new(format!(
-                "transition matrix has {} rows, expected {n}",
+                "transition matrix has {} rows, expected 2",
                 trans.len()
             )));
         }
-        for (i, row) in trans.iter().enumerate() {
-            if row.len() != n {
-                return Err(HmmError::new(format!("transition row {i} has wrong length")));
-            }
+        let mut rows = [[0.0; 2]; 2];
+        for (i, (row, dst)) in trans.iter().zip(&mut rows).enumerate() {
+            *dst = row
+                .as_slice()
+                .try_into()
+                .map_err(|_| HmmError::new(format!("transition row {i} has wrong length")))?;
             Self::check_stochastic(format_args!("transition row {i}"), row)?;
         }
-        let trans = Mat::from_rows(&trans);
-        let mut model = Self { init, trans, log_trans: Mat::new(), emission };
+        let mut model = Self { init, trans: rows, log_trans: [[0.0; 2]; 2], emission };
         model.refresh_log_trans();
         Ok(model)
     }
 
-    /// Recomputes the cached `ln A` table from `trans` (no allocation once
-    /// the table holds `N×N` entries).
+    /// Recomputes the cached `ln A` table from `trans`.
     pub(crate) fn refresh_log_trans(&mut self) {
-        let n = self.trans.rows();
-        self.log_trans.resize(n, n);
-        for i in 0..n {
-            let src = self.trans.row(i);
-            let dst = self.log_trans.row_mut(i);
+        for (dst, src) in self.log_trans.iter_mut().zip(&self.trans) {
             for (d, &p) in dst.iter_mut().zip(src) {
                 *d = p.ln();
             }
@@ -111,7 +110,9 @@ impl<E: Emission> Hmm<E> {
     /// Hands the trainer simultaneous mutable access to `(π, A, B)` for
     /// the in-place M-step. The caller must keep every row stochastic and
     /// call [`refresh_log_trans`](Self::refresh_log_trans) afterwards.
-    pub(crate) fn m_step_mut(&mut self) -> (&mut [f64], &mut Mat, &mut E) {
+    pub(crate) fn m_step_mut(
+        &mut self,
+    ) -> (&mut [f64; 2], &mut [[f64; 2]; 2], &mut SymmetricGaussianEmission) {
         (&mut self.init, &mut self.trans, &mut self.emission)
     }
 
@@ -128,61 +129,33 @@ impl<E: Emission> Hmm<E> {
         Ok(())
     }
 
-    /// Number of hidden states `N`.
-    #[must_use]
-    pub fn num_states(&self) -> usize {
-        self.init.len()
-    }
-
     /// Initial state distribution `π`.
     #[must_use]
-    pub fn init(&self) -> &[f64] {
+    pub const fn init(&self) -> &[f64; 2] {
         &self.init
     }
 
-    /// Transition matrix `A` (row-stochastic), stored flat row-major.
-    ///
-    /// [`Mat::iter`] yields rows as slices, so row-wise consumers keep the
-    /// `for row in hmm.trans().iter()` shape they had against nested
-    /// vectors.
+    /// Transition matrix `A` (row-stochastic): `trans()[from][to]`.
     #[must_use]
-    pub fn trans(&self) -> &Mat {
+    pub const fn trans(&self) -> &[[f64; 2]; 2] {
         &self.trans
     }
 
     /// Cached element-wise `ln A` — what the log-space decoders consume.
-    #[must_use]
-    pub fn log_trans(&self) -> &Mat {
+    pub(crate) const fn log_trans(&self) -> &[[f64; 2]; 2] {
         &self.log_trans
-    }
-
-    /// Transition probability `A[from][to]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[must_use]
-    pub fn trans_prob(&self, from: usize, to: usize) -> f64 {
-        self.trans[(from, to)]
     }
 
     /// The emission model `B`.
     #[must_use]
-    pub fn emission(&self) -> &E {
+    pub const fn emission(&self) -> &SymmetricGaussianEmission {
         &self.emission
-    }
-
-    /// Log-probability of emitting `obs` from `state`.
-    #[must_use]
-    pub fn log_emit(&self, state: usize, obs: E::Obs) -> f64 {
-        self.emission.log_prob(state, obs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emission::SymmetricGaussianEmission;
 
     fn emission2() -> SymmetricGaussianEmission {
         SymmetricGaussianEmission::new(1.0, 1.0).unwrap()
@@ -192,8 +165,7 @@ mod tests {
     fn valid_model_constructs() {
         let hmm =
             Hmm::new(vec![0.5, 0.5], vec![vec![0.7, 0.3], vec![0.4, 0.6]], emission2()).unwrap();
-        assert_eq!(hmm.num_states(), 2);
-        assert_eq!(hmm.trans_prob(0, 1), 0.3);
+        assert_eq!(hmm.trans()[0][1], 0.3);
         assert_eq!(hmm.init(), &[0.5, 0.5]);
     }
 
@@ -201,6 +173,15 @@ mod tests {
     fn rejects_wrong_init_length() {
         let err = Hmm::new(vec![1.0], vec![vec![1.0]], emission2()).unwrap_err();
         assert!(err.to_string().contains("initial distribution"));
+    }
+
+    #[test]
+    fn rejects_a_third_state() {
+        let third = vec![vec![0.8, 0.1, 0.1]; 3];
+        let err = Hmm::new(vec![0.4, 0.3, 0.3], third.clone(), emission2()).unwrap_err();
+        assert!(err.to_string().contains("initial distribution has 3 entries"), "{err}");
+        let err = Hmm::new(vec![0.5, 0.5], third, emission2()).unwrap_err();
+        assert!(err.to_string().contains("3 rows"), "{err}");
     }
 
     #[test]
@@ -237,7 +218,7 @@ mod tests {
             Hmm::new(vec![0.5, 0.5], vec![vec![0.7, 0.3], vec![0.4, 0.6]], emission2()).unwrap();
         for i in 0..2 {
             for j in 0..2 {
-                assert_eq!(hmm.log_trans()[(i, j)], hmm.trans_prob(i, j).ln(), "({i},{j})");
+                assert_eq!(hmm.log_trans()[i][j], hmm.trans()[i][j].ln(), "({i},{j})");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Online Viterbi filtering for streaming truth discovery.
 //!
-//! The batch [`viterbi`](crate::viterbi) decoder needs the whole
+//! The batch [`viterbi_into`](crate::viterbi_into) decoder needs the whole
 //! observation sequence before it can emit anything. A streaming truth
 //! discovery job cannot wait: it must output the current truth estimate as
 //! each ACS observation arrives (paper §III-E). [`StreamingViterbi`] runs
@@ -9,10 +9,11 @@
 //! batch Viterbi path over everything pushed so far. It keeps no
 //! backpointers: the streaming engine emits one decision per closed
 //! interval and never revises it, so the path behind the current state is
-//! never read. Its memory is two score rows, whatever the stream's length.
+//! never read. Its memory is one score per state, whatever the stream's
+//! length.
 
 use crate::viterbi::{argmax, initial_scores, max_product_step};
-use crate::{Emission, Hmm};
+use crate::Hmm;
 
 /// Online Viterbi filter over a fixed model.
 ///
@@ -31,21 +32,18 @@ use crate::{Emission, Hmm};
 /// assert_eq!(dec.push(-4.0), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct StreamingViterbi<E: Emission> {
-    hmm: Hmm<E>,
-    /// Best log-score per state at the current time; empty until the
+pub struct StreamingViterbi {
+    hmm: Hmm,
+    /// Best log-score per state at the current time; `None` until the
     /// first observation.
-    delta: Vec<f64>,
-    /// Scratch row for the δ recurrence, swapped with `delta` each step.
-    delta_next: Vec<f64>,
+    delta: Option<[f64; 2]>,
 }
 
-impl<E: Emission> StreamingViterbi<E> {
+impl StreamingViterbi {
     /// Creates a decoder with no observations consumed.
     #[must_use]
-    pub fn new(hmm: Hmm<E>) -> Self {
-        let n = hmm.num_states();
-        Self { hmm, delta: Vec::with_capacity(n), delta_next: vec![0.0; n] }
+    pub fn new(hmm: Hmm) -> Self {
+        Self { hmm, delta: None }
     }
 
     /// Returns the decoder unchanged. The filter keeps no lattice, so
@@ -57,35 +55,30 @@ impl<E: Emission> StreamingViterbi<E> {
         self
     }
 
-    /// Restarts decoding against `hmm`, as if freshly constructed, in the
-    /// rows already allocated, so a refit (new model, replayed history)
-    /// allocates nothing.
-    pub fn reset(&mut self, hmm: Hmm<E>) {
-        let n = hmm.num_states();
+    /// Restarts decoding against `hmm`, as if freshly constructed, so a
+    /// refit (new model, replayed history) allocates nothing.
+    pub fn reset(&mut self, hmm: Hmm) {
         self.hmm = hmm;
-        self.delta.clear();
-        self.delta_next.resize(n, 0.0);
+        self.delta = None;
     }
 
     /// Consumes one observation and returns the *current* most likely
     /// state (the filtering decision the streaming engine reports).
-    pub fn push(&mut self, obs: E::Obs) -> usize {
-        if self.delta.is_empty() {
-            self.delta.resize(self.hmm.num_states(), 0.0);
-            initial_scores(&self.hmm, obs, &mut self.delta);
-        } else {
-            max_product_step(&self.hmm, &self.delta, &mut self.delta_next, obs, None);
-            std::mem::swap(&mut self.delta, &mut self.delta_next);
-        }
+    pub fn push(&mut self, obs: f64) -> usize {
+        let mut delta = match &self.delta {
+            None => initial_scores(&self.hmm, obs),
+            Some(delta) => max_product_step(&self.hmm, delta, obs, None),
+        };
         // Rescale to keep deltas bounded over unbounded streams; a common
         // shift leaves every argmax unchanged.
-        let max = self.delta.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let max = delta.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         if max.is_finite() && max.abs() > 1e6 {
-            for d in &mut self.delta {
+            for d in &mut delta {
                 *d -= max;
             }
         }
-        argmax(&self.delta)
+        self.delta = Some(delta);
+        argmax(&delta)
     }
 }
 
@@ -94,7 +87,7 @@ mod tests {
     use super::*;
     use crate::emission::SymmetricGaussianEmission;
 
-    fn gaussian_hmm(stay: f64) -> Hmm<SymmetricGaussianEmission> {
+    fn gaussian_hmm(stay: f64) -> Hmm {
         Hmm::new(
             vec![0.5, 0.5],
             vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]],

@@ -7,17 +7,25 @@
 //! replays the exact (already minimized) counterexample.
 
 use sstd_hmm::{
-    forward_backward_into, viterbi, viterbi_into, BaumWelch, CategoricalEmission, DecodeWorkspace,
-    EmWorkspace, Emission, Hmm, StreamingViterbi, SymmetricGaussianEmission, TrainableEmission,
+    forward_backward_into, viterbi_into, BaumWelch, DecodeWorkspace, EmWorkspace, Hmm,
+    StreamingViterbi, SymmetricGaussianEmission,
 };
-use sstd_testkit::oracle::hmm::{
-    ReferenceEmission, ReferenceHmm, ReferenceTrainer, ReferenceWorkspace,
-};
+use sstd_testkit::oracle::hmm::{ReferenceHmm, ReferenceTrainer, ReferenceWorkspace};
 use sstd_testkit::{check, domain, gens, oracle, Gen};
 
 /// Number of cases per differential suite (overridable via
 /// `TESTKIT_CASES`).
 const CASES: usize = 1_000;
+
+/// Viterbi in a fresh workspace.
+fn viterbi(hmm: &Hmm, obs: &[f64]) -> Vec<usize> {
+    viterbi_into(hmm, obs, &mut DecodeWorkspace::new()).to_vec()
+}
+
+/// Baum–Welch from `model` in a fresh workspace.
+fn train(trainer: BaumWelch, model: &mut Hmm, obs: &[f64]) -> f64 {
+    trainer.train_into(model, obs, &mut EmWorkspace::new()).log_likelihood
+}
 
 #[test]
 fn viterbi_is_score_optimal_vs_enumeration() {
@@ -36,13 +44,12 @@ fn viterbi_is_score_optimal_vs_enumeration() {
         // return the oracle's exact path, not merely an equal-scoring one.
         if (got_score - best_score).abs() <= 1e-9 && got != best {
             let margin_unique = {
-                let n = hmm.num_states();
                 let mut better_or_equal = 0usize;
                 let mut stack: Vec<Vec<usize>> = vec![vec![]];
                 for _ in 0..case.obs.len() {
                     let mut next = Vec::new();
                     for s in &stack {
-                        for i in 0..n {
+                        for i in 0..2 {
                             let mut e = s.clone();
                             e.push(i);
                             next.push(e);
@@ -68,13 +75,13 @@ fn viterbi_is_score_optimal_vs_enumeration() {
 #[test]
 fn viterbi_matches_oracle_on_long_two_state_chains() {
     // The oracle's advertised envelope: all 2^T sequences for T <= 12.
-    let gen: Gen<(Vec<usize>, f64)> =
-        gens::pair(gens::vec_of(gens::usize_in(0, 1), 1, 12), gens::f64_in(0.55, 0.95));
+    let gen: Gen<(Vec<f64>, f64)> =
+        gens::pair(gens::vec_of(gens::f64_in(-3.0, 3.0), 1, 12), gens::f64_in(0.55, 0.95));
     check("viterbi_matches_oracle_on_long_two_state_chains", 300, &gen, |(obs, stay)| {
         let hmm = Hmm::new(
             vec![0.5, 0.5],
             vec![vec![*stay, 1.0 - stay], vec![1.0 - stay, *stay]],
-            CategoricalEmission::new(vec![vec![0.8, 0.2], vec![0.3, 0.7]]).unwrap(),
+            SymmetricGaussianEmission::new(1.5, 1.0).unwrap(),
         )
         .unwrap();
         let got = viterbi(&hmm, obs);
@@ -92,9 +99,9 @@ fn viterbi_matches_oracle_on_long_two_state_chains() {
 /// After every push the filter's decision is the last state of the batch
 /// Viterbi path over the observations pushed so far: both run the one
 /// max-product step, so they agree bit for bit until the filter rescales.
-fn filter_decides_as_batch_prefixes<E: Emission + Clone>(
-    hmm: &Hmm<E>,
-    obs: &[E::Obs],
+fn filter_decides_as_batch_prefixes(
+    hmm: &Hmm,
+    obs: &[f64],
     ws: &mut DecodeWorkspace,
 ) -> Result<(), String> {
     let mut filter = StreamingViterbi::new(hmm.clone());
@@ -108,28 +115,34 @@ fn filter_decides_as_batch_prefixes<E: Emission + Clone>(
     Ok(())
 }
 
-#[test]
-fn streaming_decisions_are_the_batch_path_ends_on_categorical_chains() {
-    let mut ws = DecodeWorkspace::new();
-    check(
-        "streaming_decisions_are_the_batch_path_ends_on_categorical_chains",
-        CASES,
-        &domain::hmm_case(64),
-        |case| filter_decides_as_batch_prefixes(&case.hmm(), &case.obs, &mut ws),
-    );
-}
-
 /// Whether `|δ|` provably stays within the filter's rescale threshold
 /// (10⁶) on `obs`: each step moves it by at most the largest `|ln A|` plus
 /// the largest `|ln b(o_t)|`.
-fn never_rescales(hmm: &Hmm<SymmetricGaussianEmission>, obs: &[f64]) -> bool {
+fn never_rescales(hmm: &Hmm, obs: &[f64]) -> bool {
     let largest = |xs: &mut dyn Iterator<Item = f64>| xs.fold(0.0, |m: f64, x| m.max(x.abs()));
-    let step = largest(&mut hmm.log_trans().as_slice().iter().copied());
+    let step = largest(&mut hmm.trans().iter().flatten().map(|p| p.ln()));
     let mut bound = largest(&mut hmm.init().iter().map(|p| p.ln()));
     obs.iter().all(|&x| {
-        bound += step + largest(&mut (0..2).map(|s| hmm.log_emit(s, x)));
+        bound += step + largest(&mut (0..2).map(|s| hmm.emission().log_prob(s, x)));
         bound <= 1e6
     })
+}
+
+#[test]
+fn streaming_decisions_are_the_batch_path_ends_on_generated_chains() {
+    let mut ws = DecodeWorkspace::new();
+    check(
+        "streaming_decisions_are_the_batch_path_ends_on_generated_chains",
+        CASES,
+        &domain::hmm_case(64),
+        |case| {
+            let hmm = case.hmm();
+            if !never_rescales(&hmm, &case.obs) {
+                return Err("an hmm_case chain crossed the rescale threshold".into());
+            }
+            filter_decides_as_batch_prefixes(&hmm, &case.obs, &mut ws)
+        },
+    );
 }
 
 #[test]
@@ -196,17 +209,13 @@ fn baum_welch_likelihood_is_monotone_and_rows_stay_stochastic() {
             let mut model = case.hmm();
             let mut prev = f64::NEG_INFINITY;
             for step in 0..5 {
-                let out = BaumWelch::default().max_iterations(1).train(model, &case.obs);
+                let ll = train(BaumWelch::default().max_iterations(1), &mut model, &case.obs);
                 // Metamorphic: each EM iteration may not decrease the
                 // data log-likelihood (up to the probability floor).
-                if out.log_likelihood < prev - 1e-6 {
-                    return Err(format!(
-                        "EM step {step} decreased the likelihood: {prev} -> {}",
-                        out.log_likelihood
-                    ));
+                if ll < prev - 1e-6 {
+                    return Err(format!("EM step {step} decreased the likelihood: {prev} -> {ll}"));
                 }
-                prev = out.log_likelihood;
-                model = out.model;
+                prev = ll;
                 // Normalization invariants after every update.
                 let init_sum: f64 = model.init().iter().sum();
                 if (init_sum - 1.0).abs() > 1e-9 {
@@ -218,12 +227,9 @@ fn baum_welch_likelihood_is_monotone_and_rows_stay_stochastic() {
                         return Err(format!("step {step}: trans row {i} sums to {s}"));
                     }
                 }
-                let m = model.emission().num_symbols();
-                for i in 0..model.num_states() {
-                    let s: f64 = (0..m).map(|k| model.emission().prob(i, k)).sum();
-                    if (s - 1.0).abs() > 1e-9 {
-                        return Err(format!("step {step}: emission row {i} sums to {s}"));
-                    }
+                let e = model.emission();
+                if !(e.mu().is_finite() && e.std() >= SymmetricGaussianEmission::DEFAULT_MIN_STD) {
+                    return Err(format!("step {step}: emission left its domain: {e:?}"));
                 }
             }
             Ok(())
@@ -234,11 +240,11 @@ fn baum_welch_likelihood_is_monotone_and_rows_stay_stochastic() {
 #[test]
 fn trained_model_never_scores_below_its_start() {
     check("trained_model_never_scores_below_its_start", 300, &domain::hmm_case(8), |case| {
-        let initial = case.hmm();
+        let mut model = case.hmm();
         let mut ws = EmWorkspace::new();
-        let before = forward_backward_into(&initial, &case.obs, &mut ws);
-        let out = BaumWelch::default().max_iterations(10).train(initial, &case.obs);
-        let after = forward_backward_into(&out.model, &case.obs, &mut ws);
+        let before = forward_backward_into(&model, &case.obs, &mut ws);
+        let _ = train(BaumWelch::default().max_iterations(10), &mut model, &case.obs);
+        let after = forward_backward_into(&model, &case.obs, &mut ws);
         if after < before - 1e-6 {
             Err(format!("training regressed the likelihood: {before} -> {after}"))
         } else {
@@ -277,23 +283,19 @@ struct Workspaces {
 impl Workspaces {
     fn same_tables(&self) -> Result<(), String> {
         let (ws, reference) = (&self.kernel, &self.reference);
-        same_bits("gamma", ws.gamma().as_slice(), reference.gamma().as_slice())?;
-        same_bits("xi_sum", ws.xi_sum().as_slice(), reference.xi_sum().as_slice())
+        same_bits("gamma", ws.gamma().as_flattened(), reference.gamma().as_slice())?;
+        same_bits("xi_sum", ws.xi_sum().as_flattened(), reference.xi_sum().as_slice())
     }
 
     /// Trains both sides the way the engine does (`SstdConfig`'s 25
-    /// iterations at 1e-4, `BaumWelch`'s default floor) and compares
-    /// everything but the emission parameters, which are the caller's.
-    fn train_both<E, R>(
+    /// iterations at 1e-4, `BaumWelch`'s default floor) and compares every
+    /// parameter and table.
+    fn train_both(
         &mut self,
-        model: &mut Hmm<E>,
-        reference: &mut ReferenceHmm<R>,
-        obs: &[E::Obs],
-    ) -> Result<(), String>
-    where
-        E: TrainableEmission,
-        R: ReferenceEmission<Obs = E::Obs>,
-    {
+        model: &mut Hmm,
+        reference: &mut ReferenceHmm,
+        obs: &[f64],
+    ) -> Result<(), String> {
         let got = BaumWelch::default().max_iterations(25).tolerance(1e-4).train_into(
             model,
             obs,
@@ -306,17 +308,19 @@ impl Workspaces {
             return Err(format!("stopped at {got:?}, reference at {want:?}"));
         }
         same_bits("init", model.init(), &reference.init)?;
-        same_bits("trans", model.trans().as_slice(), reference.trans.as_slice())?;
+        same_bits("trans", model.trans().as_flattened(), reference.trans.as_slice())?;
+        let (e, r) = (model.emission(), &reference.emission);
+        same_bits("(mu, std)", &[e.mu(), e.std()], &[r.mu, r.std])?;
         self.same_tables()
     }
 }
 
 #[test]
-fn categorical_em_is_bit_identical_to_the_reference_loops() {
-    // 2–3 states: both instantiations of the loop body run.
+fn two_state_em_is_bit_identical_to_the_reference_loops() {
+    // General π and A rows, asymmetric ones included.
     let mut ws = Workspaces::default();
     check(
-        "categorical_em_is_bit_identical_to_the_reference_loops",
+        "two_state_em_is_bit_identical_to_the_reference_loops",
         CASES,
         &domain::hmm_case(64),
         |case| {
@@ -325,13 +329,7 @@ fn categorical_em_is_bit_identical_to_the_reference_loops() {
             let want = oracle::hmm::forward_backward_into(&reference, &case.obs, &mut ws.reference);
             same_bits("log-likelihood", &[got], &[want])?;
             ws.same_tables()?;
-
-            ws.train_both(&mut model, &mut reference, &case.obs)?;
-            for (s, want) in reference.emission.probs.iter().enumerate() {
-                let got: Vec<f64> = (0..want.len()).map(|k| model.emission().prob(s, k)).collect();
-                same_bits("emission row", &got, want)?;
-            }
-            Ok(())
+            ws.train_both(&mut model, &mut reference, &case.obs)
         },
     );
 }
@@ -347,7 +345,6 @@ fn symmetric_gaussian_training_is_bit_identical_to_the_reference_loops() {
             let (mut model, mut reference) = (case.hmm(), case.reference());
             ws.train_both(&mut model, &mut reference, &case.obs)?;
             let (e, r) = (model.emission(), &reference.emission);
-            same_bits("(mu, std)", &[e.mu(), e.std()], &[r.mu, r.std])?;
             // What the decoders read, one call at a time, with the trained σ.
             for &x in &case.obs {
                 let (got, want) =

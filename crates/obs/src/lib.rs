@@ -99,8 +99,22 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON value (`null` when not finite).
-pub(crate) fn json_f64(v: f64) -> String {
+/// Formats an `f64` as a JSON value: Rust's shortest round-trip decimal
+/// (`0.5`, `1e-7`, `3`), or `null` when the value is not finite, since
+/// JSON has no NaN or infinity. Every JSON file the workspace writes
+/// formats its numbers with it.
+///
+/// # Examples
+///
+/// ```
+/// use sstd_obs::json_f64;
+///
+/// assert_eq!(json_f64(0.25), "0.25");
+/// assert_eq!(json_f64(3.0), "3");
+/// assert_eq!(json_f64(f64::NAN), "null");
+/// ```
+#[must_use]
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

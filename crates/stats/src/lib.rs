@@ -5,7 +5,7 @@
 //! ([`SplitMix64`]), samplers for the populations the trace generator
 //! draws (Gaussian, Beta, Zipf, Poisson), special functions for the CATD
 //! baseline's chi-square confidence bounds, numerically stable log-space
-//! reductions for the HMM, and streaming moment estimators for the
+//! reductions for the HMM oracles, and streaming moment estimators for the
 //! runtime's execution-time monitoring. They are all implemented here,
 //! on top of nothing but the standard library.
 //!
@@ -25,7 +25,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod dist;
-pub mod histogram;
 pub mod logspace;
 pub mod online;
 pub mod quantile;
@@ -33,8 +32,7 @@ pub mod rng;
 pub mod special;
 
 pub use dist::{Beta, DistError, Normal, Poisson, Zipf};
-pub use histogram::Histogram;
-pub use logspace::{log_sum_exp, normalize_in_place};
+pub use logspace::log_sum_exp;
 pub use online::OnlineStats;
 pub use quantile::exact_quantile;
 pub use rng::{mix64, SplitMix64};

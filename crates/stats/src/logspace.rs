@@ -1,4 +1,4 @@
-//! Numerically stable log-space reductions used by the HMM.
+//! Numerically stable log-space reductions.
 
 /// Computes `ln Σ exp(xs[i])` without overflow/underflow.
 ///
@@ -25,38 +25,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     max + sum.ln()
 }
 
-/// Normalizes `xs` into a probability vector in place and returns the
-/// pre-normalization sum (the scaling constant).
-///
-/// If the sum is zero or not finite, the vector is reset to uniform and the
-/// original sum is still returned — the caller can detect the degenerate
-/// case while downstream code keeps a valid distribution.
-///
-/// # Examples
-///
-/// ```
-/// use sstd_stats::normalize_in_place;
-///
-/// let mut v = vec![2.0, 6.0];
-/// let z = normalize_in_place(&mut v);
-/// assert_eq!(z, 8.0);
-/// assert_eq!(v, vec![0.25, 0.75]);
-/// ```
-pub fn normalize_in_place(xs: &mut [f64]) -> f64 {
-    let sum: f64 = xs.iter().sum();
-    if sum > 0.0 && sum.is_finite() {
-        for x in xs.iter_mut() {
-            *x /= sum;
-        }
-    } else if !xs.is_empty() {
-        let u = 1.0 / xs.len() as f64;
-        for x in xs.iter_mut() {
-            *x = u;
-        }
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,27 +46,5 @@ mod tests {
     #[test]
     fn lse_all_neg_inf() {
         assert_eq!(log_sum_exp(&[f64::NEG_INFINITY; 3]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn normalize_returns_scaling_constant() {
-        let mut v = vec![1.0, 1.0, 2.0];
-        let z = normalize_in_place(&mut v);
-        assert_eq!(z, 4.0);
-        assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_degenerate_resets_to_uniform() {
-        let mut v = vec![0.0, 0.0];
-        let z = normalize_in_place(&mut v);
-        assert_eq!(z, 0.0);
-        assert_eq!(v, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn normalize_empty_is_noop() {
-        let mut v: Vec<f64> = vec![];
-        assert_eq!(normalize_in_place(&mut v), 0.0);
     }
 }

@@ -1,39 +1,7 @@
 //! Properties of the streaming estimators over their public API.
 
-use sstd_stats::{Histogram, OnlineStats};
+use sstd_stats::OnlineStats;
 use sstd_testkit::{check, gens};
-
-#[test]
-fn every_sample_lands_in_a_valid_bin() {
-    let gen = gens::pair(gens::vec_of(gens::f64_in(-1e3, 1e3), 1, 199), gens::usize_in(1, 31));
-    check("every_sample_lands_in_a_valid_bin", 256, &gen, |(xs, bins)| {
-        let mut h = Histogram::new(-10.0, 10.0, *bins);
-        for &x in xs {
-            h.record(x);
-        }
-        if h.total() as usize == xs.len() {
-            Ok(())
-        } else {
-            Err(format!("total {} != {} samples", h.total(), xs.len()))
-        }
-    });
-}
-
-#[test]
-fn bin_of_is_monotone() {
-    check("bin_of_is_monotone", 256, &gens::usize_in(1, 15), |&bins| {
-        let h = Histogram::new(0.0, 1.0, bins);
-        let mut last = 0;
-        for i in 0..=100 {
-            let b = h.bin_of(i as f64 / 100.0);
-            if b < last {
-                return Err(format!("bin_of({}) = {b} < {last}", i as f64 / 100.0));
-            }
-            last = b;
-        }
-        Ok(())
-    });
-}
 
 #[test]
 fn merge_equals_sequential() {

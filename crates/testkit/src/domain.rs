@@ -14,10 +14,10 @@ pub mod scenario;
 pub use post_stream::{post_stream_case, PostStreamCase};
 
 use crate::gen::{gens, Gen};
-use crate::oracle::hmm::{Categorical, ReferenceHmm, SymmetricGaussian};
+use crate::oracle::hmm::{ReferenceHmm, SymmetricGaussian};
 use sstd_control::DtmConfig;
 use sstd_core::{CheckpointPolicy, SstdConfig};
-use sstd_hmm::{CategoricalEmission, Hmm, Mat, SymmetricGaussianEmission};
+use sstd_hmm::{Hmm, SymmetricGaussianEmission};
 use sstd_runtime::FaultPlan;
 use sstd_stats::SplitMix64;
 use sstd_types::{
@@ -29,25 +29,26 @@ use sstd_types::{
 // HMM parameter sets
 // ---------------------------------------------------------------------
 
-/// A categorical HMM plus an observation sequence, kept as raw
-/// probability tables so the shrinker can simplify them.
+/// A two-state Gaussian HMM plus an observation sequence, kept as raw
+/// tables so the shrinker can simplify them. `π` and each row of `A` are
+/// general stochastic rows, so asymmetric chains are covered as well as
+/// the sticky symmetric one the engine starts from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HmmCase {
-    /// Initial distribution (stochastic).
+    /// Initial distribution (two entries, stochastic).
     pub init: Vec<f64>,
-    /// Transition matrix (row-stochastic).
+    /// Transition matrix (two rows of two, row-stochastic).
     pub trans: Vec<Vec<f64>>,
-    /// Per-state emission distributions over symbols (row-stochastic).
-    pub emit: Vec<Vec<f64>>,
-    /// Observed symbol sequence; every entry is a valid symbol.
-    pub obs: Vec<usize>,
+    /// The emission's separation `μ` and shared `σ`.
+    pub emit: (f64, f64),
+    /// Observed ACS values, all finite.
+    pub obs: Vec<f64>,
 }
 
 impl HmmCase {
-    /// Number of hidden states.
-    #[must_use]
-    pub fn num_states(&self) -> usize {
-        self.init.len()
+    fn emission(&self) -> SymmetricGaussianEmission {
+        let (mu, std) = self.emit;
+        SymmetricGaussianEmission::new(mu, std).expect("generated emissions are valid")
     }
 
     /// Builds the production model from the tables.
@@ -57,23 +58,18 @@ impl HmmCase {
     /// Panics if the tables are not stochastic — generated and shrunk
     /// cases always are.
     #[must_use]
-    pub fn hmm(&self) -> Hmm<CategoricalEmission> {
-        Hmm::new(
-            self.init.clone(),
-            self.trans.clone(),
-            CategoricalEmission::new(self.emit.clone()).expect("generated rows are stochastic"),
-        )
-        .expect("generated parameters are stochastic")
+    pub fn hmm(&self) -> Hmm {
+        Hmm::new(self.init.clone(), self.trans.clone(), self.emission())
+            .expect("generated parameters are stochastic")
     }
 
     /// The same tables as a model of the reference EM loops
     /// ([`crate::oracle::hmm`]).
     #[must_use]
-    pub fn reference(&self) -> ReferenceHmm<Categorical> {
-        let emission = Categorical {
-            probs: Mat::from_rows(&self.emit),
-            floor: CategoricalEmission::DEFAULT_FLOOR,
-        };
+    pub fn reference(&self) -> ReferenceHmm {
+        let (mu, std) = self.emit;
+        let emission =
+            SymmetricGaussian { mu, std, min_std: SymmetricGaussianEmission::DEFAULT_MIN_STD };
         ReferenceHmm::new(self.init.clone(), &self.trans, emission)
     }
 }
@@ -94,10 +90,10 @@ fn uniform_row(n: usize) -> Vec<f64> {
     vec![1.0 / n as f64; n]
 }
 
-/// Generates [`HmmCase`]s: 2–3 states, 2–4 symbols, observation length
-/// `1..=max_obs`. Shrinking shortens the observations, then snaps
-/// probability rows to uniform (the simplest stochastic row) one table
-/// at a time.
+/// Generates [`HmmCase`]s: `μ` in `[0.2, 3]`, `σ` in `[0.3, 2.5]`,
+/// observations in `[−4, 4]`, length `1..=max_obs`. Shrinking shortens
+/// the observations, then snaps probability rows to uniform (the
+/// simplest stochastic row) one table at a time.
 ///
 /// # Panics
 ///
@@ -106,47 +102,48 @@ fn uniform_row(n: usize) -> Vec<f64> {
 pub fn hmm_case(max_obs: usize) -> Gen<HmmCase> {
     assert!(max_obs > 0, "need at least one observation");
     Gen::new(move |rng| {
-        let n = rng.usize_in(2, 3);
-        let m = rng.usize_in(2, 4);
-        let init = stochastic_row(rng, n);
-        let trans = (0..n).map(|_| stochastic_row(rng, n)).collect();
-        let emit = (0..n).map(|_| stochastic_row(rng, m)).collect();
+        let init = stochastic_row(rng, 2);
+        let trans = (0..2).map(|_| stochastic_row(rng, 2)).collect();
+        let emit = (rng.f64_in(0.2, 3.0), rng.f64_in(0.3, 2.5));
         let len = rng.usize_in(1, max_obs);
-        let obs = (0..len).map(|_| rng.usize_in(0, m - 1)).collect();
+        let obs = (0..len).map(|_| rng.f64_in(-4.0, 4.0)).collect();
         HmmCase { init, trans, emit, obs }
     })
     .with_shrink(|case: &HmmCase| {
-        let mut out = Vec::new();
-        let t = case.obs.len();
-        if t > 1 {
-            let keep = (t / 2).max(1);
-            out.push(HmmCase { obs: case.obs[..keep].to_vec(), ..case.clone() });
-            out.push(HmmCase { obs: case.obs[t - keep..].to_vec(), ..case.clone() });
-            for i in 0..t.min(12) {
-                let mut obs = case.obs.clone();
-                obs.remove(i);
-                out.push(HmmCase { obs, ..case.clone() });
-            }
+        let mut out: Vec<HmmCase> = shrink_length(&case.obs)
+            .into_iter()
+            .map(|obs| HmmCase { obs, ..case.clone() })
+            .collect();
+        if case.init != uniform_row(2) {
+            out.push(HmmCase { init: uniform_row(2), ..case.clone() });
         }
-        let n = case.num_states();
-        let m = case.emit[0].len();
-        if case.init != uniform_row(n) {
-            out.push(HmmCase { init: uniform_row(n), ..case.clone() });
-        }
-        for i in 0..n {
-            if case.trans[i] != uniform_row(n) {
+        for i in 0..2 {
+            if case.trans[i] != uniform_row(2) {
                 let mut trans = case.trans.clone();
-                trans[i] = uniform_row(n);
+                trans[i] = uniform_row(2);
                 out.push(HmmCase { trans, ..case.clone() });
-            }
-            if case.emit[i] != uniform_row(m) {
-                let mut emit = case.emit.clone();
-                emit[i] = uniform_row(m);
-                out.push(HmmCase { emit, ..case.clone() });
             }
         }
         out
     })
+}
+
+/// Shorter observation sequences: both halves, then each of the first 12
+/// single removals. Nothing for a single observation.
+fn shrink_length(obs: &[f64]) -> Vec<Vec<f64>> {
+    let mut out = Vec::new();
+    let t = obs.len();
+    if t > 1 {
+        let keep = (t / 2).max(1);
+        out.push(obs[..keep].to_vec());
+        out.push(obs[t - keep..].to_vec());
+        for i in 0..t.min(12) {
+            let mut shorter = obs.to_vec();
+            shorter.remove(i);
+            out.push(shorter);
+        }
+    }
+    out
 }
 
 /// The truth model's shape — a sticky two-state chain over a
@@ -177,7 +174,7 @@ impl SymmetricEmCase {
     ///
     /// Panics if the parameters are invalid — generated cases never are.
     #[must_use]
-    pub fn hmm(&self) -> Hmm<SymmetricGaussianEmission> {
+    pub fn hmm(&self) -> Hmm {
         let emission = SymmetricGaussianEmission::new(self.mu, self.std)
             .expect("generated parameters are valid")
             .with_min_std(self.min_std);
@@ -186,27 +183,17 @@ impl SymmetricEmCase {
 
     /// The same parameters as a model of the reference EM loops.
     #[must_use]
-    pub fn reference(&self) -> ReferenceHmm<SymmetricGaussian> {
+    pub fn reference(&self) -> ReferenceHmm {
         let emission = SymmetricGaussian { mu: self.mu, std: self.std, min_std: self.min_std };
         ReferenceHmm::new(vec![0.5, 0.5], &self.trans(), emission)
     }
 }
 
-/// Shrinks an observation sequence: halves, single removals, then
-/// special values (zero is the simplest observation) one at a time.
+/// Shrinks an observation sequence: [`shrink_length`], then special
+/// values (zero is the simplest observation) one at a time.
 fn shrink_observations(obs: &[f64]) -> Vec<Vec<f64>> {
-    let mut out = Vec::new();
+    let mut out = shrink_length(obs);
     let t = obs.len();
-    if t > 1 {
-        let keep = (t / 2).max(1);
-        out.push(obs[..keep].to_vec());
-        out.push(obs[t - keep..].to_vec());
-        for i in 0..t.min(12) {
-            let mut shorter = obs.to_vec();
-            shorter.remove(i);
-            out.push(shorter);
-        }
-    }
     for i in (0..t).filter(|&i| obs[i] != 0.0).take(12) {
         let mut zeroed = obs.to_vec();
         zeroed[i] = 0.0;
@@ -1040,11 +1027,11 @@ mod tests {
     fn hmm_cases_are_always_stochastic() {
         let g = hmm_case(12);
         let n = check_with(CheckConfig::new(300), &g, |case| {
-            let hmm = case.hmm(); // panics if any row is not stochastic
-            if case.obs.iter().all(|&o| o < hmm.emission().num_symbols()) {
+            let _ = case.hmm(); // panics if any row is not stochastic
+            if case.obs.iter().all(|o| o.is_finite()) {
                 Ok(())
             } else {
-                Err("observation symbol out of range".into())
+                Err("observation is not finite".into())
             }
         })
         .expect("every generated HMM is valid");

@@ -14,7 +14,7 @@
 //!   greedy shrinking;
 //! - [`oracle`] — brute-force reference implementations (exhaustive
 //!   Viterbi, direct-sum likelihood, naive sliding-window ACS, sorted
-//!   quantiles, scanned histogram bins, the linear-scan text stages, the
+//!   quantiles, the linear-scan text stages, the
 //!   walk-every-claim change stream);
 //! - [`check`] — the runner: on failure it shrinks the case and prints a
 //!   `TESTKIT_SEED=… TESTKIT_CASES=1` line that replays it exactly.

@@ -3,13 +3,11 @@
 //! Each oracle recomputes from the definition what a production code
 //! path computes incrementally or by dynamic programming, so the
 //! differential suites can compare the two on thousands of seeded cases.
-//! The HMM oracles (exhaustive Viterbi over all `N^T` sequences,
-//! direct-sum likelihood, enumerated posteriors) live in
-//! [`sstd_hmm::exhaustive`] and are re-exported here under [`hmm`] so the
-//! testkit is a one-stop import for every oracle, beside the EM loops the
-//! flat-slice kernel replaced; the linear-scan text stages are under
-//! [`text`], and [`WalkEveryClaim`] is a shard's change stream computed
-//! by visiting every claim at every close.
+//! The HMM oracles (exhaustive Viterbi over all `2^T` sequences,
+//! direct-sum likelihood, enumerated posteriors) live in [`hmm`], beside
+//! the EM loops the flat-slice kernel replaced; the linear-scan text
+//! stages are under [`text`], and [`WalkEveryClaim`] is a shard's change
+//! stream computed by visiting every claim at every close.
 
 pub mod hmm;
 pub mod text;
@@ -23,10 +21,10 @@ pub mod text;
 /// # Errors
 ///
 /// Returns a description of the first divergence: log-likelihood bits,
-/// γ/ξ table shape or entries, or the Viterbi path.
-pub fn check_workspace_kernels<E: sstd_hmm::Emission>(
-    hmm: &sstd_hmm::Hmm<E>,
-    obs: &[E::Obs],
+/// γ length or entries, Σξ entries, or the Viterbi path.
+pub fn check_workspace_kernels(
+    hmm: &sstd_hmm::Hmm,
+    obs: &[f64],
     em: &mut sstd_hmm::EmWorkspace,
     decode: &mut sstd_hmm::DecodeWorkspace,
 ) -> Result<(), String> {
@@ -36,69 +34,64 @@ pub fn check_workspace_kernels<E: sstd_hmm::Emission>(
     if ll.to_bits() != want_ll.to_bits() {
         return Err(format!("log-likelihood diverged: reused {ll} vs fresh {want_ll}"));
     }
-    for (name, got, want) in
-        [("gamma", em.gamma(), fresh.gamma()), ("xi_sum", em.xi_sum(), fresh.xi_sum())]
-    {
-        if (got.rows(), got.cols()) != (want.rows(), want.cols()) {
-            return Err(format!(
-                "{name} is {}x{}, fresh is {}x{}",
-                got.rows(),
-                got.cols(),
-                want.rows(),
-                want.cols()
-            ));
-        }
-        for (k, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+    if em.gamma().len() != fresh.gamma().len() {
+        return Err(format!(
+            "gamma has {} rows, fresh has {}",
+            em.gamma().len(),
+            fresh.gamma().len()
+        ));
+    }
+    for (name, got, want) in [
+        ("gamma", em.gamma().as_flattened(), fresh.gamma().as_flattened()),
+        ("xi_sum", em.xi_sum().as_flattened(), fresh.xi_sum().as_flattened()),
+    ] {
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
             if g.to_bits() != w.to_bits() {
-                let (r, c) = (k / got.cols(), k % got.cols());
+                let (r, c) = (k / 2, k % 2);
                 return Err(format!("{name}[{r}][{c}] = {g}, fresh says {w}"));
             }
         }
     }
-    let want_path = sstd_hmm::viterbi(hmm, obs);
+    let want_path =
+        sstd_hmm::viterbi_into(hmm, obs, &mut sstd_hmm::DecodeWorkspace::new()).to_vec();
     let got_path = sstd_hmm::viterbi_into(hmm, obs, decode);
     if got_path != want_path {
-        return Err(format!("viterbi path diverged: workspace {got_path:?} vs {want_path:?}"));
+        return Err(format!("viterbi path diverged: reused {got_path:?} vs fresh {want_path:?}"));
     }
     Ok(())
 }
 
-/// Compares [`BaumWelch::train`](sstd_hmm::BaumWelch::train) against
-/// [`train_into`](sstd_hmm::BaumWelch::train_into) on one starting model:
-/// the trained parameters, final log-likelihood bits, iteration count,
-/// and convergence flag must all agree.
+/// Trains one starting model with [`BaumWelch::train_into`](sstd_hmm::BaumWelch::train_into)
+/// in the caller's reused workspace and in a fresh one: the trained
+/// parameters, final log-likelihood bits, iteration count, and
+/// convergence flag must all agree.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence.
-pub fn check_workspace_training<E>(
+pub fn check_workspace_training(
     trainer: &sstd_hmm::BaumWelch,
-    initial: &sstd_hmm::Hmm<E>,
-    obs: &[E::Obs],
+    initial: &sstd_hmm::Hmm,
+    obs: &[f64],
     em: &mut sstd_hmm::EmWorkspace,
-) -> Result<(), String>
-where
-    E: sstd_hmm::TrainableEmission + Clone + PartialEq + std::fmt::Debug,
-{
-    let reference = trainer.train(initial.clone(), obs);
+) -> Result<(), String> {
+    let mut want = initial.clone();
+    let want_stats = trainer.train_into(&mut want, obs, &mut sstd_hmm::EmWorkspace::new());
     let mut model = initial.clone();
     let stats = trainer.train_into(&mut model, obs, em);
-    if model != reference.model {
+    if model != want {
+        return Err(format!("trained models diverged:\n  reused {model:?}\n  fresh  {want:?}"));
+    }
+    if stats.log_likelihood.to_bits() != want_stats.log_likelihood.to_bits() {
         return Err(format!(
-            "trained models diverged:\n  workspace  {model:?}\n  allocating {:?}",
-            reference.model
+            "final log-likelihood diverged: reused {} vs fresh {}",
+            stats.log_likelihood, want_stats.log_likelihood
         ));
     }
-    if stats.log_likelihood.to_bits() != reference.log_likelihood.to_bits() {
+    if stats.iterations != want_stats.iterations || stats.converged != want_stats.converged {
         return Err(format!(
-            "final log-likelihood diverged: workspace {} vs allocating {}",
-            stats.log_likelihood, reference.log_likelihood
-        ));
-    }
-    if stats.iterations != reference.iterations || stats.converged != reference.converged {
-        return Err(format!(
-            "convergence diverged: workspace ({}, {}) vs allocating ({}, {})",
-            stats.iterations, stats.converged, reference.iterations, reference.converged
+            "convergence diverged: reused ({}, {}) vs fresh ({}, {})",
+            stats.iterations, stats.converged, want_stats.iterations, want_stats.converged
         ));
     }
     Ok(())
@@ -135,7 +128,7 @@ pub fn full_history_streaming(
         start_interval: usize,
         open_cs: f64,
         window: VecDeque<f64>,
-        decoder: Option<StreamingViterbi<SymmetricGaussianEmission>>,
+        decoder: Option<StreamingViterbi>,
         model: Option<ClaimTruthModel>,
         history: Vec<f64>,
         decisions: Vec<TruthLabel>,
@@ -348,48 +341,6 @@ pub fn naive_acs(interval_sums: &[f64], window: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The bin a sample falls into, by linear scan over explicit bin edges:
-/// bin `k` covers `[lo + k·w, lo + (k+1)·w)` with `w = (hi − lo)/bins`,
-/// out-of-range samples clamp to the end bins.
-///
-/// Differential partner of `Histogram::bin_of`. Near a bin edge the two
-/// can legitimately disagree by one bin when the edge itself is not
-/// exactly representable; [`near_bin_edge`] identifies those samples so
-/// a differential test can exclude them.
-///
-/// # Panics
-///
-/// Panics if `bins == 0` or the range is not an ordered pair of finite
-/// bounds.
-#[must_use]
-pub fn scan_bin_of(lo: f64, hi: f64, bins: usize, x: f64) -> usize {
-    assert!(bins > 0 && lo.is_finite() && hi.is_finite() && lo < hi, "bad histogram shape");
-    if x.is_nan() {
-        return 0;
-    }
-    for k in 0..bins {
-        let upper = lo + (hi - lo) * (k as f64 + 1.0) / bins as f64;
-        if x < upper {
-            return k;
-        }
-    }
-    bins - 1
-}
-
-/// Whether `x` lies within `tol` (relative to the bin width) of any bin
-/// edge of the `[lo, hi]`/`bins` histogram.
-#[must_use]
-pub fn near_bin_edge(lo: f64, hi: f64, bins: usize, x: f64, tol: f64) -> bool {
-    if x.is_nan() {
-        return false;
-    }
-    let width = (hi - lo) / bins as f64;
-    (0..=bins).any(|k| {
-        let edge = lo + (hi - lo) * k as f64 / bins as f64;
-        (x - edge).abs() <= tol * width
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,19 +360,5 @@ mod tests {
     #[test]
     fn naive_acs_huge_window_is_running_total() {
         assert_eq!(naive_acs(&[1.0, 1.0, 1.0], 99), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn scan_bin_clamps_and_covers() {
-        assert_eq!(scan_bin_of(0.0, 1.0, 4, -3.0), 0);
-        assert_eq!(scan_bin_of(0.0, 1.0, 4, 0.3), 1);
-        assert_eq!(scan_bin_of(0.0, 1.0, 4, 99.0), 3);
-        assert_eq!(scan_bin_of(0.0, 1.0, 4, f64::NAN), 0);
-    }
-
-    #[test]
-    fn near_bin_edge_flags_boundaries_only() {
-        assert!(near_bin_edge(0.0, 1.0, 10, 0.300000000001, 1e-9));
-        assert!(!near_bin_edge(0.0, 1.0, 10, 0.35, 1e-9));
     }
 }

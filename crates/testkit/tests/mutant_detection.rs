@@ -7,8 +7,12 @@
 //! the default case budget, replay it from the printed seed, and shrink
 //! the counterexample to a handful of observations.
 
-use sstd_hmm::{viterbi, CategoricalEmission, Hmm};
+use sstd_hmm::{viterbi_into, DecodeWorkspace, Hmm, SymmetricGaussianEmission};
 use sstd_testkit::{check_with, domain, oracle, CheckConfig};
+
+fn viterbi(hmm: &Hmm, obs: &[f64]) -> Vec<usize> {
+    viterbi_into(hmm, obs, &mut DecodeWorkspace::new()).to_vec()
+}
 
 /// Decodes with the rows and columns of the transition matrix swapped —
 /// a bug an optimized reimplementation could plausibly introduce.
@@ -28,10 +32,11 @@ fn transposed_viterbi(case: &domain::HmmCase) -> Vec<usize> {
             *p /= sum;
         }
     }
+    let (mu, std) = case.emit;
     let mutant = Hmm::new(
         case.init.clone(),
         transposed,
-        CategoricalEmission::new(case.emit.clone()).expect("rows stochastic"),
+        SymmetricGaussianEmission::new(mu, std).expect("generated emissions are valid"),
     )
     .expect("renormalized mutant is a valid model");
     viterbi(&mutant, &case.obs)

@@ -8,8 +8,8 @@
 //! - [`types`] — domain vocabulary (sources, claims, reports, scores).
 //! - [`stats`] — hand-rolled statistical substrate (distributions, online
 //!   moments, chi-square bounds).
-//! - [`hmm`] — generic hidden Markov models: Baum–Welch EM, Viterbi, the
-//!   online Viterbi filter.
+//! - [`hmm`] — the two-state truth HMM: Baum–Welch EM, Viterbi, the online
+//!   Viterbi filter.
 //! - [`text`] — tweet preprocessing: claim clustering, attitude /
 //!   uncertainty / independence scoring.
 //! - [`core`] — the SSTD scheme itself: sliding-window ACS aggregation plus

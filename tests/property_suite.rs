@@ -15,7 +15,6 @@ use sstd::runtime::{
     Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, JobId, RetryPolicy,
     ThreadedEngine,
 };
-use sstd::stats::Histogram;
 use sstd::types::{ClaimId, GroundTruth, Report, SourceId, Timeline, Timestamp, Trace, TruthLabel};
 use sstd_stats::SplitMix64;
 use sstd_testkit::domain::{TraceCase, TraceShape};
@@ -358,58 +357,6 @@ fn the_first_decision_the_refit_horizon_changes_lies_past_the_horizon() {
             Ok(())
         },
     );
-}
-
-// ---------------------------------------------------------------------
-// Stats substrate: histogram binning
-// ---------------------------------------------------------------------
-
-#[test]
-fn histogram_bin_of_matches_the_edge_scan() {
-    let gen = gens::pair(
-        gens::pair(gens::f64_in(-50.0, 50.0), gens::f64_in(0.5, 100.0)),
-        gens::pair(gens::usize_in(1, 32), gens::f64_in(-120.0, 120.0)),
-    );
-    check("histogram_bin_of_matches_the_edge_scan", CASES, &gen, |((lo, width), (bins, x))| {
-        let hi = lo + width;
-        let h = Histogram::new(*lo, hi, *bins);
-        let fast = h.bin_of(*x);
-        let slow = oracle::scan_bin_of(*lo, hi, *bins, *x);
-        if fast == slow {
-            return Ok(());
-        }
-        // Right on an edge the two float evaluation orders may land on
-        // opposite sides; anywhere else they must agree exactly.
-        if oracle::near_bin_edge(*lo, hi, *bins, *x, 1e-9) && fast.abs_diff(slow) == 1 {
-            return Ok(());
-        }
-        Err(format!("bin_of({x}) = {fast}, edge scan says {slow}"))
-    });
-}
-
-#[test]
-fn histogram_boundary_values_open_their_own_bin() {
-    let gen = gens::pair(
-        gens::pair(gens::f64_in(-20.0, 20.0), gens::f64_in(0.5, 40.0)),
-        gens::usize_in(1, 24),
-    );
-    check("histogram_boundary_values_open_their_own_bin", CASES, &gen, |((lo, width), bins)| {
-        let hi = lo + width;
-        let h = Histogram::new(*lo, hi, *bins);
-        for k in 0..*bins {
-            // The left edge of bin k, computed the way callers naturally
-            // do (`lo + k * width / bins`), must not fall into bin k-1.
-            let edge = lo + (hi - lo) * k as f64 / *bins as f64;
-            let got = h.bin_of(edge);
-            if got != k && !(oracle::near_bin_edge(*lo, hi, *bins, edge, 1e-9) && got + 1 == k) {
-                return Err(format!("left edge of bin {k} ({edge}) landed in bin {got}"));
-            }
-            if h.bin_of(h.bin_center(k)) != k {
-                return Err(format!("center of bin {k} missed its own bin"));
-            }
-        }
-        Ok(())
-    });
 }
 
 // ---------------------------------------------------------------------
