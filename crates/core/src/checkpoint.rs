@@ -36,9 +36,11 @@ use std::fmt;
 /// full per-claim ACS history of version 1 with the bounded ring and an
 /// optional decoder forward state; version 3 drops the forward state, as
 /// every engine now refits; version 4 fingerprints the five
-/// [`SstdConfig`] fields, as the window rule is one fixed `window`.
-/// Snapshots of versions 1–3 are refused.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// [`SstdConfig`] fields, as the window rule is one fixed `window`;
+/// version 5 keeps version 4's layout, but its ring is replayed under a
+/// fixed truth chain, where a version-4 ring was fitted with a learned
+/// one. Snapshots of versions 1–4 are refused.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The 8-byte magic prefixing every encoded checkpoint.
 const MAGIC: &[u8; 8] = b"SSTDCKP1";
@@ -544,17 +546,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_older_than_version_4_are_refused() {
+    fn snapshots_older_than_version_5_are_refused() {
         // Magic and checksum of an older snapshot are valid; the version
-        // word is read before any of its payload (or its fingerprint).
-        for old in [1u32, 2, 3] {
+        // word is read before any of its payload (or its fingerprint). A
+        // version-4 snapshot has this build's layout byte for byte, and is
+        // refused all the same: its decisions came from a learned chain.
+        for old in [1u32, 2, 3, 4] {
             let mut bytes = sample().to_bytes();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             let body_len = bytes.len() - 8;
             let sum = fnv1a(&bytes[..body_len]).to_le_bytes();
             bytes[body_len..].copy_from_slice(&sum);
             let err = StreamCheckpoint::from_bytes(&bytes).expect_err("older version");
-            assert_eq!(err, RecoveryError::VersionMismatch { found: old, expected: 4 });
+            assert_eq!(err, RecoveryError::VersionMismatch { found: old, expected: 5 });
         }
     }
 

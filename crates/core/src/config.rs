@@ -4,10 +4,11 @@ use sstd_types::ConfigError;
 
 /// Tuning parameters for the SSTD truth-discovery scheme.
 ///
-/// Defaults follow the paper's setup: a sliding window of a few intervals
-/// (chosen "based on the expected change frequency of the truth", §III-B),
-/// sticky initial transitions (truth rarely flips between adjacent
-/// intervals), and offline EM training capped at a modest iteration count.
+/// Defaults follow the paper's setup: a short sliding window (chosen
+/// "based on the expected change frequency of the truth", §III-B), a
+/// sticky truth chain (truth rarely flips between adjacent intervals),
+/// and offline EM training of the emission capped at a modest iteration
+/// count.
 ///
 /// Set a field by struct literal over the defaults; every engine that
 /// takes a config runs [`validate`](SstdConfig::validate) on it first.
@@ -17,8 +18,9 @@ use sstd_types::ConfigError;
 /// ```
 /// use sstd_core::SstdConfig;
 ///
-/// // A wider window for claims whose truth changes slowly.
-/// let cfg = SstdConfig { window: 5, em_iterations: 30, ..SstdConfig::default() };
+/// // For claims whose truth changes slowly: a stickier chain, which EM
+/// // keeps as given, and a wider window.
+/// let cfg = SstdConfig { window: 4, stay_probability: 0.97, ..SstdConfig::default() };
 /// assert!(cfg.validate().is_ok());
 ///
 /// let bad = SstdConfig { stay_probability: 1.5, ..SstdConfig::default() };
@@ -30,7 +32,10 @@ pub struct SstdConfig {
     /// distributed and streaming — sums contribution scores into ACS
     /// (paper Eq. 4), for every claim.
     pub window: usize,
-    /// Initial self-transition probability of the truth chain.
+    /// Self-transition probability of the truth chain: every claim's HMM
+    /// stays in its state with this probability and flips with the rest.
+    /// It is a constant of the model, not EM's starting point — EM fits
+    /// only the emission (DESIGN.md §6).
     pub stay_probability: f64,
     /// Maximum Baum–Welch iterations per claim.
     pub em_iterations: usize,
@@ -48,7 +53,7 @@ pub struct SstdConfig {
 impl Default for SstdConfig {
     fn default() -> Self {
         Self {
-            window: 3,
+            window: 2,
             stay_probability: 0.9,
             em_iterations: 25,
             train: true,

@@ -244,28 +244,28 @@ mod tests {
         // What `run_with_confidence` returned for these fixtures while the
         // posterior pass still ran inside every per-claim decode. Every
         // interval of the fixtures carries evidence, and the posteriors
-        // were pinned at window 1.
+        // are pinned at window 1 under the fixed truth chain.
         const CONFIDENCE: [f64; 20] = [
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-            0.999999999999986,
-            1.1397760391934481e-14,
-            1.2664179512350133e-21,
-            1.2664178213261005e-21,
-            1.2664178213261005e-21,
-            1.2664178213261005e-21,
-            1.2664178213261005e-21,
-            1.2664178213261005e-21,
-            1.2664178213261005e-21,
-            1.2664178213262305e-21,
-            1.2664165549095309e-20,
+            0.9999999999999987,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999998,
+            0.9999999999999872,
+            1.2664165549095278e-14,
+            1.5634772282849897e-16,
+            1.5634772282834253e-16,
+            1.5634772282834253e-16,
+            1.5634772282834253e-16,
+            1.5634772282834253e-16,
+            1.5634772282834253e-16,
+            1.5634772282834253e-16,
+            1.5634772282835813e-16,
+            1.4071295054550636e-15,
         ];
         let engine = SstdEngine::new(SstdConfig { window: 1, ..SstdConfig::default() });
         let claim = ClaimId::new(0);

@@ -40,7 +40,7 @@ pub struct ClaimTruthModel {
 
 impl ClaimTruthModel {
     /// Builds the initial (untrained) model scaled to the observation
-    /// sequence: emission means at ±σ(ACS), sticky transitions.
+    /// sequence: emission means at ±σ(ACS), on the sticky truth chain.
     #[must_use]
     pub fn initial(config: &SstdConfig, acs: &[f64]) -> Self {
         let scale = spread(acs).max(1.0);
@@ -55,9 +55,10 @@ impl ClaimTruthModel {
         Self { hmm, trained: false }
     }
 
-    /// Trains the model on a claim's ACS sequence with Baum–Welch (paper
-    /// Eq. 5), unless `config.train` is off, in which case the scaled
-    /// initial model is returned.
+    /// Trains the model's emission on a claim's ACS sequence with
+    /// Baum–Welch (paper Eq. 5, the chain held fixed), unless
+    /// `config.train` is off, in which case the scaled initial model is
+    /// returned.
     #[must_use]
     pub fn fit(config: &SstdConfig, acs: &[f64]) -> Self {
         Self::fit_with(config, acs, &mut EmWorkspace::new())
@@ -175,9 +176,10 @@ impl ClaimTruthModel {
     }
 }
 
-/// The two-state truth chain every claim model starts from: a uniform
-/// initial distribution and symmetric transitions that stay with
-/// probability `stay`.
+/// The two-state truth chain of every claim model: a uniform initial
+/// distribution and symmetric transitions that stay with probability
+/// `stay`. Training fits the emission only, so a model keeps this chain
+/// for life.
 pub(crate) fn sticky_hmm(stay: f64, emission: SymmetricGaussianEmission) -> Hmm {
     Hmm::new(vec![0.5, 0.5], vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]], emission)
         .expect("hand-built parameters are stochastic")

@@ -22,8 +22,9 @@ fn main() {
         println!("-- engine configuration ablations");
         let full = SstdConfig::default();
         for (label, cfg) in [
-            ("full SSTD (sw=3, EM)", full),
+            ("full SSTD (sw=2, EM)", full),
             ("window sw=1", SstdConfig { window: 1, ..full }),
+            ("window sw=3", SstdConfig { window: 3, ..full }),
             ("window sw=8", SstdConfig { window: 8, ..full }),
             ("EM off (scaled initial model)", SstdConfig { train: false, ..full }),
             ("loose transitions (stay=0.6)", SstdConfig { stay_probability: 0.6, ..full }),

@@ -181,19 +181,22 @@ mod tests {
 
     #[test]
     fn threaded_backend_reproduces_the_speedup_trend() {
-        // The same sweep on real OS threads: simulated task durations
+        // The same job on real OS threads: simulated task durations
         // compressed 1000× (a 1.3s chunk sleeps 1.3ms), so four workers
-        // genuinely parallelize the sleeps. Wall-clock noise keeps the
-        // bound loose, but parallel must clearly beat serial.
-        let pts = run_on(&[1_000_000], &[1, 4], |w| {
-            let mut engine: ThreadedEngine<()> = ThreadedEngine::new(w);
-            engine.set_simulation(model(), 1.0e-3);
-            engine
-        });
-        assert_eq!(pts.len(), 2);
-        let s1 = pts.iter().find(|p| p.workers == 1).unwrap().speedup;
-        let s4 = pts.iter().find(|p| p.workers == 4).unwrap().speedup;
-        assert!((s1 - 1.0).abs() < 1e-12);
+        // genuinely parallelize the sleeps. A sleep only ever stretches
+        // under load, so each worker count is timed as its fastest of five
+        // passes; the bounds stay loose, but parallel must clearly beat
+        // serial.
+        let fastest = |workers: usize| {
+            (0..5)
+                .map(|_| {
+                    let mut engine: ThreadedEngine<()> = ThreadedEngine::new(workers);
+                    engine.set_simulation(model(), 1.0e-3);
+                    makespan(&mut engine, 1_000_000)
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let s4 = fastest(1) / fastest(4);
         assert!(s4 > 1.5, "4 real workers must beat serial: {s4:.2}x");
         assert!(s4 <= 4.5, "cannot beat the ideal by more than jitter: {s4:.2}x");
     }

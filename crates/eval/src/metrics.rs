@@ -275,9 +275,9 @@ mod brier_tests {
         use sstd_core::{SstdConfig, SstdEngine};
         use sstd_data::{Scenario, TraceBuilder};
         // Density matters for calibration: with sparse evidence the
-        // sticky chain propagates confident-but-wrong guesses across
-        // evidence-free gaps (Brier ≈ 0.31 at 0.5% scale); once most
-        // cells carry evidence the posteriors are well-calibrated.
+        // sticky chain can propagate confident-but-wrong guesses across
+        // evidence-free gaps; once most cells carry evidence the
+        // posteriors are well-calibrated.
         let trace = TraceBuilder::scenario(Scenario::ParisShooting).scale(0.02).seed(3).build();
         let (_, confidence) = SstdEngine::new(SstdConfig::default()).run_with_confidence(&trace);
         let score = brier_score(trace.ground_truth(), &confidence);

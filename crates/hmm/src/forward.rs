@@ -2,8 +2,8 @@
 //!
 //! This is the E-step machinery behind Baum–Welch: it computes, for a
 //! model `λ` and observation sequence `O`, the log-likelihood `ln P(O|λ)`
-//! and the per-timestep state posteriors `γ_t(i) = P(s_t = i | O, λ)` and
-//! pairwise posteriors `ξ_t(i,j)`.
+//! and the per-timestep state posteriors `γ_t(i) = P(s_t = i | O, λ)` —
+//! all the emission-only M-step reads.
 //!
 //! Rabiner-style scaling keeps every quantity in `f64` range for
 //! arbitrarily long sequences (raw forward probabilities underflow after a
@@ -22,8 +22,8 @@ use crate::Hmm;
 
 /// Reusable scratch tables for forward–backward and Baum–Welch.
 ///
-/// Holds the emission table, `α`/`β`/`γ` lattices (one `[f64; 2]` row
-/// per time step), scale factors and `ξ` accumulators. The first call at
+/// Holds the emission table, `α`/`γ` lattices (one `[f64; 2]` row per
+/// time step) and scale factors. The first call at
 /// a given length `T` sizes them; subsequent calls at the same (or
 /// smaller) length perform **zero heap allocations** — the property the
 /// per-claim EM loop and the per-worker task loop rely on.
@@ -50,10 +50,7 @@ pub struct EmWorkspace {
     /// Per-timestep max log-emission (the shift restored into the LL).
     logmax: Vec<f64>,
     alpha: Vec<[f64; 2]>,
-    beta: Vec<[f64; 2]>,
     gamma: Vec<[f64; 2]>,
-    /// Summed pairwise posteriors.
-    xi_sum: [[f64; 2]; 2],
     scale: Vec<f64>,
 }
 
@@ -72,39 +69,28 @@ impl EmWorkspace {
         &self.gamma
     }
 
-    /// Summed pairwise posteriors `Σ_t ξ_t(i,j)` of the most recent
-    /// [`forward_backward_into`] call — exactly the statistic the
-    /// Baum–Welch transition update needs. (Keeping only the sum avoids
-    /// materializing `4·T` floats.)
-    #[must_use]
-    pub fn xi_sum(&self) -> &[[f64; 2]; 2] {
-        &self.xi_sum
-    }
-
     /// Sizes every table for a `T`-step problem.
     fn ensure(&mut self, t_len: usize) {
         self.emit.resize(t_len, [0.0; 2]);
         self.logmax.resize(t_len, 0.0);
         self.alpha.resize(t_len, [0.0; 2]);
-        self.beta.resize(t_len, [0.0; 2]);
         self.gamma.resize(t_len, [0.0; 2]);
         self.scale.resize(t_len, 0.0);
     }
 }
 
-/// Runs scaled forward–backward on `observations`, storing `γ` and
-/// `Σ ξ_t` in `ws` and returning the log-likelihood `ln P(O | λ)`.
+/// Runs scaled forward–backward on `observations`, storing `γ` in `ws`
+/// and returning the log-likelihood `ln P(O | λ)`.
 ///
 /// Every table lives in the caller-owned workspace: after the first call
 /// at a given sequence length, the hot path performs no heap allocation
 /// at all.
 ///
-/// Returns `0.0` (and a zeroed `ξ` table, an empty `γ`) for an empty
-/// observation sequence — the natural neutral element: no evidence.
+/// Returns `0.0` (and an empty `γ`) for an empty observation sequence —
+/// the natural neutral element: no evidence.
 pub fn forward_backward_into(hmm: &Hmm, observations: &[f64], ws: &mut EmWorkspace) -> f64 {
     let t_len = observations.len();
     ws.ensure(t_len);
-    ws.xi_sum = [[0.0; 2]; 2];
     if t_len == 0 {
         return 0.0;
     }
@@ -117,17 +103,16 @@ pub fn forward_backward_into(hmm: &Hmm, observations: &[f64], ws: &mut EmWorkspa
 /// (DESIGN.md §12): `oracle::hmm` in `sstd-testkit` keeps the loops this
 /// replaced and the two are held bit-identical.
 ///
-/// Three sweeps, each carrying whatever work is off its recurrence and
+/// Two sweeps, each carrying whatever work is off its recurrence and
 /// does not care about direction: ascending (row to linear space, `α`,
-/// `ln scale`), descending (`β`, `γ`), ascending (`Σξ`, the max-shifts).
+/// `ln scale`) and descending (`β`, `γ`); the max-shifts are then added
+/// to the likelihood in step order.
 #[inline(always)]
 fn sweep(init: &[f64; 2], trans: &[[f64; 2]; 2], ws: &mut EmWorkspace) -> f64 {
     let t_len = ws.scale.len();
     let emit = &mut ws.emit[..t_len];
     let alpha = &mut ws.alpha[..t_len];
-    let beta = &mut ws.beta[..t_len];
     let gamma = &mut ws.gamma[..t_len];
-    let xi_sum = &mut ws.xi_sum;
     let (logmax, scale) = (&mut ws.logmax[..t_len], &mut ws.scale[..t_len]);
 
     // Forward pass with per-step scaling. Each emission row goes to
@@ -162,63 +147,33 @@ fn sweep(init: &[f64; 2], trans: &[[f64; 2]; 2], ws: &mut EmWorkspace) -> f64 {
         log_scale += scale[t].max(f64::MIN_POSITIVE).ln();
     }
 
-    // Backward pass using the same scale factors. A γ row depends on no
-    // other row, so it is taken as soon as its β row exists.
+    // Backward pass using the same scale factors. Each β row reads only
+    // the row after it and γ, which depends on no other row, is taken as
+    // soon as its β row exists, so β is one row carried down the pass.
+    let mut beta = [1.0; 2];
     for t in (0..t_len).rev() {
-        let (head, tail) = beta.split_at_mut(t + 1);
-        let cur = &mut head[t];
-        if t + 1 == t_len {
-            *cur = [1.0; 2];
-        } else {
-            let (next, emit_next) = (&tail[0], &emit[t + 1]);
+        if t + 1 < t_len {
+            let (next, emit_next) = (beta, &emit[t + 1]);
             let denom = scale[t + 1].max(f64::MIN_POSITIVE);
             for i in 0..2 {
                 let mut acc = 0.0;
                 for j in 0..2 {
                     acc += trans[i][j] * emit_next[j] * next[j];
                 }
-                cur[i] = acc / denom;
+                beta[i] = acc / denom;
             }
         }
         let (a, g) = (&alpha[t], &mut gamma[t]);
         for i in 0..2 {
-            g[i] = a[i] * cur[i];
+            g[i] = a[i] * beta[i];
         }
         normalize(g);
     }
 
-    // Σξ adds up in step order, so it cannot ride the descending pass. It
-    // shares this one with the rest of ln P(O|λ) = Σ ln(scale_t) +
-    // Σ max-shifts: the per-row max shift on `emit` cancels in all
-    // posteriors but must be restored in the likelihood.
-    let mut log_likelihood = log_scale;
-    for t in 0..t_len {
-        if logmax[t].is_finite() {
-            log_likelihood += logmax[t];
-        }
-        if t + 1 == t_len {
-            break;
-        }
-        let a = &alpha[t];
-        let (emit_next, beta_next) = (&emit[t + 1], &beta[t + 1]);
-        let mut xi_t = [[0.0; 2]; 2];
-        let mut total = 0.0;
-        for i in 0..2 {
-            for j in 0..2 {
-                let v = a[i] * trans[i][j] * emit_next[j] * beta_next[j];
-                xi_t[i][j] = v;
-                total += v;
-            }
-        }
-        if total > 0.0 {
-            for (dst, src) in xi_sum.iter_mut().zip(&xi_t) {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d += s / total;
-                }
-            }
-        }
-    }
-    log_likelihood
+    // ln P(O|λ) = Σ ln(scale_t) + Σ max-shifts: the per-row max shift on
+    // `emit` cancels in all posteriors but must be restored in the
+    // likelihood, after the scales and in step order.
+    logmax.iter().filter(|m| m.is_finite()).fold(log_scale, |ll, m| ll + m)
 }
 
 #[inline]
@@ -314,15 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn xi_sum_total_is_t_minus_one() {
-        let hmm = asymmetric_hmm();
-        let obs = [0.3, 0.1, -1.0, 0.4, -0.8, -1.5];
-        let (ws, _) = fresh(&hmm, &obs);
-        let total: f64 = ws.xi_sum().iter().flatten().sum();
-        assert!((total - (obs.len() as f64 - 1.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn strong_evidence_dominates_posterior() {
         let hmm = Hmm::new(
             vec![0.5, 0.5],
@@ -346,7 +292,6 @@ mod tests {
             let (clean, clean_ll) = fresh(&hmm, &obs);
             assert_eq!(ll, clean_ll);
             assert_eq!(ws.gamma(), clean.gamma());
-            assert_eq!(ws.xi_sum(), clean.xi_sum());
         }
     }
 
@@ -358,6 +303,5 @@ mod tests {
         let ll = forward_backward_into(&hmm, &[], &mut ws);
         assert_eq!(ll, 0.0);
         assert!(ws.gamma().is_empty());
-        assert_eq!(ws.xi_sum(), &[[0.0; 2]; 2]);
     }
 }

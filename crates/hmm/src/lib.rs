@@ -5,12 +5,14 @@
 //! observations are Aggregated Contribution Scores. This crate is that
 //! model:
 //!
-//! - [`Hmm`] — `λ = (A, B, π)` with two states, a `2×2` transition matrix
-//!   and a [`SymmetricGaussianEmission`] (`N(+μ, σ²)` while the claim is
-//!   true, `N(−μ, σ²)` while it is false);
+//! - [`Hmm`] — two states, a truth chain `(π, A)` fixed when the model
+//!   is built, and a [`SymmetricGaussianEmission`] (`N(+μ, σ²)` while the
+//!   claim is true, `N(−μ, σ²)` while it is false);
 //! - [`forward_backward_into`] — scaled forward–backward inference and
 //!   log-likelihood (paper Eq. 5's objective);
-//! - [`BaumWelch`] — unsupervised EM parameter estimation (paper §III-C);
+//! - [`BaumWelch`] — unsupervised EM of the emission `(μ, σ)` under the
+//!   fixed chain (paper §III-C; unlike the paper's Eq. 5 it does not
+//!   re-estimate `A`);
 //! - [`viterbi_into`] — maximum a posteriori state-sequence decoding
 //!   (paper Eq. 6–8);
 //! - [`StreamingViterbi`] — the online Viterbi filter: the same

@@ -1,4 +1,5 @@
-//! The HMM parameter container `λ = (A, B, π)` (paper §III-C).
+//! The HMM parameter container `λ = (A, B, π)` (paper §III-C): a fixed
+//! truth chain `(π, A)` and the emission `B` that EM fits.
 
 use crate::emission::SymmetricGaussianEmission;
 use std::error::Error;
@@ -29,7 +30,8 @@ impl Error for HmmError {}
 /// [`SymmetricGaussianEmission`] over ACS values.
 ///
 /// Invariants enforced at construction: `π` is a probability vector of
-/// two entries and `A` a row-stochastic `2×2` matrix.
+/// two entries and `A` a row-stochastic `2×2` matrix. Both are fixed
+/// from then on: [`BaumWelch`](crate::BaumWelch) re-estimates only `B`.
 ///
 /// The type parameter has one value, its default, and only
 /// `Hmm<SymmetricGaussianEmission>` has methods; it stays while the
@@ -54,7 +56,7 @@ pub struct Hmm<E = SymmetricGaussianEmission> {
     init: [f64; 2],
     trans: [[f64; 2]; 2],
     /// Cached `ln A[i][j]` — the quantity the Viterbi recurrences
-    /// actually consume; recomputed whenever `trans` changes.
+    /// actually consume; taken once, at construction.
     log_trans: [[f64; 2]; 2],
     emission: E,
 }
@@ -93,27 +95,14 @@ impl Hmm {
                 .map_err(|_| HmmError::new(format!("transition row {i} has wrong length")))?;
             Self::check_stochastic(format_args!("transition row {i}"), row)?;
         }
-        let mut model = Self { init, trans: rows, log_trans: [[0.0; 2]; 2], emission };
-        model.refresh_log_trans();
-        Ok(model)
+        let log_trans = rows.map(|row| row.map(f64::ln));
+        Ok(Self { init, trans: rows, log_trans, emission })
     }
 
-    /// Recomputes the cached `ln A` table from `trans`.
-    pub(crate) fn refresh_log_trans(&mut self) {
-        for (dst, src) in self.log_trans.iter_mut().zip(&self.trans) {
-            for (d, &p) in dst.iter_mut().zip(src) {
-                *d = p.ln();
-            }
-        }
-    }
-
-    /// Hands the trainer simultaneous mutable access to `(π, A, B)` for
-    /// the in-place M-step. The caller must keep every row stochastic and
-    /// call [`refresh_log_trans`](Self::refresh_log_trans) afterwards.
-    pub(crate) fn m_step_mut(
-        &mut self,
-    ) -> (&mut [f64; 2], &mut [[f64; 2]; 2], &mut SymmetricGaussianEmission) {
-        (&mut self.init, &mut self.trans, &mut self.emission)
+    /// The emission, for the trainer's in-place M-step — the only part
+    /// of `λ` that EM moves.
+    pub(crate) fn emission_mut(&mut self) -> &mut SymmetricGaussianEmission {
+        &mut self.emission
     }
 
     /// `what` is only formatted when the row is rejected: every refit and

@@ -32,8 +32,8 @@ fn reused_workspace_kernels_are_bit_identical_to_fresh_ones() {
 #[test]
 fn reused_workspace_training_is_bit_identical_to_fresh_training() {
     let mut em = EmWorkspace::new();
-    // tolerance 0 forces the full iteration budget, so every M-step path
-    // (π, A, and emission re-estimation) runs on every case.
+    // tolerance 0 forces the full iteration budget, so the emission
+    // M-step runs on every iteration of every case.
     let trainer = BaumWelch::default().max_iterations(8).tolerance(0.0);
     check(
         "reused_workspace_training_is_bit_identical_to_fresh_training",

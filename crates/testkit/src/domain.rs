@@ -32,7 +32,7 @@ use sstd_types::{
 /// A two-state Gaussian HMM plus an observation sequence, kept as raw
 /// tables so the shrinker can simplify them. `π` and each row of `A` are
 /// general stochastic rows, so asymmetric chains are covered as well as
-/// the sticky symmetric one the engine starts from.
+/// the sticky symmetric one the engine runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HmmCase {
     /// Initial distribution (two entries, stochastic).

@@ -11,13 +11,15 @@
 //! The rest of this module is `sstd_hmm`'s forward–backward pass,
 //! Baum–Welch M-step and emission arithmetic **as they stood before the
 //! flat-slice kernel**: a `log_prob` call (and a logarithm of σ) per state
-//! per step, both `exp` calls per row, γ and ξ in separate passes, γ read
+//! per step, both `exp` calls per row, γ in a pass of its own, γ read
 //! through [`Mat`]'s `(r, c)` index. The code is kept verbatim — only the
 //! container types are this module's own, because the production ones keep
-//! their fields private — and it is the specification of the kernel's
-//! arithmetic: `crates/hmm/tests/oracle_differential.rs` holds the two
-//! bit-identical (parameters, γ, Σξ, log-likelihood, iteration count) on
-//! generated cases, degenerate observations included.
+//! their fields private — except that, like the kernel, it no longer
+//! re-estimates the chain `(π, A)` nor sums the pairwise posteriors that
+//! update needed. It is the specification of the kernel's arithmetic:
+//! `crates/hmm/tests/oracle_differential.rs` holds the two bit-identical
+//! (parameters, γ, log-likelihood, iteration count) on generated cases,
+//! degenerate observations included.
 
 // The loops below are a frozen copy; they keep the subscripts they had.
 #![allow(clippy::needless_range_loop)]
@@ -157,10 +159,6 @@ impl Mat {
         Self { data, rows: rows.len(), cols }
     }
 
-    const fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// The whole buffer in row-major order.
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
@@ -173,10 +171,6 @@ impl Mat {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
-    }
-
-    fn fill(&mut self, value: f64) {
-        self.data.fill(value);
     }
 
     fn row(&self, r: usize) -> &[f64] {
@@ -250,8 +244,6 @@ pub struct ReferenceWorkspace {
     alpha: Mat,
     beta: Mat,
     gamma: Mat,
-    xi_sum: Mat,
-    xi_t: Mat,
     scale: Vec<f64>,
 }
 
@@ -262,20 +254,12 @@ impl ReferenceWorkspace {
         &self.gamma
     }
 
-    /// Summed pairwise posteriors `Σ_t ξ_t` of the most recent pass.
-    #[must_use]
-    pub fn xi_sum(&self) -> &Mat {
-        &self.xi_sum
-    }
-
     fn ensure(&mut self, t_len: usize, n: usize) {
         self.emit.resize(t_len, n);
         self.logmax.resize(t_len, 0.0);
         self.alpha.resize(t_len, n);
         self.beta.resize(t_len, n);
         self.gamma.resize(t_len, n);
-        self.xi_sum.resize(n, n);
-        self.xi_t.resize(n, n);
         self.scale.resize(t_len, 0.0);
     }
 }
@@ -290,7 +274,6 @@ pub fn forward_backward_into(
     let n = hmm.num_states();
     let t_len = observations.len();
     ws.ensure(t_len, n);
-    ws.xi_sum.fill(0.0);
     if t_len == 0 {
         return 0.0;
     }
@@ -357,30 +340,6 @@ pub fn forward_backward_into(
         normalize(g);
     }
 
-    for t in 0..t_len - 1 {
-        let mut total = 0.0;
-        let alpha_t = ws.alpha.row(t);
-        let beta_next = ws.beta.row(t + 1);
-        let emit_next = ws.emit.row(t + 1);
-        for i in 0..n {
-            let xi_row = ws.xi_t.row_mut(i);
-            for j in 0..n {
-                let v = alpha_t[i] * hmm.trans_prob(i, j) * emit_next[j] * beta_next[j];
-                xi_row[j] = v;
-                total += v;
-            }
-        }
-        if total > 0.0 {
-            for i in 0..n {
-                let src = ws.xi_t.row(i);
-                let dst = ws.xi_sum.row_mut(i);
-                for j in 0..n {
-                    dst[j] += src[j] / total;
-                }
-            }
-        }
-    }
-
     // ln P(O|λ) = Σ ln(scale_t) + Σ max-shifts. The per-row max shift on
     // `emit` cancels in all posteriors but must be restored here.
     let mut log_likelihood: f64 =
@@ -409,28 +368,25 @@ fn normalize(row: &mut [f64]) -> f64 {
     }
 }
 
-/// The two settings of `sstd_hmm::BaumWelch`, whose fields are private,
-/// and the probability floor it keeps as a private constant (1e-6).
+/// The two settings of `sstd_hmm::BaumWelch`, whose fields are private.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceTrainer {
     /// Cap on EM iterations (at least 1).
     pub max_iterations: usize,
     /// Stop once the log-likelihood gain falls below this.
     pub tolerance: f64,
-    /// Floor applied to `π` and `A` entries after each M-step.
-    pub prob_floor: f64,
 }
 
 impl ReferenceTrainer {
     /// Baum–Welch as `sstd_hmm::BaumWelch::train_into` ran it before the
-    /// flat-slice kernel: in place on `model`, tables in `ws`.
+    /// flat-slice kernel, less the chain update: in place on `model`'s
+    /// emission, tables in `ws`.
     pub fn train_into(
         &self,
         model: &mut ReferenceHmm,
         observations: &[f64],
         ws: &mut ReferenceWorkspace,
     ) -> TrainStats {
-        let n = model.num_states();
         if observations.is_empty() {
             return TrainStats { log_likelihood: 0.0, iterations: 0, converged: true };
         }
@@ -449,47 +405,11 @@ impl ReferenceTrainer {
             }
             prev_ll = last_ll;
 
-            // M-step, in place. (The production model also refreshed its
-            // cached `ln A` here; only the decoders read that.)
-            {
-                let gamma = ws.gamma();
-                let xi_sum = ws.xi_sum();
-                let t_len = gamma.rows();
-                let (init, trans, emission) =
-                    (&mut model.init, &mut model.trans, &mut model.emission);
-                // π update: γ_0, floored and renormalized.
-                init.copy_from_slice(gamma.row(0));
-                floor_and_normalize(init, self.prob_floor);
-                // A update: ξ sums over γ sums (excluding the last step).
-                for i in 0..n {
-                    let mut denom = 0.0;
-                    for t in 0..t_len - 1 {
-                        denom += gamma[(t, i)];
-                    }
-                    let row = trans.row_mut(i);
-                    for j in 0..n {
-                        row[j] = if denom > 0.0 { xi_sum[(i, j)] / denom } else { 1.0 / n as f64 };
-                    }
-                    floor_and_normalize(row, self.prob_floor);
-                }
-                emission.reestimate_gamma(observations, gamma);
-            }
+            // M-step, in place: the emission only.
+            model.emission.reestimate_gamma(observations, ws.gamma());
         }
 
         TrainStats { log_likelihood: last_ll, iterations, converged }
-    }
-}
-
-fn floor_and_normalize(row: &mut [f64], floor: f64) {
-    let mut sum = 0.0;
-    for p in row.iter_mut() {
-        if !p.is_finite() || *p < floor {
-            *p = floor;
-        }
-        sum += *p;
-    }
-    for p in row.iter_mut() {
-        *p /= sum;
     }
 }
 
@@ -607,7 +527,7 @@ mod tests {
         let cap = m.data.capacity();
         m.resize(4, 2); // grow back within capacity
         assert_eq!(m.data.capacity(), cap);
-        assert_eq!(m.rows(), 4);
+        assert_eq!(m.rows, 4);
     }
 
     #[test]
