@@ -10,8 +10,8 @@
 use crate::{GlobalKnob, LocalKnob, PidController};
 use sstd_obs::{ControlTick, EventStore};
 use sstd_runtime::{
-    Cluster, DesEngine, ExecutionBackend, ExecutionModel, ExecutionReport, FastAbort, FaultPlan,
-    FaultStats, JobId, RetryPolicy, TaskSpec,
+    Cluster, DesEngine, ExecutionBackend, ExecutionModel, ExecutionReport, FaultPlan, FaultStats,
+    JobId, RetryPolicy, TaskSpec,
 };
 use sstd_types::{ConfigError, SstdError};
 use std::collections::BTreeMap;
@@ -56,9 +56,9 @@ impl DtmJob {
 ///
 /// This struct is the *single* configuration path for a DTM run: when the
 /// DTM takes over a backend (its own DES, or an external engine via
-/// [`DynamicTaskManager::run_on`]) it installs `initial_workers`, `retry`
-/// and `fast_abort` on the backend before submitting work, overwriting
-/// anything preset there. Policy set directly on a backend therefore
+/// [`DynamicTaskManager::run_on`]) it installs `initial_workers` and
+/// `retry` on the backend before submitting work, overwriting anything
+/// preset there. Policy set directly on a backend therefore
 /// cannot silently diverge from what the controller assumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtmConfig {
@@ -81,10 +81,8 @@ pub struct DtmConfig {
     /// Whether feedback control is active (off = static allocation
     /// ablation).
     pub control_enabled: bool,
-    /// Retry/backoff/quarantine policy handed to the execution engine.
+    /// Retry/backoff policy handed to the execution engine.
     pub retry: RetryPolicy,
-    /// Straggler fast-abort, if enabled.
-    pub fast_abort: Option<FastAbort>,
 }
 
 impl Default for DtmConfig {
@@ -100,7 +98,6 @@ impl Default for DtmConfig {
             max_workers: 64,
             control_enabled: true,
             retry: RetryPolicy::default(),
-            fast_abort: None,
         }
     }
 }
@@ -117,7 +114,7 @@ impl DtmConfig {
     /// A [`ConfigError`] when a gain is negative or non-finite, a knob
     /// factor or the sampling period is non-positive or non-finite, the
     /// pool starts empty, the pool cap is below the initial size, or the
-    /// `retry` / `fast_abort` policy fails its own `validate`.
+    /// `retry` policy fails its own `validate`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (name, g) in [("kp", self.kp), ("ki", self.ki), ("kd", self.kd)] {
             if !(g.is_finite() && g >= 0.0) {
@@ -153,11 +150,7 @@ impl DtmConfig {
                 ),
             ));
         }
-        self.retry.validate()?;
-        if let Some(fast_abort) = self.fast_abort {
-            fast_abort.validate()?;
-        }
-        Ok(())
+        self.retry.validate()
     }
 }
 
@@ -172,8 +165,8 @@ pub struct DtmOutcome {
     pub job_met_deadline: BTreeMap<JobId, bool>,
     /// Final worker count after control.
     pub final_workers: usize,
-    /// Tasks re-queued after losing an attempt (eviction, injected fault
-    /// or fast-abort).
+    /// Tasks re-queued after losing an attempt (eviction or injected
+    /// fault).
     pub retries: u64,
     /// Failed-attempt accounting (also available as `report.faults`).
     pub faults: FaultStats,
@@ -238,11 +231,10 @@ impl DynamicTaskManager {
 
     /// Runs `jobs` on the DES while the cluster loses workers at the
     /// given virtual times (HTCondor preemption) and, with a `plan`,
-    /// under seeded faults (transient failures, worker crashes,
-    /// stragglers). The PID controller observes evictions through its
-    /// WCET predictions and compensates by growing the pool — the
-    /// resilience the paper gets for free from Work Queue's elastic
-    /// workers. Failed attempts show up as lost capacity: the observed
+    /// under seeded faults (transient failures, worker crashes). The PID
+    /// controller observes evictions through its WCET predictions and
+    /// compensates by growing the pool — the resilience the paper gets
+    /// for free from Work Queue's elastic workers. Failed attempts show up as lost capacity: the observed
     /// fault ratio inflates the WCET prediction by `1 / (1 − ratio)`, so
     /// the PID grows the pool to compensate for work it expects to lose.
     ///
@@ -267,7 +259,7 @@ impl DynamicTaskManager {
     /// Runs `jobs` on a caller-supplied execution backend — the DES for
     /// deterministic simulation, or a `ThreadedEngine` for real threads —
     /// through the identical control loop. The DTM first installs its own
-    /// [`DtmConfig`] policy (worker count, retry, fast-abort) plus the
+    /// [`DtmConfig`] policy (worker count, retry) plus the
     /// given fault plan and evictions on the backend, overwriting any
     /// preset values: configuration flows through one path only.
     ///
@@ -294,9 +286,6 @@ impl DynamicTaskManager {
         cfg.validate()?;
         backend.set_num_workers(cfg.initial_workers);
         backend.set_retry_policy(cfg.retry);
-        if let Some(fa) = cfg.fast_abort {
-            backend.set_fast_abort(fa);
-        }
         if let Some(p) = plan {
             backend.set_fault_plan(p);
         }
@@ -538,12 +527,10 @@ mod tests {
             max_workers: 2,
             control_enabled: false,
             retry: RetryPolicy::default(),
-            fast_abort: Some(FastAbort::default()),
         };
         assert_eq!(valid.validate(), Ok(()));
         assert_eq!(DtmConfig::default().validate(), Ok(()));
         let no_attempts = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
-        let low_multiplier = FastAbort { multiplier: 0.5, ..FastAbort::default() };
         for (field, config) in [
             ("kp", DtmConfig { kp: -1.0, ..valid }),
             ("ki", DtmConfig { ki: f64::INFINITY, ..valid }),
@@ -554,7 +541,6 @@ mod tests {
             ("initial_workers", DtmConfig { initial_workers: 0, ..valid }),
             ("max_workers", DtmConfig { max_workers: 1, ..valid }),
             ("max_attempts", DtmConfig { retry: no_attempts, ..valid }),
-            ("multiplier", DtmConfig { fast_abort: Some(low_multiplier), ..valid }),
         ] {
             assert_eq!(config.validate().expect_err("invalid").field(), field, "{config:?}");
         }
@@ -719,15 +705,9 @@ mod eviction_tests {
     fn fault_runs_are_deterministic() {
         let jobs: Vec<DtmJob> =
             (0..3).map(|i| DtmJob::new(JobId::new(i), 5_000.0, 20.0, 4)).collect();
-        let plan = FaultPlan {
-            seed: 7,
-            transient_rate: 0.2,
-            crash_rate: 0.05,
-            straggler_rate: 0.05,
-            straggler_slowdown: 6.0,
-            ..FaultPlan::default()
-        };
-        let cfg = DtmConfig { fast_abort: Some(FastAbort::default()), ..DtmConfig::default() };
+        let plan =
+            FaultPlan { seed: 7, transient_rate: 0.2, crash_rate: 0.05, ..FaultPlan::default() };
+        let cfg = DtmConfig::default();
         let run = || {
             DynamicTaskManager::new(cfg, Cluster::homogeneous(32, 1.0), ExecutionModel::default())
                 .run_with_faults(&jobs, &[1.5], Some(plan))
@@ -744,8 +724,8 @@ mod eviction_tests {
         // Regression for silent config divergence: policy preset directly
         // on a backend must not survive `run_on` — the DtmConfig is the
         // single source of scheduling policy. The preset here (a single
-        // attempt, no quarantine headroom) would exhaust tasks under the
-        // fault plan if it leaked through.
+        // attempt, a long backoff) would exhaust tasks under the fault
+        // plan if it leaked through.
         let jobs: Vec<DtmJob> =
             (0..3).map(|i| DtmJob::new(JobId::new(i), 5_000.0, 25.0, 4)).collect();
         let plan =
@@ -770,7 +750,6 @@ mod eviction_tests {
             backoff_base: 9.0,
             ..RetryPolicy::default()
         });
-        preset.set_fast_abort(FastAbort { multiplier: 1.01, min_samples: 1, max_speculations: 9 });
         let through_dtm = DynamicTaskManager::new(
             DtmConfig::default(),
             Cluster::homogeneous(32, 1.0),

@@ -82,8 +82,9 @@ impl SchemeKind {
 }
 
 /// Window (in intervals) handed to batch schemes for their per-interval
-/// re-runs. Matches the SSTD engine's default ACS window so every scheme
-/// sees the same amount of history.
+/// re-runs. It is not SSTD's window: the sliding-window rivals re-run
+/// over 3 intervals while SSTD sums ACS over 2 (`SstdConfig::window`).
+/// It stays 3 so that the rivals' leaderboard rows do not move.
 const BATCH_WINDOW: usize = 3;
 
 /// Runs `kind` over `trace`, producing per-interval estimates for every

@@ -3,7 +3,7 @@
 //! [`ExecutionBackend`] is the contract shared by the virtual-clock
 //! simulator ([`DesEngine`](crate::DesEngine)) and the OS-thread backend
 //! ([`crate::ThreadedEngine`]): submit prioritized tasks, tune the fault
-//! machinery (plan / retry / fast-abort / worker count), drive time
+//! machinery (plan / retry / evictions / worker count), drive time
 //! forward, and drain an [`ExecutionReport`]. Everything above the runtime
 //! — the DTM control loop, the evaluation experiments, the benchmarks —
 //! is written against this trait, so either backend is a drop-in for the
@@ -13,7 +13,7 @@
 //! re-executable closure payload whose results are drained after the run.
 //! Each engine keeps its own payload table beside its driver of the task
 //! lifecycle: the threaded engine runs a payload on the worker thread
-//! that executes the winning attempt, the DES runs it once, when it
+//! that executes each attempt, the DES runs it once, when it
 //! dispatches the task's completion. So the claims-as-tasks bridge
 //! (`sstd_core::distributed`) runs unchanged on both substrates.
 //!
@@ -21,9 +21,7 @@
 //! is defined once per engine, in its trait impl.
 
 use crate::telemetry::SharedRecorder;
-use crate::{
-    ExecutionReport, FailedTask, FastAbort, FaultPlan, FaultStats, JobId, TaskId, TaskSpec,
-};
+use crate::{ExecutionReport, FailedTask, FaultPlan, FaultStats, JobId, TaskId, TaskSpec};
 use sstd_types::error::SstdError;
 use std::sync::Arc;
 
@@ -101,11 +99,8 @@ pub trait ExecutionBackend {
     /// Installs a deterministic fault-injection schedule.
     fn set_fault_plan(&mut self, plan: FaultPlan);
 
-    /// Sets the retry/backoff/quarantine policy.
+    /// Sets the retry/backoff policy.
     fn set_retry_policy(&mut self, retry: crate::RetryPolicy);
-
-    /// Enables straggler fast-abort.
-    fn set_fast_abort(&mut self, fast_abort: FastAbort);
 
     /// Tasks re-queued after losing an attempt (any cause).
     fn retries(&self) -> u64;
@@ -136,7 +131,7 @@ pub trait ExecutionBackend {
 /// claims-as-tasks bridge builds on.
 pub trait JobBackend<R>: ExecutionBackend {
     /// Submits a task whose attempts execute `work`; the result of the
-    /// winning attempt is collected for [`drain_results`].
+    /// successful attempt is collected for [`drain_results`].
     ///
     /// # Errors
     ///

@@ -8,8 +8,8 @@
 //! deterministically on a single machine.
 //!
 //! The engine is one of the two drivers of the shared task-lifecycle
-//! state machine (`sched.rs`): queueing, retries, backoff, quarantine,
-//! evictions, respawns and the elastic pool are the machine's. What is
+//! state machine (`sched.rs`): queueing, retries, backoff, evictions,
+//! respawns and the elastic pool are the machine's. What is
 //! left here is what is virtual — the clock, which node a worker sits on
 //! (its speed, and whether a task fits), how long an attempt takes and
 //! how it ends, and the event loop that advances the clock to whichever
@@ -19,23 +19,21 @@
 
 use crate::fault::FAIL_POINT;
 use crate::sched::{Acquire, Attempt, Ended, Master};
-use crate::telemetry::{LossCause, SharedRecorder};
+use crate::telemetry::SharedRecorder;
 use crate::{
     Cluster, CompletedTask, ExecutionBackend, ExecutionModel, ExecutionReport, FailedTask,
-    FastAbort, FaultKind, FaultPlan, FaultStats, JobBackend, JobId, NodeSpec, RetryPolicy, TaskId,
+    FaultKind, FaultPlan, FaultStats, JobBackend, JobId, NodeSpec, RetryPolicy, TaskId,
     TaskPayload, TaskSpec, WorkerId,
 };
 use sstd_types::error::{BackendError, SstdError};
 use std::collections::BTreeMap;
 
-/// How a virtual attempt ends; at equal times a fault fires before an
-/// abort and an abort before a completion.
+/// How a virtual attempt ends; at equal times a fault fires before a
+/// completion.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 enum End {
     /// The injected transient fault or worker crash manifests.
     Fail,
-    /// Fast-abort kills the attempt at the threshold.
-    Abort,
     Complete,
 }
 
@@ -163,36 +161,21 @@ impl<R> DesEngine<R> {
     }
 
     /// Turns an attempt into its virtual end: the model's time on the
-    /// worker's node, stretched by an injected straggler slowdown, cut
-    /// short by an injected fault or by fast-abort.
+    /// worker's node, cut short at [`FAIL_POINT`] of it by an injected
+    /// fault.
     fn launch(&mut self, worker: WorkerId, attempt: &Attempt) {
-        let mut duration = self.model.task_time_on(&attempt.spec, self.node(worker).speed());
-        let mut fails_at = None;
-        if let (Some(kind), Some(plan)) = (attempt.fault, self.master.plan()) {
-            match kind {
-                FaultKind::Straggler => duration *= plan.straggler_slowdown,
-                FaultKind::Transient | FaultKind::WorkerCrash => {
-                    fails_at = Some(self.clock + duration * FAIL_POINT);
-                }
+        let duration = self.model.task_time_on(&attempt.spec, self.node(worker).speed());
+        let flight = match attempt.fault {
+            Some(kind) => Flight {
+                ends_at: self.clock + duration * FAIL_POINT,
+                end: End::Fail,
+                crashes_worker: kind == FaultKind::WorkerCrash,
+            },
+            None => {
+                Flight { ends_at: self.clock + duration, end: End::Complete, crashes_worker: false }
             }
-        }
-        let finishes_at = self.clock + duration;
-        // The master only observes elapsed time: an attempt still running
-        // at the threshold is killed there.
-        let abort_at =
-            attempt.abort_after.map(|limit| self.clock + limit).filter(|&t| t < finishes_at);
-        let ends = [
-            fails_at.map(|t| (t, End::Fail)),
-            abort_at.map(|t| (t, End::Abort)),
-            Some((finishes_at, End::Complete)),
-        ];
-        let (ends_at, end) = ends
-            .into_iter()
-            .flatten()
-            .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
-            .expect("an attempt at least finishes");
-        let crashes_worker = attempt.fault == Some(FaultKind::WorkerCrash);
-        self.flights.insert(worker, Flight { ends_at, end, crashes_worker });
+        };
+        self.flights.insert(worker, flight);
     }
 
     /// The earliest pending event: `None` for a machine timer, or the
@@ -231,10 +214,6 @@ impl<R> DesEngine<R> {
                         self.master.attempt_ended(worker, Ended::Crashed, t)
                     }
                     End::Fail => self.master.attempt_ended(worker, Ended::Transient, t),
-                    End::Abort => {
-                        self.master.abandon(worker, LossCause::Straggler, t);
-                        None
-                    }
                 }
             }
         };
@@ -354,22 +333,13 @@ impl<R> ExecutionBackend for DesEngine<R> {
         self.master.set_plan(plan);
     }
 
-    /// Sets the retry/backoff/quarantine policy.
+    /// Sets the retry/backoff policy.
     ///
     /// # Panics
     ///
     /// Panics if the policy is invalid (see [`RetryPolicy::validate`]).
     fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.master.set_retry(retry);
-    }
-
-    /// Enables straggler fast-abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`FastAbort::validate`]).
-    fn set_fast_abort(&mut self, fast_abort: FastAbort) {
-        self.master.set_fast_abort(fast_abort);
     }
 
     fn retries(&self) -> u64 {
@@ -791,12 +761,6 @@ mod fault_tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid fast-abort configuration: invalid `multiplier`")]
-    fn an_invalid_fast_abort_is_refused() {
-        engine(1).set_fast_abort(FastAbort { multiplier: 0.0, ..FastAbort::default() });
-    }
-
-    #[test]
     fn transient_faults_are_retried_to_completion() {
         let mut des = engine(2);
         des.set_fault_plan(FaultPlan { seed: 11, transient_rate: 0.3, ..FaultPlan::default() });
@@ -891,61 +855,6 @@ mod fault_tests {
     }
 
     #[test]
-    fn fast_abort_rescues_stragglers() {
-        let run = |mitigate: bool| {
-            let mut des = engine(4);
-            des.set_fault_plan(FaultPlan {
-                seed: 17,
-                straggler_rate: 0.15,
-                straggler_slowdown: 20.0,
-                ..FaultPlan::default()
-            });
-            if mitigate {
-                des.set_fast_abort(FastAbort {
-                    multiplier: 3.0,
-                    min_samples: 4,
-                    max_speculations: 2,
-                });
-            }
-            for i in 0..40 {
-                des.submit(TaskSpec::new(JobId::new(i % 4), 100.0));
-            }
-            des.run_to_completion()
-        };
-        let plain = run(false);
-        let mitigated = run(true);
-        assert_eq!(plain.completed.len(), 40);
-        assert_eq!(mitigated.completed.len(), 40);
-        assert!(mitigated.faults.straggler_aborts > 0, "{}", mitigated.faults);
-        assert!(mitigated.faults.reconciles(), "{}", mitigated.faults);
-        assert!(
-            mitigated.makespan < plain.makespan,
-            "fast-abort should beat stragglers: {} vs {}",
-            mitigated.makespan,
-            plain.makespan
-        );
-    }
-
-    #[test]
-    fn quarantine_blacklists_flaky_workers() {
-        let mut des = engine(4);
-        des.set_fault_plan(FaultPlan { seed: 23, transient_rate: 0.4, ..FaultPlan::default() });
-        des.set_retry_policy(RetryPolicy {
-            quarantine_threshold: 2,
-            max_attempts: 50,
-            ..RetryPolicy::default()
-        });
-        for i in 0..40 {
-            des.submit(TaskSpec::new(JobId::new(i % 2), 100.0));
-        }
-        let report = des.run_to_completion();
-        assert_eq!(report.completed.len(), 40);
-        assert!(report.faults.quarantined_workers > 0, "{}", report.faults);
-        assert!(des.num_workers() >= 1, "never quarantines the last worker");
-        assert!(report.faults.reconciles(), "{}", report.faults);
-    }
-
-    #[test]
     fn fault_runs_replay_byte_for_byte() {
         let run = || {
             let mut des = engine(3);
@@ -953,11 +862,8 @@ mod fault_tests {
                 seed: 77,
                 transient_rate: 0.15,
                 crash_rate: 0.05,
-                straggler_rate: 0.05,
-                straggler_slowdown: 10.0,
                 ..FaultPlan::default()
             });
-            des.set_fast_abort(FastAbort::default());
             des.schedule_eviction(2.0);
             let tape = Arc::new(Tape::default());
             des.set_recorder(Some(tape.clone()));
@@ -997,7 +903,7 @@ mod fault_tests {
 #[cfg(test)]
 mod event_log_tests {
     use super::*;
-    use crate::telemetry::{Recorder, TaskPhase, TimelineEvent};
+    use crate::telemetry::{LossCause, Recorder, TaskPhase, TimelineEvent};
     use std::sync::{Arc, Mutex};
 
     /// A recorder that keeps every event, in order.

@@ -1,13 +1,12 @@
 //! The unified fault model shared by both execution backends.
 //!
 //! The paper's substrate is opportunistic HTCondor desktops ("typically
-//! idle 90% of the day", §IV-A1): preemption, stragglers and flaky
-//! workers are the *normal* operating regime, not an edge case. This
-//! module centralizes how those failure modes are described, injected and
-//! survived:
+//! idle 90% of the day", §IV-A1): preemption and failed attempts are the
+//! *normal* operating regime, not an edge case. This module centralizes
+//! how those failure modes are described, injected and survived:
 //!
-//! - [`FaultKind`] — the three fault classes: transient task failure,
-//!   worker crash/eviction, and straggler slowdown;
+//! - [`FaultKind`] — the two injected fault classes: transient task
+//!   failure and worker crash (evictions are scheduled on the engines);
 //! - [`FaultPlan`] — a seeded, deterministic fault schedule: every
 //!   `(task, attempt)` pair hashes to the same injection decision on
 //!   every run, so experiments with faults stay byte-for-byte
@@ -16,11 +15,9 @@
 //!   reordered and corrupted reports), decided per report sequence number
 //!   by the same plan so chaos schedules are equally reproducible;
 //! - [`RetryPolicy`] — per-task attempt caps with exponential backoff and
-//!   deterministic jitter, plus worker quarantine thresholds;
-//! - [`FastAbort`] — Work Queue–style straggler mitigation: re-queue
-//!   attempts running beyond `k×` the running mean task time;
+//!   deterministic jitter;
 //! - [`FaultStats`] — failed-attempt accounting that reconciles exactly:
-//!   `attempts = successes + failures + aborts`.
+//!   `attempts = successes + failures`.
 //!
 //! Both the discrete-event backend ([`crate::DesEngine`]) and the
 //! OS-thread backend ([`crate::ThreadedEngine`]) consume these types, so
@@ -46,10 +43,6 @@ pub enum FaultKind {
     /// crash): the task is re-queued and the worker is lost (and, in the
     /// DES, respawns after a restart delay).
     WorkerCrash,
-    /// The attempt runs far slower than nominal (overloaded desktop,
-    /// thermal throttling): the attempt eventually finishes unless
-    /// fast-abort kills it first.
-    Straggler,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -57,7 +50,6 @@ impl std::fmt::Display for FaultKind {
         match self {
             Self::Transient => write!(f, "transient"),
             Self::WorkerCrash => write!(f, "worker-crash"),
-            Self::Straggler => write!(f, "straggler"),
         }
     }
 }
@@ -136,10 +128,6 @@ pub struct FaultPlan {
     pub transient_rate: f64,
     /// Per-attempt worker crash probability.
     pub crash_rate: f64,
-    /// Per-attempt straggler probability.
-    pub straggler_rate: f64,
-    /// Slowdown factor applied to straggler attempts (at least 1).
-    pub straggler_slowdown: f64,
     /// Virtual delay before a crashed worker rejoins the pool (DES;
     /// non-negative). The HTCondor analogue: an evicted slot comes back
     /// once its owner goes idle again.
@@ -158,15 +146,13 @@ pub struct FaultPlan {
 }
 
 impl Default for FaultPlan {
-    /// Seed 0, every rate zero, stragglers 8× slower, crashed workers back
-    /// after 1.0 and reorders at most 4 deep.
+    /// Seed 0, every rate zero, crashed workers back after 1.0 and
+    /// reorders at most 4 deep.
     fn default() -> Self {
         Self {
             seed: 0,
             transient_rate: 0.0,
             crash_rate: 0.0,
-            straggler_rate: 0.0,
-            straggler_slowdown: 8.0,
             worker_restart_delay: 1.0,
             ingest_drop_rate: 0.0,
             ingest_duplicate_rate: 0.0,
@@ -179,19 +165,14 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// Validates the plan: every rate in `[0, 1]`, the task rates and the
-    /// ingest rates each summing to at most 1, `straggler_slowdown >= 1`,
-    /// `worker_restart_delay` finite and non-negative and
-    /// `ingest_reorder_depth >= 1`.
+    /// ingest rates each summing to at most 1, `worker_restart_delay`
+    /// finite and non-negative and `ingest_reorder_depth >= 1`.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] naming the offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let task = [
-            ("transient_rate", self.transient_rate),
-            ("crash_rate", self.crash_rate),
-            ("straggler_rate", self.straggler_rate),
-        ];
+        let task = [("transient_rate", self.transient_rate), ("crash_rate", self.crash_rate)];
         let ingest = [
             ("ingest_drop_rate", self.ingest_drop_rate),
             ("ingest_duplicate_rate", self.ingest_duplicate_rate),
@@ -214,9 +195,6 @@ impl FaultPlan {
                 }
             }
         }
-        if !(self.straggler_slowdown.is_finite() && self.straggler_slowdown >= 1.0) {
-            return Err(ConfigError::new("straggler_slowdown", "slowdown must be at least 1"));
-        }
         if !(self.worker_restart_delay.is_finite() && self.worker_restart_delay >= 0.0) {
             return Err(ConfigError::new(
                 "worker_restart_delay",
@@ -236,7 +214,7 @@ impl FaultPlan {
     /// function of `(seed, task, attempt)`.
     #[must_use]
     pub fn decide(&self, task: TaskId, attempt: u32) -> Option<FaultKind> {
-        let total = self.transient_rate + self.crash_rate + self.straggler_rate;
+        let total = self.transient_rate + self.crash_rate;
         if total <= 0.0 {
             return None;
         }
@@ -248,10 +226,8 @@ impl FaultPlan {
         let u = unit(h);
         if u < self.transient_rate {
             Some(FaultKind::Transient)
-        } else if u < self.transient_rate + self.crash_rate {
-            Some(FaultKind::WorkerCrash)
         } else if u < total {
-            Some(FaultKind::Straggler)
+            Some(FaultKind::WorkerCrash)
         } else {
             None
         }
@@ -330,9 +306,6 @@ pub struct RetryPolicy {
     /// Jitter fraction in `[0, 1]`: each delay is scaled by a
     /// deterministic factor in `[1, 1 + jitter]`.
     pub jitter: f64,
-    /// Faults tolerated on one worker before it is quarantined
-    /// (blacklisted); `0` disables quarantine.
-    pub quarantine_threshold: u32,
 }
 
 impl Default for RetryPolicy {
@@ -343,7 +316,6 @@ impl Default for RetryPolicy {
             backoff_multiplier: 2.0,
             backoff_cap: 2.0,
             jitter: 0.2,
-            quarantine_threshold: 0,
         }
     }
 }
@@ -398,52 +370,9 @@ impl RetryPolicy {
     }
 }
 
-/// Straggler mitigation in the Work Queue fast-abort style: attempts
-/// running beyond `multiplier ×` the running mean task time are aborted
-/// and re-queued (DES) or speculatively duplicated (threaded backend).
-///
-/// Mitigation only engages once `min_samples` completions have warmed the
-/// running mean, and at most `max_speculations` times per task — after
-/// that the attempt runs to completion, so a genuinely long task can
-/// never be aborted forever.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastAbort {
-    /// Abort attempts running beyond this multiple of the mean task time.
-    pub multiplier: f64,
-    /// Completions required before the mean is trusted.
-    pub min_samples: u64,
-    /// Fast-aborts allowed per task before it is left to run.
-    pub max_speculations: u32,
-}
-
-impl Default for FastAbort {
-    fn default() -> Self {
-        Self { multiplier: 3.0, min_samples: 8, max_speculations: 2 }
-    }
-}
-
-impl FastAbort {
-    /// Validates the configuration: `multiplier > 1` and
-    /// `min_samples >= 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the offending field.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if !(self.multiplier.is_finite() && self.multiplier > 1.0) {
-            return Err(ConfigError::new("multiplier", "fast-abort multiplier must exceed 1"));
-        }
-        if self.min_samples < 1 {
-            return Err(ConfigError::new("min_samples", "need at least one warm-up sample"));
-        }
-        Ok(())
-    }
-}
-
 /// Failed-attempt accounting. Every *started* attempt terminates exactly
-/// one way — success, failure (transient fault or worker loss) or abort
-/// (fast-abort / timeout / discarded speculative duplicate) — so the books
-/// always reconcile: `attempts = successes + failures() + aborts()`.
+/// one way — success or failure (transient fault or worker loss) — so the
+/// books always reconcile: `attempts = successes + failures()`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultStats {
     /// Task attempts started.
@@ -455,20 +384,12 @@ pub struct FaultStats {
     pub transient_failures: u64,
     /// Attempts lost to a worker crash or eviction.
     pub crash_failures: u64,
-    /// Attempts killed by straggler fast-abort (or completed after their
-    /// task was already done — wasted speculative work).
-    pub straggler_aborts: u64,
-    /// Attempts abandoned after exceeding the wall-clock timeout
-    /// (threaded backend).
-    pub timeout_aborts: u64,
     /// Panics caught in the threaded backend (a subset of
     /// `transient_failures`).
     pub panics: u64,
     /// Tasks dropped after exhausting their retry budget.
     pub exhausted_tasks: u64,
-    /// Workers quarantined after repeated faults.
-    pub quarantined_workers: u64,
-    /// Total time burned in failed or aborted attempts (virtual seconds
+    /// Total time burned in failed attempts (virtual seconds
     /// in the DES; real seconds in the threaded backend).
     pub wasted_time: f64,
 }
@@ -480,18 +401,11 @@ impl FaultStats {
         self.transient_failures + self.crash_failures
     }
 
-    /// Attempts that ended in an abort (straggler kill, timeout, or a
-    /// discarded speculative duplicate).
-    #[must_use]
-    pub const fn aborts(&self) -> u64 {
-        self.straggler_aborts + self.timeout_aborts
-    }
-
     /// Whether the books balance: every started attempt is accounted for
-    /// as exactly one of success, failure or abort.
+    /// as exactly one of success or failure.
     #[must_use]
     pub const fn reconciles(&self) -> bool {
-        self.attempts == self.successes + self.failures() + self.aborts()
+        self.attempts == self.successes + self.failures()
     }
 
     /// Fraction of attempts lost to faults (`0` with no attempts) — the
@@ -501,7 +415,7 @@ impl FaultStats {
         if self.attempts == 0 {
             return 0.0;
         }
-        (self.failures() + self.aborts()) as f64 / self.attempts as f64
+        self.failures() as f64 / self.attempts as f64
     }
 }
 
@@ -509,13 +423,11 @@ impl std::fmt::Display for FaultStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "attempts={} ok={} fail={} abort={} exhausted={} quarantined={} wasted={:.3}",
+            "attempts={} ok={} fail={} exhausted={} wasted={:.3}",
             self.attempts,
             self.successes,
             self.failures(),
-            self.aborts(),
             self.exhausted_tasks,
-            self.quarantined_workers,
             self.wasted_time
         )
     }
@@ -540,28 +452,20 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_rate_accurate() {
-        let plan = FaultPlan {
-            seed: 7,
-            transient_rate: 0.1,
-            crash_rate: 0.05,
-            straggler_rate: 0.05,
-            straggler_slowdown: 10.0,
-            ..FaultPlan::default()
-        };
-        let mut counts = [0usize; 4];
+        let plan =
+            FaultPlan { seed: 7, transient_rate: 0.1, crash_rate: 0.05, ..FaultPlan::default() };
+        let mut counts = [0usize; 3];
         for i in 0..10_000u32 {
             let d = plan.decide(TaskId::new(i), 0);
             assert_eq!(d, plan.decide(TaskId::new(i), 0), "decision must be stable");
             match d {
                 Some(FaultKind::Transient) => counts[0] += 1,
                 Some(FaultKind::WorkerCrash) => counts[1] += 1,
-                Some(FaultKind::Straggler) => counts[2] += 1,
-                None => counts[3] += 1,
+                None => counts[2] += 1,
             }
         }
         assert!((800..=1200).contains(&counts[0]), "transient ~10%: {counts:?}");
         assert!((350..=650).contains(&counts[1]), "crash ~5%: {counts:?}");
-        assert!((350..=650).contains(&counts[2]), "straggler ~5%: {counts:?}");
     }
 
     #[test]
@@ -596,8 +500,7 @@ mod tests {
         let cases = [
             (FaultPlan { transient_rate: -0.1, ..base }, "transient_rate"),
             (FaultPlan { crash_rate: 1.5, ..base }, "crash_rate"),
-            (FaultPlan { straggler_rate: f64::NAN, ..base }, "straggler_rate"),
-            (FaultPlan { straggler_slowdown: 0.5, ..base }, "straggler_slowdown"),
+            (FaultPlan { crash_rate: f64::NAN, ..base }, "crash_rate"),
             (FaultPlan { worker_restart_delay: -1.0, ..base }, "worker_restart_delay"),
             (FaultPlan { ingest_drop_rate: -0.5, ..base }, "ingest_drop_rate"),
             (FaultPlan { ingest_duplicate_rate: 2.0, ..base }, "ingest_duplicate_rate"),
@@ -623,7 +526,6 @@ mod tests {
         let edge = FaultPlan {
             seed: u64::MAX,
             transient_rate: 1.0,
-            straggler_slowdown: 1.0,
             worker_restart_delay: 0.0,
             ingest_corrupt_rate: 1.0,
             ingest_reorder_depth: 1,
@@ -687,19 +589,6 @@ mod tests {
             let err = policy.validate().expect_err("invalid policy");
             assert_eq!(err.field(), field);
         }
-    }
-
-    #[test]
-    fn fast_abort_validates_multiplier() {
-        let err = FastAbort { multiplier: 1.0, ..FastAbort::default() }
-            .validate()
-            .expect_err("multiplier 1.0 must be rejected");
-        assert_eq!(err.field(), "multiplier");
-        let err = FastAbort { min_samples: 0, ..FastAbort::default() }
-            .validate()
-            .expect_err("zero warm-up samples must be rejected");
-        assert_eq!(err.field(), "min_samples");
-        FastAbort::default().validate().expect("default is valid");
     }
 
     #[test]
@@ -786,11 +675,9 @@ mod tests {
         s.attempts = 10;
         s.successes = 6;
         s.transient_failures = 2;
-        s.crash_failures = 1;
-        s.straggler_aborts = 1;
+        s.crash_failures = 2;
         assert!(s.reconciles());
-        assert_eq!(s.failures(), 3);
-        assert_eq!(s.aborts(), 1);
+        assert_eq!(s.failures(), 4);
         assert!((s.fault_ratio() - 0.4).abs() < 1e-12);
         s.attempts = 11;
         assert!(!s.reconciles());
@@ -801,6 +688,5 @@ mod tests {
         assert!(FaultStats::default().to_string().contains("attempts=0"));
         assert_eq!(FaultKind::Transient.to_string(), "transient");
         assert_eq!(FaultKind::WorkerCrash.to_string(), "worker-crash");
-        assert_eq!(FaultKind::Straggler.to_string(), "straggler");
     }
 }

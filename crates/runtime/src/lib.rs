@@ -20,21 +20,18 @@
 //!   reproduces its queueing/scheduling dynamics deterministically on one
 //!   machine (see DESIGN.md §3 for the substitution argument);
 //! - [`ThreadedEngine`] — the real master/worker backend on OS threads:
-//!   the same lifecycle state machine executing real closures, with
-//!   timeouts, and speculation where the simulator kills;
-//! - [`FaultPlan`] / [`RetryPolicy`] / [`FastAbort`] — a unified fault
-//!   model shared by both backends: seeded deterministic injection of
-//!   transient failures, worker crashes and stragglers, retry with
-//!   exponential backoff, quarantine, and fast-abort straggler
-//!   mitigation, with [`FaultStats`] accounting that always reconciles
-//!   (see DESIGN.md "Fault model & recovery"). Each is public fields
-//!   over `Default`, checked by its `validate()` where an engine takes
-//!   it;
+//!   the same lifecycle state machine executing real closures;
+//! - [`FaultPlan`] / [`RetryPolicy`] — a unified fault model shared by
+//!   both backends: seeded deterministic injection of transient failures
+//!   and worker crashes, scheduled evictions, and retry with exponential
+//!   backoff, with [`FaultStats`] accounting that always reconciles (see
+//!   DESIGN.md "Fault model & recovery"). Each is public fields over
+//!   `Default`, checked by its `validate()` where an engine takes it;
 //! - one task-lifecycle state machine (`sched.rs`, crate-private) that
 //!   both engines drive — the ready queue, retries and backoff,
-//!   quarantine, evictions, respawns, the elastic pool and the fault
-//!   accounting exist exactly once; an engine supplies only its clock and
-//!   its way of executing an attempt;
+//!   evictions, respawns, the elastic pool and the fault accounting exist
+//!   exactly once; an engine supplies only its clock and its way of
+//!   executing an attempt;
 //! - [`ExecutionBackend`] / [`JobBackend`] — the unified substrate traits
 //!   every layer above the runtime programs against, and the engines' only
 //!   surface for submitting, tuning, driving and draining: both engines
@@ -78,9 +75,7 @@ mod wcet;
 pub use backend::{ExecutionBackend, JobBackend, TaskPayload};
 pub use cluster::{Cluster, NodeSpec};
 pub use des::DesEngine;
-pub use fault::{
-    FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, IngestFault, RetryPolicy,
-};
+pub use fault::{FailedTask, FaultKind, FaultPlan, FaultStats, IngestFault, RetryPolicy};
 pub use ids::{JobId, TaskId, WorkerId};
 pub use pool::TaskPool;
 pub use report::{CompletedTask, ExecutionReport};
@@ -110,7 +105,7 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, NodeSpec};
     pub use crate::des::DesEngine;
     pub use crate::fault::{
-        FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, IngestFault, RetryPolicy,
+        FailedTask, FaultKind, FaultPlan, FaultStats, IngestFault, RetryPolicy,
     };
     pub use crate::ids::{JobId, TaskId, WorkerId};
     pub use crate::report::{CompletedTask, ExecutionReport};

@@ -172,17 +172,6 @@ impl TaskPool {
         self.len -= 1;
         Some(entry)
     }
-
-    /// Withdraws a queued task of `job` (a speculative duplicate whose
-    /// sibling attempt already finished the task). Returns whether it was
-    /// queued.
-    pub(crate) fn remove(&mut self, job: JobId, id: TaskId) -> bool {
-        let Some(queue) = self.queues.get_mut(&job) else { return false };
-        let Some(pos) = queue.iter().position(|&(t, _)| t == id) else { return false };
-        queue.remove(pos);
-        self.len -= 1;
-        true
-    }
 }
 
 #[cfg(test)]

@@ -3,29 +3,29 @@
 //! A Work Queue master does the same bookkeeping whatever executes the
 //! tasks: queue them by job priority, hand the next one to a free worker,
 //! decide what a lost attempt costs (retry now, back off, give up),
-//! blacklist flaky workers, replace crashed ones, shrink and grow the
-//! pool, and keep [`FaultStats`] balanced. [`Master`] is that bookkeeping,
-//! written once. It owns the task table, the one ready queue
-//! ([`TaskPool`], so job priorities are stride shares on every backend),
-//! the timer queue (backoff releases, respawns, evictions), the worker
-//! set with each slot's running attempt, the retry / quarantine /
-//! fast-abort policy, the recorder and the completed list.
+//! replace crashed workers, shrink and grow the pool, and keep
+//! [`FaultStats`] balanced. [`Master`] is that bookkeeping, written once.
+//! It owns the task table, the one ready queue ([`TaskPool`], so job
+//! priorities are stride shares on every backend), the timer queue
+//! (backoff releases, respawns, evictions), the worker set with each
+//! slot's running attempt, the fault plan and retry policy, the recorder
+//! and the completed list. A task has at most one attempt running.
 //!
 //! The machine has no clock and executes nothing. A driver passes the
 //! time (engine seconds) into every call and supplies the physics:
 //! [`crate::DesEngine`] turns an [`Attempt`] into a virtual end time,
 //! [`crate::ThreadedEngine`] runs it on an OS thread. The driver reports
-//! how the attempt ended ([`Master::attempt_ended`]), or takes it away
-//! from the worker ([`Master::abandon`]), and calls [`Master::tick`] when
-//! [`Master::next_wake`] falls due. Every lost attempt, whoever reports
-//! it, is settled by the one private `settle_loss`.
+//! how the attempt ended ([`Master::attempt_ended`]) and calls
+//! [`Master::tick`] when [`Master::next_wake`] falls due. Every lost
+//! attempt, whether its worker reports it or an eviction takes it, is
+//! settled by the one private `settle_loss`.
 
 use crate::telemetry::{LossCause, SharedRecorder, TaskPhase, TimelineEvent};
 use crate::{
-    CompletedTask, FailedTask, FastAbort, FaultKind, FaultPlan, FaultStats, JobId, RetryPolicy,
-    TaskId, TaskPool, TaskSpec, WorkerId,
+    CompletedTask, FailedTask, FaultKind, FaultPlan, FaultStats, JobId, RetryPolicy, TaskId,
+    TaskPool, TaskSpec, WorkerId,
 };
-use sstd_stats::{mix64, OnlineStats};
+use sstd_stats::mix64;
 
 /// An attempt the machine handed to a worker.
 #[derive(Debug, Clone, Copy)]
@@ -34,11 +34,6 @@ pub(crate) struct Attempt {
     pub(crate) spec: TaskSpec,
     /// The fault the plan injects into this attempt, if any.
     pub(crate) fault: Option<FaultKind>,
-    /// The fast-abort threshold in force for this attempt: set when the
-    /// running mean is warm and the task has speculation budget left. How
-    /// to act on it is the driver's business (the DES kills the attempt at
-    /// the threshold; threads cannot be killed and speculate instead).
-    pub(crate) abort_after: Option<f64>,
 }
 
 /// The machine's answer to a worker asking for work.
@@ -46,8 +41,8 @@ pub(crate) struct Attempt {
 pub(crate) enum Acquire {
     /// Execute this attempt, then report it with [`Master::attempt_ended`].
     Run(Attempt),
-    /// The worker is no longer part of the pool (drained, quarantined,
-    /// crashed or evicted): stop.
+    /// The worker is no longer part of the pool (drained, crashed or
+    /// evicted): stop.
     Retire,
     /// Nothing is runnable; a timer falls due at the given time, if any.
     Idle(Option<f64>),
@@ -80,8 +75,6 @@ struct Slot {
     /// the Global Control Knob shrinks the pool). A draining slot without
     /// a running attempt does not exist.
     draining: bool,
-    /// Faults attributed to this worker (for quarantine).
-    faults: u32,
 }
 
 #[derive(Debug)]
@@ -90,14 +83,6 @@ struct TaskEntry {
     submitted_at: f64,
     /// Attempts started (also the next attempt's zero-based index).
     attempts: u32,
-    /// Fast-aborts or speculative duplicates consumed.
-    speculations: u32,
-    /// Attempts executing right now (two under speculation).
-    running: u32,
-    /// Whether an attempt waits in the pool or the backoff queue.
-    queued: bool,
-    /// Completed or exhausted.
-    terminal: bool,
 }
 
 /// What the timer queue holds; at equal times backoff releases fire
@@ -112,10 +97,9 @@ enum Timer {
 /// The clock-agnostic Work Queue master (see the module docs).
 ///
 /// Invariant: every attempt [`acquire`](Self::acquire) starts is closed
-/// exactly once — as the task's success, as a speculative duplicate that
-/// lost the race, or by `settle_loss` — which is what keeps
-/// [`FaultStats::reconciles`] true. An attempt that ends after the master
-/// already took it away is recognised by its empty (or missing) slot and
+/// exactly once — as the task's success or by `settle_loss` — which is
+/// what keeps [`FaultStats::reconciles`] true. An attempt that ends after
+/// an eviction took its worker away is recognised by its missing slot and
 /// ignored.
 #[derive(Debug)]
 pub(crate) struct Master {
@@ -129,12 +113,7 @@ pub(crate) struct Master {
     next_worker: u32,
     plan: Option<FaultPlan>,
     retry: RetryPolicy,
-    fast_abort: Option<FastAbort>,
-    /// Per-attempt time limit in engine seconds; `None` never times out.
-    timeout: Option<f64>,
     stats: FaultStats,
-    /// Durations of successful attempts (drives fast-abort).
-    durations: OnlineStats,
     completed: Vec<CompletedTask>,
     failed: Vec<FailedTask>,
     retries: u64,
@@ -156,10 +135,7 @@ impl Master {
             next_worker: 0,
             plan: None,
             retry: RetryPolicy::default(),
-            fast_abort: None,
-            timeout: None,
             stats: FaultStats::default(),
-            durations: OnlineStats::new(),
             completed: Vec::new(),
             failed: Vec::new(),
             retries: 0,
@@ -181,10 +157,6 @@ impl Master {
         self.plan = Some(plan);
     }
 
-    pub(crate) const fn plan(&self) -> Option<FaultPlan> {
-        self.plan
-    }
-
     /// Panics if the policy is invalid: the engines call this on an
     /// already-constructed backend and cannot propagate.
     pub(crate) fn set_retry(&mut self, retry: RetryPolicy) {
@@ -192,23 +164,6 @@ impl Master {
             panic!("invalid retry policy: {e}");
         }
         self.retry = retry;
-    }
-
-    /// Panics if the configuration is invalid, like
-    /// [`set_retry`](Self::set_retry).
-    pub(crate) fn set_fast_abort(&mut self, fast_abort: FastAbort) {
-        if let Err(e) = fast_abort.validate() {
-            panic!("invalid fast-abort configuration: {e}");
-        }
-        self.fast_abort = Some(fast_abort);
-    }
-
-    pub(crate) fn set_timeout(&mut self, timeout: Option<f64>) {
-        self.timeout = timeout;
-    }
-
-    pub(crate) const fn timeout(&self) -> Option<f64> {
-        self.timeout
     }
 
     pub(crate) fn set_recorder(&mut self, recorder: Option<SharedRecorder>) {
@@ -269,11 +224,6 @@ impl Master {
         self.retries
     }
 
-    /// Mean duration of the successful attempts so far.
-    pub(crate) fn mean_duration(&self) -> Option<f64> {
-        (self.durations.count() > 0).then(|| self.durations.mean())
-    }
-
     /// The spec [`acquire`](Self::acquire) would hand out next.
     pub(crate) fn peek(&self) -> Option<TaskSpec> {
         self.pool.peek().map(|&(_, spec)| spec)
@@ -296,7 +246,7 @@ impl Master {
     fn add_worker(&mut self) -> WorkerId {
         let id = WorkerId::new(self.next_worker);
         self.next_worker += 1;
-        self.workers.push(Slot { id, running: None, draining: false, faults: 0 });
+        self.workers.push(Slot { id, running: None, draining: false });
         id
     }
 
@@ -340,25 +290,10 @@ impl Master {
         }
     }
 
-    /// `multiplier × mean completed duration`, once fast-abort is enabled
-    /// and warmed past `min_samples` completions.
-    fn fast_abort_threshold(&self) -> Option<f64> {
-        let fa = self.fast_abort?;
-        (self.durations.count() >= fa.min_samples).then(|| fa.multiplier * self.durations.mean())
-    }
-
     pub(crate) fn submit(&mut self, spec: TaskSpec, now: f64) -> TaskId {
         let id = self.pool.submit(spec);
         debug_assert_eq!(id.index(), self.tasks.len(), "the pool mints dense ids");
-        self.tasks.push(TaskEntry {
-            spec,
-            submitted_at: now,
-            attempts: 0,
-            speculations: 0,
-            running: 0,
-            queued: true,
-            terminal: false,
-        });
+        self.tasks.push(TaskEntry { spec, submitted_at: now, attempts: 0 });
         self.live += 1;
         self.record(id, 0, None, now, TaskPhase::Queued);
         id
@@ -370,20 +305,15 @@ impl Master {
         let Ok(pos) = self.position(worker) else { return Acquire::Retire };
         debug_assert!(self.workers[pos].running.is_none(), "{worker} already runs an attempt");
         let Some((task, spec)) = self.pool.pop() else { return Acquire::Idle(self.next_wake()) };
-        let budget = self.fast_abort.map_or(0, |fa| fa.max_speculations);
-        let threshold = self.fast_abort_threshold();
         let entry = &mut self.tasks[task.index()];
         let attempt = entry.attempts;
         entry.attempts += 1;
-        entry.queued = false;
-        entry.running += 1;
-        let abort_after = threshold.filter(|_| entry.speculations < budget);
         self.running += 1;
         self.stats.attempts += 1;
         self.workers[pos].running = Some(Running { task, attempt, started_at: now });
         self.record(task, attempt, Some(worker), now, TaskPhase::Dispatched);
         let fault = self.plan.and_then(|p| p.decide(task, attempt));
-        Acquire::Run(Attempt { task, spec, fault, abort_after })
+        Acquire::Run(Attempt { task, spec, fault })
     }
 
     /// The attempt on `worker` ended by itself. Returns the task's record
@@ -396,7 +326,7 @@ impl Master {
     ) -> Option<CompletedTask> {
         let run = self.take_running(worker)?;
         match ended {
-            Ended::Success => return self.succeed(worker, run, now),
+            Ended::Success => return Some(self.succeed(worker, run, now)),
             Ended::Transient => {
                 let error = "transient-fault retries exhausted";
                 self.settle_loss(worker, run, LossCause::Transient, false, error, now);
@@ -412,72 +342,37 @@ impl Master {
         None
     }
 
-    /// The master takes the attempt on `worker` away from it (fast-abort
-    /// kill, timeout). A no-op when the worker runs nothing.
-    pub(crate) fn abandon(&mut self, worker: WorkerId, cause: LossCause, now: f64) {
-        if let Some(run) = self.take_running(worker) {
-            self.settle_loss(worker, run, cause, false, cause.label(), now);
-        }
-    }
-
-    fn succeed(&mut self, worker: WorkerId, run: Running, now: f64) -> Option<CompletedTask> {
-        let elapsed = now - run.started_at;
+    fn succeed(&mut self, worker: WorkerId, run: Running, now: f64) -> CompletedTask {
         self.running -= 1;
-        let entry = &mut self.tasks[run.task.index()];
-        entry.running -= 1;
-        let done = if entry.terminal {
-            // A speculative duplicate that lost the race: wasted work,
-            // accounted as a straggler abort.
-            self.stats.straggler_aborts += 1;
-            self.stats.wasted_time += elapsed;
-            self.record(
-                run.task,
-                run.attempt,
-                Some(worker),
-                now,
-                TaskPhase::Failed(LossCause::Straggler),
-            );
-            None
-        } else {
-            entry.terminal = true;
-            if std::mem::take(&mut entry.queued) {
-                // The duplicate never started: withdraw it.
-                self.pool.remove(entry.spec.job(), run.task);
-            }
-            let done = CompletedTask {
-                task: run.task,
-                job: entry.spec.job(),
-                submitted_at: entry.submitted_at,
-                started_at: run.started_at,
-                finished_at: now,
-                worker,
-                deadline: entry.spec.deadline(),
-            };
-            self.live -= 1;
-            self.stats.successes += 1;
-            self.durations.push(elapsed);
-            self.completed.push(done);
-            self.record(run.task, run.attempt, Some(worker), now, TaskPhase::Completed);
-            Some(done)
+        let entry = &self.tasks[run.task.index()];
+        let done = CompletedTask {
+            task: run.task,
+            job: entry.spec.job(),
+            submitted_at: entry.submitted_at,
+            started_at: run.started_at,
+            finished_at: now,
+            worker,
+            deadline: entry.spec.deadline(),
         };
+        self.live -= 1;
+        self.stats.successes += 1;
+        self.completed.push(done);
+        self.record(run.task, run.attempt, Some(worker), now, TaskPhase::Completed);
         self.drop_if_drained(worker);
         done
     }
 
     /// Settles a lost attempt — the only place that does. Accounts the
-    /// loss, decides the task's fate unless a sibling attempt (speculative
-    /// duplicate or queued retry) still covers it, then applies the
-    /// worker's side of the loss.
+    /// loss, decides the task's fate, then applies the worker's side of
+    /// the loss.
     ///
     /// The task: crash and eviction losses are not its fault, re-queue at
-    /// once and are bounded only by the generous hard cap; a fast-abort
-    /// was budgeted when the attempt started and always re-queues;
-    /// transient failures and timeouts burn the `max_attempts` budget and
-    /// wait out an exponential backoff with deterministic jitter.
+    /// once and are bounded only by the generous hard cap; transient
+    /// failures burn the `max_attempts` budget and wait out an exponential
+    /// backoff with deterministic jitter.
     ///
-    /// The worker: transient failures and fast-aborts count towards
-    /// quarantine (never of the last worker); a crashed worker is replaced
-    /// after the plan's restart delay; an evicted one is not.
+    /// The worker: a crashed worker is replaced after the plan's restart
+    /// delay; an evicted one is not.
     fn settle_loss(
         &mut self,
         worker: WorkerId,
@@ -494,91 +389,57 @@ impl Master {
                 self.stats.panics += u64::from(panicked);
             }
             LossCause::Crash | LossCause::Evicted => self.stats.crash_failures += 1,
-            LossCause::Straggler => self.stats.straggler_aborts += 1,
-            LossCause::Timeout => self.stats.timeout_aborts += 1,
         }
         self.record(run.task, run.attempt, Some(worker), now, TaskPhase::Failed(cause));
         self.running -= 1;
-        let entry = &mut self.tasks[run.task.index()];
-        entry.running -= 1;
-        entry.speculations += u32::from(cause == LossCause::Straggler);
-        if !(entry.terminal || entry.queued || entry.running > 0) {
-            let started = entry.attempts;
-            let cap = match cause {
-                LossCause::Crash | LossCause::Evicted => self.retry.hard_attempt_cap(),
-                LossCause::Straggler => u32::MAX,
-                LossCause::Transient | LossCause::Timeout => self.retry.max_attempts,
-            };
-            if started >= cap {
-                entry.terminal = true;
-                self.live -= 1;
-                self.stats.exhausted_tasks += 1;
-                self.failed.push(FailedTask {
-                    task: run.task,
-                    job: entry.spec.job(),
-                    attempts: started,
-                    error: error.to_string(),
-                });
-                self.record(run.task, started, None, now, TaskPhase::Exhausted);
+        let entry = &self.tasks[run.task.index()];
+        let started = entry.attempts;
+        let cap = match cause {
+            LossCause::Crash | LossCause::Evicted => self.retry.hard_attempt_cap(),
+            LossCause::Transient => self.retry.max_attempts,
+        };
+        if started >= cap {
+            self.live -= 1;
+            self.stats.exhausted_tasks += 1;
+            self.failed.push(FailedTask {
+                task: run.task,
+                job: entry.spec.job(),
+                attempts: started,
+                error: error.to_string(),
+            });
+            self.record(run.task, started, None, now, TaskPhase::Exhausted);
+        } else {
+            self.retries += 1;
+            if cause == LossCause::Transient {
+                let seed = self.plan.map_or(0, |p| p.seed);
+                let salt = mix64(seed ^ run.task.index() as u64);
+                let release = now + self.retry.backoff(started, salt);
+                self.schedule(release, Timer::Release(run.task));
             } else {
-                entry.queued = true;
-                self.retries += 1;
-                if matches!(cause, LossCause::Transient | LossCause::Timeout) {
-                    let seed = self.plan.map_or(0, |p| p.seed);
-                    let salt = mix64(seed ^ run.task.index() as u64);
-                    let release = now + self.retry.backoff(started, salt);
-                    self.schedule(release, Timer::Release(run.task));
-                } else {
-                    let spec = entry.spec;
-                    self.pool.requeue(run.task, spec);
-                }
+                self.pool.requeue(run.task, entry.spec);
             }
         }
         match cause {
-            LossCause::Transient | LossCause::Straggler => self.note_worker_fault(worker),
+            LossCause::Transient => {}
             LossCause::Crash => {
                 self.remove_worker(worker);
                 let delay = self.plan.map_or(1.0, |p| p.worker_restart_delay);
                 self.schedule(now + delay, Timer::Respawn);
             }
             LossCause::Evicted => self.remove_worker(worker),
-            LossCause::Timeout => {}
         }
         self.drop_if_drained(worker);
     }
 
-    /// Attributes a fault to `worker` and quarantines it past the policy
-    /// threshold — never the last worker standing.
-    fn note_worker_fault(&mut self, worker: WorkerId) {
-        let threshold = self.retry.quarantine_threshold;
-        let Ok(pos) = self.position(worker) else { return };
-        if threshold == 0 {
-            return;
-        }
-        self.workers[pos].faults += 1;
-        if self.workers[pos].faults >= threshold && self.num_workers() > 1 {
-            self.stats.quarantined_workers += 1;
-            self.workers.remove(pos);
-        }
-    }
-
     /// When the machine next needs a [`tick`](Self::tick): the earliest
-    /// timer, or the earliest running attempt's time limit.
+    /// timer.
     pub(crate) fn next_wake(&self) -> Option<f64> {
-        let timer = self.timers.first().map(|&(at, _)| at);
-        let limit = self.timeout.and_then(|limit| {
-            let started = self.workers.iter().filter_map(|s| s.running).map(|r| r.started_at);
-            started.min_by(f64::total_cmp).map(|at| at + limit)
-        });
-        match (timer, limit) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.timers.first().map(|&(at, _)| at)
     }
 
     /// Fires every timer due at `now`, in `(time, kind)` order — backoff
-    /// releases, then respawns, then evictions — and abandons attempts
-    /// past the time limit. Returns the workers that joined the pool.
+    /// releases, then respawns, then evictions. Returns the workers that
+    /// joined the pool.
     pub(crate) fn tick(&mut self, now: f64) -> Vec<WorkerId> {
         let mut joined = Vec::new();
         while self.timers.first().is_some_and(|&(at, _)| at <= now) {
@@ -586,13 +447,6 @@ impl Master {
                 Timer::Release(task) => self.pool.requeue(task, self.tasks[task.index()].spec),
                 Timer::Respawn => joined.push(self.add_worker()),
                 Timer::Evict => self.evict(now),
-            }
-        }
-        if let Some(limit) = self.timeout {
-            let late = |s: &&Slot| s.running.is_some_and(|r| now - r.started_at > limit);
-            let late: Vec<WorkerId> = self.workers.iter().filter(late).map(|s| s.id).collect();
-            for worker in late {
-                self.abandon(worker, LossCause::Timeout, now);
             }
         }
         joined
@@ -617,28 +471,6 @@ impl Master {
         match self.take_running(worker) {
             Some(run) => self.settle_loss(worker, run, LossCause::Evicted, false, "evicted", now),
             None => self.remove_worker(worker),
-        }
-    }
-
-    /// Enqueues a speculative duplicate for every task whose only attempt
-    /// has run past the fast-abort threshold, budget permitting — what a
-    /// driver that cannot kill an attempt does about stragglers.
-    pub(crate) fn speculate(&mut self, now: f64) {
-        let (Some(threshold), Some(fa)) = (self.fast_abort_threshold(), self.fast_abort) else {
-            return;
-        };
-        for run in self.workers.iter().filter_map(|s| s.running) {
-            let entry = &mut self.tasks[run.task.index()];
-            let lagging = now - run.started_at > threshold;
-            if lagging
-                && !entry.queued
-                && !entry.terminal
-                && entry.speculations < fa.max_speculations
-            {
-                entry.speculations += 1;
-                entry.queued = true;
-                self.pool.requeue(run.task, entry.spec);
-            }
         }
     }
 
@@ -766,92 +598,15 @@ mod tests {
         assert!(release(9) > 1.0);
     }
 
-    #[test]
-    fn quarantine_counts_and_spares_the_last_worker() {
-        let mut m = master(2, 4);
-        m.set_retry(RetryPolicy {
-            quarantine_threshold: 2,
-            max_attempts: 50,
-            ..Default::default()
-        });
-        for (on, expect_workers) in [(1, 2), (1, 1), (0, 1), (0, 1)] {
-            let _ = start(&mut m, on, 0.0);
-            m.attempt_ended(worker(on), Ended::Transient, 0.5);
-            assert_eq!(m.num_workers(), expect_workers, "after a fault on worker {on}");
-        }
-        assert_eq!(m.stats().quarantined_workers, 1, "the last worker is never quarantined");
-        assert!(matches!(m.acquire(worker(1), 1.0), Acquire::Retire));
-    }
-
-    #[test]
-    fn quarantine_still_fires_after_task_exhaustion() {
-        // A task exhausting its budget on a flaky worker must not reset
-        // the worker's fault count.
-        let mut m = master(3, 2);
-        m.set_retry(RetryPolicy {
-            max_attempts: 1,
-            quarantine_threshold: 2,
-            ..RetryPolicy::default()
-        });
-        let _ = start(&mut m, 1, 0.0);
-        m.attempt_ended(worker(1), Ended::Transient, 0.1);
-        assert_eq!(
-            (m.failed().len(), m.num_workers()),
-            (1, 3),
-            "first fault is under the threshold"
-        );
-        let _ = start(&mut m, 1, 0.1);
-        m.attempt_ended(worker(1), Ended::Transient, 0.2);
-        assert_eq!(
-            (m.failed().len(), m.num_workers()),
-            (2, 2),
-            "exhaustion does not shield the worker"
-        );
-        assert_eq!((m.stats().quarantined_workers, m.stats().exhausted_tasks), (1, 2));
-        assert!(m.stats().reconciles(), "{}", m.stats());
-    }
-
-    #[test]
-    fn speculation_budget_gates_fast_abort() {
-        let mut m = master(1, 2);
-        m.speculate(100.0);
-        assert_eq!(m.pending(), 2, "no duplicates without fast-abort");
-        m.set_fast_abort(FastAbort { multiplier: 2.0, min_samples: 1, max_speculations: 1 });
-        assert_eq!(start(&mut m, 0, 0.0).abort_after, None, "mean not warm yet");
-        m.attempt_ended(worker(0), Ended::Success, 2.0);
-        let threshold = start(&mut m, 0, 2.0).abort_after.expect("warm after min_samples");
-        assert!((threshold - 4.0).abs() < 1e-12);
-        m.abandon(worker(0), LossCause::Straggler, 6.0);
-        assert_eq!(start(&mut m, 0, 6.0).abort_after, None, "budget spent: left to run");
-        assert_eq!((m.stats().straggler_aborts, m.retries()), (1, 1));
-    }
-
-    #[test]
-    fn a_speculative_duplicate_that_never_started_is_withdrawn() {
-        let mut m = master(1, 2);
-        m.set_fast_abort(FastAbort { multiplier: 2.0, min_samples: 1, max_speculations: 1 });
-        let _ = start(&mut m, 0, 0.0);
-        m.attempt_ended(worker(0), Ended::Success, 1.0);
-        let _ = start(&mut m, 0, 1.0);
-        m.speculate(9.0);
-        assert_eq!((m.pending(), m.running()), (1, 1), "one attempt, past 2 × the mean");
-        m.speculate(9.0);
-        assert_eq!(m.pending(), 1, "budget spent, and a duplicate is queued already");
-        assert!(m.attempt_ended(worker(0), Ended::Success, 9.5).is_some());
-        assert_eq!((m.pending(), m.live()), (0, 0), "nothing is left to run");
-        assert!(m.stats().reconciles());
-    }
-
     /// Regression (draining zombie): a draining worker leaves the moment
     /// its attempt ends — not only when it ends in success.
     #[test]
     fn a_draining_slot_goes_however_its_attempt_ended() {
-        let ends: [fn(&mut Master); 5] = [
+        let ends: [fn(&mut Master); 4] = [
             |m| assert!(m.attempt_ended(worker(1), Ended::Success, 1.0).is_some()),
             |m| assert!(m.attempt_ended(worker(1), Ended::Transient, 1.0).is_none()),
             |m| assert!(m.attempt_ended(worker(1), Ended::Panicked("boom"), 1.0).is_none()),
-            |m| m.abandon(worker(1), LossCause::Straggler, 1.0),
-            |m| m.abandon(worker(1), LossCause::Timeout, 1.0),
+            |m| assert!(m.attempt_ended(worker(1), Ended::Crashed, 1.0).is_none()),
         ];
         for end in ends {
             let mut m = master(2, 6);
@@ -871,7 +626,7 @@ mod tests {
         /// Workers the script was ever told about.
         known: BTreeSet<WorkerId>,
         /// Workers physically executing something — possibly an attempt
-        /// the machine has since abandoned (so its end will be stale).
+        /// whose worker was evicted since (so its end will be stale).
         executing: BTreeSet<WorkerId>,
         /// Workers seen to have left the pool.
         gone: BTreeSet<WorkerId>,
@@ -884,10 +639,10 @@ mod tests {
         }
 
         /// The invariants that must hold after every step.
-        fn check(&mut self, m: &Master, quarantined_before: u64) {
+        fn check(&mut self, m: &Master) {
             let stats = m.stats();
             // Books balance once the attempts still in flight are added.
-            let closed = stats.successes + stats.failures() + stats.aborts();
+            let closed = stats.successes + stats.failures();
             assert_eq!(stats.attempts, closed + m.running() as u64, "{stats}");
             // Every task is pending, covered by a running attempt, or
             // terminal exactly once.
@@ -906,9 +661,6 @@ mod tests {
             self.gone.extend(self.known.difference(&present));
             assert!(present.is_disjoint(&self.gone), "revived: {present:?} ∩ {:?}", self.gone);
             assert!(m.workers.iter().all(|s| !s.draining || s.running.is_some()), "idle drainer");
-            if stats.quarantined_workers > quarantined_before {
-                assert!(m.num_workers() >= 1, "the last worker was quarantined");
-            }
         }
     }
 
@@ -931,32 +683,24 @@ mod tests {
     }
 
     /// Random interleavings of everything a driver can do, including the
-    /// transitions no DES run reaches: speculative duplicates (two running
-    /// attempts of one task), timeouts, and *stale* ends — an attempt
-    /// ending after the machine abandoned it or evicted its worker.
+    /// transition no DES run reaches: a *stale* end — an attempt ending
+    /// after an eviction took its worker away.
     #[test]
     fn any_script_keeps_the_books() {
         for_each_case(1_000, |rng| {
             let seed = rng.usize_in(0, 999_999) as u64;
             let ops: Vec<(u8, usize, u32)> = (0..rng.usize_in(1, 159))
                 .map(|_| {
-                    (rng.usize_in(0, 13) as u8, rng.usize_in(0, 15), rng.usize_in(0, 39) as u32)
+                    (rng.usize_in(0, 11) as u8, rng.usize_in(0, 15), rng.usize_in(0, 39) as u32)
                 })
                 .collect();
             let mut m = Master::new(3);
             m.set_plan(FaultPlan { seed, ..FaultPlan::default() });
-            m.set_retry(RetryPolicy {
-                max_attempts: 3,
-                quarantine_threshold: 3,
-                ..Default::default()
-            });
-            m.set_fast_abort(FastAbort { multiplier: 1.5, min_samples: 1, max_speculations: 2 });
-            m.set_timeout(Some(4.0));
+            m.set_retry(RetryPolicy { max_attempts: 3, ..Default::default() });
             let mut script = Script { known: (0..3).map(worker).collect(), ..Script::default() };
             let mut now = 0.0;
             for (op, index, amount) in ops {
                 now += f64::from(amount) * 0.01;
-                let quarantined = m.stats().quarantined_workers;
                 let busy = Script::pick(&script.executing, index);
                 match op {
                     0 | 1 => {
@@ -980,8 +724,8 @@ mod tests {
                             }
                         }
                     }
-                    // A thread reports its end — stale if the machine took
-                    // the attempt away meanwhile.
+                    // A thread reports its end — stale if an eviction took
+                    // its worker away meanwhile.
                     5..=8 => {
                         if let Some(w) = busy {
                             let ended = [
@@ -997,17 +741,11 @@ mod tests {
                             script.executing.remove(&w);
                         }
                     }
-                    9 => {
-                        if let Some(w) = busy {
-                            m.abandon(w, LossCause::Timeout, now);
-                        }
-                    }
-                    10 => script.known.extend(m.tick(now)),
-                    11 => m.speculate(now),
-                    12 => script.known.extend(m.resize(1 + index % 5)),
+                    9 => script.known.extend(m.tick(now)),
+                    10 => script.known.extend(m.resize(1 + index % 5)),
                     _ => m.schedule_eviction(now + f64::from(amount) * 0.05),
                 }
-                script.check(&m, quarantined);
+                script.check(&m);
             }
             // Drain: every thread reports success, capacity returns, and
             // whatever is left runs to an end.
@@ -1028,7 +766,7 @@ mod tests {
                     }
                 }
             }
-            script.check(&m, u64::MAX);
+            script.check(&m);
             assert_eq!((m.live(), m.running(), m.pending()), (0, 0, 0));
             assert!(m.stats().reconciles(), "{}", m.stats());
         });

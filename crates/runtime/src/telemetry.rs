@@ -21,22 +21,17 @@ use std::sync::Arc;
 /// Why a task attempt was lost, unified across backends.
 ///
 /// This is deliberately finer-grained than
-/// [`FaultKind`](crate::FaultKind): it separates evictions and timeouts
-/// (supervision losses) from plan-injected faults, so exported timelines
-/// distinguish "the plan killed it" from "the master gave up on it".
+/// [`FaultKind`](crate::FaultKind): it separates evictions (the pool
+/// reclaiming a machine) from plan-injected faults, so exported timelines
+/// distinguish "the plan killed it" from "the pool took its worker".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LossCause {
     /// A transient failure: an injected fault or a caught panic.
     Transient,
     /// The worker crashed underneath the attempt (fault plan).
     Crash,
-    /// A straggler: fast-aborted in the DES, or a speculative duplicate
-    /// that lost the completion race in the threaded engine.
-    Straggler,
     /// The worker was evicted (HTCondor preemption) mid-attempt.
     Evicted,
-    /// The attempt exceeded the per-attempt wall-clock timeout.
-    Timeout,
 }
 
 impl LossCause {
@@ -46,9 +41,7 @@ impl LossCause {
         match self {
             Self::Transient => "transient",
             Self::Crash => "crash",
-            Self::Straggler => "straggler",
             Self::Evicted => "evicted",
-            Self::Timeout => "timeout",
         }
     }
 }
@@ -78,9 +71,7 @@ impl TaskPhase {
             Self::Dispatched => "dispatched",
             Self::Failed(LossCause::Transient) => "failed:transient",
             Self::Failed(LossCause::Crash) => "failed:crash",
-            Self::Failed(LossCause::Straggler) => "failed:straggler",
             Self::Failed(LossCause::Evicted) => "failed:evicted",
-            Self::Failed(LossCause::Timeout) => "failed:timeout",
             Self::Exhausted => "exhausted",
             Self::Completed => "completed",
         }
@@ -147,9 +138,7 @@ mod tests {
             TaskPhase::Dispatched,
             TaskPhase::Failed(LossCause::Transient),
             TaskPhase::Failed(LossCause::Crash),
-            TaskPhase::Failed(LossCause::Straggler),
             TaskPhase::Failed(LossCause::Evicted),
-            TaskPhase::Failed(LossCause::Timeout),
             TaskPhase::Exhausted,
             TaskPhase::Completed,
         ];

@@ -9,8 +9,8 @@
 //! [`ThreadedEngine`] is one of the two drivers of the shared
 //! task-lifecycle state machine (`sched.rs`), the DES being the other:
 //! the ready queue (stride shares by job priority), retries, backoff,
-//! quarantine, evictions, respawns, the elastic pool and the fault
-//! accounting are the machine's, behind this engine's state lock. What
+//! evictions, respawns, the elastic pool and the fault accounting are
+//! the machine's, behind this engine's state lock. What
 //! is left here is what is physical — threads, two condvars, the wall
 //! clock converted to engine seconds, and running a closure. A panicking
 //! task closure is caught ([`std::panic::catch_unwind`]), reported as a
@@ -19,8 +19,8 @@
 //! (a lock a panic poisoned is taken back with
 //! [`PoisonError::into_inner`], and the worker thread survives to keep
 //! draining). The machine's timers (backoff releases,
-//! respawns, evictions, timeouts) fire whenever a worker looks for work
-//! or the master waits. The engine implements [`ExecutionBackend`] and
+//! respawns, evictions) fire whenever a worker looks for work or the
+//! master waits. The engine implements [`ExecutionBackend`] and
 //! [`JobBackend`], making it a drop-in for the DES in the control loop
 //! and the evaluation experiments. Tasks submitted through the trait as
 //! bare [`TaskSpec`]s run *simulated* (a sleep shaped by the engine's
@@ -31,7 +31,7 @@
 use crate::sched::{Acquire, Ended, Master};
 use crate::telemetry::SharedRecorder;
 use crate::{
-    ExecutionBackend, ExecutionModel, ExecutionReport, FailedTask, FastAbort, FaultKind, FaultPlan,
+    ExecutionBackend, ExecutionModel, ExecutionReport, FailedTask, FaultKind, FaultPlan,
     FaultStats, JobBackend, JobId, RetryPolicy, TaskId, TaskPayload, TaskSpec, WorkerId,
 };
 use sstd_types::error::SstdError;
@@ -102,17 +102,14 @@ struct EngineShared<R> {
 /// Fault decisions come from a seeded [`FaultPlan`] — a pure function of
 /// `(seed, task, attempt)` — so the *set* of injected faults is identical
 /// across runs regardless of thread interleaving; real panics are caught
-/// and treated as transient failures. Scheduling and all
-/// retry/quarantine/fast-abort policy live in the lifecycle state machine
-/// this engine shares with the DES: job priorities are stride shares
-/// (`P_u = T_u / ΣT`) here exactly as there.
+/// and treated as transient failures. Scheduling and all retry policy
+/// live in the lifecycle state machine this engine shares with the DES:
+/// job priorities are stride shares (`P_u = T_u / ΣT`) here exactly as
+/// there.
 ///
-/// Straggler mitigation is speculative: OS threads cannot be killed, so an
-/// attempt running beyond the fast-abort threshold gets a duplicate
-/// enqueued; the first completion wins and the loser is discarded and
-/// accounted as an abort. Per-task wall-clock timeouts abandon an attempt
-/// cooperatively — the result is discarded when the thread eventually
-/// returns.
+/// OS threads cannot be killed: when an eviction takes a busy worker,
+/// its thread finishes the attempt, the machine discards the stale
+/// result, and the thread retires.
 ///
 /// The engine implements [`ExecutionBackend`] and [`JobBackend`]: bare
 /// [`TaskSpec`]s run simulated (a sleep shaped by the configured
@@ -195,15 +192,6 @@ impl<R: Send + 'static> ThreadedEngine<R> {
         }
     }
 
-    /// Sets a per-attempt wall-clock timeout (real seconds, not scaled).
-    /// An attempt exceeding it is abandoned (its eventual result is
-    /// discarded) and retried under the normal policy.
-    pub fn set_task_timeout(&mut self, timeout: Duration) {
-        let mut st = lock(&self.shared.state);
-        let limit = timeout.as_secs_f64() / st.time_scale;
-        st.master.set_timeout(Some(limit));
-    }
-
     /// Configures how simulated (payload-less) tasks run: their nominal
     /// duration comes from `model` (Eq. 10 on a speed-1 worker) and every
     /// engine-second of simulated work, backoff or restart delay costs
@@ -216,9 +204,6 @@ impl<R: Send + 'static> ThreadedEngine<R> {
     pub fn set_simulation(&mut self, model: ExecutionModel, time_scale: f64) {
         assert!(time_scale.is_finite() && time_scale > 0.0, "time scale must be positive");
         let mut st = lock(&self.shared.state);
-        // The task timeout is a real duration: keep it one.
-        let limit = st.master.timeout().map(|limit| limit * st.time_scale / time_scale);
-        st.master.set_timeout(limit);
         st.sim_model = model;
         st.time_scale = time_scale;
     }
@@ -253,8 +238,8 @@ impl<R: Send + 'static> ThreadedEngine<R> {
 
     /// Blocks until every task has completed or terminally failed *and*
     /// all in-flight attempts have settled (so the books reconcile). The
-    /// master performs straggler, timeout and eviction supervision from
-    /// inside this loop, Work Queue style.
+    /// master fires its due timers from inside this loop, Work Queue
+    /// style.
     fn wait_idle(&self) {
         let mut st = lock(&self.shared.state);
         loop {
@@ -265,20 +250,18 @@ impl<R: Send + 'static> ThreadedEngine<R> {
             // Workers parked without a deadline cannot see retries the
             // supervision pass just queued — poke them.
             self.shared.work_available.notify_all();
-            // Re-check frequently: speculation thresholds are not
-            // condvar-signaled.
+            // Re-check frequently: a timer that falls due while no idle
+            // worker waits on it (an eviction of a busy worker, say) fires
+            // only on a tick, and no condvar signals it.
             st = wait_timeout(&self.shared.progress, st, Duration::from_millis(2));
         }
     }
 
     /// One supervision pass: fire the machine's due timers (evictions,
-    /// respawns, backoff releases, timeouts) and, since a thread cannot be
-    /// killed, answer stragglers with speculative duplicates.
+    /// respawns, backoff releases).
     fn supervise(&self, st: &mut EngineState<R>) {
-        let now = st.now_s(self.epoch);
-        let joined = st.master.tick(now);
+        let joined = st.master.tick(st.now_s(self.epoch));
         Self::spawn_workers(&self.shared, joined, self.epoch);
-        st.master.speculate(now);
     }
 
     fn worker_loop(shared: &Arc<EngineShared<R>>, me: WorkerId, epoch: Instant) {
@@ -309,20 +292,11 @@ impl<R: Send + 'static> ThreadedEngine<R> {
                         }
                     }
                 };
-                let scale = st.time_scale;
                 let payload = st.payloads[attempt.task.index()].clone();
-                let mut sleep_s = match payload {
+                let sleep_s = match payload {
                     Some(_) => 0.0,
-                    None => st.sim_model.task_time(&attempt.spec) * scale,
+                    None => st.sim_model.task_time(&attempt.spec) * st.time_scale,
                 };
-                // An injected straggler runs the real work, padded to
-                // `slowdown ×` the mean task time (bounded so tests stay
-                // fast even before the mean warms up).
-                if let (Some(FaultKind::Straggler), Some(plan)) = (attempt.fault, st.master.plan())
-                {
-                    let base = st.master.mean_duration().unwrap_or(0.005);
-                    sleep_s += (base * (plan.straggler_slowdown - 1.0) * scale).clamp(0.002, 1.0);
-                }
                 (attempt.fault, payload, sleep_s)
             };
 
@@ -332,7 +306,7 @@ impl<R: Send + 'static> ThreadedEngine<R> {
             let ended = match fault {
                 Some(FaultKind::Transient) => Ended::Transient,
                 Some(FaultKind::WorkerCrash) => Ended::Crashed,
-                Some(FaultKind::Straggler) | None => {
+                None => {
                     if sleep_s > 0.0 {
                         std::thread::sleep(Duration::from_secs_f64(sleep_s));
                     }
@@ -350,10 +324,9 @@ impl<R: Send + 'static> ThreadedEngine<R> {
                 }
             };
 
-            // Report under the lock. If the master abandoned the attempt
-            // meanwhile (timeout or eviction) the machine ignores the
-            // stale outcome, and a result that lost a speculation race is
-            // dropped with it.
+            // Report under the lock. If an eviction took this worker
+            // meanwhile, the machine ignores the stale outcome and its
+            // result is dropped with it.
             {
                 let mut st = lock(&shared.state);
                 let now = st.now_s(epoch);
@@ -400,7 +373,7 @@ impl<R: Send + 'static> ExecutionBackend for ThreadedEngine<R> {
         self.shared.work_available.notify_all();
     }
 
-    /// Workers currently alive (not crashed, quarantined or evicted).
+    /// Workers currently alive (not crashed, evicted or draining).
     fn num_workers(&self) -> usize {
         lock(&self.shared.state).master.num_workers()
     }
@@ -475,22 +448,13 @@ impl<R: Send + 'static> ExecutionBackend for ThreadedEngine<R> {
         lock(&self.shared.state).master.set_plan(plan);
     }
 
-    /// Sets the retry/backoff/quarantine policy.
+    /// Sets the retry/backoff policy.
     ///
     /// # Panics
     ///
     /// Panics if the policy is invalid (see [`RetryPolicy::validate`]).
     fn set_retry_policy(&mut self, retry: RetryPolicy) {
         lock(&self.shared.state).master.set_retry(retry);
-    }
-
-    /// Enables speculative straggler mitigation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`FastAbort::validate`]).
-    fn set_fast_abort(&mut self, fast_abort: FastAbort) {
-        lock(&self.shared.state).master.set_fast_abort(fast_abort);
     }
 
     fn retries(&self) -> u64 {
@@ -747,89 +711,10 @@ mod engine_tests {
     }
 
     #[test]
-    fn timeout_abandons_a_hung_attempt() {
-        let mut engine = ThreadedEngine::new(2);
-        engine.set_retry_policy(fast_retry());
-        engine.set_task_timeout(Duration::from_millis(40));
-        let slow_calls = Arc::new(AtomicU32::new(0));
-        let calls = Arc::clone(&slow_calls);
-        submit(&mut engine, JobId::new(0), move || {
-            if calls.fetch_add(1, AtomicOrdering::SeqCst) == 0 {
-                // First attempt hangs well past the timeout.
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            5u32
-        });
-        let results = wait(&mut engine);
-        assert_eq!(results.len(), 1, "the retry rescued the task");
-        let stats = engine.fault_stats();
-        assert!(stats.timeout_aborts >= 1, "{stats}");
-        assert!(stats.reconciles(), "{stats}");
-    }
-
-    #[test]
-    fn fast_abort_speculates_past_stragglers() {
-        let mut engine = ThreadedEngine::new(2);
-        engine.set_retry_policy(fast_retry());
-        engine.set_fast_abort(FastAbort { multiplier: 4.0, min_samples: 4, max_speculations: 2 });
-        // Warm the running mean with quick tasks.
-        for i in 0..8u32 {
-            submit(&mut engine, JobId::new(0), move || {
-                std::thread::sleep(Duration::from_millis(3));
-                i
-            });
-        }
-        let _ = wait(&mut engine);
-        // One task straggles on its first attempt only; the speculative
-        // duplicate finishes fast and wins.
-        let straggler_calls = Arc::new(AtomicU32::new(0));
-        let calls = Arc::clone(&straggler_calls);
-        submit(&mut engine, JobId::new(1), move || {
-            if calls.fetch_add(1, AtomicOrdering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_millis(400));
-            } else {
-                std::thread::sleep(Duration::from_millis(3));
-            }
-            42u32
-        });
-        let results = wait(&mut engine);
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].1, 42);
-        let stats = engine.fault_stats();
-        assert!(
-            stats.straggler_aborts >= 1,
-            "the losing attempt is discarded and accounted: {stats}"
-        );
-        assert!(stats.reconciles(), "{stats}");
-    }
-
-    #[test]
-    fn quarantine_retires_flaky_workers() {
-        let mut engine = ThreadedEngine::new(3);
-        engine.set_fault_plan(FaultPlan { seed: 21, transient_rate: 0.5, ..FaultPlan::default() });
-        engine.set_retry_policy(RetryPolicy {
-            quarantine_threshold: 3,
-            max_attempts: 50,
-            ..fast_retry()
-        });
-        for i in 0..40u32 {
-            submit(&mut engine, JobId::new(i % 2), move || i);
-        }
-        let results = wait(&mut engine);
-        assert_eq!(results.len(), 40);
-        let stats = engine.fault_stats();
-        assert!(stats.reconciles(), "{stats}");
-        assert!(engine.num_workers() >= 1, "never quarantines the last worker");
-        if stats.quarantined_workers > 0 {
-            assert!(engine.num_workers() < 3);
-        }
-    }
-
-    #[test]
     fn fault_decisions_are_deterministic_across_runs() {
-        // Without speculation/timeouts, the per-task attempt sequence is
-        // a pure function of the plan, so injected-fault counts match
-        // exactly across runs despite real thread scheduling.
+        // The per-task attempt sequence is a pure function of the plan,
+        // so injected-fault counts match exactly across runs despite real
+        // thread scheduling.
         let run = || {
             let mut engine = ThreadedEngine::new(4);
             engine.set_fault_plan(FaultPlan {
@@ -860,13 +745,10 @@ mod engine_tests {
             seed: 55,
             transient_rate: 0.15,
             crash_rate: 0.05,
-            straggler_rate: 0.1,
-            straggler_slowdown: 4.0,
             worker_restart_delay: 0.01,
             ..FaultPlan::default()
         });
         engine.set_retry_policy(fast_retry());
-        engine.set_fast_abort(FastAbort { min_samples: 4, ..FastAbort::default() });
         for i in 0..40u32 {
             submit(&mut engine, JobId::new(i % 4), move || {
                 std::thread::sleep(Duration::from_millis(2));

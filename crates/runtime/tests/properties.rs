@@ -213,19 +213,16 @@ fn completion_timestamps_are_ordered() {
     });
 }
 
-/// The knobs of one seeded fault mix: plan seed, transient, crash and
-/// straggler rates, tasks and workers.
-type FaultMix = (u64, f64, f64, f64, usize, usize);
+/// The knobs of one seeded fault mix: plan seed, transient and crash
+/// rates, tasks and workers.
+type FaultMix = (u64, f64, f64, usize, usize);
 
 fn fault_mix() -> Gen<FaultMix> {
-    let rates = gens::pair(
-        gens::f64_in(0.0, 0.3),
-        gens::pair(gens::f64_in(0.0, 0.1), gens::f64_in(0.0, 0.1)),
-    );
+    let rates = gens::pair(gens::f64_in(0.0, 0.3), gens::f64_in(0.0, 0.1));
     let sizes = gens::pair(gens::usize_in(1, 19), gens::usize_in(1, 4));
     gens::pair(gens::usize_in(0, 999), gens::pair(rates, sizes)).map(
-        |(seed, ((transient, (crash, straggler)), (tasks, workers)))| {
-            (seed as u64, transient, crash, straggler, tasks, workers)
+        |(seed, ((transient, crash), (tasks, workers)))| {
+            (seed as u64, transient, crash, tasks, workers)
         },
     )
 }
@@ -238,17 +235,14 @@ fn accounting_reconciles_under_arbitrary_fault_mixes() {
         "accounting_reconciles_under_arbitrary_fault_mixes",
         256,
         &fault_mix(),
-        |&(seed, transient, crash, straggler, tasks, workers)| {
+        |&(seed, transient, crash, tasks, workers)| {
             let mut des = engine(workers);
             des.set_fault_plan(FaultPlan {
                 seed,
                 transient_rate: transient,
                 crash_rate: crash,
-                straggler_rate: straggler,
-                straggler_slowdown: 10.0,
                 ..FaultPlan::default()
             });
-            des.set_fast_abort(FastAbort::default());
             for i in 0..tasks {
                 des.submit(TaskSpec::new(JobId::new(i as u32 % 3), 100.0));
             }

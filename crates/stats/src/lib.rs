@@ -4,10 +4,9 @@
 //! workspace depends on no registry crate: a seeded random stream
 //! ([`SplitMix64`]), samplers for the populations the trace generator
 //! draws (Gaussian, Beta, Zipf, Poisson), special functions for the CATD
-//! baseline's chi-square confidence bounds, numerically stable log-space
-//! reductions for the HMM oracles, and streaming moment estimators for the
-//! runtime's execution-time monitoring. They are all implemented here,
-//! on top of nothing but the standard library.
+//! baseline's chi-square confidence bounds, and numerically stable
+//! log-space reductions for the HMM oracles. They are all implemented
+//! here, on top of nothing but the standard library.
 //!
 //! # Examples
 //!
@@ -26,13 +25,11 @@
 
 pub mod dist;
 pub mod logspace;
-pub mod online;
 pub mod quantile;
 pub mod rng;
 pub mod special;
 
 pub use dist::{Beta, DistError, Normal, Poisson, Zipf};
 pub use logspace::log_sum_exp;
-pub use online::OnlineStats;
 pub use quantile::exact_quantile;
 pub use rng::{mix64, SplitMix64};

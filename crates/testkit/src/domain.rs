@@ -492,48 +492,29 @@ pub struct FaultPlanCase {
     pub seed: u64,
     /// Transient task-failure probability.
     pub transient_rate: f64,
-    /// Straggler probability.
-    pub straggler_rate: f64,
-    /// Straggler slowdown factor (≥ 1).
-    pub slowdown: f64,
 }
 
 impl FaultPlanCase {
     /// Builds the runtime [`FaultPlan`].
     #[must_use]
     pub fn plan(&self) -> FaultPlan {
-        FaultPlan {
-            seed: self.seed,
-            transient_rate: self.transient_rate,
-            straggler_rate: self.straggler_rate,
-            straggler_slowdown: self.slowdown,
-            ..FaultPlan::default()
-        }
+        FaultPlan { seed: self.seed, transient_rate: self.transient_rate, ..FaultPlan::default() }
     }
 }
 
-/// Generates [`FaultPlanCase`]s with transient failures and stragglers
-/// (no crashes — crash recovery is a liveness concern, not an
-/// equivalence one). Shrinks rates toward zero, i.e. toward the
-/// fault-free plan.
+/// Generates [`FaultPlanCase`]s with transient failures (no crashes —
+/// crash recovery is a liveness concern, not an equivalence one). Shrinks
+/// the rate toward zero, i.e. toward the fault-free plan.
 #[must_use]
 pub fn fault_plan_case() -> Gen<FaultPlanCase> {
     Gen::new(|rng| FaultPlanCase {
         seed: rng.next_u64() % 1_000_000,
         transient_rate: rng.f64_in(0.0, 0.45),
-        straggler_rate: rng.f64_in(0.0, 0.3),
-        slowdown: rng.f64_in(1.5, 4.0),
     })
     .with_shrink(|case: &FaultPlanCase| {
         let mut out = Vec::new();
-        if case.transient_rate != 0.0 || case.straggler_rate != 0.0 {
-            out.push(FaultPlanCase { transient_rate: 0.0, straggler_rate: 0.0, ..*case });
-        }
         if case.transient_rate != 0.0 {
             out.push(FaultPlanCase { transient_rate: 0.0, ..*case });
-        }
-        if case.straggler_rate != 0.0 {
-            out.push(FaultPlanCase { straggler_rate: 0.0, ..*case });
         }
         if case.seed != 0 {
             out.push(FaultPlanCase { seed: 0, ..*case });
@@ -1104,9 +1085,8 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         let case = g.generate(&mut rng);
         case.plan().validate().expect("generated plan is valid");
-        if case.transient_rate != 0.0 || case.straggler_rate != 0.0 {
-            let first = g.shrink(&case)[0];
-            assert_eq!((first.transient_rate, first.straggler_rate), (0.0, 0.0));
+        if case.transient_rate != 0.0 {
+            assert_eq!(g.shrink(&case)[0].transient_rate, 0.0);
         }
     }
 

@@ -71,10 +71,10 @@ fn des_and_threaded_timelines_are_structurally_identical() {
     let des = des_store();
     let threaded = threaded_store();
 
-    // Without speculation or timeouts, fault verdicts are a pure function
-    // of (seed, task, attempt), so both substrates walk every task through
-    // the same (attempt, phase) sequence — only worker ids, timestamps and
-    // cross-task interleaving may differ.
+    // Fault verdicts are a pure function of (seed, task, attempt), so both
+    // substrates walk every task through the same (attempt, phase)
+    // sequence — only worker ids, timestamps and cross-task interleaving
+    // may differ.
     assert!(
         des.structurally_equal(&threaded),
         "per-task sequences diverged:\nDES: {:?}\nthreaded: {:?}",
@@ -94,11 +94,9 @@ fn des_and_threaded_timelines_are_structurally_identical() {
     assert!(phases.contains(&"failed:crash"), "plan(2024) injects crashes");
 }
 
-/// The same equivalence beyond one seed: generated transient + straggler
-/// plans (the fixed seed above is the one that covers crashes). With
-/// fast-abort and timeouts off a straggler only lengthens its attempt, so
-/// the per-task sequences still may not differ. `TESTKIT_CASES` overrides
-/// the case count.
+/// The same equivalence beyond one seed: generated transient plans (the
+/// fixed seed above is the one that covers crashes). `TESTKIT_CASES`
+/// overrides the case count.
 #[test]
 fn des_and_threaded_timelines_agree_for_generated_plans() {
     let name = "des_and_threaded_timelines_agree_for_generated_plans";

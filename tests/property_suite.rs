@@ -12,8 +12,7 @@ use sstd::core::{
     TruthEstimates, REFIT_HORIZON,
 };
 use sstd::runtime::{
-    Cluster, DesEngine, ExecutionBackend, ExecutionModel, FaultPlan, JobId, RetryPolicy,
-    ThreadedEngine,
+    Cluster, DesEngine, ExecutionBackend, ExecutionModel, JobId, RetryPolicy, ThreadedEngine,
 };
 use sstd::types::{ClaimId, GroundTruth, Report, SourceId, Timeline, Timestamp, Trace, TruthLabel};
 use sstd_stats::SplitMix64;
@@ -23,10 +22,9 @@ use sstd_testkit::{check, domain, gens, oracle, Gen};
 /// Cases per differential suite (override with `TESTKIT_CASES`).
 const CASES: usize = 1_000;
 
-/// A retry budget large enough that transient faults and stragglers from
-/// any generated [`domain::fault_plan_case`] cannot exhaust a task: the
-/// equivalence properties are about *values*, liveness is the fault
-/// suite's concern.
+/// A retry budget large enough that transient faults from any generated
+/// [`domain::fault_plan_case`] cannot exhaust a task: the equivalence
+/// properties are about *values*, liveness is the fault suite's concern.
 fn generous_retry() -> RetryPolicy {
     RetryPolicy { max_attempts: 64, ..RetryPolicy::default() }
 }
@@ -182,17 +180,11 @@ fn distributed_matches_batch_on_real_threads_under_faults() {
             let engine = SstdEngine::new(*config);
             let batch = engine.run(&trace);
             let mut backend: ThreadedEngine<ClaimFit> = ThreadedEngine::new(3);
-            // Threads run in real time: cap the straggler slowdown so an
-            // unlucky case cannot stall the suite, and keep transients.
-            // One engine second of retry backoff costs 10 ms of sleep, not
-            // a second: the run waits, it does not compute.
+            // Threads run in real time: one engine second of retry backoff
+            // costs 10 ms of sleep, not a second: the run waits, it does
+            // not compute.
             backend.set_simulation(ExecutionModel::default(), 0.01);
-            let plan = FaultPlan {
-                straggler_rate: plan.straggler_rate.min(0.1),
-                straggler_slowdown: 1.05,
-                ..plan.plan()
-            };
-            backend.set_fault_plan(plan);
+            backend.set_fault_plan(plan.plan());
             backend.set_retry_policy(generous_retry());
             let run = run_distributed(&engine, &trace, &mut backend, JobId::new(0))
                 .map_err(|e| format!("distributed run failed: {e}"))?;
