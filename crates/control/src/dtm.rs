@@ -260,8 +260,9 @@ impl DynamicTaskManager {
     /// deterministic simulation, or a `ThreadedEngine` for real threads —
     /// through the identical control loop. The DTM first installs its own
     /// [`DtmConfig`] policy (worker count, retry) plus the
-    /// given fault plan and evictions on the backend, overwriting any
-    /// preset values: configuration flows through one path only.
+    /// given fault plan (`None` installs the zero-rate default) and
+    /// evictions on the backend, overwriting any preset values:
+    /// configuration flows through one path only.
     ///
     /// Each sampling epoch with pending work records one [`ControlTick`]
     /// per job — what the PID saw (predicted finish vs. deadline) and
@@ -286,9 +287,8 @@ impl DynamicTaskManager {
         cfg.validate()?;
         backend.set_num_workers(cfg.initial_workers);
         backend.set_retry_policy(cfg.retry);
-        if let Some(p) = plan {
-            backend.set_fault_plan(p);
-        }
+        // No plan is the zero-rate plan, which decides as a fresh backend.
+        backend.set_fault_plan(plan.unwrap_or_default());
         for &t in evictions {
             backend.schedule_eviction(t);
         }
@@ -761,6 +761,38 @@ mod eviction_tests {
         assert_eq!(through_dtm, clean, "preset backend policy must not leak into the run");
         assert_eq!(through_dtm.faults.exhausted_tasks, 0, "DtmConfig retry budget applied");
         assert_eq!(through_dtm.report.completed.len(), 12);
+    }
+
+    #[test]
+    fn a_run_without_a_plan_clears_a_preset_plan() {
+        // Regression: `run_on` installed the plan only when one was given,
+        // so a fault plan preset on the backend stayed in force.
+        let jobs: Vec<DtmJob> =
+            (0..3).map(|i| DtmJob::new(JobId::new(i), 5_000.0, 25.0, 4)).collect();
+        let run = |backend: &mut DesEngine| {
+            DynamicTaskManager::new(
+                DtmConfig::default(),
+                Cluster::homogeneous(32, 1.0),
+                ExecutionModel::default(),
+            )
+            .run_on(backend, &jobs, &[], None)
+            .expect("valid config")
+        };
+        let fresh = || -> DesEngine {
+            DesEngine::new(
+                Cluster::homogeneous(32, 1.0),
+                ExecutionModel::default(),
+                DtmConfig::default().initial_workers,
+            )
+        };
+        let clean = run(&mut fresh());
+        let mut preset = fresh();
+        preset.set_fault_plan(FaultPlan { transient_rate: 0.5, ..FaultPlan::default() });
+        let through_dtm = run(&mut preset);
+
+        assert_eq!(through_dtm.faults.attempts, clean.faults.attempts);
+        assert_eq!(through_dtm.faults.failures(), 0, "the preset plan injected nothing");
+        assert_eq!(through_dtm, clean);
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl ClaimTruthModel {
 /// `stay`. Training fits the emission only, so a model keeps this chain
 /// for life.
 pub(crate) fn sticky_hmm(stay: f64, emission: SymmetricGaussianEmission) -> Hmm {
-    Hmm::new(vec![0.5, 0.5], vec![vec![stay, 1.0 - stay], vec![1.0 - stay, stay]], emission)
+    Hmm::from_arrays([0.5, 0.5], [[stay, 1.0 - stay], [1.0 - stay, stay]], emission)
         .expect("hand-built parameters are stochastic")
 }
 

@@ -65,7 +65,8 @@ impl Hmm {
     /// Creates and validates an HMM from a 2-entry `π` and the two rows
     /// of `A`. It takes vectors because the frozen benchmark calls it so;
     /// the signature goes with it when the benchmark is re-cut (ROADMAP
-    /// item 8).
+    /// item 8). It checks the shapes and hands the tables to
+    /// [`from_arrays`](Self::from_arrays).
     ///
     /// # Errors
     ///
@@ -80,7 +81,6 @@ impl Hmm {
         let init: [f64; 2] = init.try_into().map_err(|init: Vec<f64>| {
             HmmError::new(format!("initial distribution has {} entries, expected 2", init.len()))
         })?;
-        Self::check_stochastic("initial distribution", &init)?;
         if trans.len() != 2 {
             return Err(HmmError::new(format!(
                 "transition matrix has {} rows, expected 2",
@@ -93,10 +93,39 @@ impl Hmm {
                 .as_slice()
                 .try_into()
                 .map_err(|_| HmmError::new(format!("transition row {i} has wrong length")))?;
+        }
+        Self::from_arrays(init, rows, emission)
+    }
+
+    /// Creates and validates an HMM from `π` and the rows of `A`, with no
+    /// heap allocation: the constructor for a chain built in code.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HmmError`] unless every probability is finite and
+    /// non-negative and `π` and each row sum to 1 (within 1e-9).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sstd_hmm::{Hmm, SymmetricGaussianEmission};
+    ///
+    /// let emission = SymmetricGaussianEmission::new(2.0, 1.0).unwrap();
+    /// let hmm = Hmm::from_arrays([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]], emission)?;
+    /// assert_eq!(hmm.trans()[1][1], 0.9);
+    /// # Ok::<(), sstd_hmm::HmmError>(())
+    /// ```
+    pub fn from_arrays(
+        init: [f64; 2],
+        trans: [[f64; 2]; 2],
+        emission: SymmetricGaussianEmission,
+    ) -> Result<Self, HmmError> {
+        Self::check_stochastic("initial distribution", &init)?;
+        for (i, row) in trans.iter().enumerate() {
             Self::check_stochastic(format_args!("transition row {i}"), row)?;
         }
-        let log_trans = rows.map(|row| row.map(f64::ln));
-        Ok(Self { init, trans: rows, log_trans, emission })
+        let log_trans = trans.map(|row| row.map(f64::ln));
+        Ok(Self { init, trans, log_trans, emission })
     }
 
     /// The emission, for the trainer's in-place M-step — the only part
@@ -199,6 +228,17 @@ mod tests {
         let err =
             Hmm::new(vec![0.5, 0.5], vec![vec![1.0], vec![0.4, 0.6]], emission2()).unwrap_err();
         assert!(err.to_string().contains("wrong length"));
+    }
+
+    #[test]
+    fn from_arrays_is_new_without_the_vectors() {
+        let from_vecs =
+            Hmm::new(vec![0.5, 0.5], vec![vec![0.7, 0.3], vec![0.4, 0.6]], emission2()).unwrap();
+        let from_arrays =
+            Hmm::from_arrays([0.5, 0.5], [[0.7, 0.3], [0.4, 0.6]], emission2()).unwrap();
+        assert_eq!(from_arrays, from_vecs);
+        let err = Hmm::from_arrays([0.5, 0.5], [[0.7, 0.3], [0.4, 0.5]], emission2()).unwrap_err();
+        assert!(err.to_string().contains("transition row 1"), "{err}");
     }
 
     #[test]

@@ -999,6 +999,90 @@ pub fn post_text() -> Gen<String> {
     post_tokens().map(|words| words.join(" "))
 }
 
+/// Generates posts for the lexicon stages (keyword filter, attitude,
+/// hedge uncertainty). Every denial and hedge cue, every word of their
+/// phrases and every whole phrase comes up, among stopwords and filler,
+/// each in lower, upper or mixed case, now and then with an apostrophe
+/// dropped in; a tenth of the posts are stopwords and apostrophes only.
+/// Half the posts are ASCII; the other half carry the Unicode lowercasing
+/// hazards: the Kelvin sign U+212A (lowercases to ASCII `k`), `İ` (to `i`
+/// and a combining dot), final and medial `Σ`, `ß` (uppercases to `SS`),
+/// and the right single quote U+2019, which is not an apostrophe. Shrinks
+/// by dropping characters.
+#[must_use]
+pub fn lexicon_text() -> Gen<String> {
+    use crate::oracle::text::{DENIAL_CUES, DENIAL_PHRASES, HEDGE_CUES, HEDGE_PHRASES};
+    const FILLER: [&str; 8] = ["quake", "the", "there", "it's", "bridge", "42", "a", "you"];
+    const GLUE: [&str; 5] = ["the", "there", "it's", "a", "'"];
+    const HAZARDS: [&str; 10] =
+        ["\u{212A}", "li\u{212A}ely", "İ", "İf", "ΣΑΣ", "όσος", "Σ", "ß", "straße", "can\u{2019}t"];
+    const ASCII_SEPARATORS: [&str; 7] = [" ", " ", " ", "  ", ", ", "!\n", "-"];
+    const HAZARD_SEPARATORS: [&str; 3] = ["\u{2019}", "🔥", "\u{a0}"];
+    let phrases: Vec<&str> = DENIAL_PHRASES.iter().chain(HEDGE_PHRASES).copied().collect();
+    let ascii_words: Vec<&str> = DENIAL_CUES
+        .iter()
+        .chain(HEDGE_CUES)
+        .copied()
+        .chain(phrases.iter().flat_map(|p| p.split(' ')))
+        .chain(FILLER)
+        .collect();
+    Gen::new(move |rng| {
+        let (hazards, glue) = (rng.chance(0.5), rng.chance(0.1));
+        let lowercase = rng.chance(0.3);
+        let mut text = String::new();
+        for k in 0..rng.usize_in(0, 10) {
+            if k > 0 {
+                let separators: &[&str] =
+                    if hazards && rng.chance(0.2) { &HAZARD_SEPARATORS } else { &ASCII_SEPARATORS };
+                text.push_str(rng.pick::<&str>(separators));
+            }
+            let unit = *if glue {
+                rng.pick(&GLUE)
+            } else if hazards && rng.chance(0.3) {
+                rng.pick(&HAZARDS)
+            } else if rng.chance(0.25) {
+                rng.pick(&phrases)
+            } else {
+                rng.pick(&ascii_words)
+            };
+            let mut unit: String = match (lowercase, rng.usize_in(0, 2)) {
+                (true, _) | (false, 0) => unit.to_owned(),
+                (false, 1) => unit.to_uppercase(),
+                (false, _) => {
+                    unit.chars()
+                        .map(|c| {
+                            if rng.chance(0.5) {
+                                c.to_uppercase().collect()
+                            } else {
+                                c.to_string()
+                            }
+                        })
+                        .collect()
+                }
+            };
+            if rng.chance(0.1) {
+                let at = rng.usize_in(0, unit.chars().count());
+                let at = unit.char_indices().nth(at).map_or(unit.len(), |(i, _)| i);
+                unit.insert(at, '\'');
+            }
+            text.push_str(&unit);
+        }
+        text
+    })
+    .with_shrink(|text: &String| {
+        let chars: Vec<char> = text.chars().collect();
+        let mut out: Vec<String> = Vec::new();
+        if chars.len() > 1 {
+            out.push(chars[..chars.len() / 2].iter().collect());
+            out.push(chars[chars.len() / 2..].iter().collect());
+        }
+        for i in 0..chars.len().min(32) {
+            out.push(chars.iter().enumerate().filter(|&(k, _)| k != i).map(|(_, c)| c).collect());
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,18 @@
-//! The text front door as it was before token postings: every post is
-//! compared with every cluster representative and with every post in the
-//! duplicate window, one `BTreeSet<String>` intersection at a time. Cost
-//! per post grows with the number of claims and with the window, which is
-//! why `sstd-text` no longer does this; claim ids, split points, claim
-//! sizes and independence scores are the reference its indexed stages
-//! must reproduce bit for bit.
+//! The text front door by definition. The tokeniser and the three lexicon
+//! stages (keyword filter, attitude, hedge uncertainty) as they were
+//! written before the token walker: every stage builds the post's
+//! `BTreeSet<String>` and lowercases the whole text to look for phrases.
+//! `sstd-text` now walks each post once per stage with no set and no
+//! copy; tokens, keyword matches, attitudes and uncertainty bits are the
+//! reference it must reproduce.
+//!
+//! Then the clusterer and duplicate window as they were before token
+//! postings: every post is compared with every cluster representative and
+//! with every post in the duplicate window, one `BTreeSet<String>`
+//! intersection at a time. Cost per post grows with the number of claims
+//! and with the window, which is why `sstd-text` no longer does this;
+//! claim ids, split points, claim sizes and independence scores are the
+//! reference its indexed stages must reproduce bit for bit.
 //!
 //! The clusterer (assign, split, `claim_size`) and the window are
 //! `sstd-text`'s former `ClaimClusterer` and `RetweetIndependenceScorer`,
@@ -12,8 +20,142 @@
 //! depend on `sstd-text` (which tests against it), so a test tokenises
 //! with the public `sstd_text::tokenize` and feeds both sides.
 
-use sstd_types::{Independence, Timestamp};
+use sstd_types::{Attitude, Independence, Timestamp, Uncertainty};
 use std::collections::{BTreeSet, VecDeque};
+
+/// The stopwords the tokeniser drops, sorted.
+pub const STOPWORDS: &[&str] = &[
+    "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "has", "have", "he",
+    "her", "his", "i", "in", "is", "it", "its", "of", "on", "or", "our", "she", "so", "that",
+    "the", "their", "there", "they", "this", "to", "was", "we", "were", "will", "with", "you",
+];
+
+/// `sstd_text::tokenize` by its definition, one expression: split on every
+/// character that is neither alphanumeric nor an apostrophe, keep the
+/// alphanumeric characters of each run, lowercase them as one string, and
+/// drop empty tokens and stopwords.
+#[must_use]
+pub fn tokenize(text: &str) -> Vec<String> {
+    text.split(|c: char| !c.is_alphanumeric() && c != '\'')
+        .filter_map(|raw| {
+            let t: String =
+                raw.chars().filter(|c| c.is_alphanumeric()).collect::<String>().to_lowercase();
+            if t.is_empty() || STOPWORDS.contains(&t.as_str()) {
+                None
+            } else {
+                Some(t)
+            }
+        })
+        .collect()
+}
+
+/// The distinct tokens of `text`: `sstd_text::TokenSet::from_text`.
+#[must_use]
+pub fn token_set(text: &str) -> Tokens {
+    tokenize(text).into_iter().collect()
+}
+
+/// Whether `text` mentions any of `keywords` as a token, each keyword
+/// lowercased: `sstd_text::KeywordFilter::new(keywords).matches(text)`.
+#[must_use]
+pub fn keyword_matches<S: AsRef<str>>(keywords: &[S], text: &str) -> bool {
+    let tokens = token_set(text);
+    keywords.iter().any(|k| tokens.contains(&k.as_ref().to_lowercase()))
+}
+
+/// The attitude scorer's denial cues, matched as tokens.
+pub const DENIAL_CUES: &[&str] = &[
+    "false",
+    "fake",
+    "rumor",
+    "rumour",
+    "debunked",
+    "hoax",
+    "untrue",
+    "misinformation",
+    "incorrect",
+    "wrong",
+    "lie",
+    "lies",
+    "denied",
+    "denies",
+];
+
+/// The attitude scorer's denial phrases, matched in the lowercased text.
+pub const DENIAL_PHRASES: &[&str] = &["not true", "no evidence", "not confirmed", "didn't happen"];
+
+/// `sstd_text::LexiconAttitudeScorer`: silent without a token, disagree on
+/// a denial cue or phrase, agree otherwise.
+#[must_use]
+pub fn attitude(text: &str) -> Attitude {
+    let tokens = token_set(text);
+    if tokens.is_empty() {
+        return Attitude::Silent;
+    }
+    let lower = text.to_lowercase();
+    let denies = DENIAL_CUES.iter().any(|c| tokens.contains(*c))
+        || DENIAL_PHRASES.iter().any(|p| lower.contains(p));
+    if denies {
+        Attitude::Disagree
+    } else {
+        Attitude::Agree
+    }
+}
+
+/// The hedge scorer's single-word cues, matched as tokens.
+pub const HEDGE_CUES: &[&str] = &[
+    "may",
+    "might",
+    "maybe",
+    "possibly",
+    "possible",
+    "perhaps",
+    "probably",
+    "likely",
+    "unlikely",
+    "apparently",
+    "allegedly",
+    "reportedly",
+    "seems",
+    "seemingly",
+    "suggests",
+    "unconfirmed",
+    "unverified",
+    "unclear",
+    "uncertain",
+    "speculation",
+    "supposedly",
+    "potentially",
+    "could",
+    "hear",
+    "heard",
+    "rumored",
+    "rumoured",
+];
+
+/// The hedge scorer's multi-word cues, matched in the lowercased text.
+pub const HEDGE_PHRASES: &[&str] = &[
+    "not sure",
+    "no confirmation",
+    "can't confirm",
+    "cannot confirm",
+    "yet to confirm",
+    "waiting for confirmation",
+    "if true",
+    "sources say",
+    "some reports",
+];
+
+/// `sstd_text::HedgeUncertaintyScorer`: 0.3 for each distinct cue and
+/// phrase found, saturating at 0.9.
+#[must_use]
+pub fn uncertainty(text: &str) -> Uncertainty {
+    let tokens = token_set(text);
+    let lower = text.to_lowercase();
+    let cues = HEDGE_CUES.iter().filter(|c| tokens.contains(**c)).count()
+        + HEDGE_PHRASES.iter().filter(|p| lower.contains(*p)).count();
+    Uncertainty::saturating((cues as f64 * 0.3).min(0.9))
+}
 
 /// A post's distinct tokens.
 pub type Tokens = BTreeSet<String>;
@@ -313,6 +455,20 @@ mod tests {
         let mut c = ClaimClusterer::new(0.7, 0.85, 12);
         assert_eq!(c.assign(Tokens::new()), c.assign(Tokens::new()));
         assert_eq!(jaccard_similarity(&Tokens::new(), &tokens("flood")), 0.0);
+    }
+
+    #[test]
+    fn the_lexicon_stages_score_by_their_tables() {
+        assert_eq!(
+            tokenize("There's a FAKE rumour, İF TRUE"),
+            ["theres", "fake", "rumour", "i\u{307}f", "true"]
+        );
+        assert!(keyword_matches(&["Quake"], "QUAKE downtown"));
+        assert!(!keyword_matches(&["quake"], "earthquake downtown"));
+        assert_eq!(attitude("police say it's NOT TRUE"), Attitude::Disagree);
+        assert_eq!(attitude("🔥 the"), Attitude::Silent);
+        assert_eq!(uncertainty("maybe maybe, Sources Say").value(), 0.6);
+        assert_eq!(uncertainty("perhaps maybe possibly likely").value(), 0.9);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! otherwise (§V-A2). The scorer is behind a trait so a polarity classifier
 //! can replace the lexicon (paper §VII-2).
 
-use crate::TokenSet;
+use crate::tokenize::{for_each_token, phrase_mask};
 use sstd_types::Attitude;
 
 /// Assigns an [`Attitude`] to a post relative to its claim.
@@ -34,7 +34,7 @@ const DENIAL_CUES: &[&str] = &[
     "denies",
 ];
 
-/// Bigram denial cues checked on the raw lowercase text (token sets lose
+/// Bigram denial cues checked on the lowercased text (tokens lose
 /// adjacency).
 const DENIAL_PHRASES: &[&str] = &["not true", "no evidence", "not confirmed", "didn't happen"];
 
@@ -64,14 +64,15 @@ impl LexiconAttitudeScorer {
 
 impl AttitudeScorer for LexiconAttitudeScorer {
     fn attitude(&self, text: &str) -> Attitude {
-        let tokens = TokenSet::from_text(text);
-        if tokens.is_empty() {
+        let (mut tokens, mut denies) = (false, false);
+        for_each_token(text, &mut String::new(), |token| {
+            tokens = true;
+            denies = denies || DENIAL_CUES.contains(&token);
+        });
+        if !tokens {
             return Attitude::Silent;
         }
-        let lower = text.to_lowercase();
-        let denies = DENIAL_CUES.iter().any(|c| tokens.contains(c))
-            || DENIAL_PHRASES.iter().any(|p| lower.contains(p));
-        if denies {
+        if denies || phrase_mask(text, DENIAL_PHRASES) != 0 {
             Attitude::Disagree
         } else {
             Attitude::Agree

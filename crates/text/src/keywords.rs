@@ -2,7 +2,7 @@
 //! ("we first used a set of pre-specified keywords to filter out tweets
 //! that are irrelevant to the event of interests", §V-A2).
 
-use crate::TokenSet;
+use crate::tokenize::{for_each_token, lowercase};
 
 /// Keeps only posts mentioning at least one tracked event keyword.
 ///
@@ -34,7 +34,7 @@ impl KeywordFilter {
         S: AsRef<str>,
     {
         let keywords: Vec<String> =
-            keywords.into_iter().map(|k| k.as_ref().to_lowercase()).collect();
+            keywords.into_iter().map(|k| lowercase(k.as_ref()).into_owned()).collect();
         assert!(!keywords.is_empty(), "keyword filter needs at least one keyword");
         Self { keywords }
     }
@@ -48,8 +48,9 @@ impl KeywordFilter {
     /// Whether `text` mentions any tracked keyword as a token.
     #[must_use]
     pub fn matches(&self, text: &str) -> bool {
-        let tokens = TokenSet::from_text(text);
-        self.keywords.iter().any(|k| tokens.contains(k))
+        let mut found = false;
+        for_each_token(text, &mut String::new(), |t| found |= self.keywords.iter().any(|k| k == t));
+        found
     }
 }
 

@@ -1,5 +1,6 @@
 //! Tokenization for micro-blog text.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Common English stopwords excluded from token sets so Jaccard distances
@@ -10,37 +11,70 @@ const STOPWORDS: &[&str] = &[
     "the", "their", "there", "they", "this", "to", "was", "we", "were", "will", "with", "you",
 ];
 
+/// No stopword is longer, so a longer token skips the search.
+const LONGEST_STOPWORD: usize = 5;
+
 /// The one tokenisation rule: calls `f` with each token of `text`, in
 /// order. A token is a run of characters that are alphanumeric or an
 /// apostrophe, with the apostrophes dropped and the rest lowercased as
 /// one string (so context-sensitive mappings such as the final sigma see
 /// the whole token); empty results and stopwords are skipped.
 ///
-/// Lowercase ASCII runs are handed over as slices of `text`; anything else
-/// goes through `buf`, which a caller that tokenises repeatedly keeps.
-/// Only a run with non-ASCII characters allocates (`str::to_lowercase`).
+/// ASCII text is split by bytes, other text by `char`s. Lowercase ASCII
+/// runs are handed over as slices of `text`, other ASCII runs of up to 64
+/// bytes are lowercased on the stack, and the rest go through `buf`.
 pub(crate) fn for_each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
-    for run in text.split(|c: char| !c.is_alphanumeric() && c != '\'') {
+    let mut inline = [0u8; 64];
+    let mut emit = |run: &str| {
         let token = if run.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
             run
+        } else if run.is_ascii() && run.len() <= inline.len() {
+            let mut len = 0;
+            for b in run.bytes().filter(u8::is_ascii_alphanumeric) {
+                inline[len] = b.to_ascii_lowercase();
+                len += 1;
+            }
+            std::str::from_utf8(&inline[..len]).expect("ASCII is UTF-8")
         } else {
             buf.clear();
-            if run.is_ascii() {
-                buf.extend(
-                    run.bytes()
-                        .filter(u8::is_ascii_alphanumeric)
-                        .map(|b| char::from(b.to_ascii_lowercase())),
-                );
-            } else {
-                buf.extend(run.chars().filter(|c| c.is_alphanumeric()));
-                *buf = buf.to_lowercase();
-            }
+            buf.extend(run.chars().filter(|c| c.is_alphanumeric()));
+            *buf = buf.to_lowercase();
             buf.as_str()
         };
-        if !token.is_empty() && STOPWORDS.binary_search(&token).is_err() {
+        let stopword = token.len() <= LONGEST_STOPWORD && STOPWORDS.binary_search(&token).is_ok();
+        if !token.is_empty() && !stopword {
             f(token);
         }
+    };
+    if !text.is_ascii() {
+        return text.split(|c: char| !c.is_alphanumeric() && c != '\'').for_each(emit);
     }
+    let mut start = 0;
+    for (end, b) in text.bytes().enumerate().chain([(text.len(), b' ')]) {
+        if !b.is_ascii_alphanumeric() && b != b'\'' {
+            emit(&text[start..end]);
+            start = end + 1;
+        }
+    }
+}
+
+/// `text` as `str::to_lowercase` gives it, borrowed if that changes nothing.
+pub(crate) fn lowercase(text: &str) -> Cow<'_, str> {
+    if text.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        Cow::Borrowed(text)
+    } else {
+        Cow::Owned(text.to_lowercase())
+    }
+}
+
+/// Bit `i` is set when `text`, lowercased, contains `phrases[i]` (lowercase
+/// ASCII). Only non-ASCII text is lowercased into a copy to search.
+pub(crate) fn phrase_mask(text: &str, phrases: &[&str]) -> u32 {
+    let fold = text.is_ascii() && text.bytes().any(|b| b.is_ascii_uppercase());
+    let lower = if fold { Cow::Borrowed(text) } else { lowercase(text) };
+    let contains = |p: &[u8]| lower.as_bytes().windows(p.len()).any(|w| w.eq_ignore_ascii_case(p));
+    let found = |p: &&str| if fold { contains(p.as_bytes()) } else { lower.contains(p) };
+    phrases.iter().enumerate().fold(0, |mask, (i, p)| mask | u32::from(found(p)) << i)
 }
 
 /// Splits text into lowercase alphanumeric tokens, dropping stopwords.
@@ -151,31 +185,12 @@ impl FromIterator<String> for TokenSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstd_testkit::oracle::text as definition;
 
     #[test]
     fn lowercases_and_strips_punctuation() {
         let toks = tokenize("BREAKING: Explosion!!! Near finish-line.");
         assert_eq!(toks, vec!["breaking", "explosion", "near", "finish", "line"]);
-    }
-
-    #[test]
-    fn stopword_table_is_sorted() {
-        assert!(STOPWORDS.windows(2).all(|w| w[0] < w[1]), "binary search needs the order");
-    }
-
-    /// `tokenize` as it was defined before the walker, one expression.
-    fn tokenize_by_definition(text: &str) -> Vec<String> {
-        text.split(|c: char| !c.is_alphanumeric() && c != '\'')
-            .filter_map(|raw| {
-                let t: String =
-                    raw.chars().filter(|c| c.is_alphanumeric()).collect::<String>().to_lowercase();
-                if t.is_empty() || STOPWORDS.contains(&t.as_str()) {
-                    None
-                } else {
-                    Some(t)
-                }
-            })
-            .collect()
     }
 
     #[test]
@@ -189,13 +204,22 @@ mod tests {
             "Café 日本語 서울 москва ①② x² ½",
             "bridge🔥closed #Hash_tag @user_name https://t.co/AbC123",
             "ΤΗΣ'Σ ΤΗΣ' ΣΑΣthe THEΣ",
+            "THEIR There'S A An'D wITh YOU'",
             "",
             "   ",
         ] {
-            assert_eq!(tokenize(text), tokenize_by_definition(text), "{text:?}");
-            let set: BTreeSet<String> = tokenize_by_definition(text).into_iter().collect();
-            assert_eq!(TokenSet::from_text(text).tokens, set, "{text:?}");
+            assert_eq!(tokenize(text), definition::tokenize(text), "{text:?}");
+            assert_eq!(TokenSet::from_text(text).tokens, definition::token_set(text), "{text:?}");
         }
+        let long = format!("{} {}", "Ab'c".repeat(40), "x".repeat(65));
+        assert_eq!(tokenize(&long), definition::tokenize(&long));
+    }
+
+    #[test]
+    fn stopword_table_is_sorted_and_short() {
+        assert!(STOPWORDS.windows(2).all(|w| w[0] < w[1]), "binary search needs the order");
+        assert!(STOPWORDS.iter().all(|w| w.len() <= LONGEST_STOPWORD), "the guard skips none");
+        assert_eq!(STOPWORDS, definition::STOPWORDS);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! signal with the CoNLL-2010 hedge-cue inventory: each cue found in a
 //! post raises `κ`, saturating below 1.
 
-use crate::TokenSet;
+use crate::tokenize::{for_each_token, phrase_mask};
 use sstd_types::Uncertainty;
 
 /// Assigns an [`Uncertainty`] score `κ ∈ [0, 1]` to a post.
@@ -47,7 +47,7 @@ const HEDGE_CUES: &[&str] = &[
     "rumoured",
 ];
 
-/// Multi-word hedge cues matched on raw lowercase text.
+/// Multi-word hedge cues matched in the lowercased text.
 const HEDGE_PHRASES: &[&str] = &[
     "not sure",
     "no confirmation",
@@ -90,17 +90,21 @@ impl HedgeUncertaintyScorer {
         Self
     }
 
-    fn count_cues(&self, text: &str) -> usize {
-        let tokens = TokenSet::from_text(text);
-        let lower = text.to_lowercase();
-        HEDGE_CUES.iter().filter(|c| tokens.contains(c)).count()
-            + HEDGE_PHRASES.iter().filter(|p| lower.contains(*p)).count()
+    fn count_cues(&self, text: &str) -> u32 {
+        const _: () = assert!(HEDGE_CUES.len() <= 32 && HEDGE_PHRASES.len() <= 32);
+        let mut seen = 0u32;
+        for_each_token(text, &mut String::new(), |token| {
+            if let Some(i) = HEDGE_CUES.iter().position(|&c| c == token) {
+                seen |= 1 << i;
+            }
+        });
+        seen.count_ones() + phrase_mask(text, HEDGE_PHRASES).count_ones()
     }
 }
 
 impl UncertaintyScorer for HedgeUncertaintyScorer {
     fn uncertainty(&self, text: &str) -> Uncertainty {
-        let cues = self.count_cues(text) as f64;
+        let cues = f64::from(self.count_cues(text));
         Uncertainty::saturating((cues * PER_CUE).min(MAX_SCORE))
     }
 }

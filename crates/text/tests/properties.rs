@@ -1,16 +1,18 @@
 //! Property tests for the text substrate: tokenizer, Jaccard metric,
 //! and the online clusterer on empty, single-token, and unicode/emoji
-//! content — and the differential suite that holds the indexed clusterer
-//! and duplicate window to the linear scans they replaced.
+//! content — and the differential suites that hold the lexicon stages to
+//! their set-and-lowercase definitions, and the indexed clusterer and
+//! duplicate window to the linear scans they replaced.
 
 use sstd_testkit::domain::PostStreamCase;
 use sstd_testkit::oracle::text as linear;
 use sstd_testkit::{check, check_with, domain, gens, CheckConfig, Gen};
 use sstd_text::{
-    jaccard_distance, jaccard_similarity, tokenize, ClaimClusterer, ClusterConfig,
-    IndependenceScorer, RetweetIndependenceScorer, TokenSet,
+    jaccard_distance, jaccard_similarity, tokenize, AttitudeScorer, ClaimClusterer, ClusterConfig,
+    HedgeUncertaintyScorer, IndependenceScorer, KeywordFilter, LexiconAttitudeScorer,
+    RetweetIndependenceScorer, TokenSet, UncertaintyScorer,
 };
-use sstd_types::ClaimId;
+use sstd_types::{Attitude, ClaimId};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
@@ -202,6 +204,112 @@ fn empty_posts_cluster_together() {
     let d = c.assign("   ");
     assert_eq!(a, b, "token-free posts are indistinguishable");
     assert_eq!(a, d);
+}
+
+// ---------------------------------------------------------------------
+// Lexicon stages ≡ their definition
+// ---------------------------------------------------------------------
+
+/// Keyword lists for the filter: ASCII in any case, and keywords that only
+/// whole-string Unicode lowercasing matches.
+const KEYWORD_LISTS: [&[&str]; 5] = [
+    &["quake"],
+    &["FAKE", "Maybe", "bridge"],
+    &["ΣΑΣ", "STRAßE"],
+    &["İf", "likely"],
+    &["not", "sure", "k"],
+];
+
+#[test]
+fn lexicon_stages_match_their_definition() {
+    let filters: Vec<KeywordFilter> =
+        KEYWORD_LISTS.iter().map(|k| KeywordFilter::new(*k)).collect();
+    let (attitude, hedge) = (LexiconAttitudeScorer::new(), HedgeUncertaintyScorer::new());
+    check("lexicon_stages_match_their_definition", 1_000, &domain::lexicon_text(), |text| {
+        let (tokens, want) = (tokenize(text), linear::tokenize(text));
+        if tokens != want {
+            return Err(format!("tokens {tokens:?}, the definition says {want:?}"));
+        }
+        for (keywords, filter) in KEYWORD_LISTS.iter().zip(&filters) {
+            let (got, want) = (filter.matches(text), linear::keyword_matches(keywords, text));
+            if got != want {
+                return Err(format!("{keywords:?} matched {got}, the definition says {want}"));
+            }
+        }
+        let (got, want) = (attitude.attitude(text), linear::attitude(text));
+        if got != want {
+            return Err(format!("attitude {got:?}, the definition says {want:?}"));
+        }
+        let (got, want) = (hedge.uncertainty(text).value(), linear::uncertainty(text).value());
+        if got.to_bits() != want.to_bits() {
+            return Err(format!("uncertainty {got}, the definition says {want}"));
+        }
+        Ok(())
+    });
+}
+
+/// Each path of the walker and of the phrase search, and each answer of
+/// each stage, comes up at least 20 times in the property's 1 000 cases.
+#[test]
+fn the_lexicon_generator_reaches_every_corner() {
+    const CORNERS: [&str; 12] = [
+        "lowercase_ascii",
+        "mixed_case_ascii",
+        "non_ascii",
+        "keyword_match",
+        "silent",
+        "denial_cue",
+        "denial_phrase_in_folded_ascii",
+        "hedge_phrase_in_non_ascii",
+        "saturated_hedge",
+        "apostrophe_inside_a_word",
+        "kelvin_sign_token",
+        "final_sigma_token",
+    ];
+    let mut seen: BTreeMap<&str, usize> = CORNERS.iter().map(|&corner| (corner, 0)).collect();
+    let mut hit = |corner: &str, yes: bool| {
+        *seen.get_mut(corner).expect("a corner of the list") += usize::from(yes);
+    };
+    check_with(CheckConfig::new(1_000), &domain::lexicon_text(), |text| {
+        let ascii = text.is_ascii();
+        let upper = text.bytes().any(|b| b.is_ascii_uppercase());
+        let tokens = linear::tokenize(text);
+        let lower = text.to_lowercase();
+        hit("lowercase_ascii", ascii && !upper && !tokens.is_empty());
+        hit("mixed_case_ascii", ascii && upper);
+        hit("non_ascii", !ascii);
+        hit("keyword_match", KEYWORD_LISTS.iter().any(|k| linear::keyword_matches(k, text)));
+        hit("silent", linear::attitude(text) == Attitude::Silent && !text.is_empty());
+        hit("denial_cue", tokens.iter().any(|t| linear::DENIAL_CUES.contains(&t.as_str())));
+        hit(
+            "denial_phrase_in_folded_ascii",
+            ascii
+                && upper
+                && linear::DENIAL_PHRASES.iter().any(|p| !text.contains(p) && lower.contains(p)),
+        );
+        hit(
+            "hedge_phrase_in_non_ascii",
+            !ascii && linear::HEDGE_PHRASES.iter().any(|p| lower.contains(p)),
+        );
+        hit("saturated_hedge", linear::uncertainty(text).value() == 0.9);
+        hit(
+            "apostrophe_inside_a_word",
+            text.split(|c: char| !c.is_alphanumeric() && c != '\'')
+                .any(|run| run.trim_matches('\'').contains('\'')),
+        );
+        hit(
+            "kelvin_sign_token",
+            text.contains('\u{212A}') && tokens.iter().any(|t| t.contains('k')),
+        );
+        hit("final_sigma_token", tokens.iter().any(|t| t.ends_with('ς')));
+        Ok(())
+    })
+    .expect("nothing is asserted per case");
+
+    for (corner, times) in seen {
+        eprintln!("{corner}: {times}");
+        assert!(times >= 20, "the generator reached `{corner}` {times} times in 1 000 cases");
+    }
 }
 
 // ---------------------------------------------------------------------
